@@ -352,21 +352,20 @@ def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
                               base_seed=derive_seed(seed, 10))
     predict = lambda img: ensemble_predict(ens, img)
 
-    def score(soft_fn, post: bool) -> float:
-        vals = []
-        for s in dev.samples:
-            soft = soft_fn(s.image)
-            binary = postprocess_masks(soft) if post \
-                else dd.MaskSet((soft >= 0.5).astype(np.uint8))
-            vals.append(mean_dsc(binary.channels, s.masks.channels))
-        return float(np.mean(vals))
+    def dsc(soft: np.ndarray, truth: dd.MaskSet, post: bool = False) -> float:
+        binary = postprocess_masks(soft) if post \
+            else dd.MaskSet((soft >= 0.5).astype(np.uint8))
+        return mean_dsc(binary.channels, truth.channels)
 
-    return {
-        "baseline": score(lambda img: segment_soft(single, img), post=False),
-        "+ensemble": score(lambda img: np.asarray(predict(img.values)), post=False),
-        "+tta": score(lambda img: tta_rotate_seg(predict, img), post=False),
-        "+post": score(lambda img: tta_rotate_seg(predict, img), post=True),
-    }
+    # The +tta and +post arms score the same rotation-TTA soft masks.
+    scores = {arm: [] for arm in SEGMENTATION_ARMS}
+    for s in dev.samples:
+        tta = tta_rotate_seg(predict, s.image)
+        scores["baseline"].append(dsc(segment_soft(single, s.image), s.masks))
+        scores["+ensemble"].append(dsc(np.asarray(predict(s.image.values)), s.masks))
+        scores["+tta"].append(dsc(tta, s.masks))
+        scores["+post"].append(dsc(tta, s.masks, post=True))
+    return {arm: float(np.mean(vals)) for arm, vals in scores.items()}
 
 
 TABULAR_ARMS = ("baseline", "+ensemble", "+pl", "+rpl", "+tta", "+post")
@@ -398,9 +397,12 @@ def cmd_ablate(args) -> int:
 
 def _seed_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        seeds = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from exc
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed list {text!r}")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:

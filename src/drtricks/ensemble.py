@@ -14,7 +14,8 @@ import numpy as np
 
 from .augment import resize_bilinear
 from .data import Dataset, Image
-from .models import MLP, TrainConfig, fit, load_checkpoint, save_checkpoint, segment_soft
+from .models import (MLP, TrainConfig, fit, load_checkpoint, save_checkpoint,
+                     seg_features, segment_soft)
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,16 @@ def train_deep_ensemble(data: Dataset, cfg: TrainConfig, k: int = 5,
 
 
 def ensemble_predict(e: Ensemble, x) -> np.ndarray | float:
-    """Arithmetic mean of member predictions, computed in member order."""
+    """Arithmetic mean of member predictions, computed in member order.
+
+    For pixel heads the image's ``seg_features`` are computed once and
+    shared by every member, so each member costs one forward pass.
+    """
     head = e.members[0].head
     if head == "pixel":
-        preds = [segment_soft(m, x) for m in e.members]
+        v = _image_values(x)
+        feats = seg_features(v)
+        preds = [segment_soft(m, v, feats) for m in e.members]
     elif head == "softmax":
         preds = [m.predict_proba(np.asarray(x)) for m in e.members]
         preds = [p[0] if np.asarray(x).ndim == 1 else p for p in preds]
@@ -85,11 +92,14 @@ def _image_values(x) -> np.ndarray:
 
 
 def tta_flip_predict(predict_fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
-    """Mean prediction over {identity, horizontal flip, vertical flip}."""
+    """Flip TTA for dense predictions (..., H, W): flip, predict, flip back, average.
+
+    Branches are {identity, horizontal flip, vertical flip}; each flipped
+    branch's prediction is flipped back on the spatial axes before the mean.
+    """
     v = _image_values(x)
-    branches = (v, v[:, ::-1], v[::-1, :])
-    preds = [np.asarray(predict_fn(np.ascontiguousarray(b)), dtype=np.float64)
-             for b in branches]
+    predict = lambda b: np.asarray(predict_fn(np.ascontiguousarray(b)), dtype=np.float64)
+    preds = [predict(v), predict(v[:, ::-1])[..., :, ::-1], predict(v[::-1, :])[..., ::-1, :]]
     return sum(preds[1:], preds[0]) / len(preds)
 
 

@@ -7,6 +7,7 @@ decay, constant learning rate).
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -208,33 +209,54 @@ SEG_FEATURE_RADII = (1, 2, 4)
 SEG_FEATURE_DIM = 1 + len(SEG_FEATURE_RADII)
 
 
-def _box_mean(values: np.ndarray, radius: int) -> np.ndarray:
-    """Exact edge-clipped box mean over (2r+1)^2 windows via integral image."""
-    h, w = values.shape
-    pad = np.zeros((h + 1, w + 1))
-    pad[1:, 1:] = np.cumsum(np.cumsum(values, axis=0), axis=1)
-    y0 = np.clip(np.arange(h) - radius, 0, h)
-    y1 = np.clip(np.arange(h) + radius + 1, 0, h)
-    x0 = np.clip(np.arange(w) - radius, 0, w)
-    x1 = np.clip(np.arange(w) + radius + 1, 0, w)
-    total = (
-        pad[np.ix_(y1, x1)] - pad[np.ix_(y0, x1)] - pad[np.ix_(y1, x0)] + pad[np.ix_(y0, x0)]
-    )
-    area = np.outer(y1 - y0, x1 - x0)
-    return total / area
+@functools.lru_cache(maxsize=8)
+def _window_areas(h: int, w: int) -> np.ndarray:
+    """Pixel count of every edge-clipped window, one (H, W) plane per radius."""
+    def counts(n: int, r: int) -> np.ndarray:
+        i = np.arange(n)
+        return np.minimum(i + r + 1, n) - np.maximum(i - r, 0)
+
+    areas = np.stack([np.outer(counts(h, r), counts(w, r)) for r in SEG_FEATURE_RADII])
+    areas.flags.writeable = False
+    return areas
 
 
 def seg_features(image: Image | np.ndarray) -> np.ndarray:
-    """Per-pixel feature stack (H*W, 4): raw value plus box means r=1,2,4."""
+    """Per-pixel feature stack (H*W, 4): raw value plus box means r=1,2,4.
+
+    Each box mean is the exact edge-clipped mean over the (2r+1)^2 window.
+    One summed-area table serves every radius: padded once by edge
+    replication (which is the clipping of window corners to the image), its
+    four window corners are plain slices. Ensembles compute this once per
+    image and share it across members (see ``ensemble_predict``).
+    """
     v = image.values if isinstance(image, Image) else np.asarray(image, dtype=np.float64)
-    stack = [v] + [_box_mean(v, r) for r in SEG_FEATURE_RADII]
-    return np.stack(stack, axis=-1).reshape(-1, SEG_FEATURE_DIM)
+    h, w = v.shape
+    reach = max(SEG_FEATURE_RADII)
+    table = np.zeros((h + 1, w + 1))
+    table[1:, 1:] = np.cumsum(np.cumsum(v, axis=0), axis=1)
+    table = np.pad(table, reach, mode="edge")
+    areas = _window_areas(h, w)
+    out = np.empty((h, w, SEG_FEATURE_DIM))
+    out[..., 0] = v
+    for i, r in enumerate(SEG_FEATURE_RADII, start=1):
+        lo, hi = reach - r, reach + r + 1
+        top, bottom = table[lo : lo + h], table[hi : hi + h]
+        total = (bottom[:, hi : hi + w] - top[:, hi : hi + w]
+                 - bottom[:, lo : lo + w] + top[:, lo : lo + w])
+        out[..., i] = total / areas[i - 1]
+    return out.reshape(-1, SEG_FEATURE_DIM)
 
 
-def segment_soft(m: MLP, image: Image | np.ndarray) -> np.ndarray:
-    """Soft lesion prediction (3, H, W) for one image."""
+def segment_soft(m: MLP, image: Image | np.ndarray,
+                 feats: Optional[np.ndarray] = None) -> np.ndarray:
+    """Soft lesion prediction (3, H, W) for one image.
+
+    ``feats`` are the image's ``seg_features`` when the caller already has
+    them: an ensemble computes them once and shares them across its members.
+    """
     v = image.values if isinstance(image, Image) else np.asarray(image, dtype=np.float64)
-    out = m.forward(seg_features(v))
+    out = m.forward(seg_features(v) if feats is None else feats)
     return out.reshape(v.shape[0], v.shape[1], NUM_CLASSES).transpose(2, 0, 1)
 
 

@@ -1,5 +1,6 @@
 """Config parsing, digests, and the command-line workflows."""
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +93,14 @@ class TestConfig:
         assert cfg.task == "quality"
         assert cfg.ensemble_k == 1 and cfg.tta == "none"
         assert cfg.train_config(7).seed == 7
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        cfg = load_config(path)
+        assert (cfg.task, cfg.tta, cfg.ensemble_k, cfg.postprocess) == ("grading", "none", 5, False)
 
     def test_digest_changes_iff_semantic_field_changes(self):
         a = RunConfig(task="grading")
@@ -240,6 +249,17 @@ class TestAblate:
         assert [r["arm"] for r in rows] == ["baseline", "+ensemble", "+tta", "+post"]
         assert all(r["metric"] == "mean_dsc" for r in rows)
         assert all(np.isfinite(float(r["mean"])) for r in rows)
+
+    @pytest.mark.parametrize("seeds", [",", " , ,", ""])
+    def test_empty_seed_list_is_usage_error(self, tmp_path, capsys, seeds):
+        cfg = tmp_path / "abl.ini"
+        cfg.write_text(ABLATE_CONFIG.format(task="grading", n_labeled=40, lr="2e-3"))
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--config", str(cfg), "--seeds", seeds,
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "empty seed list" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_seed_list_is_usage_error(self, tmp_path):
         cfg = tmp_path / "abl.ini"

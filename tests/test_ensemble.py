@@ -14,7 +14,8 @@ from drtricks.ensemble import (
     tta_rotate_seg,
     train_deep_ensemble,
 )
-from drtricks.models import MLP, TrainConfig, fit
+from drtricks import ensemble, models
+from drtricks.models import MLP, TrainConfig, fit, segment_soft
 
 
 def constant_scalar(value: float) -> MLP:
@@ -93,6 +94,37 @@ class TestEnsemblePredict:
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert (p >= 0).all()
 
+    def test_pixel_ensemble_is_member_order_mean_of_segment_soft(self):
+        members = tuple(MLP([4, 3], "pixel", seed=s) for s in range(5))
+        img = np.random.default_rng(4).uniform(0, 1, (12, 17))
+        expected = segment_soft(members[0], img)
+        for m in members[1:]:
+            expected = expected + segment_soft(m, img)
+        expected = expected / len(members)
+        e = Ensemble(members, tuple(range(5)))
+        for x in (img, Image(img)):
+            out = ensemble_predict(e, x)
+            assert out.shape == (3, 12, 17)
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_features_computed_once_per_call(self, k, monkeypatch):
+        calls = []
+        original = models.seg_features
+
+        def counting(image):
+            calls.append(1)
+            return original(image)
+
+        monkeypatch.setattr(models, "seg_features", counting)
+        monkeypatch.setattr(ensemble, "seg_features", counting)
+        e = Ensemble(tuple(MLP([4, 3], "pixel", seed=s) for s in range(k)), tuple(range(k)))
+        img = np.random.default_rng(5).uniform(0, 1, (16, 16))
+        ensemble_predict(e, img)
+        assert len(calls) == 1
+        tta_rotate_seg(lambda v: ensemble_predict(e, v), img)
+        assert len(calls) == 1 + 4
+
     def test_member_variance_nonnegative(self):
         e = Ensemble((constant_scalar(1.0), constant_scalar(2.0)), (0, 1))
         assert member_variance(e, np.zeros(4)) == pytest.approx(0.25)
@@ -113,13 +145,17 @@ class TestFlipTta:
         np.testing.assert_allclose(tta_flip_predict(predict, img), predict(img),
                                    atol=1e-12)
 
-    def test_symmetric_image_branches_agree(self):
-        img = np.random.default_rng(2).uniform(0, 1, (8, 4))
-        img = np.concatenate([img, img[:, ::-1]], axis=1)  # hflip-symmetric
+    def test_flip_equivariant_oracle_reproduced_exactly(self):
+        # Dyadic pixel values keep the three-branch mean exact.
+        img = np.random.default_rng(2).integers(0, 65, (8, 12)) / 64.0
         out = tta_flip_predict(threshold_oracle, img)
-        plain = threshold_oracle(img)
-        # vflip branch differs, but identity and hflip agree with plain
-        np.testing.assert_allclose(out, (2 * plain + threshold_oracle(img[::-1])) / 3)
+        np.testing.assert_array_equal(out, threshold_oracle(img))
+
+    def test_delta_peak_stays_put(self):
+        img = np.zeros((9, 7))
+        img[2, 5] = 1.0
+        out = tta_flip_predict(threshold_oracle, img)
+        assert np.unravel_index(np.argmax(out[0]), img.shape) == (2, 5)
 
 
 class TestRotateTta:

@@ -117,7 +117,33 @@ class TestForward:
                                       forward_classifier(m, x))
 
 
+def ix_reference_features(v: np.ndarray) -> np.ndarray:
+    """Feature stack from one integral image per radius read via np.ix_ gathers."""
+    h, w = v.shape
+    stack = [v]
+    for r in (1, 2, 4):
+        pad = np.zeros((h + 1, w + 1))
+        pad[1:, 1:] = np.cumsum(np.cumsum(v, axis=0), axis=1)
+        y0 = np.clip(np.arange(h) - r, 0, h)
+        y1 = np.clip(np.arange(h) + r + 1, 0, h)
+        x0 = np.clip(np.arange(w) - r, 0, w)
+        x1 = np.clip(np.arange(w) + r + 1, 0, w)
+        total = (pad[np.ix_(y1, x1)] - pad[np.ix_(y0, x1)]
+                 - pad[np.ix_(y1, x0)] + pad[np.ix_(y0, x0)])
+        stack.append(total / np.outer(y1 - y0, x1 - x0))
+    return np.stack(stack, axis=-1).reshape(-1, 4)
+
+
 class TestSegFeatures:
+    @pytest.mark.parametrize("shape", [(64, 64), (11, 13), (5, 7), (3, 64), (64, 2),
+                                       (8, 8), (1, 1)])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_bit_equal_to_gather_reference(self, shape, scale):
+        img = np.random.default_rng(shape[0] * 100 + shape[1]).uniform(0, 1, shape) * scale
+        feats = seg_features(img)
+        assert feats.shape == (shape[0] * shape[1], 4)
+        assert feats.tobytes() == ix_reference_features(img).tobytes()
+
     def test_box_mean_matches_brute_force(self):
         rng = np.random.default_rng(0)
         img = rng.uniform(0, 1, (11, 13))
