@@ -1,4 +1,4 @@
-"""Two-stage training augmentation sampler.
+"""Two-stage augmentation sampler for segmentation training.
 
 Every call applies exactly one pixel operator from each of the two pixel
 families (brightness-like and texture-like), then each geometric operator
@@ -48,8 +48,8 @@ class AugPipeline:
             raise ValueError("both pixel-operator families must be nonempty")
 
 
-def build_pipeline(task: str) -> AugPipeline:
-    """Operator lists and parameters for each task."""
+def build_pipeline() -> AugPipeline:
+    """Operator lists and parameters of the segmentation training pipeline."""
     omega = (
         AugOp("brightness_contrast", {"brightness_limit": 0.2, "contrast_limit": 0.2}),
         AugOp("gamma", {"gamma_limit": (80, 120)}),
@@ -59,35 +59,16 @@ def build_pipeline(task: str) -> AugPipeline:
         AugOp("blur", {"blur_limit": 3}),
         AugOp("downscale", {"scale_min": 0.7, "scale_max": 0.9}),
     )
-    flip = AugOp("flip", {"directions": ("horizontal", "vertical")}, 0.5)
-    if task in ("seg", "segmentation"):
-        geometric = (
-            flip,
-            AugOp("shift_scale_rotate",
-                  {"shift_limit": 0.2, "scale_limit": 0.1, "rotate_limit": 90}, 0.5),
-            AugOp("grid_distortion", {"num_steps": 5, "distort_limit": 0.3}, 0.2),
-            AugOp("coarse_dropout",
-                  {"max_height": 128, "min_height": 32, "max_width": 128,
-                   "min_width": 32, "max_holes": 3}, 0.2),
-            AugOp("affine", {"scale": (0.8, 1.2)}, 0.5),
-        )
-    elif task == "quality":
-        geometric = (
-            flip,
-            AugOp("shift_scale_rotate",
-                  {"shift_limit": 0.2, "scale_limit": 0.1, "rotate_limit": 45}, 0.5),
-        )
-    elif task == "grading":
-        geometric = (
-            flip,
-            AugOp("shift_scale_rotate",
-                  {"shift_limit": 0.2, "scale_limit": 0.1, "rotate_limit": 45}, 0.5),
-            AugOp("coarse_dropout",
-                  {"max_height": 5, "min_height": 1, "max_width": 512,
-                   "min_width": 51, "max_holes": 5}, 0.2),
-        )
-    else:
-        raise ValueError(f"unknown task {task!r}")
+    geometric = (
+        AugOp("flip", {"directions": ("horizontal", "vertical")}, 0.5),
+        AugOp("shift_scale_rotate",
+              {"shift_limit": 0.2, "scale_limit": 0.1, "rotate_limit": 90}, 0.5),
+        AugOp("grid_distortion", {"num_steps": 5, "distort_limit": 0.3}, 0.2),
+        AugOp("coarse_dropout",
+              {"max_height": 128, "min_height": 32, "max_width": 128,
+               "min_width": 32, "max_holes": 3}, 0.2),
+        AugOp("affine", {"scale": (0.8, 1.2)}, 0.5),
+    )
     return AugPipeline(omega, psi, geometric)
 
 
@@ -104,7 +85,7 @@ def _resize(values: np.ndarray, out_h: int, out_w: int, order: int) -> np.ndarra
 
 
 def resize_bilinear(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize used by downscale, MPA, and the CLI plumbing."""
+    """Bilinear resize (reflect mode at the border), used by downscale."""
     return _resize(values, out_h, out_w, order=1)
 
 

@@ -55,7 +55,7 @@ def _load_data(cfg: RunConfig, path: str) -> dd.Dataset:
 
 
 def _aug_or_none(cfg: RunConfig):
-    return build_pipeline(cfg.task) if cfg.augment else None
+    return build_pipeline() if cfg.augment else None
 
 
 def _load_model_or_ensemble(path: str) -> Ensemble:
@@ -171,13 +171,14 @@ def cmd_train(args) -> int:
 
 def cmd_rpl(args) -> int:
     cfg = load_config(args.config)
+    if cfg.task == "segmentation":
+        raise ConfigError("rpl pseudo-labels the ordinal tasks only, not segmentation")
     out = _out_dir(args)
     labeled = _load_data(cfg, _require(cfg.train_path, "[data] train"))
     unlabeled = _load_data(cfg, _require(cfg.unlabeled_path, "[data] unlabeled"))
     tcfg = cfg.train_config(args.seed)
     rcfg = RPLConfig(base=tcfg, rounds=cfg.rpl_rounds)
-    model = rpl_train(labeled, unlabeled, rcfg, aug=_aug_or_none(cfg),
-                      audit_path=out / "audit.csv")
+    model = rpl_train(labeled, unlabeled, rcfg, audit_path=out / "audit.csv")
     path = out / "model.ckpt"
     save_checkpoint(path, model)
     print(f"reliable pseudo labeling over {cfg.rpl_rounds} rounds; checkpoint {path}")
@@ -250,12 +251,20 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _evaluate_tabular(truth: dd.Dataset, pred_path: Path) -> dict:
-    with open(pred_path, newline="") as fh:
+def _read_predictions(path: Path, column: str, parse) -> dict:
+    """``predictions.csv`` as {id: parse(value of column)}; FormatError if malformed."""
+    with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != ["id", "prediction"]:
-            raise dd.FormatError(f"unexpected prediction columns in {pred_path}")
-        by_id = {int(r["id"]): int(r["prediction"]) for r in reader}
+        if reader.fieldnames != ["id", column]:
+            raise dd.FormatError(f"unexpected prediction columns in {path}")
+        try:
+            return {int(r["id"]): parse(r[column]) for r in reader}
+        except (ValueError, TypeError) as exc:
+            raise dd.FormatError(f"{path}: malformed prediction row ({exc})") from exc
+
+
+def _evaluate_tabular(truth: dd.Dataset, pred_path: Path) -> dict:
+    by_id = _read_predictions(pred_path, "prediction", lambda v: dd.validate_label(int(v)))
     truths, preds = [], []
     for s in truth.samples:
         if s.id not in by_id:
@@ -269,9 +278,7 @@ def _evaluate_tabular(truth: dd.Dataset, pred_path: Path) -> dict:
 
 
 def _evaluate_segmentation(truth: dd.Dataset, pred_dir: Path) -> dict:
-    with open(pred_dir / "predictions.csv", newline="") as fh:
-        reader = csv.DictReader(fh)
-        by_id = {int(r["id"]): r["stem"] for r in reader}
+    by_id = _read_predictions(pred_dir / "predictions.csv", "stem", str)
     dscs, ious = [], []
     for s in truth.samples:
         if s.id not in by_id:
@@ -350,19 +357,22 @@ def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     single = fit("segmentation", train, tcfg)
     ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k,
                               base_seed=derive_seed(seed, 10))
-    predict = lambda img: ensemble_predict(ens, img)
 
     def dsc(soft: np.ndarray, truth: dd.MaskSet, post: bool = False) -> float:
         binary = postprocess_masks(soft) if post \
             else dd.MaskSet((soft >= 0.5).astype(np.uint8))
         return mean_dsc(binary.channels, truth.channels)
 
-    # The +tta and +post arms score the same rotation-TTA soft masks.
+    # The +tta and +post arms score the same rotation-TTA soft masks, and the
+    # identity rotation of that TTA reuses the +ensemble prediction.
     scores = {arm: [] for arm in SEGMENTATION_ARMS}
     for s in dev.samples:
-        tta = tta_rotate_seg(predict, s.image)
+        v = s.image.values
+        plain = np.asarray(ensemble_predict(ens, v))
+        tta = tta_rotate_seg(
+            lambda img: plain if np.array_equal(img, v) else ensemble_predict(ens, img), v)
         scores["baseline"].append(dsc(segment_soft(single, s.image), s.masks))
-        scores["+ensemble"].append(dsc(np.asarray(predict(s.image.values)), s.masks))
+        scores["+ensemble"].append(dsc(plain, s.masks))
         scores["+tta"].append(dsc(tta, s.masks))
         scores["+post"].append(dsc(tta, s.masks, post=True))
     return {arm: float(np.mean(vals)) for arm, vals in scores.items()}

@@ -2,14 +2,15 @@
 
 Config files are flat key=value pairs under section headers. Parsing is
 strict: an unknown section or key is an error, so typos cannot silently
-fall back to defaults.
+fall back to defaults. The accepted sections and keys, their types and
+their defaults all come from the ``RunConfig`` fields.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -23,79 +24,46 @@ class ConfigError(ValueError):
 
 TTA_MODES = ("none", "flip", "rotate")
 
-# section -> key -> (python type, default); ``str`` paths default to None.
-_SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
-    "run": {
-        "task": (str, None),
-    },
-    "data": {
-        "train": (str, None),
-        "dev": (str, None),
-        "unlabeled": (str, None),
-        "model": (str, None),
-        "predictions": (str, None),
-    },
-    "synth": {
-        "n": (int, 611),
-        "dim": (int, 8),
-        "noise": (float, 0.5),
-        "size": (int, 64),
-        "n_labeled": (int, 60),
-        "n_unlabeled": (int, 600),
-        "n_dev": (int, 10),
-        "split_ratio": (float, 0.8),
-    },
-    "train": {
-        "lr": (float, TrainConfig.lr),
-        "weight_decay": (float, TrainConfig.weight_decay),
-        "batch_size": (int, TrainConfig.batch_size),
-        "epochs": (int, TrainConfig.epochs),
-        "alpha": (float, TrainConfig.alpha),
-        "aux": (str, TrainConfig.aux),
-        "hidden": (int, TrainConfig.hidden),
-        "dropout": (float, TrainConfig.dropout),
-        "augment": (bool, False),
-    },
-    "pipeline": {
-        "ensemble_k": (int, 1),
-        "rpl_rounds": (int, 5),
-        "tta": (str, "none"),
-        "postprocess": (bool, False),
-    },
-}
+
+def _ini(section: str, default=MISSING, key: Optional[str] = None):
+    """A field set under ``[section]`` by ``key`` (the field name if None).
+
+    The value's type, used to parse the INI text, is the default's type;
+    fields without a default or defaulting to None take strings.
+    """
+    return field(default=default, metadata={"section": section, "key": key})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment's full settings; seed and output dir come from the CLI."""
 
-    task: str
-    train_path: Optional[str] = None
-    dev_path: Optional[str] = None
-    unlabeled_path: Optional[str] = None
-    model_path: Optional[str] = None
-    predictions_path: Optional[str] = None
-    n: int = 611
-    dim: int = 8
-    noise: float = 0.5
-    size: int = 64
-    n_labeled: int = 60
-    n_unlabeled: int = 600
-    n_dev: int = 10
-    split_ratio: float = 0.8
-    lr: float = TrainConfig.lr
-    weight_decay: float = TrainConfig.weight_decay
-    batch_size: int = TrainConfig.batch_size
-    epochs: int = TrainConfig.epochs
-    alpha: float = TrainConfig.alpha
-    aux: str = TrainConfig.aux
-    hidden: int = TrainConfig.hidden
-    dropout: float = TrainConfig.dropout
-    augment: bool = False
-    ensemble_k: int = 1
-    rpl_rounds: int = 5
-    tta: str = "none"
-    postprocess: bool = False
+    task: str = _ini("run")
+    train_path: Optional[str] = _ini("data", None, key="train")
+    dev_path: Optional[str] = _ini("data", None, key="dev")
+    unlabeled_path: Optional[str] = _ini("data", None, key="unlabeled")
+    model_path: Optional[str] = _ini("data", None, key="model")
+    predictions_path: Optional[str] = _ini("data", None, key="predictions")
+    dim: int = _ini("synth", 8)
+    noise: float = _ini("synth", 0.5)
+    size: int = _ini("synth", 64)
+    n_labeled: int = _ini("synth", 60)
+    n_unlabeled: int = _ini("synth", 600)
+    n_dev: int = _ini("synth", 10)
+    split_ratio: float = _ini("synth", 0.8)
+    lr: float = _ini("train", TrainConfig.lr)
+    weight_decay: float = _ini("train", TrainConfig.weight_decay)
+    batch_size: int = _ini("train", TrainConfig.batch_size)
+    epochs: int = _ini("train", TrainConfig.epochs)
+    alpha: float = _ini("train", TrainConfig.alpha)
+    aux: str = _ini("train", TrainConfig.aux)
+    hidden: int = _ini("train", TrainConfig.hidden)
+    dropout: float = _ini("train", TrainConfig.dropout)
+    augment: bool = _ini("train", False)
+    ensemble_k: int = _ini("pipeline", 1)
+    rpl_rounds: int = _ini("pipeline", 5)
+    tta: str = _ini("pipeline", "none")
+    postprocess: bool = _ini("pipeline", False)
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
@@ -108,6 +76,8 @@ class RunConfig:
             raise ConfigError("rpl_rounds must be >= 1")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must be in (0, 1)")
+        if self.augment and self.task != "segmentation":
+            raise ConfigError(f"augment applies to segmentation only, not task {self.task!r}")
 
     def train_config(self, seed: int) -> TrainConfig:
         try:
@@ -128,29 +98,29 @@ class RunConfig:
     def digest(self) -> str:
         """Hex digest over every semantic field, in a canonical order.
 
-        Paths and output locations are excluded: two runs pointing at
-        different copies of the same data are the same experiment.
+        The [data] paths are excluded: two runs pointing at different copies
+        of the same data are the same experiment.
         """
-        skip = {"train_path", "dev_path", "unlabeled_path", "model_path",
-                "predictions_path"}
         payload = {f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name not in skip}
+                   if f.metadata["section"] != "data"}
         blob = json.dumps(payload, sort_keys=True).encode("ascii")
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-_FIELD_BY_KEY = {
-    ("run", "task"): "task",
-    ("data", "train"): "train_path",
-    ("data", "dev"): "dev_path",
-    ("data", "unlabeled"): "unlabeled_path",
-    ("data", "model"): "model_path",
-    ("data", "predictions"): "predictions_path",
-}
+def _schema() -> dict[str, dict[str, Field]]:
+    """Section -> INI key -> the RunConfig field that key sets."""
+    schema: dict[str, dict[str, Field]] = {}
+    for f in fields(RunConfig):
+        schema.setdefault(f.metadata["section"], {})[f.metadata["key"] or f.name] = f
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def _coerce(section: str, key: str, raw: str):
-    typ, _ = _SCHEMA[section][key]
+    default = _SCHEMA[section][key].default
+    typ = str if default is MISSING or default is None else type(default)
     raw = raw.strip()
     if typ is bool:
         low = raw.lower()
@@ -183,8 +153,7 @@ def load_config(path: Path | str) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
-            field_name = _FIELD_BY_KEY.get((section, key), key)
-            values[field_name] = _coerce(section, key, raw)
+            values[_SCHEMA[section][key].name] = _coerce(section, key, raw)
     if "task" not in values:
         raise ConfigError(f"config {path} must set task under [run]")
     return RunConfig(**values)

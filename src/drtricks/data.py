@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -497,7 +497,7 @@ def read_dataset_csv(path: Path | str, task: str) -> Dataset:
     if not rows:
         raise FormatError(f"{path}: empty CSV")
     header = rows[0]
-    if header[0] != "id" or header[-1] != "label":
+    if not header or header[0] != "id" or header[-1] != "label":
         raise FormatError(f"{path}: expected header id,feat_*,label")
     dim = len(header) - 2
     if [h for h in header[1:-1]] != [f"feat_{j}" for j in range(dim)]:
@@ -506,14 +506,12 @@ def read_dataset_csv(path: Path | str, task: str) -> Dataset:
     for row in rows[1:]:
         if len(row) != len(header):
             raise FormatError(f"{path}: row width mismatch")
-        label = None if row[-1] == "" else int(row[-1])
-        samples.append(
-            Sample(
-                id=int(row[0]),
-                features=np.array([float(v) for v in row[1:-1]]),
-                label=label,
-            )
-        )
+        try:
+            sid, features = int(row[0]), np.array([float(v) for v in row[1:-1]])
+            label = None if row[-1] == "" else int(row[-1])
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+        samples.append(Sample(id=sid, features=features, label=label))
     return Dataset(tuple(samples), task)
 
 
@@ -545,23 +543,13 @@ def read_seg_dataset(directory: Path | str) -> Dataset:
         raise FormatError(f"{directory}: malformed index.csv header")
     samples = []
     for row in rows[1:]:
-        sid, image_name, has_masks = int(row[0]), row[1], bool(int(row[2]))
+        try:
+            sid, image_name, has_masks = int(row[0]), row[1], bool(int(row[2]))
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"{index}: malformed row {row!r}") from exc
         image = read_image(directory / image_name)
         masks = None
         if has_masks:
             masks = read_mask_set(directory / Path(image_name).stem)
         samples.append(Sample(id=sid, image=image, masks=masks))
     return Dataset(tuple(samples), "segmentation")
-
-
-def strip_labels(d: Dataset) -> Dataset:
-    """Copy of the dataset with labels and masks removed."""
-    return Dataset(
-        tuple(replace(s, label=None, masks=None) for s in d.samples), d.task
-    )
-
-
-def concat(a: Dataset, b: Dataset) -> Dataset:
-    if a.task != b.task:
-        raise DataError("cannot concatenate datasets of different tasks")
-    return Dataset(a.samples + b.samples, a.task)

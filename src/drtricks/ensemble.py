@@ -1,21 +1,20 @@
-"""Deep ensembles, test-time augmentation, and multi-scale aggregation.
+"""Deep ensembles and test-time augmentation.
 
-All aggregation averages in probability / soft-mask space, over a fixed
-branch order, so results are bit-deterministic.
+All aggregation averages raw regressor outputs or soft masks, over a fixed
+member and branch order, so results are bit-deterministic.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .augment import resize_bilinear
 from .data import Dataset, Image
-from .models import (MLP, TrainConfig, fit, load_checkpoint, save_checkpoint,
-                     seg_features, segment_soft)
+from .models import (MLP, CheckpointError, TrainConfig, TrainingDivergedError, fit,
+                     load_checkpoint, save_checkpoint, seg_features, segment_soft)
 
 
 @dataclass(frozen=True)
@@ -33,6 +32,8 @@ class Ensemble:
 
 
 class EnsembleMemberError(RuntimeError):
+    """A member's training failed numerically; ``index`` says which member."""
+
     def __init__(self, index: int, cause: Exception):
         super().__init__(f"member {index} failed: {cause}")
         self.index = index
@@ -50,7 +51,7 @@ def train_deep_ensemble(data: Dataset, cfg: TrainConfig, k: int = 5,
         seed = base + i
         try:
             members.append(fit(data.task, data, replace(cfg, seed=seed), aug=aug))
-        except Exception as exc:
+        except (TrainingDivergedError, FloatingPointError) as exc:
             raise EnsembleMemberError(i, exc) from exc
         seeds.append(seed)
     return Ensemble(tuple(members), tuple(seeds))
@@ -67,9 +68,6 @@ def ensemble_predict(e: Ensemble, x) -> np.ndarray | float:
         v = _image_values(x)
         feats = seg_features(v)
         preds = [segment_soft(m, v, feats) for m in e.members]
-    elif head == "softmax":
-        preds = [m.predict_proba(np.asarray(x)) for m in e.members]
-        preds = [p[0] if np.asarray(x).ndim == 1 else p for p in preds]
     else:
         preds = [m.predict_scalar(np.atleast_2d(x)) for m in e.members]
         if np.asarray(x).ndim == 1:
@@ -121,24 +119,6 @@ def tta_rotate_seg(predict_fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndar
     return acc / 4.0
 
 
-def mpa_seg(predict_fn: Callable[[np.ndarray], np.ndarray], x,
-            scales: Sequence[float] = (1.0, 1.1, 1.2, 1.3, 1.4)) -> np.ndarray:
-    """Multi-scale aggregation: upscale, predict, resize back, average."""
-    v = _image_values(x)
-    if any(s < 1.0 for s in scales):
-        raise ValueError("scales must be >= 1")
-    h, w = v.shape
-    acc = None
-    for s in scales:
-        sh, sw = int(round(h * s)), int(round(w * s))
-        scaled = v if (sh, sw) == (h, w) else resize_bilinear(v, sh, sw)
-        pred = np.asarray(predict_fn(scaled), dtype=np.float64)
-        if pred.shape[1:] != (h, w):
-            pred = np.stack([resize_bilinear(c, h, w) for c in pred])
-        acc = pred if acc is None else acc + pred
-    return np.clip(acc / len(scales), 0.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # manifest I/O
 # ---------------------------------------------------------------------------
@@ -158,11 +138,16 @@ def save_ensemble(directory: Path | str, e: Ensemble, prefix: str = "member") ->
 
 
 def load_ensemble(manifest: Path | str) -> Ensemble:
+    """Read a manifest and its member checkpoints; CheckpointError if malformed."""
     manifest = Path(manifest)
-    spec = json.loads(manifest.read_text())
-    members = []
-    seeds = []
-    for entry in spec["members"]:
-        members.append(load_checkpoint(manifest.parent / entry["path"]))
-        seeds.append(int(entry["seed"]))
-    return Ensemble(tuple(members), tuple(seeds))
+    try:
+        entries = json.loads(manifest.read_text())["members"]
+        paths = [manifest.parent / entry["path"] for entry in entries]
+        seeds = tuple(int(entry["seed"]) for entry in entries)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{manifest}: malformed ensemble manifest ({exc!r})") from exc
+    members = tuple(load_checkpoint(p) for p in paths)
+    try:
+        return Ensemble(members, seeds)
+    except ValueError as exc:
+        raise CheckpointError(f"{manifest}: {exc}") from exc

@@ -187,8 +187,3 @@ def write_report_json(path: Path | str, report: MetricsReport) -> None:
         ],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def read_report_csv(path: Path | str) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))

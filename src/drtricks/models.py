@@ -1,7 +1,7 @@
 """Small differentiable learners and their losses.
 
 Desk-scale stand-ins for the full-resolution backbones: a one-hidden-layer
-MLP for classification/regression and a per-pixel linear segmenter over a
+MLP regressor for the ordinal tasks and a per-pixel linear segmenter over a
 small local-feature stack. Training uses mini-batch AdamW (decoupled weight
 decay, constant learning rate).
 """
@@ -15,13 +15,16 @@ from typing import Optional
 
 import numpy as np
 
-from .data import NUM_CLASSES, Dataset, Image, MaskSet, SoftMaskSet
+from .data import NUM_CLASSES, DataError, Dataset, Image, MaskSet, SoftMaskSet
 
 EPS_CLAMP = 1e-7
 DICE_EPS = 1e-6
 
-HEADS = ("softmax", "scalar", "pixel")
-_HEAD_CODES = {h: i for i, h in enumerate(HEADS)}
+# Head -> checkpoint code. The codes are part of the file format, so they never
+# change; code 0 is retired and rejected on load.
+_HEAD_CODES = {"scalar": 1, "pixel": 2}
+HEADS = tuple(_HEAD_CODES)
+_HEAD_BY_CODE = {code: head for head, code in _HEAD_CODES.items()}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -83,8 +86,8 @@ def regressor_class(raw, num_classes: int = NUM_CLASSES) -> np.ndarray:
 class MLP:
     """Fully connected net with ReLU hidden layers and a task head.
 
-    Heads: ``softmax`` (C-way probabilities), ``scalar`` (one real output),
-    ``pixel`` (3 sigmoid outputs per feature row, used by the segmenter).
+    Heads: ``scalar`` (one real output, the ordinal regressor) and ``pixel``
+    (3 sigmoid outputs per feature row, used by the segmenter).
     Dropout is applied to hidden activations at training time only.
     """
 
@@ -133,11 +136,7 @@ class MLP:
                     masks.append(None)
                 acts.append(h)
         logits = h
-        if self.head == "softmax":
-            z = logits - logits.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            out = e / e.sum(axis=1, keepdims=True)
-        elif self.head == "scalar":
+        if self.head == "scalar":
             out = logits[:, 0]
         else:  # pixel
             out = 1.0 / (1.0 + np.exp(-logits))
@@ -161,11 +160,6 @@ class MLP:
 
     # -- convenience --------------------------------------------------------
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        if self.head != "softmax":
-            raise ValueError("predict_proba requires a softmax head")
-        return self.forward(x)
-
     def predict_scalar(self, x: np.ndarray) -> np.ndarray:
         if self.head != "scalar":
             raise ValueError("predict_scalar requires a scalar head")
@@ -173,32 +167,6 @@ class MLP:
 
     def params(self) -> list[np.ndarray]:
         return self.weights + self.biases
-
-    def copy(self) -> "MLP":
-        clone = MLP(self.dims, self.head, self.dropout, seed=0)
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
-        return clone
-
-
-def forward_classifier(m: MLP, x: np.ndarray) -> np.ndarray:
-    """Probability vector(s) over classes for feature input."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if x.shape[-1] != m.dims[0]:
-        raise ValueError(f"input dimension {x.shape[-1]} != model input {m.dims[0]}")
-    p = m.predict_proba(x)
-    return p[0] if single else p
-
-
-def forward_regressor(m: MLP, x: np.ndarray) -> np.ndarray | float:
-    """Raw scalar output(s) for feature input."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if x.shape[-1] != m.dims[0]:
-        raise ValueError(f"input dimension {x.shape[-1]} != model input {m.dims[0]}")
-    out = m.predict_scalar(x)
-    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +233,7 @@ def new_model(task: str, in_dim: int, cfg: TrainConfig) -> MLP:
     init_seed = derive_seed(cfg.seed, 0xA11CE)
     if task == "segmentation":
         return MLP([SEG_FEATURE_DIM, NUM_CLASSES], "pixel", dropout=0.0, seed=init_seed)
-    head = "scalar" if task in ("quality", "grading") else "softmax"
-    return MLP([in_dim, cfg.hidden, NUM_CLASSES if head == "softmax" else 1],
-               head, dropout=cfg.dropout, seed=init_seed)
+    return MLP([in_dim, cfg.hidden, 1], "scalar", dropout=cfg.dropout, seed=init_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +315,6 @@ def smooth_l1(pred, target, beta: float = 1.0):
     return float(vals.sum()) / n, grads / n
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray):
-    """Mean CE over a batch; gradient is returned wrt the logits."""
-    b = probs.shape[0]
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(b), labels] = 1.0
-    loss = float(-np.sum(np.log(np.clip(probs[np.arange(b), labels], EPS_CLAMP, 1.0)))) / b
-    grad_logits = (probs - onehot) / b
-    return loss, grad_logits
-
-
 # ---------------------------------------------------------------------------
 # optimizer and training loop
 # ---------------------------------------------------------------------------
@@ -400,33 +356,33 @@ def train(model: MLP, data: Dataset, cfg: TrainConfig, aug=None) -> MLP:
     """Mini-batch AdamW training; deterministic for a fixed cfg.seed.
 
     ``aug`` is an optional augmentation pipeline applied per sample per epoch
-    (image tasks only). Raises TrainingDivergedError on non-finite loss.
+    (segmentation only). Raises TrainingDivergedError on a non-finite loss
+    and, for the segmenter, FloatingPointError on overflow.
     """
     if len(data) == 0:
-        raise ValueError("training data must be nonempty")
+        raise DataError("training data must be nonempty")
     rng = np.random.default_rng(derive_seed(cfg.seed, 0x7EA1))
     opt = AdamW(model.params(), cfg.lr, cfg.weight_decay)
 
     if model.head == "pixel":
-        _train_segmenter(model, data, cfg, opt, rng, aug)
+        # A saturated sigmoid overflows in exp long before the clipped losses
+        # turn non-finite, so overflow ends the run instead of warning.
+        with np.errstate(over="raise"):
+            _train_segmenter(model, data, cfg, opt, rng, aug)
         return model
 
     feats = np.stack([s.features for s in data.samples])
     labels = np.array([s.label for s in data.samples])
     if any(l is None for l in data.labels()):
-        raise ValueError("training requires labeled samples")
+        raise DataError("training requires labeled samples")
     for epoch in range(cfg.epochs):
         for idx in _batches(len(data), cfg.batch_size, rng):
             xb, yb = feats[idx], labels[idx]
             out, cache = model._forward_cached(xb, train=True, rng=rng)
-            if model.head == "softmax":
-                loss, grad_logits = cross_entropy(out, yb)
-            else:
-                loss, grad_out = smooth_l1(out, yb.astype(np.float64))
-                grad_logits = grad_out[:, None]
+            loss, grad_out = smooth_l1(out, yb.astype(np.float64))
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            gw, gb = model.backward(cache, grad_logits)
+            gw, gb = model.backward(cache, grad_out[:, None])
             opt.step(gw + gb)
     return model
 
@@ -437,7 +393,7 @@ def _train_segmenter(model, data, cfg, opt, rng, aug) -> None:
     plain = []
     for s in data.samples:
         if s.image is None or s.masks is None:
-            raise ValueError("segmentation training requires images with masks")
+            raise DataError("segmentation training requires images with masks")
         plain.append((seg_features(s.image), np.asarray(s.masks.channels, dtype=np.float64)))
 
     for epoch in range(cfg.epochs):
@@ -499,19 +455,24 @@ def load_checkpoint(path: Path | str) -> MLP:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
-    head_code, n_dims, dropout = struct.unpack_from("<BBd", data, 4)
-    if head_code >= len(HEADS):
-        raise CheckpointError(f"{path}: unknown head code {head_code}")
     offset = 4 + struct.calcsize("<BBd")
+    if len(data) < offset:
+        raise CheckpointError(f"{path}: truncated header")
+    head_code, n_dims, dropout = struct.unpack_from("<BBd", data, 4)
+    if head_code not in _HEAD_BY_CODE:
+        raise CheckpointError(f"{path}: unknown head code {head_code}")
+    if n_dims < 2 or len(data) < offset + 4 * n_dims:
+        raise CheckpointError(f"{path}: truncated or invalid layer dimensions")
     dims = list(struct.unpack_from(f"<{n_dims}I", data, offset))
     offset += 4 * n_dims
-    model = MLP(dims, HEADS[head_code], dropout=dropout, seed=0)
+    n_params = sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:]))
+    if min(dims) < 1 or len(data) != offset + 8 * n_params:
+        raise CheckpointError(f"{path}: trailing or missing parameter bytes")
+    model = MLP(dims, _HEAD_BY_CODE[head_code], dropout=dropout, seed=0)
     for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
         wn = din * dout * 8
         model.weights[i] = np.frombuffer(data[offset : offset + wn], dtype="<f8").reshape(din, dout).copy()
         offset += wn
         model.biases[i] = np.frombuffer(data[offset : offset + dout * 8], dtype="<f8").copy()
         offset += dout * 8
-    if offset != len(data):
-        raise CheckpointError(f"{path}: trailing or missing parameter bytes")
     return model

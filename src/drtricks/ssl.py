@@ -14,18 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, Sample
-from .models import (
-    MLP,
-    NUM_CLASSES,
-    TrainConfig,
-    derive_seed,
-    fit,
-    new_model,
-    regressor_class,
-    round_half_away,
-    train,
-)
+from .data import DataError, Dataset, Sample
+from .models import (MLP, NUM_CLASSES, TrainConfig, derive_seed, fit, regressor_class,
+                     round_half_away)
 
 
 @dataclass
@@ -51,14 +42,6 @@ class PseudoBuckets:
         return {k: len(v) for k, v in self.entries.items()}
 
 
-def confidence_classifier(p: np.ndarray) -> float:
-    """Max softmax probability; higher is more confident."""
-    p = np.asarray(p, dtype=np.float64)
-    if not np.isclose(p.sum(), 1.0, atol=1e-6):
-        raise ValueError("probability vector must sum to 1")
-    return float(p.max())
-
-
 def confidence_regressor(raw: float) -> float:
     """Negative distance of the raw output to its nearest integer."""
     raw = float(raw)
@@ -70,16 +53,9 @@ def pseudo_label(model: MLP, unlabeled: Dataset) -> PseudoBuckets:
     entries: dict[int, list[tuple[Sample, float]]] = {k: [] for k in range(NUM_CLASSES)}
     if len(unlabeled) > 0:
         feats = np.stack([s.features for s in unlabeled.samples])
-        if model.head == "softmax":
-            probs = model.predict_proba(feats)
-            preds = probs.argmax(axis=1)
-            confs = probs.max(axis=1)
-        elif model.head == "scalar":
-            raw = model.predict_scalar(feats)
-            preds = regressor_class(raw)
-            confs = np.array([confidence_regressor(r) for r in raw])
-        else:
-            raise ValueError("pseudo labeling requires a classifier or regressor head")
+        raw = model.predict_scalar(feats)
+        preds = regressor_class(raw)
+        confs = np.array([confidence_regressor(r) for r in raw])
         for s, k, c in zip(unlabeled.samples, preds, confs):
             entries[int(k)].append((s, float(c)))
     for k in entries:
@@ -121,14 +97,12 @@ def rpl_train(
     labeled: Dataset,
     unlabeled: Dataset,
     cfg: RPLConfig,
-    aug=None,
     audit_path: Optional[Path | str] = None,
 ) -> MLP:
     """Reliable pseudo labeling: T rounds of select-and-retrain from scratch."""
     if len(labeled) == 0:
-        raise ValueError("labeled set must be nonempty")
-    model = fit(labeled.task, labeled, replace(cfg.base, seed=derive_seed(cfg.base.seed, 0)),
-                aug=aug)
+        raise DataError("labeled set must be nonempty")
+    model = fit(labeled.task, labeled, replace(cfg.base, seed=derive_seed(cfg.base.seed, 0)))
     audit: list[list] = []
     if len(unlabeled) > 0:
         for t in range(1, cfg.rounds + 1):
@@ -137,14 +111,14 @@ def rpl_train(
             audit.extend(_audit_rows(buckets, t, cfg.rounds))
             combined = Dataset(labeled.samples + tuple(selected), labeled.task)
             round_cfg = replace(cfg.base, seed=derive_seed(cfg.base.seed, t))
-            model = fit(labeled.task, combined, round_cfg, aug=aug)
+            model = fit(labeled.task, combined, round_cfg)
     if audit_path is not None:
         write_audit_log(audit_path, audit)
     return model
 
 
 def naive_pl_train(labeled: Dataset, unlabeled: Dataset, cfg: TrainConfig,
-                   aug=None, audit_path: Optional[Path | str] = None) -> MLP:
+                   audit_path: Optional[Path | str] = None) -> MLP:
     """Single-round pseudo labeling keeping every pseudo label."""
     return rpl_train(labeled, unlabeled, RPLConfig(base=cfg, rounds=1),
-                     aug=aug, audit_path=audit_path)
+                     audit_path=audit_path)

@@ -22,36 +22,15 @@ def identity_pixel_pipeline(geometric=()):
 
 class TestBuildPipeline:
     def test_segmentation_geometric_size(self):
-        assert len(build_pipeline("segmentation").geometric_set) == 5
-        assert len(build_pipeline("seg").geometric_set) == 5
+        ops = build_pipeline().geometric_set
+        assert [op.kind for op in ops] == ["flip", "shift_scale_rotate", "grid_distortion",
+                                           "coarse_dropout", "affine"]
+        assert ops[1].params["rotate_limit"] == 90
 
-    def test_quality_geometric_size(self):
-        assert len(build_pipeline("quality").geometric_set) == 2
-
-    def test_grading_stripe_dropout_params(self):
-        ops = {op.kind: op for op in build_pipeline("grading").geometric_set}
-        dropout = ops["coarse_dropout"]
-        assert dropout.params["min_height"] == 1
-        assert dropout.params["max_height"] == 5
-        assert dropout.params["max_width"] == 512
-
-    def test_pixel_families_shared_across_tasks(self):
-        for task in ("segmentation", "quality", "grading"):
-            p = build_pipeline(task)
-            assert {op.kind for op in p.omega_set} == {"brightness_contrast", "gamma"}
-            assert {op.kind for op in p.psi_set} == {"sharpen", "blur", "downscale"}
-
-    def test_rotation_limits_per_task(self):
-        def rot_limit(task):
-            ops = {op.kind: op for op in build_pipeline(task).geometric_set}
-            return ops["shift_scale_rotate"].params["rotate_limit"]
-        assert rot_limit("segmentation") == 90
-        assert rot_limit("quality") == 45
-        assert rot_limit("grading") == 45
-
-    def test_unknown_task_rejected(self):
-        with pytest.raises(ValueError):
-            build_pipeline("detection")
+    def test_pixel_families(self):
+        p = build_pipeline()
+        assert {op.kind for op in p.omega_set} == {"brightness_contrast", "gamma"}
+        assert {op.kind for op in p.psi_set} == {"sharpen", "blur", "downscale"}
 
 
 class TestAugOpValidation:
@@ -97,7 +76,7 @@ class TestAugment:
         assert out.values[0, 0] == pytest.approx(0.18946457, rel=1e-6)
 
     def test_fixed_seed_reproducible(self):
-        pipe = build_pipeline("segmentation")
+        pipe = build_pipeline()
         d = __import__("drtricks.data", fromlist=["gen_seg_dataset"])
         sample = d.gen_seg_dataset(1, 32, seed=0).samples[0]
         a = augment(sample.image, pipe, np.random.default_rng(42), masks=sample.masks)
@@ -108,7 +87,7 @@ class TestAugment:
     @pytest.mark.parametrize("seed", range(8))
     def test_masks_stay_binary_and_images_in_range(self, seed):
         from drtricks.data import gen_seg_dataset
-        pipe = build_pipeline("segmentation")
+        pipe = build_pipeline()
         sample = gen_seg_dataset(1, 32, seed=seed).samples[0]
         out, masks = augment(sample.image, pipe, np.random.default_rng(seed),
                              masks=sample.masks)

@@ -1,12 +1,15 @@
 """Config parsing, digests, and the command-line workflows."""
 import csv
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from drtricks import cli
 from drtricks.cli import main
 from drtricks.config import ConfigError, RunConfig, load_config
+from drtricks.models import MLP, save_checkpoint
 
 BASE_CONFIG = """\
 [run]
@@ -101,6 +104,39 @@ class TestConfig:
         path.write_text(block)
         cfg = load_config(path)
         assert (cfg.task, cfg.tta, cfg.ensemble_k, cfg.postprocess) == ("grading", "none", 5, False)
+
+    def test_every_field_set_from_ini_reads_back(self, tmp_path):
+        p = tmp_path / "all.ini"
+        p.write_text(
+            "[run]\ntask = segmentation\n"
+            "[data]\ntrain = t.csv\ndev = d.csv\nunlabeled = u.csv\nmodel = m.ckpt\n"
+            "predictions = p.csv\n"
+            "[synth]\ndim = 5\nnoise = 0.25\nsize = 48\nn_labeled = 30\nn_unlabeled = 70\n"
+            "n_dev = 4\nsplit_ratio = 0.6\n"
+            "[train]\nlr = 0.01\nweight_decay = 0.5\nbatch_size = 3\nepochs = 9\n"
+            "alpha = 0.75\naux = focal\nhidden = 7\ndropout = 0.1\naugment = true\n"
+            "[pipeline]\nensemble_k = 3\nrpl_rounds = 2\ntta = rotate\npostprocess = true\n")
+        expected = dict(
+            task="segmentation", train_path="t.csv", dev_path="d.csv",
+            unlabeled_path="u.csv", model_path="m.ckpt", predictions_path="p.csv",
+            dim=5, noise=0.25, size=48, n_labeled=30, n_unlabeled=70, n_dev=4,
+            split_ratio=0.6, lr=0.01, weight_decay=0.5, batch_size=3, epochs=9,
+            alpha=0.75, aux="focal", hidden=7, dropout=0.1, augment=True,
+            ensemble_k=3, rpl_rounds=2, tta="rotate", postprocess=True)
+        cfg = load_config(p)
+        got = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        assert got == expected
+        assert all(type(got[k]) is type(v) for k, v in expected.items())
+        assert all(f.default != expected[f.name] for f in fields(RunConfig))
+
+    @pytest.mark.parametrize("task", ["grading", "quality"])
+    def test_augment_rejected_on_tabular_tasks(self, tmp_path, capsys, task):
+        p = tmp_path / "aug.ini"
+        p.write_text(f"[run]\ntask = {task}\n[train]\naugment = true\n")
+        assert main(["train", "--config", str(p), "--seed", "0",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "augment applies to segmentation only" in err
 
     def test_digest_changes_iff_semantic_field_changes(self):
         a = RunConfig(task="grading")
@@ -268,3 +304,120 @@ class TestAblate:
             main(["ablate", "--config", str(cfg), "--seeds", "zero",
                   "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# bad input ends with exit 2 (or 3 when numerical) and one line on stderr
+# ---------------------------------------------------------------------------
+
+def _checkpoint(ws: Path, edit) -> dict:
+    path = ws / "bad.ckpt"
+    save_checkpoint(path, MLP([8, 32, 1], "scalar"))
+    path.write_bytes(edit(path.read_bytes()))
+    return {"model": path}
+
+
+def _manifest(ws: Path, text: str) -> dict:
+    (ws / "ens").mkdir()
+    (ws / "ens" / "ensemble.json").write_text(text)
+    return {"model": ws / "ens"}
+
+
+def _predictions(ws: Path, text: str) -> dict:
+    (ws / "bad_preds.csv").write_text(text)
+    return {"predictions": ws / "bad_preds.csv"}
+
+
+def _train_csv(ws: Path, text: str, k: int = 1) -> dict:
+    (ws / "bad_train.csv").write_text(text)
+    return {"train": ws / "bad_train.csv", "k": k}
+
+
+# case -> (command, config overrides written by the case)
+BAD_INPUTS = {
+    "checkpoint_10_bytes": ("predict", lambda ws: _checkpoint(ws, lambda b: b[:10])),
+    "checkpoint_30_bytes": ("predict", lambda ws: _checkpoint(ws, lambda b: b[:30])),
+    "checkpoint_200_bytes": ("predict", lambda ws: _checkpoint(ws, lambda b: b[:200])),
+    "checkpoint_head_code_0": ("predict",
+                               lambda ws: _checkpoint(ws, lambda b: b[:4] + b"\0" + b[5:])),
+    "manifest_open_brace": ("predict", lambda ws: _manifest(ws, "{")),
+    "manifest_without_members": ("predict", lambda ws: _manifest(ws, '{"x": 1}')),
+    "prediction_not_integer": ("evaluate", lambda ws: _predictions(ws, "id,prediction\n0,x\n")),
+    "training_csv_header_only": ("train", lambda ws: _train_csv(ws, "id,feat_0,label\n")),
+    "training_csv_header_only_ensemble": (
+        "train", lambda ws: _train_csv(ws, "id,feat_0,label\n", k=2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_config_error(workspace, capsys, case):
+    command, corrupt = BAD_INPUTS[case]
+    cfg = write_config(workspace, **corrupt(workspace))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--seed", "0",
+                 "--out", str(workspace / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SEG_CONFIG = """\
+[run]
+task = segmentation
+
+[data]
+train = {train}
+unlabeled = {train}
+
+[train]
+epochs = 3
+lr = {lr}
+batch_size = 4
+"""
+
+
+def test_short_index_row_is_config_error(tmp_path, capsys):
+    (tmp_path / "seg").mkdir()
+    (tmp_path / "seg" / "index.csv").write_text("id,image,has_masks\n0,sample_00000.pgm\n")
+    cfg = tmp_path / "seg.ini"
+    cfg.write_text(SEG_CONFIG.format(train=tmp_path / "seg", lr=0.2))
+    assert main(["train", "--config", str(cfg), "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_segmentation_rpl_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "seg.ini"
+    cfg.write_text(SEG_CONFIG.format(train=tmp_path / "seg", lr=0.2))
+    assert main(["rpl", "--config", str(cfg), "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "ordinal tasks only" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_saturated_segmenter_training_exits_3(tmp_path, capsys):
+    assert main(["synth", "--task", "segmentation", "--n", "4", "--size", "32",
+                 "--seed", "0", "--out", str(tmp_path / "seg")]) == 0
+    cfg = tmp_path / "seg.ini"
+    cfg.write_text(SEG_CONFIG.format(train=tmp_path / "seg", lr=1e9))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "overflow" in err
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
+def test_segmentation_ablate_predicts_four_times_per_dev_image(monkeypatch):
+    calls = []
+    original = cli.ensemble_predict
+
+    def counting(e, x):
+        calls.append(1)
+        return original(e, x)
+
+    monkeypatch.setattr(cli, "ensemble_predict", counting)
+    cfg = RunConfig(task="segmentation", n_labeled=4, n_dev=3, size=32, epochs=2,
+                    lr=0.2, ensemble_k=2)
+    arms = cli._segmentation_arms(cfg, 3)
+    assert set(arms) == set(cli.SEGMENTATION_ARMS)
+    assert len(calls) == 4 * cfg.n_dev

@@ -13,7 +13,6 @@ from drtricks.data import (
     MaskSet,
     Sample,
     SoftMaskSet,
-    concat,
     gen_ordinal_dataset,
     gen_seg_dataset,
     largest_remainder_counts,
@@ -24,7 +23,6 @@ from drtricks.data import (
     read_pgm,
     read_seg_dataset,
     split_train_dev,
-    strip_labels,
     validate_label,
     write_dataset_csv,
     write_mask_set,
@@ -309,6 +307,22 @@ class TestIO:
         with pytest.raises(FormatError):
             read_dataset_csv(tmp_path / "bad.csv", "grading")
 
+    @pytest.mark.parametrize("body", ["\n1,0.5,0\n", "id,feat_0,label\nx,0.5,0\n",
+                                      "id,feat_0,label\n1,nan?,0\n",
+                                      "id,feat_0,label\n1,0.5,two\n"])
+    def test_csv_rejects_malformed_values(self, tmp_path, body):
+        (tmp_path / "bad.csv").write_text(body)
+        with pytest.raises(FormatError):
+            read_dataset_csv(tmp_path / "bad.csv", "grading")
+
+    @pytest.mark.parametrize("row", ["1,sample_00001.pgm", "1", "x,sample_00001.pgm,0",
+                                     "1,sample_00001.pgm,maybe"])
+    def test_seg_dataset_rejects_malformed_index_row(self, tmp_path, row):
+        (tmp_path / "seg").mkdir()
+        (tmp_path / "seg" / "index.csv").write_text(f"id,image,has_masks\n{row}\n")
+        with pytest.raises(FormatError):
+            read_seg_dataset(tmp_path / "seg")
+
     def test_seg_dataset_roundtrip(self, tmp_path):
         d = gen_seg_dataset(4, 32, seed=4)
         write_seg_dataset(tmp_path / "seg", d)
@@ -324,17 +338,3 @@ class TestIO:
         with pytest.raises(FormatError):
             read_seg_dataset(tmp_path / "empty")
 
-
-class TestHelpers:
-    def test_strip_labels(self):
-        d = gen_ordinal_dataset(40, seed=0)
-        stripped = strip_labels(d)
-        assert all(lab is None for lab in stripped.labels())
-        assert [s.id for s in stripped] == [s.id for s in d]
-
-    def test_concat_disjoint_ids(self):
-        a = gen_ordinal_dataset(30, seed=0)
-        b = gen_ordinal_dataset(30, seed=1, id_offset=1000)
-        assert len(concat(a, b)) == 60
-        with pytest.raises(DataError):
-            concat(a, gen_ordinal_dataset(30, seed=2, task="quality"))

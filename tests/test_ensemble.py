@@ -1,4 +1,4 @@
-"""Deep ensembles, flip/rotation TTA, and multi-scale aggregation."""
+"""Deep ensembles, flip/rotation TTA, and ensemble manifests."""
 import numpy as np
 import pytest
 
@@ -8,14 +8,13 @@ from drtricks.ensemble import (
     ensemble_predict,
     load_ensemble,
     member_variance,
-    mpa_seg,
     save_ensemble,
     tta_flip_predict,
     tta_rotate_seg,
     train_deep_ensemble,
 )
 from drtricks import ensemble, models
-from drtricks.models import MLP, TrainConfig, fit, segment_soft
+from drtricks.models import MLP, CheckpointError, TrainConfig, fit, segment_soft
 
 
 def constant_scalar(value: float) -> MLP:
@@ -39,7 +38,7 @@ class TestEnsembleType:
 
     def test_mixed_heads_rejected(self):
         with pytest.raises(ValueError):
-            Ensemble((MLP([2, 1], "scalar"), MLP([2, 3], "softmax")), (0, 1))
+            Ensemble((MLP([4, 1], "scalar"), MLP([4, 3], "pixel")), (0, 1))
 
     def test_seed_count_must_match(self):
         with pytest.raises(ValueError):
@@ -86,13 +85,15 @@ class TestEnsemblePredict:
         e = Ensemble((constant_scalar(1.0), constant_scalar(2.0)), (0, 1))
         assert ensemble_predict(e, np.zeros(4)) == pytest.approx(1.5)
 
-    def test_probability_mean_stays_on_simplex(self):
-        data = gen_ordinal_dataset(40, seed=0)
-        members = tuple(MLP([8, 6, 3], "softmax", seed=s) for s in range(3))
-        e = Ensemble(members, (0, 1, 2))
-        p = ensemble_predict(e, data.samples[0].features)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        assert (p >= 0).all()
+    def test_batch_mean_is_member_order_mean(self):
+        feats = np.stack([s.features for s in gen_ordinal_dataset(40, seed=0).samples])
+        members = tuple(MLP([8, 6, 1], "scalar", seed=s) for s in range(3))
+        expected = members[0].predict_scalar(feats)
+        for m in members[1:]:
+            expected = expected + m.predict_scalar(feats)
+        out = ensemble_predict(Ensemble(members, (0, 1, 2)), feats)
+        assert out.shape == (40,)
+        assert out.tobytes() == (expected / 3).tobytes()
 
     def test_pixel_ensemble_is_member_order_mean_of_segment_soft(self):
         members = tuple(MLP([4, 3], "pixel", seed=s) for s in range(5))
@@ -180,26 +181,6 @@ class TestRotateTta:
         np.testing.assert_array_equal(out, threshold_oracle(img.values))
 
 
-class TestMpa:
-    def test_single_unit_scale_is_plain(self):
-        img = np.random.default_rng(5).uniform(0, 1, (12, 12))
-        np.testing.assert_allclose(mpa_seg(threshold_oracle, img, scales=(1.0,)),
-                                   threshold_oracle(img), atol=1e-12)
-
-    def test_constant_image_scale_invariant(self):
-        img = np.full((12, 12), 0.4)
-        out = mpa_seg(threshold_oracle, img)
-        np.testing.assert_allclose(out, threshold_oracle(img), atol=1e-9)
-
-    def test_output_shape_matches_input(self):
-        img = np.random.default_rng(6).uniform(0, 1, (13, 13))
-        assert mpa_seg(threshold_oracle, img).shape == (3, 13, 13)
-
-    def test_rejects_downscales(self):
-        with pytest.raises(ValueError):
-            mpa_seg(threshold_oracle, np.zeros((8, 8)), scales=(0.9,))
-
-
 class TestManifest:
     def test_roundtrip(self, tmp_path):
         data = gen_seg_dataset(4, 32, seed=0)
@@ -213,3 +194,11 @@ class TestManifest:
             np.asarray(ensemble_predict(e, img.values)),
             np.asarray(ensemble_predict(back, img.values)),
         )
+
+    @pytest.mark.parametrize("text", ["{", '{"x": 1}', '{"members": 3}', '{"members": []}',
+                                      '{"members": [{"path": "m.ckpt"}]}',
+                                      '{"members": [{"path": 7, "seed": 0}]}'])
+    def test_malformed_manifest_rejected(self, tmp_path, text):
+        (tmp_path / "ensemble.json").write_text(text)
+        with pytest.raises(CheckpointError):
+            load_ensemble(tmp_path / "ensemble.json")

@@ -1,4 +1,6 @@
 """Overlap scores, kappa, AUC, accuracy, and report serialization."""
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from drtricks.metrics import (
     mean_dsc,
     mean_iou,
     qwk,
-    read_report_csv,
     regressor_class_scores,
     write_report_csv,
     write_report_json,
@@ -205,7 +206,8 @@ class TestReport:
     def test_csv_roundtrip(self, tmp_path):
         report = self.make()
         write_report_csv(tmp_path / "r.csv", report)
-        rows = read_report_csv(tmp_path / "r.csv")
+        with open(tmp_path / "r.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         by_metric = {(r["metric"], r["class"]): r for r in rows}
         assert float(by_metric[("qwk", "")]["value"]) == 0.75

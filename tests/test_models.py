@@ -12,12 +12,9 @@ from drtricks.models import (
     TrainConfig,
     bce_loss,
     class_weights,
-    cross_entropy,
     derive_seed,
     fit,
     focal_loss,
-    forward_classifier,
-    forward_regressor,
     load_checkpoint,
     new_model,
     regressor_class,
@@ -81,40 +78,20 @@ class TestRounding:
 # ---------------------------------------------------------------------------
 
 class TestForward:
-    def test_zero_weights_give_uniform_softmax(self):
-        m = MLP([4, 3], "softmax")
-        m.weights[0][:] = 0.0
-        m.biases[0][:] = 0.0
-        p = forward_classifier(m, np.ones(4))
-        np.testing.assert_allclose(p, [1 / 3] * 3, atol=1e-12)
-
-    def test_softmax_of_fixed_logits(self):
-        m = MLP([4, 3], "softmax")
-        m.weights[0][:] = 0.0
-        m.biases[0][:] = [np.log(2.0), 0.0, 0.0]
-        p = forward_classifier(m, np.zeros(4))
-        np.testing.assert_allclose(p, [0.5, 0.25, 0.25], atol=1e-12)
-
-    def test_probabilities_sum_to_one(self):
-        m = MLP([6, 8, 3], "softmax", seed=5)
-        x = np.random.default_rng(0).normal(size=(10, 6))
-        p = forward_classifier(m, x)
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-        assert (p > 0).all() and (p < 1).all()
-
     def test_dimension_mismatch_rejected(self):
-        m = MLP([4, 3], "softmax")
-        with pytest.raises(ValueError):
-            forward_classifier(m, np.ones(5))
         r = MLP([4, 8, 1], "scalar")
         with pytest.raises(ValueError):
-            forward_regressor(r, np.ones(3))
+            r.predict_scalar(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            segment_soft(MLP([4, 3], "pixel"), np.ones((3, 4, 4)))
 
     def test_dropout_disabled_at_inference(self):
-        m = MLP([4, 16, 3], "softmax", dropout=0.5, seed=1)
+        m = MLP([4, 16, 1], "scalar", dropout=0.5, seed=1)
         x = np.random.default_rng(2).normal(size=(5, 4))
-        np.testing.assert_array_equal(forward_classifier(m, x),
-                                      forward_classifier(m, x))
+        hidden = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
+        np.testing.assert_array_equal(m.predict_scalar(x), m.predict_scalar(x))
+        np.testing.assert_allclose(m.predict_scalar(x),
+                                   (hidden @ m.weights[1] + m.biases[1])[:, 0], atol=1e-12)
 
 
 def ix_reference_features(v: np.ndarray) -> np.ndarray:
@@ -285,11 +262,6 @@ class TestTotalLossAndSmoothL1:
         assert smooth_l1(1.5, 1.0)[0] == pytest.approx(0.125)
         assert smooth_l1(3.0, 1.0)[0] == pytest.approx(1.5)
 
-    def test_cross_entropy_perfect(self):
-        probs = np.eye(3)
-        loss, _ = cross_entropy(probs, np.array([0, 1, 2]))
-        assert loss == pytest.approx(0.0, abs=1e-6)
-
 
 # ---------------------------------------------------------------------------
 # optimizer and training
@@ -309,10 +281,10 @@ class TestTraining:
         labels = [0] * 30 + [1] * 30
         data = Dataset(tuple(Sample(id=i, features=feats[i], label=labels[i])
                              for i in range(60)), "grading")
-        m = MLP([2, 16, 3], "softmax", seed=0)
+        m = MLP([2, 16, 1], "scalar", seed=0)
         cfg = TrainConfig(lr=5e-3, epochs=200, batch_size=16, dropout=0.0, seed=0)
         train(m, data, cfg)
-        preds = forward_classifier(m, feats).argmax(axis=1)
+        preds = regressor_class(m.predict_scalar(feats))
         assert (preds == np.array(labels)).mean() == 1.0
 
     def test_zero_epochs_returns_initial_parameters(self):
@@ -368,6 +340,11 @@ class TestTraining:
         after = total_loss(fit("segmentation", data, cfg))
         assert after < before
 
+    def test_saturated_segmenter_raises(self):
+        data = gen_seg_dataset(4, 32, seed=0)
+        with pytest.raises(FloatingPointError):
+            fit("segmentation", data, TrainConfig(lr=1e9, epochs=3, batch_size=4, seed=0))
+
 
 # ---------------------------------------------------------------------------
 # checkpoints
@@ -394,6 +371,27 @@ class TestCheckpoints:
         save_checkpoint(tmp_path / "m.ckpt", m)
         blob = (tmp_path / "m.ckpt").read_bytes() + b"\x00"
         (tmp_path / "m.ckpt").write_bytes(blob)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "m.ckpt")
+
+    @pytest.mark.parametrize("head,code", [("scalar", 1), ("pixel", 2)])
+    def test_head_codes_stable(self, tmp_path, head, code):
+        save_checkpoint(tmp_path / "m.ckpt", MLP([4, 3], head))
+        assert (tmp_path / "m.ckpt").read_bytes()[4] == code
+
+    def test_retired_softmax_head_code_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "m.ckpt", MLP([4, 3], "pixel"))
+        blob = bytearray((tmp_path / "m.ckpt").read_bytes())
+        blob[4] = 0
+        (tmp_path / "m.ckpt").write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="head code 0"):
+            load_checkpoint(tmp_path / "m.ckpt")
+
+    @pytest.mark.parametrize("keep", [0, 4, 10, 14, 18, 22, 30, 200])
+    def test_truncated_rejected(self, tmp_path, keep):
+        save_checkpoint(tmp_path / "m.ckpt", MLP([8, 32, 1], "scalar"))
+        blob = (tmp_path / "m.ckpt").read_bytes()
+        (tmp_path / "m.ckpt").write_bytes(blob[:keep])
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "m.ckpt")
 

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drtricks.data import Dataset, Sample, gen_ordinal_dataset, strip_labels
+from drtricks.data import Dataset, Sample, gen_ordinal_dataset
 from drtricks.models import MLP, TrainConfig, fit
 from drtricks.ssl import (
     PseudoBuckets,
     RPLConfig,
-    confidence_classifier,
     confidence_regressor,
     naive_pl_train,
     pseudo_label,
@@ -42,15 +41,6 @@ def unlabeled_from(values):
 
 
 class TestConfidence:
-    def test_classifier_examples(self):
-        assert confidence_classifier(np.array([1.0, 0.0, 0.0])) == 1.0
-        assert confidence_classifier(np.array([0.5, 0.25, 0.25])) == 0.5
-        assert confidence_classifier(np.array([1 / 3] * 3)) == pytest.approx(1 / 3)
-
-    def test_classifier_requires_simplex(self):
-        with pytest.raises(ValueError):
-            confidence_classifier(np.array([0.9, 0.9, 0.9]))
-
     def test_regressor_examples(self):
         assert confidence_regressor(1.0) == 0.0
         assert confidence_regressor(1.4) == pytest.approx(-0.4)
@@ -226,6 +216,6 @@ class TestRplTrain:
 
     def test_strip_labels_feeds_pool(self):
         labeled = gen_ordinal_dataset(48, seed=6)
-        pool = strip_labels(gen_ordinal_dataset(40, seed=7, id_offset=1000))
+        pool = gen_ordinal_dataset(40, seed=7, id_offset=1000, labeled=False)
         model = rpl_train(labeled, pool, RPLConfig(base=self.CFG, rounds=2))
         assert model.head == "scalar"
