@@ -25,12 +25,15 @@ class TestBuildPipeline:
         ops = build_pipeline().geometric_set
         assert [op.kind for op in ops] == ["flip", "shift_scale_rotate", "grid_distortion",
                                            "coarse_dropout", "affine"]
-        assert ops[1].params["rotate_limit"] == 90
 
     def test_pixel_families(self):
         p = build_pipeline()
         assert {op.kind for op in p.omega_set} == {"brightness_contrast", "gamma"}
         assert {op.kind for op in p.psi_set} == {"sharpen", "blur", "downscale"}
+
+    def test_rotation_limits_per_task(self):
+        ops = {op.kind: op for op in build_pipeline().geometric_set}
+        assert ops["shift_scale_rotate"].params["rotate_limit"] == 90
 
 
 class TestAugOpValidation:
