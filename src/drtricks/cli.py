@@ -27,9 +27,9 @@ from .ensemble import (Ensemble, EnsembleMemberError, ensemble_predict,
 from .metrics import (MetricError, MetricsReport, UndefinedKappaError, accuracy,
                       confusion_matrix, mean_dsc, mean_iou, qwk,
                       write_report_csv, write_report_json)
-from .models import (CheckpointError, TrainingDivergedError, derive_seed, fit,
-                     load_checkpoint, regressor_class, save_checkpoint,
-                     segment_soft)
+from .models import (SEG_FEATURE_DIM, CheckpointError, TrainingDivergedError,
+                     derive_seed, fit, load_checkpoint, regressor_class,
+                     save_checkpoint, segment_soft)
 from .postprocess import postprocess_masks, quality_decision
 from .ssl import RPLConfig, naive_pl_train, rpl_train
 
@@ -66,6 +66,21 @@ def _load_model_or_ensemble(path: str) -> Ensemble:
     if p.suffix == ".json":
         return load_ensemble(p)
     return Ensemble((load_checkpoint(p),), (0,))
+
+
+def _check_model_fits(ens: Ensemble, cfg: RunConfig, data: dd.Dataset) -> None:
+    """ConfigError unless every member's head and input width fit the task's data."""
+    if cfg.task == "segmentation":
+        head, width = "pixel", SEG_FEATURE_DIM
+    elif data.feature_dim is None:
+        raise dd.DataError("the input CSV holds no samples")
+    else:
+        head, width = "scalar", data.feature_dim
+    for m in ens.members:
+        if m.head != head or m.dims[0] != width:
+            raise ConfigError(
+                f"the model has a {m.head} head over {m.dims[0]} inputs; "
+                f"task {cfg.task} on this data needs a {head} head over {width}")
 
 
 def _pipeline_description(cfg: RunConfig, k: int) -> str:
@@ -191,6 +206,7 @@ def _maybe_dev_report(cfg: RunConfig, ens: Ensemble, seed: int, out: Path) -> No
     if cfg.dev_path is None:
         return
     dev = _load_data(cfg, cfg.dev_path)
+    _check_model_fits(ens, cfg, dev)
     if cfg.task == "segmentation":
         scores = []
         for s in dev.samples:
@@ -212,6 +228,7 @@ def cmd_predict(args) -> int:
     out = _out_dir(args)
     ens = _load_model_or_ensemble(_require(cfg.model_path, "[data] model"))
     inputs = _load_data(cfg, _require(cfg.dev_path, "[data] dev"))
+    _check_model_fits(ens, cfg, inputs)
     print(f"pipeline: {_pipeline_description(cfg, len(ens.members))}")
     if cfg.task == "segmentation":
         rows = []

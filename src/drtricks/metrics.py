@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import NUM_CLASSES
 
@@ -88,9 +87,25 @@ def qwk(cm: np.ndarray) -> float:
     return 1.0 - float((w * o).sum()) / denom
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied values share the mean of their ranks.
+
+    Equal to ``scipy.stats.rankdata(x)``, NaN propagation included.
+    """
+    if np.isnan(x).any():
+        return np.full(len(x), np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    counts = np.diff(np.r_[starts, len(x)])
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2.0, counts)
+    return ranks
+
+
 def _binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:
     """Rank-based AUC equal to the pairwise win rate with 0.5 tie credit."""
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     n_pos = int(positives.sum())
     n_neg = len(scores) - n_pos
     rank_sum = float(ranks[positives].sum())

@@ -123,34 +123,44 @@ class MLP:
         acts = [x]
         masks = []
         h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i < last:
-                h = np.maximum(h, 0.0)
-                if train and self.dropout > 0.0:
-                    keep = (rng.random(h.shape) >= self.dropout) / (1.0 - self.dropout)
-                    h = h * keep
-                    masks.append(keep)
-                else:
-                    masks.append(None)
-                acts.append(h)
-        logits = h
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = np.maximum(h @ w + b, 0.0)
+            if train and self.dropout > 0.0:
+                keep = (rng.random(h.shape) >= self.dropout) / (1.0 - self.dropout)
+                h = h * keep
+                masks.append(keep)
+            else:
+                masks.append(None)
+            acts.append(h)
+        h = h @ self.weights[-1]
         if self.head == "scalar":
-            out = logits[:, 0]
-        else:  # pixel
-            out = 1.0 / (1.0 + np.exp(-logits))
-        return out, (acts, masks, logits, out)
+            h += self.biases[-1]
+            return h[:, 0], (acts, masks)
+        # pixel: the bias goes in one column at a time (twice as fast as a
+        # broadcast add on (H*W, 3)), then the sigmoid 1 / (1 + exp(-z)) in place.
+        for j, bj in enumerate(self.biases[-1]):
+            h[:, j] += bj
+        np.negative(h, out=h)
+        np.exp(h, out=h)
+        h += 1.0
+        np.divide(1.0, h, out=h)
+        return h, (acts, masks)
 
     def backward(self, cache, grad_logits: np.ndarray):
         """Gradients of all parameters given dLoss/dlogits."""
-        acts, masks, _, _ = cache
+        acts, masks = cache
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
         g = grad_logits
-        for i in range(len(self.weights) - 1, -1, -1):
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
             grads_w[i] = acts[i].T @ g
-            grads_b[i] = g.sum(axis=0)
+            # einsum is 3-4x faster than sum(axis=0) and adds the rows in the
+            # same order for a few columns, but not for one: pixel head only.
+            if i == last and self.head == "pixel":
+                grads_b[i] = np.einsum("ij->j", g)
+            else:
+                grads_b[i] = g.sum(axis=0)
             if i > 0:
                 g = g @ self.weights[i].T
                 if masks[i - 1] is not None:
@@ -356,8 +366,11 @@ def train(model: MLP, data: Dataset, cfg: TrainConfig, aug=None) -> MLP:
     """Mini-batch AdamW training; deterministic for a fixed cfg.seed.
 
     ``aug`` is an optional augmentation pipeline applied per sample per epoch
-    (segmentation only). Raises TrainingDivergedError on a non-finite loss
-    and, for the segmenter, FloatingPointError on overflow.
+    (segmentation only). Raises TrainingDivergedError at the first
+    mini-batch with a non-finite loss (the regressor) or a non-finite
+    gradient (the segmenter, whose step computes no loss value; an image
+    holding a NaN fails at epoch 0), and, for the segmenter,
+    FloatingPointError on overflow.
     """
     if len(data) == 0:
         raise DataError("training data must be nonempty")
@@ -387,39 +400,96 @@ def train(model: MLP, data: Dataset, cfg: TrainConfig, aug=None) -> MLP:
     return model
 
 
+def _seg_targets(masks: MaskSet) -> tuple:
+    """Per-image constants of the segmenter step, built once per training image
+    (once per draw when augmenting).
+
+    ``y`` is the (3, H, W) mask stack and ``y_flat`` the same masks in the
+    (H*W, 3) layout of the pixel head's output. ``wb`` holds the class
+    weights, ``wy`` is ``wb * y`` and ``neg2w`` is ``-2 * w``.
+    """
+    y = np.asarray(masks.channels, dtype=np.float64)
+    w = class_weights(y)
+    if np.all(w == 0.0):
+        raise ValueError("all-zero class weights make the dice denominator degenerate")
+    wb = w[:, None, None]
+    y_flat = np.ascontiguousarray(y.transpose(1, 2, 0).reshape(-1, NUM_CLASSES))
+    return y, y_flat, wb, wb * y, -2.0 * w
+
+
+def _seg_logit_grad(out: np.ndarray, targets: tuple, aux: str, alpha: float) -> np.ndarray:
+    """Gradient of ``seg_total_loss`` wrt the pixel head's logits, (H*W, 3).
+
+    It performs the operations of ``seg_total_loss`` and of the sigmoid
+    derivative in the same order, element by element, so the result is
+    bit-identical to that path; it skips the loss values. The dice sums run
+    over the (3, H, W) view as in ``weighted_dice_loss``, because the order of
+    a sum sets its bits.
+    """
+    y, y_flat, wb, wy, neg2w = targets
+    ph = out.reshape(y.shape[1], y.shape[2], NUM_CLASSES).transpose(2, 0, 1)
+    buf = np.multiply(wy, ph)
+    num = float(np.sum(buf))
+    np.add(y, ph, out=buf)
+    buf *= wb
+    den = float(np.sum(buf)) + DICE_EPS
+
+    p = np.clip(out, EPS_CLAMP, 1.0 - EPS_CLAMP)
+    q = 1.0 - p
+    if aux == "bce":  # (p - y) / (p (1 - p)) / n
+        g = p - y_flat
+        q *= p
+        g /= q
+    else:  # focal: where(y == 1, log p - (1 - p) / p, -log(1 - p) + p / (1 - p)) / n
+        g = np.log(p)
+        g -= q / p
+        neg = np.log(q)
+        np.negative(neg, out=neg)
+        p /= q
+        neg += p
+        np.copyto(g, neg, where=y_flat != 1.0)
+    g /= out.size
+    g *= alpha
+
+    grad = y_flat * den  # dice: -2 w (y den - num) / den^2
+    grad -= num
+    for j, c in enumerate(neg2w):  # column-wise, as the bias add in the forward pass
+        grad[:, j] *= c
+    grad /= den * den
+    grad += g
+    grad *= out  # chain rule through the sigmoid: out (1 - out)
+    np.subtract(1.0, out, out=q)
+    grad *= q
+    return grad
+
+
 def _train_segmenter(model, data, cfg, opt, rng, aug) -> None:
     from .augment import augment as apply_aug  # local import to avoid a cycle
 
-    plain = []
     for s in data.samples:
         if s.image is None or s.masks is None:
             raise DataError("segmentation training requires images with masks")
-        plain.append((seg_features(s.image), np.asarray(s.masks.channels, dtype=np.float64)))
+    if aug is None:
+        plain = [(seg_features(s.image), _seg_targets(s.masks)) for s in data.samples]
 
     for epoch in range(cfg.epochs):
         for idx in _batches(len(data), cfg.batch_size, rng):
-            loss_sum = 0.0
             grads_w = [np.zeros_like(w) for w in model.weights]
             grads_b = [np.zeros_like(b) for b in model.biases]
             for i in idx:
                 if aug is not None:
                     s = data.samples[i]
                     img, masks = apply_aug(s.image, aug, rng, masks=s.masks)
-                    f = seg_features(img)
-                    yc = np.asarray(masks.channels, dtype=np.float64)
+                    f, targets = seg_features(img), _seg_targets(masks)
                 else:
-                    f, yc = plain[i]
-                h, w = yc.shape[1], yc.shape[2]
+                    f, targets = plain[i]
                 out, cache = model._forward_cached(f, train=True, rng=rng)
-                yhat = out.reshape(h, w, NUM_CLASSES).transpose(2, 0, 1)
-                loss, grad_yhat = seg_total_loss(yc, yhat, aux=cfg.aux, alpha=cfg.alpha)
-                loss_sum += loss
-                grad_flat = grad_yhat.transpose(1, 2, 0).reshape(-1, NUM_CLASSES)
-                grad_logits = grad_flat * out * (1.0 - out)
-                gw, gb = model.backward(cache, grad_logits)
+                gw, gb = model.backward(cache, _seg_logit_grad(out, targets, cfg.aux, cfg.alpha))
                 for acc, g in zip(grads_w + grads_b, gw + gb):
                     acc += g
-            if not np.isfinite(loss_sum):
+            # p is clipped and the features are finite, so the loss is
+            # non-finite exactly when the gradient is.
+            if not all(np.isfinite(g).all() for g in grads_w + grads_b):
                 raise TrainingDivergedError(epoch)
             scale = 1.0 / len(idx)
             opt.step([g * scale for g in grads_w + grads_b])

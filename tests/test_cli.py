@@ -13,7 +13,7 @@ from drtricks.models import MLP, save_checkpoint
 
 BASE_CONFIG = """\
 [run]
-task = grading
+task = {task}
 
 [data]
 train = {train}
@@ -40,6 +40,7 @@ def write_config(tmp_path, **kw):
     kw.setdefault("model", tmp_path / "model" / "model.ckpt")
     kw.setdefault("predictions", tmp_path / "preds" / "predictions.csv")
     kw.setdefault("k", 1)
+    kw.setdefault("task", "grading")
     path = tmp_path / "run.ini"
     path.write_text(BASE_CONFIG.format(**kw))
     return path
@@ -333,6 +334,28 @@ def _train_csv(ws: Path, text: str, k: int = 1) -> dict:
     return {"train": ws / "bad_train.csv", "k": k}
 
 
+def _dev_csv(ws: Path, text: str) -> dict:
+    (ws / "bad_dev.csv").write_text(text)
+    return {"dev": ws / "bad_dev.csv"}
+
+
+def _five_feature_dev(ws: Path) -> dict:
+    assert main(["synth", "--task", "grading", "--n", "30", "--seed", "3", "--dim", "5",
+                 "--out", str(ws / "dev5")]) == 0
+    return {"dev": ws / "dev5" / "data.csv"}
+
+
+def _segmentation_dev(ws: Path) -> dict:
+    assert main(["synth", "--task", "segmentation", "--n", "2", "--size", "32",
+                 "--seed", "3", "--out", str(ws / "segdev")]) == 0
+    return {"task": "segmentation", "dev": ws / "segdev"}
+
+
+def _pixel_checkpoint(ws: Path) -> dict:
+    save_checkpoint(ws / "pixel.ckpt", MLP([4, 3], "pixel"))
+    return {"model": ws / "pixel.ckpt"}
+
+
 # case -> (command, config overrides written by the case)
 BAD_INPUTS = {
     "checkpoint_10_bytes": ("predict", lambda ws: _checkpoint(ws, lambda b: b[:10])),
@@ -346,6 +369,15 @@ BAD_INPUTS = {
     "training_csv_header_only": ("train", lambda ws: _train_csv(ws, "id,feat_0,label\n")),
     "training_csv_header_only_ensemble": (
         "train", lambda ws: _train_csv(ws, "id,feat_0,label\n", k=2)),
+    # a checkpoint that does not fit the task's data
+    "dev_report_narrower_than_model": ("train", _five_feature_dev),
+    "predict_input_narrower_than_model": (
+        "predict", lambda ws: {**_checkpoint(ws, lambda b: b), **_five_feature_dev(ws)}),
+    "scalar_checkpoint_under_segmentation": (
+        "predict", lambda ws: {**_checkpoint(ws, lambda b: b), **_segmentation_dev(ws)}),
+    "pixel_checkpoint_under_grading": ("predict", _pixel_checkpoint),
+    "dev_csv_header_only": (
+        "predict", lambda ws: {**_checkpoint(ws, lambda b: b), **_dev_csv(ws, "id,feat_0,label\n")}),
 }
 
 

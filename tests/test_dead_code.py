@@ -10,6 +10,8 @@ ALLOWED_UNREFERENCED = {
     "regressor_class_scores": "per-class regressor scores that feed auc_macro_ovr",
     "member_variance": "ensemble disagreement planned as a predictions.csv column",
     "grade_postedit": "mask-guided grade edit pinned by the acceptance criteria",
+    "seg_total_loss": "dice + aux loss pinned by criterion 1; the segmenter trainer "
+                      "computes its gradient without the loss value",
 }
 
 

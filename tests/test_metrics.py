@@ -1,5 +1,9 @@
 """Overlap scores, kappa, AUC, accuracy, and report serialization."""
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from drtricks.metrics import (
     MetricError,
     MetricsReport,
     UndefinedKappaError,
+    _average_ranks,
     accuracy,
     auc_macro_ovr,
     confusion_matrix,
@@ -181,6 +186,29 @@ class TestAuc:
         assert s.shape == (3, 3)
         assert s[0].argmax() == 0 and s[2].argmax() == 2
         assert s[2, 2] == pytest.approx(-0.4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+        st.lists(st.sampled_from([-1.5, 0.0, 0.25, 3.0]), min_size=1, max_size=40),
+    ))
+    def test_average_ranks_equal_scipy_rankdata(self, values):
+        from scipy.stats import rankdata
+
+        x = np.array(values)
+        assert _average_ranks(x).tobytes() == rankdata(x).tobytes()
+
+    def test_average_ranks_propagate_nan(self):
+        assert np.isnan(_average_ranks(np.array([0.3, np.nan, 0.1]))).all()
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = "import sys, drtricks.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestAccuracy:

@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drtricks.augment import augment, build_pipeline
 from drtricks.data import Dataset, Sample, gen_ordinal_dataset, gen_seg_dataset
 from drtricks.models import (
     MLP,
+    SEG_FEATURE_DIM,
     AdamW,
     CheckpointError,
     TrainConfig,
+    TrainingDivergedError,
+    _batches,
     bce_loss,
     class_weights,
     derive_seed,
@@ -340,10 +344,64 @@ class TestTraining:
         after = total_loss(fit("segmentation", data, cfg))
         assert after < before
 
+    @pytest.mark.parametrize("augmented", [False, True])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.3])
+    @pytest.mark.parametrize("aux", ["bce", "focal"])
+    def test_segmenter_bit_equal_to_loss_reference(self, aux, alpha, augmented):
+        data = gen_seg_dataset(5, 32, seed=4)
+        # batch 2 does not divide the 5 images: the last batch is short
+        cfg = TrainConfig(lr=0.2, epochs=3, batch_size=2, aux=aux, alpha=alpha, seed=6)
+        aug = build_pipeline() if augmented else None
+        trained = fit("segmentation", data, cfg, aug=aug)
+        expected = reference_segmenter_fit(data, cfg, aug)
+        assert [p.tobytes() for p in trained.params()] == \
+            [p.tobytes() for p in expected.params()]
+
+    def test_nan_image_diverges_at_epoch_0(self):
+        data = gen_seg_dataset(4, 32, seed=0)
+        values = data.samples[2].image.values.copy()
+        values[5, 7] = np.nan
+        object.__setattr__(data.samples[2].image, "values", values)  # past Image's check
+        with pytest.raises(TrainingDivergedError) as exc:
+            fit("segmentation", data, TrainConfig(lr=0.2, epochs=3, batch_size=2, seed=0))
+        assert exc.value.epoch == 0
+
     def test_saturated_segmenter_raises(self):
         data = gen_seg_dataset(4, 32, seed=0)
         with pytest.raises(FloatingPointError):
             fit("segmentation", data, TrainConfig(lr=1e9, epochs=3, batch_size=4, seed=0))
+
+
+def reference_segmenter_fit(data, cfg, aug):
+    """Reference segmenter trainer built from the public loss.
+
+    Every image's gradient comes from ``seg_total_loss``, which also computes
+    the loss value; the bias add and the sigmoid are broadcasts and the bias
+    gradient is ``sum(axis=0)``. ``fit`` must match its parameters byte for
+    byte.
+    """
+    model = new_model("segmentation", SEG_FEATURE_DIM, cfg)
+    rng = np.random.default_rng(derive_seed(cfg.seed, 0x7EA1))
+    opt = AdamW(model.params(), cfg.lr, cfg.weight_decay)
+    (w,), (b,) = model.weights, model.biases
+    for _ in range(cfg.epochs):
+        for idx in _batches(len(data), cfg.batch_size, rng):
+            loss_sum, gw_sum, gb_sum = 0.0, np.zeros_like(w), np.zeros_like(b)
+            for i in idx:
+                img, masks = data.samples[i].image, data.samples[i].masks
+                if aug is not None:
+                    img, masks = augment(img, aug, rng, masks=masks)
+                f, y = seg_features(img), masks.channels.astype(np.float64)
+                out = 1.0 / (1.0 + np.exp(-(f @ w + b)))
+                yhat = out.reshape(y.shape[1], y.shape[2], 3).transpose(2, 0, 1)
+                loss, grad_yhat = seg_total_loss(y, yhat, aux=cfg.aux, alpha=cfg.alpha)
+                loss_sum += loss
+                g = grad_yhat.transpose(1, 2, 0).reshape(-1, 3) * out * (1.0 - out)
+                gw_sum += f.T @ g
+                gb_sum += g.sum(axis=0)
+            assert np.isfinite(loss_sum)
+            opt.step([gw_sum * (1.0 / len(idx)), gb_sum * (1.0 / len(idx))])
+    return model
 
 
 # ---------------------------------------------------------------------------
