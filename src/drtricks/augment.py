@@ -8,12 +8,12 @@ pixel operators never touch masks. Outputs stay in [0, 1].
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .data import Image, MaskSet
 
@@ -74,31 +74,151 @@ def build_pipeline() -> AugPipeline:
 
 # ---------------------------------------------------------------------------
 # resampling helpers
+#
+# NumPy versions of ``scipy.ndimage.map_coordinates`` (orders 0 and 1) and of
+# ``uniform_filter(size=3)``, both in ``reflect`` mode, that give the same
+# bits: the same coordinate folds, weights and order of additions.
 # ---------------------------------------------------------------------------
 
-def _resize(values: np.ndarray, out_h: int, out_w: int, order: int) -> np.ndarray:
-    h, w = values.shape
+def _fold_reflect(c: np.ndarray, n: int) -> np.ndarray:
+    """Source coordinates folded into [-1, n) by the ``reflect`` rule.
+
+    -c-1 below 0 and 2n-c-1 from n up; beyond [-n, 2n) a modulo by 2n comes
+    first. The result may fall in [-1, 0) or [n-1, n), whose neighbours are the
+    one-pixel edge padding of ``_pad_edge``.
+    """
+    if n == 1:
+        return np.zeros_like(c)
+    sz2 = 2.0 * n
+    lo, hi = c.min(), c.max()
+    out = c.copy()
+    if lo < 0.0:
+        np.subtract(-1.0, c, out=out, where=c < 0.0)
+    if hi >= n:
+        np.subtract(sz2 - 1.0, c, out=out, where=c >= n)
+    if lo < -n or hi >= sz2:
+        far = (c < -n) | (c >= sz2)
+        x = c[far]
+        neg = x < 0.0
+        x = np.where(x < -sz2, sz2 * np.trunc(-x / sz2) + x, x)
+        x = np.where(x >= sz2, x - sz2 * np.trunc(x / sz2), x)
+        out[far] = np.where(neg, np.where(x < -n, x + sz2, -x - 1.0),
+                            np.where(x >= n, sz2 - x - 1.0, x))
+    return out
+
+
+def _sampler(src_y: np.ndarray, src_x: np.ndarray, shape) -> tuple:
+    """Gather plan for sampling an (h, w) raster at (src_y, src_x).
+
+    Returns the flat index of the top-left bilinear neighbour in the
+    edge-padded raster, the weights ``wy0, wy1, wx0, wx1`` (``w0 = 1 - frac``
+    and ``w1 = 1 - w0``) and the flat index of the nearest pixel,
+    ``floor(c + 0.5)``. One plan serves the image and every mask channel.
+    """
+    h, w = shape
+    stride = w + 2
+    fy, fx = _fold_reflect(src_y, h), _fold_reflect(src_x, w)
+    y0, x0 = np.floor(fy), np.floor(fx)
+    wy0 = np.subtract(1.0, fy - y0)
+    wx0 = np.subtract(1.0, fx - x0)
+    y0 *= stride  # flat indices are exact integers in float64
+    y0 += x0
+    corner = y0.astype(np.intp)
+    corner += stride + 1
+    fy += 0.5
+    np.floor(fy, out=fy)
+    fy *= stride
+    fx += 0.5
+    np.floor(fx, out=fx)
+    fy += fx
+    nearest = fy.astype(np.intp)
+    nearest += stride + 1
+    return corner, (wy0, 1.0 - wy0, wx0, 1.0 - wx0), nearest
+
+
+def _read_only(sampler: tuple) -> tuple:
+    corner, weights, nearest = sampler
+    for a in (corner, *weights, nearest):
+        a.flags.writeable = False
+    return sampler
+
+
+def _pad_edge(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last two axes padded by one repeated edge pixel."""
+    h, w = a.shape[-2:]
+    p = np.empty(a.shape[:-2] + (h + 2, w + 2), dtype=a.dtype)
+    p[..., 1:-1, 1:-1] = a
+    p[..., 0, 1:-1] = a[..., 0, :]
+    p[..., -1, 1:-1] = a[..., -1, :]
+    p[..., 0] = p[..., 1]
+    p[..., -1] = p[..., -2]
+    return p
+
+
+def _bilinear(values: np.ndarray, sampler: tuple) -> np.ndarray:
+    """Order-1 samples: 0.0 + v00 wy0 wx0 + v01 wy0 wx1 + v10 wy1 wx0 + v11 wy1 wx1."""
+    corner, (wy0, wy1, wx0, wx1), _ = sampler
+    p = _pad_edge(values).ravel()
+    stride = values.shape[1] + 2
+    out = p.take(corner)
+    out *= wy0
+    out *= wx0
+    out += 0.0  # as 0.0 + x: turns -0.0 into +0.0
+    # the other three neighbours: the same indices into shifted views
+    for shift, wy, wx in ((1, wy0, wx1), (stride, wy1, wx0), (stride + 1, wy1, wx1)):
+        t = p[shift:].take(corner)
+        t *= wy
+        t *= wx
+        out += t
+    return out
+
+
+def _nearest(masks: np.ndarray, sampler: tuple) -> np.ndarray:
+    """Order-0 samples of every (3, H, W) mask channel in one gather."""
+    flat = _pad_edge(masks).reshape(masks.shape[0], -1)
+    return np.take(flat, sampler[2], axis=-1)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column coordinates of every pixel, (H, W) each, read-only."""
+    yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
+                         indexing="ij")
+    yy.flags.writeable = xx.flags.writeable = False
+    return yy, xx
+
+
+@functools.lru_cache(maxsize=64)
+def _resize_sampler(h: int, w: int, out_h: int, out_w: int) -> tuple:
     yy = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
     xx = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    coords = np.meshgrid(yy, xx, indexing="ij")
-    return ndimage.map_coordinates(values, coords, order=order, mode="reflect")
+    return _read_only(_sampler(*np.meshgrid(yy, xx, indexing="ij"), (h, w)))
+
+
+@functools.lru_cache(maxsize=8)
+def _node_sampler(h: int, w: int, k: int) -> tuple:
+    """Samples a (k, k) grid of distortion nodes at every pixel of an (h, w) image.
+
+    The node coordinates span [0, k-1] exactly, where the ``nearest`` and
+    ``reflect`` modes agree: both read the edge pixel past the last node.
+    """
+    yy, xx = _grid(h, w)
+    node_y = yy / (h - 1) * (k - 1)
+    node_x = xx / (w - 1) * (k - 1)
+    return _read_only(_sampler(node_y, node_x, (k, k)))
 
 
 def resize_bilinear(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize (reflect mode at the border), used by downscale."""
-    return _resize(values, out_h, out_w, order=1)
-
-
-def _warp(values: np.ndarray, src_y: np.ndarray, src_x: np.ndarray, order: int) -> np.ndarray:
-    return ndimage.map_coordinates(values, [src_y, src_x], order=order, mode="reflect")
+    h, w = values.shape
+    return _bilinear(values, _resize_sampler(h, w, out_h, out_w))
 
 
 def _affine_sources(shape, angle_deg: float, scale: float, ty: float, tx: float):
     """Source coordinates for an inverse-mapped rotation/scale/shift about center."""
     h, w = shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
-                         indexing="ij")
+    yy, xx = _grid(h, w)
     yq = yy - cy - ty
     xq = xx - cx - tx
     th = math.radians(angle_deg)
@@ -108,8 +228,25 @@ def _affine_sources(shape, angle_deg: float, scale: float, ty: float, tx: float)
     return src_y, src_x
 
 
+def _running_mean3(v: np.ndarray) -> np.ndarray:
+    """Size-3 moving mean along axis 0 with the border reflected.
+
+    SciPy's running sum: the first window added left to right, then a
+    cumulative sum of e[k+2] - e[k-1] over the extended rows e, each sum
+    divided by 3.
+    """
+    e = np.concatenate([v[:1], v, v[-1:]])
+    s = np.empty(v.shape)
+    s[0] = ((0.0 + e[0]) + e[1]) + e[2]
+    np.subtract(e[3:], e[:-3], out=s[1:])
+    np.cumsum(s, axis=0, out=s)
+    s /= 3.0
+    return s
+
+
 def _box_blur3(values: np.ndarray) -> np.ndarray:
-    return ndimage.uniform_filter(values, size=3, mode="reflect")
+    """3x3 box mean (``uniform_filter(size=3, mode="reflect")``): axis 0, then 1."""
+    return np.ascontiguousarray(_running_mean3(_running_mean3(values).T).T)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +299,9 @@ def _apply_geometric(op: AugOp, img: np.ndarray, masks: Optional[np.ndarray],
         else:
             angle, ty, tx = 0.0, 0.0, 0.0
             scale = rng.uniform(*p["scale"])
-        src_y, src_x = _affine_sources(img.shape, angle, scale, ty, tx)
-        img = np.clip(_warp(img, src_y, src_x, order=1), 0.0, 1.0)
-        if masks is not None:
-            masks = np.stack([_warp(m.astype(float), src_y, src_x, order=0)
-                              for m in masks]).astype(np.uint8)
-        return img, masks
+        s = _sampler(*_affine_sources(img.shape, angle, scale, ty, tx), img.shape)
+        img = np.clip(_bilinear(img, s), 0.0, 1.0)
+        return img, None if masks is None else _nearest(masks, s)
 
     if op.kind == "grid_distortion":
         k = p["num_steps"]
@@ -175,17 +309,12 @@ def _apply_geometric(op: AugOp, img: np.ndarray, masks: Optional[np.ndarray],
         cell = max(h, w) / (k - 1)
         dy_nodes = rng.uniform(-p["distort_limit"], p["distort_limit"], (k, k)) * cell
         dx_nodes = rng.uniform(-p["distort_limit"], p["distort_limit"], (k, k)) * cell
-        yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
-                             indexing="ij")
-        node_y = yy / (h - 1) * (k - 1)
-        node_x = xx / (w - 1) * (k - 1)
-        dy = ndimage.map_coordinates(dy_nodes, [node_y, node_x], order=1, mode="nearest")
-        dx = ndimage.map_coordinates(dx_nodes, [node_y, node_x], order=1, mode="nearest")
-        img = np.clip(_warp(img, yy + dy, xx + dx, order=1), 0.0, 1.0)
-        if masks is not None:
-            masks = np.stack([_warp(m.astype(float), yy + dy, xx + dx, order=0)
-                              for m in masks]).astype(np.uint8)
-        return img, masks
+        nodes = _node_sampler(h, w, k)
+        dy, dx = _bilinear(dy_nodes, nodes), _bilinear(dx_nodes, nodes)
+        yy, xx = _grid(h, w)
+        s = _sampler(yy + dy, xx + dx, img.shape)
+        img = np.clip(_bilinear(img, s), 0.0, 1.0)
+        return img, None if masks is None else _nearest(masks, s)
 
     if op.kind == "coarse_dropout":
         # occlusion only; masks keep their labels

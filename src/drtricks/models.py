@@ -417,41 +417,58 @@ def _seg_targets(masks: MaskSet) -> tuple:
     return y, y_flat, wb, wb * y, -2.0 * w
 
 
-def _seg_logit_grad(out: np.ndarray, targets: tuple, aux: str, alpha: float) -> np.ndarray:
+def _seg_step_buffers(shape: tuple) -> tuple:
+    """The six image-sized temporaries of ``_seg_logit_grad`` for (3, H, W)
+    masks, allocated once per fit and mask shape and reused by every step.
+
+    Freed after every step, they let glibc trim the top of the heap, and the
+    next step faults their pages back in: that cost a third of the training
+    throughput of a run that has not imported SciPy.
+    """
+    flat = (shape[1] * shape[2], shape[0])
+    return (np.empty(shape),) + tuple(np.empty(flat) for _ in range(5))
+
+
+def _seg_logit_grad(out: np.ndarray, targets: tuple, aux: str, alpha: float,
+                    buffers: tuple) -> np.ndarray:
     """Gradient of ``seg_total_loss`` wrt the pixel head's logits, (H*W, 3).
 
     It performs the operations of ``seg_total_loss`` and of the sigmoid
     derivative in the same order, element by element, so the result is
     bit-identical to that path; it skips the loss values. The dice sums run
     over the (3, H, W) view as in ``weighted_dice_loss``, because the order of
-    a sum sets its bits.
+    a sum sets its bits. Every temporary, the result included, lives in
+    ``buffers`` (see ``_seg_step_buffers``), whose layouts match the arrays
+    the operations would allocate.
     """
     y, y_flat, wb, wy, neg2w = targets
+    buf, p, q, g, t, grad = buffers
     ph = out.reshape(y.shape[1], y.shape[2], NUM_CLASSES).transpose(2, 0, 1)
-    buf = np.multiply(wy, ph)
+    np.multiply(wy, ph, out=buf)
     num = float(np.sum(buf))
     np.add(y, ph, out=buf)
     buf *= wb
     den = float(np.sum(buf)) + DICE_EPS
 
-    p = np.clip(out, EPS_CLAMP, 1.0 - EPS_CLAMP)
-    q = 1.0 - p
+    np.clip(out, EPS_CLAMP, 1.0 - EPS_CLAMP, out=p)
+    np.subtract(1.0, p, out=q)
     if aux == "bce":  # (p - y) / (p (1 - p)) / n
-        g = p - y_flat
+        np.subtract(p, y_flat, out=g)
         q *= p
         g /= q
     else:  # focal: where(y == 1, log p - (1 - p) / p, -log(1 - p) + p / (1 - p)) / n
-        g = np.log(p)
-        g -= q / p
-        neg = np.log(q)
-        np.negative(neg, out=neg)
+        np.log(p, out=g)
+        np.divide(q, p, out=t)
+        g -= t
+        np.log(q, out=t)
+        np.negative(t, out=t)
         p /= q
-        neg += p
-        np.copyto(g, neg, where=y_flat != 1.0)
+        t += p
+        np.copyto(g, t, where=y_flat != 1.0)
     g /= out.size
     g *= alpha
 
-    grad = y_flat * den  # dice: -2 w (y den - num) / den^2
+    np.multiply(y_flat, den, out=grad)  # dice: -2 w (y den - num) / den^2
     grad -= num
     for j, c in enumerate(neg2w):  # column-wise, as the bias add in the forward pass
         grad[:, j] *= c
@@ -471,6 +488,7 @@ def _train_segmenter(model, data, cfg, opt, rng, aug) -> None:
             raise DataError("segmentation training requires images with masks")
     if aug is None:
         plain = [(seg_features(s.image), _seg_targets(s.masks)) for s in data.samples]
+    buffers = {}  # mask shape -> _seg_step_buffers
 
     for epoch in range(cfg.epochs):
         for idx in _batches(len(data), cfg.batch_size, rng):
@@ -483,8 +501,12 @@ def _train_segmenter(model, data, cfg, opt, rng, aug) -> None:
                     f, targets = seg_features(img), _seg_targets(masks)
                 else:
                     f, targets = plain[i]
+                shape = targets[0].shape
+                if shape not in buffers:
+                    buffers[shape] = _seg_step_buffers(shape)
                 out, cache = model._forward_cached(f, train=True, rng=rng)
-                gw, gb = model.backward(cache, _seg_logit_grad(out, targets, cfg.aux, cfg.alpha))
+                grad = _seg_logit_grad(out, targets, cfg.aux, cfg.alpha, buffers[shape])
+                gw, gb = model.backward(cache, grad)
                 for acc, g in zip(grads_w + grads_b, gw + gb):
                     acc += g
             # p is clipped and the features are finite, so the loss is

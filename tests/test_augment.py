@@ -1,15 +1,24 @@
 """Augmentation pipeline construction and operator behavior."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drtricks.augment import (
     AugOp,
     AugPipeline,
+    _bilinear,
+    _box_blur3,
+    _nearest,
+    _node_sampler,
+    _sampler,
     augment,
     build_pipeline,
     resize_bilinear,
 )
-from drtricks.data import Image, MaskSet
+from drtricks.data import Image, MaskSet, gen_seg_dataset
 
 
 def identity_pixel_pipeline(geometric=()):
@@ -148,3 +157,191 @@ class TestResize:
     def test_constant_preserved(self):
         v = np.full((10, 10), 0.37)
         np.testing.assert_allclose(resize_bilinear(v, 17, 23), 0.37, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bit equality with scipy.ndimage (SciPy is a test-only dependency)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def raster_and_sources(draw):
+    """A raster of 1-70 pixels a side and source coordinates in [-2n, 3n) per axis."""
+    h, w = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, (h, w))
+    src_y = rng.uniform(-2 * h, 3 * h, (9, 11))
+    src_x = rng.uniform(-2 * w, 3 * w, (9, 11))
+    # exact integers and half-integers, where the folds and floors switch
+    src_y.flat[:20] = rng.integers(-2 * h, 3 * h, 20) / draw(st.sampled_from([1, 2]))
+    src_x.flat[20:40] = rng.integers(-2 * w, 3 * w, 20) / draw(st.sampled_from([1, 2]))
+    return values, src_y, src_x
+
+
+class TestScipyEquality:
+    """The NumPy resampling gives SciPy's bits.
+
+    Source coordinates are drawn from [-2n, 3n). SciPy's own fold is 1 ulp
+    off at exact multiples of 2n at or below -4n (for example -4n), a case the
+    pipeline never reaches: its sources lie within about [-0.6n, 1.6n].
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(raster_and_sources())
+    def test_map_coordinates_reflect_order_1(self, case):
+        from scipy import ndimage
+
+        values, src_y, src_x = case
+        expected = ndimage.map_coordinates(values, [src_y, src_x], order=1, mode="reflect")
+        got = _bilinear(values, _sampler(src_y, src_x, values.shape))
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(raster_and_sources())
+    def test_map_coordinates_reflect_order_0(self, case):
+        from scipy import ndimage
+
+        values, src_y, src_x = case
+        masks = np.stack([values < 0.3, values > 0.5, values > 0.9]).astype(np.uint8)
+        expected = np.stack([
+            ndimage.map_coordinates(m.astype(float), [src_y, src_x], order=0,
+                                    mode="reflect").astype(np.uint8)
+            for m in masks])
+        got = _nearest(masks, _sampler(src_y, src_x, values.shape))
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(8, 70), st.integers(8, 70), st.integers(2, 9),
+           st.integers(0, 2**32 - 1))
+    def test_grid_nodes_nearest_mode(self, h, w, k, seed):
+        from scipy import ndimage
+
+        nodes = np.random.default_rng(seed).uniform(-5.0, 5.0, (k, k))
+        yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
+                             indexing="ij")
+        coords = [yy / (h - 1) * (k - 1), xx / (w - 1) * (k - 1)]
+        expected = ndimage.map_coordinates(nodes, coords, order=1, mode="nearest")
+        assert _bilinear(nodes, _node_sampler(h, w, k)).tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_uniform_filter_size_3(self, h, w, seed):
+        from scipy import ndimage
+
+        values = np.random.default_rng(seed).uniform(0.0, 1.0, (h, w))
+        expected = ndimage.uniform_filter(values, size=3, mode="reflect")
+        got = _box_blur3(values)
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("size", [64, 33])
+    @pytest.mark.parametrize("always", [False, True])
+    def test_augment_equals_scipy_reference(self, size, always):
+        pipe = build_pipeline()
+        if always:  # every geometric op on every draw
+            pipe = AugPipeline(pipe.omega_set, pipe.psi_set,
+                               tuple(AugOp(op.kind, op.params) for op in pipe.geometric_set))
+        samples = gen_seg_dataset(6, size, seed=size).samples
+        rng, ref_rng = np.random.default_rng(size), np.random.default_rng(size)
+        for i in range(750):
+            s = samples[i % len(samples)]
+            img, masks = augment(s.image, pipe, rng, masks=s.masks)
+            ref_img, ref_masks = scipy_augment(s.image.values, pipe, ref_rng,
+                                               s.masks.channels)
+            assert img.values.tobytes() == ref_img.tobytes()
+            assert masks.channels.tobytes() == ref_masks.tobytes()
+        assert rng.random() == ref_rng.random()  # same number of draws
+
+
+def scipy_augment(img, pipeline, rng, masks):
+    """Reference augmentation with scipy.ndimage resampling.
+
+    The same operators, parameters and random draws as ``augment``, with
+    ``map_coordinates`` (reflect mode; order 1 for the image, order 0 for each
+    mask channel) and ``uniform_filter`` doing the resampling.
+    """
+    from scipy import ndimage
+
+    def warp(values, src_y, src_x, order):
+        return ndimage.map_coordinates(values, [src_y, src_x], order=order, mode="reflect")
+
+    def resize(values, out_h, out_w):
+        h, w = values.shape
+        yy = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+        xx = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+        return warp(values, *np.meshgrid(yy, xx, indexing="ij"), order=1)
+
+    def blur(values):
+        return ndimage.uniform_filter(values, size=3, mode="reflect")
+
+    def pixel(op, img):
+        p = op.params
+        if op.kind == "brightness_contrast":
+            b = rng.uniform(-p["brightness_limit"], p["brightness_limit"])
+            c = rng.uniform(-p["contrast_limit"], p["contrast_limit"])
+            out = img * (1.0 + c) + b
+        elif op.kind == "gamma":
+            out = np.power(img, rng.uniform(*p["gamma_limit"]) / 100.0)
+        elif op.kind == "sharpen":
+            a = rng.uniform(*p["alpha"])
+            rng.uniform(*p["lightness"])
+            out = img * (1.0 - a) + a * (2.0 * img - blur(img))
+        elif op.kind == "blur":
+            out = blur(img)
+        else:  # downscale
+            s = rng.uniform(p["scale_min"], p["scale_max"])
+            h, w = img.shape
+            dh, dw = max(int(round(h * s)), 1), max(int(round(w * s)), 1)
+            out = resize(resize(img, dh, dw), h, w)
+        return np.clip(out, 0.0, 1.0)
+
+    def warp_all(img, masks, src_y, src_x):
+        img = np.clip(warp(img, src_y, src_x, order=1), 0.0, 1.0)
+        masks = np.stack([warp(m.astype(float), src_y, src_x, order=0)
+                          for m in masks]).astype(np.uint8)
+        return img, masks
+
+    img = pixel(pipeline.omega_set[rng.integers(len(pipeline.omega_set))], img)
+    img = pixel(pipeline.psi_set[rng.integers(len(pipeline.psi_set))], img)
+    h, w = img.shape
+    yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
+    for op in pipeline.geometric_set:
+        if not rng.random() < op.probability:
+            continue
+        p = op.params
+        if op.kind == "flip":
+            axis = 1 if p["directions"][rng.integers(len(p["directions"]))] == "horizontal" else 0
+            img = np.ascontiguousarray(np.flip(img, axis=axis))
+            masks = np.ascontiguousarray(np.flip(masks, axis=axis + 1))
+        elif op.kind in ("shift_scale_rotate", "affine"):
+            if op.kind == "shift_scale_rotate":
+                angle = rng.uniform(-p["rotate_limit"], p["rotate_limit"])
+                scale = 1.0 + rng.uniform(-p["scale_limit"], p["scale_limit"])
+                ty = rng.uniform(-p["shift_limit"], p["shift_limit"]) * h
+                tx = rng.uniform(-p["shift_limit"], p["shift_limit"]) * w
+            else:
+                angle, ty, tx = 0.0, 0.0, 0.0
+                scale = rng.uniform(*p["scale"])
+            cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+            yq, xq = yy - cy - ty, xx - cx - tx
+            th = math.radians(angle)
+            cos_t, sin_t = math.cos(th), math.sin(th)
+            img, masks = warp_all(img, masks, (cos_t * yq + sin_t * xq) / scale + cy,
+                                  (-sin_t * yq + cos_t * xq) / scale + cx)
+        elif op.kind == "grid_distortion":
+            k = p["num_steps"]
+            cell = max(h, w) / (k - 1)
+            dy_nodes = rng.uniform(-p["distort_limit"], p["distort_limit"], (k, k)) * cell
+            dx_nodes = rng.uniform(-p["distort_limit"], p["distort_limit"], (k, k)) * cell
+            nodes = [yy / (h - 1) * (k - 1), xx / (w - 1) * (k - 1)]
+            dy = ndimage.map_coordinates(dy_nodes, nodes, order=1, mode="nearest")
+            dx = ndimage.map_coordinates(dx_nodes, nodes, order=1, mode="nearest")
+            img, masks = warp_all(img, masks, yy + dy, xx + dx)
+        else:  # coarse_dropout
+            img = img.copy()
+            for _ in range(int(rng.integers(1, p["max_holes"] + 1))):
+                hh = min(int(rng.integers(p["min_height"], p["max_height"] + 1)), h)
+                ww = min(int(rng.integers(p["min_width"], p["max_width"] + 1)), w)
+                y0, x0 = int(rng.integers(0, h - hh + 1)), int(rng.integers(0, w - ww + 1))
+                img[y0 : y0 + hh, x0 : x0 + ww] = 0.0
+    return img, masks

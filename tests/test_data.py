@@ -65,6 +65,30 @@ class TestTypes:
         with pytest.raises(DataError):
             MaskSet(np.zeros((2, 8, 8)))
 
+    @pytest.mark.parametrize("value, ok", [
+        (2, False), (-1, False), (0.5, False), (np.nan, False), (True, True), (1.0, True),
+    ])
+    def test_mask_set_pixel_verdicts(self, value, ok):
+        c = np.zeros((3, 8, 8), dtype=np.asarray(value).dtype)
+        c[1, 2, 3] = value
+        assert ok == bool(np.isin(c, (0, 1)).all())  # the check it replaced
+        if ok:
+            assert MaskSet(c).channels[1, 2, 3] == 1
+        else:
+            with pytest.raises(DataError):
+                MaskSet(c)
+
+    def test_rasters_stored_c_contiguous(self):
+        rng = np.random.default_rng(0)
+        values = rng.uniform(0, 1, (12, 10))
+        masks = (rng.random((10, 12, 3)) < 0.3).astype(np.uint8)
+        for v, m in ((values.T, masks.transpose(2, 1, 0)),
+                     (np.asfortranarray(values.T), np.asfortranarray(masks.transpose(2, 1, 0)))):
+            img, ms = Image(v), MaskSet(m)
+            assert img.values.flags.c_contiguous and ms.channels.flags.c_contiguous
+            np.testing.assert_array_equal(img.values, v)
+            np.testing.assert_array_equal(ms.channels, m)
+
     def test_soft_mask_range(self):
         SoftMaskSet(np.full((3, 8, 8), 0.5))
         with pytest.raises(DataError):

@@ -205,7 +205,8 @@ class TestAuc:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        code = "import sys, drtricks.cli; print('scipy.stats' in sys.modules)"
+        code = ("import sys, drtricks.cli; "
+                "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"

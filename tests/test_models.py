@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drtricks.augment import augment, build_pipeline
-from drtricks.data import Dataset, Sample, gen_ordinal_dataset, gen_seg_dataset
+from drtricks.data import Dataset, Image, MaskSet, Sample, gen_ordinal_dataset, gen_seg_dataset
 from drtricks.models import (
     MLP,
     SEG_FEATURE_DIM,
@@ -88,6 +88,14 @@ class TestForward:
             r.predict_scalar(np.ones((2, 3)))
         with pytest.raises(ValueError):
             segment_soft(MLP([4, 3], "pixel"), np.ones((3, 4, 4)))
+
+    def test_outputs_are_fresh_arrays(self):
+        x = np.random.default_rng(0).uniform(0, 1, (64, SEG_FEATURE_DIM))
+        for m in (MLP([SEG_FEATURE_DIM, 3], "pixel"), MLP([SEG_FEATURE_DIM, 8, 1], "scalar")):
+            assert not np.shares_memory(m.forward(x), m.forward(x))
+        image = np.random.default_rng(1).uniform(0, 1, (8, 8))
+        pixel = MLP([SEG_FEATURE_DIM, 3], "pixel")
+        assert not np.shares_memory(segment_soft(pixel, image), segment_soft(pixel, image))
 
     def test_dropout_disabled_at_inference(self):
         m = MLP([4, 16, 1], "scalar", dropout=0.5, seed=1)
@@ -356,6 +364,27 @@ class TestTraining:
         expected = reference_segmenter_fit(data, cfg, aug)
         assert [p.tobytes() for p in trained.params()] == \
             [p.tobytes() for p in expected.params()]
+
+    def test_checkpoint_independent_of_raster_layout(self, tmp_path):
+        data = gen_seg_dataset(4, 32, seed=2)
+
+        def layouts(make):
+            """The data set rebuilt from rasters in the given memory layout."""
+            return Dataset(tuple(
+                Sample(s.id, image=Image(make(s.image.values)),
+                       masks=MaskSet(make(s.masks.channels)))
+                for s in data.samples), "segmentation")
+
+        def transposed_view(a):  # C-ordered values behind a transposed view
+            return np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
+
+        cfg = TrainConfig(lr=0.2, epochs=3, batch_size=2, seed=1)
+        for aug in (None, build_pipeline()):
+            written = set()
+            for make in (np.ascontiguousarray, np.asfortranarray, transposed_view):
+                save_checkpoint(tmp_path / "m.ckpt", fit("segmentation", layouts(make), cfg, aug=aug))
+                written.add((tmp_path / "m.ckpt").read_bytes())
+            assert len(written) == 1
 
     def test_nan_image_diverges_at_epoch_0(self):
         data = gen_seg_dataset(4, 32, seed=0)

@@ -53,6 +53,31 @@ class TestDilate:
         with pytest.raises(ValueError):
             dilate(np.full((8, 8), 2), 3)
 
+    @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from([1, 3, 5, 7]),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scipy_maximum_filter(self, h, w, k, density, seed):
+        from scipy import ndimage
+
+        m = (np.random.default_rng(seed).random((h, w)) < density).astype(np.uint8)
+        expected = ndimage.maximum_filter(m, size=k, mode="constant", cval=0)
+        got = dilate(m, k)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_each_non_binary_value_rejected(self, bad):
+        m = np.zeros((8, 8))
+        m[3, 4] = bad
+        with pytest.raises(ValueError):
+            dilate(m, 3)
+
+    def test_bool_and_float_masks_accepted(self):
+        m = np.zeros((9, 9), dtype=bool)
+        m[4, 4] = True
+        np.testing.assert_array_equal(dilate(m, 3), dilate(m.astype(float), 3))
+        assert dilate(m, 3).sum() == 9
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_twice_k_equals_once_2k_minus_1(self, seed):
