@@ -44,18 +44,10 @@ def _require(value, what: str):
     return value
 
 
-def _load_tabular(path: str, task: str) -> dd.Dataset:
-    return dd.read_dataset_csv(path, task)
-
-
 def _load_data(cfg: RunConfig, path: str) -> dd.Dataset:
     if cfg.task == "segmentation":
         return dd.read_seg_dataset(path)
-    return _load_tabular(path, cfg.task)
-
-
-def _aug_or_none(cfg: RunConfig):
-    return build_pipeline() if cfg.augment else None
+    return dd.read_dataset_csv(path, cfg.task)
 
 
 def _load_model_or_ensemble(path: str) -> Ensemble:
@@ -91,38 +83,68 @@ def _pipeline_description(cfg: RunConfig, k: int) -> str:
     return " -> ".join(stages)
 
 
-def _predict_soft_masks(ens: Ensemble, image: dd.Image, tta: str) -> np.ndarray:
-    predict = lambda img: ensemble_predict(ens, img)
-    if tta == "rotate":
-        return tta_rotate_seg(predict, image)
-    if tta == "flip":
-        return tta_flip_predict(predict, image)
-    return np.asarray(predict(image.values))
+# ---------------------------------------------------------------------------
+# decisions and scores: one path per task, shared by every command
+# ---------------------------------------------------------------------------
+
+def _grades(raw: np.ndarray, task: str, post: bool) -> list[int]:
+    """Grades from raw regressor outputs: quality thresholds under post, else rounding."""
+    if post and task == "quality":
+        return [quality_decision(r) for r in raw]
+    return [int(c) for c in regressor_class(raw)]
 
 
-def _decide_grade(raw: float, cfg: RunConfig) -> int:
-    if cfg.postprocess and cfg.task == "quality":
-        return quality_decision(raw)
-    return int(regressor_class(raw))
-
-
-def _seg_decision(soft: np.ndarray, cfg: RunConfig) -> dd.MaskSet:
-    if cfg.postprocess:
+def _binarize(soft: np.ndarray, post: bool) -> dd.MaskSet:
+    """Mask set from soft masks: full post-processing under post, else 0.5 threshold."""
+    if post:
         return postprocess_masks(soft)
     return dd.MaskSet((soft >= 0.5).astype(np.uint8))
 
 
-def _tabular_dev_report(cfg: RunConfig, ens: Ensemble, dev: dd.Dataset,
-                        seed: int) -> MetricsReport:
-    feats = np.stack([s.features for s in dev.samples])
-    truths = [s.label for s in dev.samples]
-    raw = np.atleast_1d(ensemble_predict(ens, feats))
-    preds = [_decide_grade(float(r), cfg) for r in raw]
-    values = {
-        ("qwk", ""): qwk(confusion_matrix(truths, preds)),
-        ("accuracy", ""): accuracy(preds, truths),
-    }
-    return MetricsReport(cfg.task, values, seed, cfg.digest())
+def _decisions(cfg: RunConfig, ens: Ensemble, data: dd.Dataset):
+    """Yield (sample, decision) in sample order: a grade, or a mask set per image."""
+    if cfg.task != "segmentation":
+        raw = np.atleast_1d(ensemble_predict(ens, np.stack([s.features for s in data.samples])))
+        yield from zip(data.samples, _grades(raw, cfg.task, cfg.postprocess))
+        return
+    predict = lambda img: ensemble_predict(ens, img)
+    tta = {"rotate": tta_rotate_seg, "flip": tta_flip_predict}.get(cfg.tta)
+    for s in data.samples:
+        soft = tta(predict, s.image) if tta else np.asarray(predict(s.image.values))
+        yield s, _binarize(soft, cfg.postprocess)
+
+
+def _score(task: str, pairs) -> dict[str, float]:
+    """qwk and accuracy of grades, or mean_dsc and mean_iou of mask sets.
+
+    ``pairs`` yields (truth sample, decision); no pairs, or a truth sample
+    without a label or mask set, is a DataError.
+    """
+    a, b = [], []  # truth and predicted grades, or per-image DSC and IoU
+    for s, decision in pairs:
+        if not s.labeled:
+            raise dd.DataError(f"sample {s.id} has no ground truth to score against")
+        if task == "segmentation":
+            a.append(mean_dsc(decision.channels, s.masks.channels))
+            b.append(mean_iou(decision.channels, s.masks.channels))
+        else:
+            a.append(s.label)
+            b.append(decision)
+    if not a:
+        raise dd.DataError("the dev set holds no samples to score")
+    if task == "segmentation":
+        return {"mean_dsc": float(np.mean(a)), "mean_iou": float(np.mean(b))}
+    return {"qwk": qwk(confusion_matrix(a, b)), "accuracy": accuracy(b, a)}
+
+
+def _write_report(cfg: RunConfig, values: dict[str, float], seed: int, out: Path,
+                  prefix: str) -> None:
+    report = MetricsReport(cfg.task, {(m, ""): v for m, v in values.items()},
+                           seed, cfg.digest())
+    write_report_csv(out / "report.csv", report)
+    write_report_json(out / "report.json", report)
+    for metric, v in sorted(values.items()):
+        print(f"{prefix}{metric}: {v:.4f}")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -168,7 +190,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     train = _load_data(cfg, _require(cfg.train_path, "[data] train"))
     tcfg = cfg.train_config(args.seed)
-    aug = _aug_or_none(cfg)
+    aug = build_pipeline() if cfg.augment else None
     if cfg.ensemble_k > 1:
         ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k,
                                   base_seed=args.seed, aug=aug)
@@ -207,20 +229,7 @@ def _maybe_dev_report(cfg: RunConfig, ens: Ensemble, seed: int, out: Path) -> No
         return
     dev = _load_data(cfg, cfg.dev_path)
     _check_model_fits(ens, cfg, dev)
-    if cfg.task == "segmentation":
-        scores = []
-        for s in dev.samples:
-            soft = _predict_soft_masks(ens, s.image, cfg.tta)
-            scores.append(mean_dsc(_seg_decision(soft, cfg).channels, s.masks.channels))
-        report = MetricsReport(cfg.task, {("mean_dsc", ""): float(np.mean(scores))},
-                               seed, cfg.digest())
-    else:
-        report = _tabular_dev_report(cfg, ens, dev, seed)
-    write_report_csv(out / "report.csv", report)
-    write_report_json(out / "report.json", report)
-    for (metric, cls), v in sorted(report.values.items()):
-        label = f"{metric}/{cls}" if cls else metric
-        print(f"dev {label}: {v:.4f}")
+    _write_report(cfg, _score(cfg.task, _decisions(cfg, ens, dev)), seed, out, "dev ")
 
 
 def cmd_predict(args) -> int:
@@ -230,22 +239,17 @@ def cmd_predict(args) -> int:
     inputs = _load_data(cfg, _require(cfg.dev_path, "[data] dev"))
     _check_model_fits(ens, cfg, inputs)
     print(f"pipeline: {_pipeline_description(cfg, len(ens.members))}")
-    if cfg.task == "segmentation":
-        rows = []
-        for s in inputs.samples:
-            soft = _predict_soft_masks(ens, s.image, cfg.tta)
+    segmentation = cfg.task == "segmentation"
+    if not segmentation and cfg.tta != "none":
+        print("note: test-time augmentation has no effect on feature vectors")
+    rows = []
+    for s, decision in _decisions(cfg, ens, inputs):
+        if segmentation:  # each mask set is written before the next one is computed
             stem = out / f"pred_{s.id:05d}"
-            dd.write_mask_set(stem, _seg_decision(soft, cfg))
-            rows.append([s.id, stem.name])
-        _write_csv(out / "predictions.csv", ["id", "stem"], rows)
-    else:
-        feats = np.stack([s.features for s in inputs.samples])
-        raw = np.atleast_1d(ensemble_predict(ens, feats))
-        if cfg.tta != "none":
-            print("note: test-time augmentation has no effect on feature vectors")
-        rows = [[s.id, _decide_grade(float(r), cfg)]
-                for s, r in zip(inputs.samples, raw)]
-        _write_csv(out / "predictions.csv", ["id", "prediction"], rows)
+            dd.write_mask_set(stem, decision)
+            decision = stem.name
+        rows.append([s.id, decision])
+    _write_csv(out / "predictions.csv", ["id", "stem" if segmentation else "prediction"], rows)
     print(f"wrote predictions for {len(inputs)} samples to {out}")
     return 0
 
@@ -255,58 +259,32 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     truth = _load_data(cfg, _require(cfg.dev_path, "[data] dev"))
     pred_path = Path(_require(cfg.predictions_path, "[data] predictions"))
-    if cfg.task == "segmentation":
-        values = _evaluate_segmentation(truth, pred_path)
-    else:
-        values = _evaluate_tabular(truth, pred_path)
-    report = MetricsReport(cfg.task, values, args.seed, cfg.digest())
-    write_report_csv(out / "report.csv", report)
-    write_report_json(out / "report.json", report)
-    for (metric, cls), v in sorted(values.items()):
-        label = f"{metric}/{cls}" if cls else metric
-        print(f"{label}: {v:.4f}")
+    values = _score(cfg.task, _predicted_pairs(cfg.task, truth, pred_path))
+    _write_report(cfg, values, args.seed, out, "")
     return 0
 
 
-def _read_predictions(path: Path, column: str, parse) -> dict:
-    """``predictions.csv`` as {id: parse(value of column)}; FormatError if malformed."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["id", column]:
-            raise dd.FormatError(f"unexpected prediction columns in {path}")
-        try:
-            return {int(r["id"]): parse(r[column]) for r in reader}
-        except (ValueError, TypeError) as exc:
-            raise dd.FormatError(f"{path}: malformed prediction row ({exc})") from exc
+def _predicted_pairs(task: str, truth: dd.Dataset, pred_path: Path):
+    """Yield (truth sample, decision) from what ``predict`` wrote, one sample at a time.
 
-
-def _evaluate_tabular(truth: dd.Dataset, pred_path: Path) -> dict:
-    by_id = _read_predictions(pred_path, "prediction", lambda v: dd.validate_label(int(v)))
-    truths, preds = [], []
+    For segmentation ``pred_path`` is the directory ``predict`` wrote; for
+    the ordinal tasks it is its ``predictions.csv``. FormatError if malformed.
+    """
+    segmentation = task == "segmentation"
+    path, column = ((pred_path / "predictions.csv", "stem") if segmentation
+                    else (pred_path, "prediction"))
+    reader = csv.DictReader(dd.open_utf8(path))
+    if reader.fieldnames != ["id", column]:
+        raise dd.FormatError(f"unexpected prediction columns in {path}")
+    try:
+        by_id = {int(r["id"]): str(r[column]) if segmentation
+                 else dd.validate_label(int(r[column])) for r in reader}
+    except (ValueError, TypeError) as exc:
+        raise dd.FormatError(f"{path}: malformed prediction row ({exc})") from exc
     for s in truth.samples:
         if s.id not in by_id:
             raise dd.DataError(f"no prediction for sample {s.id}")
-        truths.append(s.label)
-        preds.append(by_id[s.id])
-    return {
-        ("qwk", ""): qwk(confusion_matrix(truths, preds)),
-        ("accuracy", ""): accuracy(preds, truths),
-    }
-
-
-def _evaluate_segmentation(truth: dd.Dataset, pred_dir: Path) -> dict:
-    by_id = _read_predictions(pred_dir / "predictions.csv", "stem", str)
-    dscs, ious = [], []
-    for s in truth.samples:
-        if s.id not in by_id:
-            raise dd.DataError(f"no prediction for sample {s.id}")
-        pred = dd.read_mask_set(pred_dir / by_id[s.id])
-        dscs.append(mean_dsc(pred.channels, s.masks.channels))
-        ious.append(mean_iou(pred.channels, s.masks.channels))
-    return {
-        ("mean_dsc", ""): float(np.mean(dscs)),
-        ("mean_iou", ""): float(np.mean(ious)),
-    }
+        yield s, dd.read_mask_set(pred_path / by_id[s.id]) if segmentation else by_id[s.id]
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +308,7 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
                                        labeled=False, id_offset=10_000)
     train, dev = dd.split_train_dev(labeled, cfg.split_ratio, seed=derive_seed(seed, 3))
     feats = np.stack([s.features for s in dev.samples])
-    truths = [s.label for s in dev.samples]
     k = cfg.ensemble_k
-
-    def score(raw: np.ndarray, post: bool = False) -> float:
-        if post and cfg.task == "quality":
-            preds = [quality_decision(float(r)) for r in raw]
-        else:
-            preds = list(regressor_class(raw))
-        return qwk(confusion_matrix(truths, preds))
 
     single = fit(cfg.task, train, tcfg)
     sup_ens = train_deep_ensemble(train, tcfg, k=k, base_seed=derive_seed(seed, 10))
@@ -356,14 +326,16 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
         tuple(derive_seed(seed, 30, i) for i in range(k)),
     )
     raw_rpl = np.atleast_1d(ensemble_predict(rpl_ens, feats))
-    return {
-        "baseline": score(np.atleast_1d(single.predict_scalar(feats))),
-        "+ensemble": score(np.atleast_1d(ensemble_predict(sup_ens, feats))),
-        "+pl": score(np.atleast_1d(ensemble_predict(pl_ens, feats))),
-        "+rpl": score(raw_rpl),
-        "+tta": score(raw_rpl),
-        "+post": score(raw_rpl, post=True),
+    arms = {
+        "baseline": (np.atleast_1d(single.predict_scalar(feats)), False),
+        "+ensemble": (np.atleast_1d(ensemble_predict(sup_ens, feats)), False),
+        "+pl": (np.atleast_1d(ensemble_predict(pl_ens, feats)), False),
+        "+rpl": (raw_rpl, False),
+        "+tta": (raw_rpl, False),
+        "+post": (raw_rpl, True),
     }
+    return {arm: _score(cfg.task, zip(dev.samples, _grades(raw, cfg.task, post)))["qwk"]
+            for arm, (raw, post) in arms.items()}
 
 
 def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
@@ -375,24 +347,19 @@ def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k,
                               base_seed=derive_seed(seed, 10))
 
-    def dsc(soft: np.ndarray, truth: dd.MaskSet, post: bool = False) -> float:
-        binary = postprocess_masks(soft) if post \
-            else dd.MaskSet((soft >= 0.5).astype(np.uint8))
-        return mean_dsc(binary.channels, truth.channels)
-
-    # The +tta and +post arms score the same rotation-TTA soft masks, and the
-    # identity rotation of that TTA reuses the +ensemble prediction.
-    scores = {arm: [] for arm in SEGMENTATION_ARMS}
+    # The +tta and +post arms decide from the same rotation-TTA soft masks, and
+    # the identity rotation of that TTA reuses the +ensemble prediction.
+    pairs = {arm: [] for arm in SEGMENTATION_ARMS}
     for s in dev.samples:
         v = s.image.values
         plain = np.asarray(ensemble_predict(ens, v))
         tta = tta_rotate_seg(
             lambda img: plain if np.array_equal(img, v) else ensemble_predict(ens, img), v)
-        scores["baseline"].append(dsc(segment_soft(single, s.image), s.masks))
-        scores["+ensemble"].append(dsc(plain, s.masks))
-        scores["+tta"].append(dsc(tta, s.masks))
-        scores["+post"].append(dsc(tta, s.masks, post=True))
-    return {arm: float(np.mean(vals)) for arm, vals in scores.items()}
+        for arm, soft, post in (("baseline", segment_soft(single, s.image), False),
+                                ("+ensemble", plain, False), ("+tta", tta, False),
+                                ("+post", tta, True)):
+            pairs[arm].append((s, _binarize(soft, post)))
+    return {arm: _score("segmentation", p)["mean_dsc"] for arm, p in pairs.items()}
 
 
 TABULAR_ARMS = ("baseline", "+ensemble", "+pl", "+rpl", "+tta", "+post")

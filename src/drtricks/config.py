@@ -142,8 +142,8 @@ def load_config(path: Path | str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(path.read_text())
-    except configparser.Error as exc:
+        parser.read_string(path.read_text(encoding="utf-8"))
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
     values: dict[str, object] = {}

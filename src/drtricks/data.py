@@ -8,6 +8,7 @@ seed and own their RNG; every type is immutable after construction.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -480,6 +481,15 @@ def read_mask_set(stem: Path | str) -> MaskSet:
     return MaskSet(np.stack(rasters))
 
 
+def open_utf8(path: Path | str) -> io.StringIO:
+    """A text file's contents, ready for the csv module; FormatError unless UTF-8."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return io.StringIO(fh.read(), newline="")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def write_dataset_csv(path: Path | str, d: Dataset) -> None:
     """Tabular dataset as CSV: id,feat_0..feat_{D-1},label (label may be empty)."""
     dim = d.feature_dim
@@ -494,8 +504,7 @@ def write_dataset_csv(path: Path | str, d: Dataset) -> None:
 
 
 def read_dataset_csv(path: Path | str, task: str) -> Dataset:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(open_utf8(path)))
     if not rows:
         raise FormatError(f"{path}: empty CSV")
     header = rows[0]
@@ -539,8 +548,7 @@ def read_seg_dataset(directory: Path | str) -> Dataset:
     index = directory / "index.csv"
     if not index.exists():
         raise FormatError(f"{directory}: missing index.csv")
-    with open(index, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(open_utf8(index)))
     if not rows or rows[0] != ["id", "image", "has_masks"]:
         raise FormatError(f"{directory}: malformed index.csv header")
     samples = []

@@ -1,5 +1,6 @@
 """Config parsing, digests, and the command-line workflows."""
 import csv
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -30,7 +31,7 @@ batch_size = 16
 [pipeline]
 ensemble_k = {k}
 rpl_rounds = 3
-"""
+{extra}"""
 
 
 def write_config(tmp_path, **kw):
@@ -41,8 +42,10 @@ def write_config(tmp_path, **kw):
     kw.setdefault("predictions", tmp_path / "preds" / "predictions.csv")
     kw.setdefault("k", 1)
     kw.setdefault("task", "grading")
+    kw.setdefault("extra", "")
     path = tmp_path / "run.ini"
-    path.write_text(BASE_CONFIG.format(**kw))
+    # surrogate escapes become raw bytes, so a case can write bytes that are not UTF-8
+    path.write_bytes(BASE_CONFIG.format(**kw).encode(errors="surrogateescape"))
     return path
 
 
@@ -287,6 +290,15 @@ class TestAblate:
         assert all(r["metric"] == "mean_dsc" for r in rows)
         assert all(np.isfinite(float(r["mean"])) for r in rows)
 
+    def test_segmentation_without_dev_images_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "abl.ini"
+        cfg.write_text(ABLATE_CONFIG.format(task="segmentation", n_labeled=4, lr="0.2")
+                       .replace("n_dev = 2", "n_dev = 0"))
+        assert main(["ablate", "--config", str(cfg), "--seeds", "3",
+                     "--out", str(tmp_path / "seg")]) == 2
+        assert capsys.readouterr().err == "error: the dev set holds no samples to score\n"
+        assert not (tmp_path / "seg" / "ablation.csv").exists()
+
     @pytest.mark.parametrize("seeds", [",", " , ,", ""])
     def test_empty_seed_list_is_usage_error(self, tmp_path, capsys, seeds):
         cfg = tmp_path / "abl.ini"
@@ -324,19 +336,54 @@ def _manifest(ws: Path, text: str) -> dict:
     return {"model": ws / "ens"}
 
 
-def _predictions(ws: Path, text: str) -> dict:
-    (ws / "bad_preds.csv").write_text(text)
+def _predictions(ws: Path, text: bytes) -> dict:
+    (ws / "bad_preds.csv").write_bytes(text)
     return {"predictions": ws / "bad_preds.csv"}
 
 
-def _train_csv(ws: Path, text: str, k: int = 1) -> dict:
-    (ws / "bad_train.csv").write_text(text)
+def _train_csv(ws: Path, text: bytes, k: int = 1) -> dict:
+    (ws / "bad_train.csv").write_bytes(text)
     return {"train": ws / "bad_train.csv", "k": k}
 
 
-def _dev_csv(ws: Path, text: str) -> dict:
-    (ws / "bad_dev.csv").write_text(text)
+def _dev_csv(ws: Path, text: bytes) -> dict:
+    (ws / "bad_dev.csv").write_bytes(text)
     return {"dev": ws / "bad_dev.csv"}
+
+
+def _unlabeled_dev(ws: Path) -> dict:
+    """The dev CSV with the first sample's label left empty, and a prediction per sample."""
+    lines = (ws / "dev" / "data.csv").read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ","
+    ids = [line.split(",", 1)[0] for line in lines[1:]]
+    return {**_dev_csv(ws, ("\n".join(lines) + "\n").encode()),
+            **_predictions(ws, ("id,prediction\n" + "".join(f"{i},0\n" for i in ids)).encode())}
+
+
+def _unlabeled_segmentation_dev(ws: Path) -> dict:
+    """Labeled training images; a dev copy whose first image has no mask set, with
+    predictions that name the truth masks still on disk."""
+    train, dev = _segmentation_dev(ws)["dev"], ws / "segunl"
+    shutil.copytree(train, dev)
+    rows = [line.split(",") for line in (dev / "index.csv").read_text().splitlines()]
+    rows[1][2] = "0"
+    (dev / "index.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+    (dev / "predictions.csv").write_text("id,stem\n" + "".join(
+        f"{sid},{image.removesuffix('.pgm')}\n" for sid, image, _ in rows[1:]))
+    return {"task": "segmentation", "train": train, "dev": dev, "predictions": dev}
+
+
+def _empty_segmentation_dev(ws: Path) -> dict:
+    (ws / "segempty").mkdir()
+    (ws / "segempty" / "index.csv").write_text("id,image,has_masks\n")
+    return {"task": "segmentation", "train": _segmentation_dev(ws)["dev"],
+            "dev": ws / "segempty"}
+
+
+def _index_not_utf8(ws: Path) -> dict:
+    (ws / "segbad").mkdir()
+    (ws / "segbad" / "index.csv").write_bytes(b"id,image,has_masks\n0,\xff.pgm,0\n")
+    return {"task": "segmentation", "train": ws / "segbad"}
 
 
 def _five_feature_dev(ws: Path) -> dict:
@@ -365,10 +412,10 @@ BAD_INPUTS = {
                                lambda ws: _checkpoint(ws, lambda b: b[:4] + b"\0" + b[5:])),
     "manifest_open_brace": ("predict", lambda ws: _manifest(ws, "{")),
     "manifest_without_members": ("predict", lambda ws: _manifest(ws, '{"x": 1}')),
-    "prediction_not_integer": ("evaluate", lambda ws: _predictions(ws, "id,prediction\n0,x\n")),
-    "training_csv_header_only": ("train", lambda ws: _train_csv(ws, "id,feat_0,label\n")),
+    "prediction_not_integer": ("evaluate", lambda ws: _predictions(ws, b"id,prediction\n0,x\n")),
+    "training_csv_header_only": ("train", lambda ws: _train_csv(ws, b"id,feat_0,label\n")),
     "training_csv_header_only_ensemble": (
-        "train", lambda ws: _train_csv(ws, "id,feat_0,label\n", k=2)),
+        "train", lambda ws: _train_csv(ws, b"id,feat_0,label\n", k=2)),
     # a checkpoint that does not fit the task's data
     "dev_report_narrower_than_model": ("train", _five_feature_dev),
     "predict_input_narrower_than_model": (
@@ -377,7 +424,19 @@ BAD_INPUTS = {
         "predict", lambda ws: {**_checkpoint(ws, lambda b: b), **_segmentation_dev(ws)}),
     "pixel_checkpoint_under_grading": ("predict", _pixel_checkpoint),
     "dev_csv_header_only": (
-        "predict", lambda ws: {**_checkpoint(ws, lambda b: b), **_dev_csv(ws, "id,feat_0,label\n")}),
+        "predict", lambda ws: {**_checkpoint(ws, lambda b: b), **_dev_csv(ws, b"id,feat_0,label\n")}),
+    # a dev sample without ground truth cannot be scored
+    "dev_report_unlabeled_sample": ("train", _unlabeled_dev),
+    "evaluate_unlabeled_sample": ("evaluate", _unlabeled_dev),
+    "segmentation_dev_report_unmasked_sample": ("train", _unlabeled_segmentation_dev),
+    "segmentation_evaluate_unmasked_sample": ("evaluate", _unlabeled_segmentation_dev),
+    "segmentation_dev_report_empty_dev": ("train", _empty_segmentation_dev),
+    # byte 0xff is not UTF-8
+    "config_not_utf8": ("train", lambda ws: {"extra": "# \udcff\n"}),
+    "dataset_csv_not_utf8": ("train", lambda ws: _train_csv(ws, b"id,feat_0,label\n0,\xff,1\n")),
+    "index_csv_not_utf8": ("train", _index_not_utf8),
+    "predictions_csv_not_utf8": (
+        "evaluate", lambda ws: _predictions(ws, b"id,prediction\n20000,\xff\n")),
 }
 
 
@@ -390,6 +449,31 @@ def test_bad_input_is_config_error(workspace, capsys, case):
                  "--out", str(workspace / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("task", ["grading", "quality", "segmentation"])
+def test_dev_report_and_evaluate_agree(workspace, task):
+    """train's dev report and evaluate over predict's output give the same metric rows."""
+    kw = {"task": task, "extra": "postprocess = true\n"}
+    if task == "quality":
+        for part, seed, offset in (("qlab", "0", "0"), ("qdev", "2", "20000")):
+            assert main(["synth", "--task", "quality", "--n", "60", "--seed", seed,
+                         "--out", str(workspace / part), "--id-offset", offset]) == 0
+        kw.update(train=workspace / "qlab" / "data.csv", dev=workspace / "qdev" / "data.csv")
+    elif task == "segmentation":
+        seg = _segmentation_dev(workspace)["dev"]
+        kw.update(train=seg, dev=seg, predictions=workspace / "preds",
+                  extra="postprocess = true\ntta = rotate\n")
+    cfg = write_config(workspace, **kw)
+    for command, out in (("train", "model"), ("predict", "preds"), ("evaluate", "eval")):
+        assert main([command, "--config", str(cfg), "--seed", "0",
+                     "--out", str(workspace / out)]) == 0
+
+    def metric_rows(out: str) -> list[tuple[str, str]]:
+        with open(workspace / out / "report.csv", newline="") as fh:
+            return [(r["metric"], r["value"]) for r in csv.DictReader(fh)]
+
+    assert metric_rows("model") == metric_rows("eval")
 
 
 SEG_CONFIG = """\

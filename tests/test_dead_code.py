@@ -1,10 +1,11 @@
-"""Every public module-level function in src/drtricks is referenced in src/."""
+"""Every module-level function in src/drtricks is referenced in src/."""
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "drtricks"
 
 # Public functions that nothing in src/ calls yet, each with why it stays.
+# Private functions get no allowlist: one that nothing calls is deleted.
 ALLOWED_UNREFERENCED = {
     "auc_macro_ovr": "macro one-vs-rest AUC planned for the evaluate report",
     "regressor_class_scores": "per-class regressor scores that feed auc_macro_ovr",
@@ -15,13 +16,14 @@ ALLOWED_UNREFERENCED = {
 }
 
 
-def _public_functions_and_references() -> tuple[dict[str, str], set[str]]:
-    defined, referenced = {}, set()
+def _functions_and_references() -> tuple[list[tuple[str, str]], set[str]]:
+    """(file, name) of every module-level function, and every name used in src/."""
+    defined, referenced = [], set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defined[node.name] = path.name
+            if isinstance(node, ast.FunctionDef):
+                defined.append((path.name, node.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -30,11 +32,23 @@ def _public_functions_and_references() -> tuple[dict[str, str], set[str]]:
     return defined, referenced
 
 
+def _public_functions_and_references() -> tuple[dict[str, str], set[str]]:
+    defined, referenced = _functions_and_references()
+    return {name: file for file, name in defined if not name.startswith("_")}, referenced
+
+
 def test_every_public_function_is_referenced():
     defined, referenced = _public_functions_and_references()
     unreferenced = sorted(f"{defined[name]}:{name}" for name in defined
                           if name not in referenced and name not in ALLOWED_UNREFERENCED)
     assert unreferenced == [], "wire these into a command or delete them"
+
+
+def test_every_private_function_is_referenced():
+    defined, referenced = _functions_and_references()
+    unreferenced = sorted(f"{file}:{name}" for file, name in defined
+                          if name.startswith("_") and name not in referenced)
+    assert unreferenced == [], "delete these orphaned helpers"
 
 
 def test_allowlist_is_exact():
