@@ -273,12 +273,12 @@ def _predicted_pairs(task: str, truth: dd.Dataset, pred_path: Path):
     segmentation = task == "segmentation"
     path, column = ((pred_path / "predictions.csv", "stem") if segmentation
                     else (pred_path, "prediction"))
-    reader = csv.DictReader(dd.open_utf8(path))
-    if reader.fieldnames != ["id", column]:
+    rows = csv.reader(dd.open_utf8(path))
+    if next(rows, None) != ["id", column]:
         raise dd.FormatError(f"unexpected prediction columns in {path}")
-    try:
-        by_id = {int(r["id"]): str(r[column]) if segmentation
-                 else dd.validate_label(int(r[column])) for r in reader}
+    try:  # a row of other than two fields fails to unpack; blank lines are skipped
+        by_id = {int(i): v if segmentation else dd.validate_label(int(v))
+                 for i, v in filter(None, rows)}
     except (ValueError, TypeError) as exc:
         raise dd.FormatError(f"{path}: malformed prediction row ({exc})") from exc
     for s in truth.samples:

@@ -42,10 +42,10 @@ class PseudoBuckets:
         return {k: len(v) for k, v in self.entries.items()}
 
 
-def confidence_regressor(raw: float) -> float:
-    """Negative distance of the raw output to its nearest integer."""
-    raw = float(raw)
-    return -abs(float(round_half_away(raw)) - raw)
+def confidence_regressor(raw) -> np.ndarray:
+    """Negative distance of each raw output to its nearest integer."""
+    raw = np.asarray(raw, dtype=np.float64)
+    return -np.abs(round_half_away(raw) - raw)
 
 
 def pseudo_label(model: MLP, unlabeled: Dataset) -> PseudoBuckets:
@@ -54,12 +54,10 @@ def pseudo_label(model: MLP, unlabeled: Dataset) -> PseudoBuckets:
     if len(unlabeled) > 0:
         feats = np.stack([s.features for s in unlabeled.samples])
         raw = model.predict_scalar(feats)
-        preds = regressor_class(raw)
-        confs = np.array([confidence_regressor(r) for r in raw])
-        for s, k, c in zip(unlabeled.samples, preds, confs):
-            entries[int(k)].append((s, float(c)))
-    for k in entries:
-        entries[k].sort(key=lambda item: (-item[1], item[0].id))
+        preds, confs = regressor_class(raw), confidence_regressor(raw)
+        ids = np.array([s.id for s in unlabeled.samples])
+        for j in np.lexsort((ids, -confs)):  # descending confidence, then id
+            entries[int(preds[j])].append((unlabeled.samples[j], float(confs[j])))
     return PseudoBuckets({k: tuple(v) for k, v in entries.items()})
 
 

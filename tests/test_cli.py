@@ -360,6 +360,21 @@ def _unlabeled_dev(ws: Path) -> dict:
             **_predictions(ws, ("id,prediction\n" + "".join(f"{i},0\n" for i in ids)).encode())}
 
 
+def _wide_predictions(ws: Path) -> dict:
+    """A prediction for every dev sample, each row with a third field."""
+    ids = [line.split(",", 1)[0] for line in (ws / "dev" / "data.csv").read_text().splitlines()[1:]]
+    return _predictions(ws, ("id,prediction\n" + "".join(f"{i},1,7\n" for i in ids)).encode())
+
+
+def _wide_segmentation_predictions(ws: Path) -> dict:
+    """Predictions naming the truth mask sets, each row with a third field."""
+    dev = _segmentation_dev(ws)["dev"]
+    rows = [line.split(",") for line in (dev / "index.csv").read_text().splitlines()[1:]]
+    (dev / "predictions.csv").write_text("id,stem\n" + "".join(
+        f"{sid},{image.removesuffix('.pgm')},7\n" for sid, image, _ in rows))
+    return {"task": "segmentation", "dev": dev, "predictions": dev}
+
+
 def _unlabeled_segmentation_dev(ws: Path) -> dict:
     """Labeled training images; a dev copy whose first image has no mask set, with
     predictions that name the truth masks still on disk."""
@@ -413,6 +428,8 @@ BAD_INPUTS = {
     "manifest_open_brace": ("predict", lambda ws: _manifest(ws, "{")),
     "manifest_without_members": ("predict", lambda ws: _manifest(ws, '{"x": 1}')),
     "prediction_not_integer": ("evaluate", lambda ws: _predictions(ws, b"id,prediction\n0,x\n")),
+    "prediction_row_with_third_field": ("evaluate", _wide_predictions),
+    "segmentation_prediction_row_with_third_field": ("evaluate", _wide_segmentation_predictions),
     "training_csv_header_only": ("train", lambda ws: _train_csv(ws, b"id,feat_0,label\n")),
     "training_csv_header_only_ensemble": (
         "train", lambda ws: _train_csv(ws, b"id,feat_0,label\n", k=2)),

@@ -53,9 +53,8 @@ class TestTrainDeepEnsemble:
         b = train_deep_ensemble(data, cfg, k=3, base_seed=10)
         assert a.seeds == (10, 11, 12)
         for ma, mb in zip(a.members, b.members):
-            for pa, pb in zip(ma.params(), mb.params()):
-                np.testing.assert_array_equal(pa, pb)
-        flat = [np.concatenate([p.ravel() for p in m.params()]) for m in a.members]
+            assert ma.theta.tobytes() == mb.theta.tobytes()
+        flat = [m.theta for m in a.members]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert not np.array_equal(flat[i], flat[j])
@@ -66,8 +65,7 @@ class TestTrainDeepEnsemble:
         cfg = TrainConfig(epochs=5, lr=2e-3, seed=7)
         ens = train_deep_ensemble(data, cfg, k=1)
         single = fit("grading", data, replace(cfg, seed=7))
-        for pa, pb in zip(ens.members[0].params(), single.params()):
-            np.testing.assert_array_equal(pa, pb)
+        assert ens.members[0].theta.tobytes() == single.theta.tobytes()
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):

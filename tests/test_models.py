@@ -97,6 +97,16 @@ class TestForward:
         pixel = MLP([SEG_FEATURE_DIM, 3], "pixel")
         assert not np.shares_memory(segment_soft(pixel, image), segment_soft(pixel, image))
 
+    def test_layers_are_views_into_theta(self):
+        m = MLP([3, 4, 1], "scalar", seed=0)
+        assert m.theta.shape == (3 * 4 + 4 + 4 * 1 + 1,)
+        m.weights[0][2, 1] = 7.0  # w0 is theta[0:12], row-major
+        m.biases[0][3] = -2.0  # b0 is theta[12:16]
+        m.weights[1][1, 0] = 5.0  # w1 is theta[16:20]
+        m.biases[1][0] = 0.25  # b1 is theta[20]
+        assert (m.theta[2 * 4 + 1], m.theta[12 + 3], m.theta[16 + 1], m.theta[20]) == \
+            (7.0, -2.0, 5.0, 0.25)
+
     def test_dropout_disabled_at_inference(self):
         m = MLP([4, 16, 1], "scalar", dropout=0.5, seed=1)
         x = np.random.default_rng(2).normal(size=(5, 4))
@@ -281,10 +291,10 @@ class TestTotalLossAndSmoothL1:
 
 class TestTraining:
     def test_adamw_decoupled_decay_shrinks_params(self):
-        p = [np.array([10.0])]
+        p = np.array([10.0])
         opt = AdamW(p, lr=0.0 + 1e-12, weight_decay=0.1)
-        opt.step([np.array([0.0])])
-        assert p[0][0] < 10.0  # decay applies even with (near) zero gradient step
+        opt.step(np.array([0.0]))
+        assert p[0] < 10.0  # decay applies even with (near) zero gradient step
 
     def test_separable_toy_reaches_full_accuracy(self):
         rng = np.random.default_rng(0)
@@ -304,16 +314,14 @@ class TestTraining:
         cfg = TrainConfig(epochs=0, seed=3)
         fresh = new_model("grading", 8, cfg)
         trained = fit("grading", data, cfg)
-        for a, b in zip(fresh.params(), trained.params()):
-            np.testing.assert_array_equal(a, b)
+        assert fresh.theta.tobytes() == trained.theta.tobytes()
 
     def test_same_seed_identical_parameters(self):
         data = gen_ordinal_dataset(40, seed=1)
         cfg = TrainConfig(epochs=10, seed=5, lr=1e-3)
         a = fit("grading", data, cfg)
         b = fit("grading", data, cfg)
-        for pa, pb in zip(a.params(), b.params()):
-            np.testing.assert_array_equal(pa, pb)
+        assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_loss_nonincreasing_on_fixed_batch(self):
         # full-batch smooth-L1 descent, first 10 steps, 20 seeded trials
@@ -323,15 +331,14 @@ class TestTraining:
             x = rng.normal(size=(16, 4))
             t = rng.normal(size=16)
             m = MLP([4, 8, 1], "scalar", dropout=0.0, seed=seed)
-            opt = AdamW(m.params(), lr=1e-3, weight_decay=1e-2)
+            opt = AdamW(m.theta, lr=1e-3, weight_decay=1e-2)
             losses = []
             for _ in range(10):
                 out, cache = m._forward_cached(x, train=True,
                                                rng=np.random.default_rng(0))
                 loss, grad = smooth_l1(out, t)
                 losses.append(loss)
-                gw, gb = m.backward(cache, grad[:, None])
-                opt.step(gw + gb)
+                opt.step(m.backward(cache, grad[:, None]))
             if all(b <= a + 1e-12 for a, b in zip(losses, losses[1:])):
                 good += 1
         assert good >= 19  # >= 95% of trials
@@ -362,8 +369,14 @@ class TestTraining:
         aug = build_pipeline() if augmented else None
         trained = fit("segmentation", data, cfg, aug=aug)
         expected = reference_segmenter_fit(data, cfg, aug)
-        assert [p.tobytes() for p in trained.params()] == \
-            [p.tobytes() for p in expected.params()]
+        assert trained.theta.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [16, 7])
+    def test_scalar_head_bit_equal_to_per_array_reference(self, batch_size):
+        data = gen_ordinal_dataset(45, seed=3)
+        cfg = TrainConfig(lr=2e-3, epochs=4, batch_size=batch_size, dropout=0.3, seed=4)
+        assert fit("grading", data, cfg).theta.tobytes() == \
+            reference_scalar_fit(data, cfg).tobytes()
 
     def test_checkpoint_independent_of_raster_layout(self, tmp_path):
         data = gen_seg_dataset(4, 32, seed=2)
@@ -401,18 +414,80 @@ class TestTraining:
             fit("segmentation", data, TrainConfig(lr=1e9, epochs=3, batch_size=4, seed=0))
 
 
-def reference_segmenter_fit(data, cfg, aug):
+class PerArrayAdamW:
+    """The AdamW step run array by array over separate parameter arrays."""
+
+    def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        self.params, self.lr, self.wd, self.eps = params, lr, weight_decay, eps
+        self.b1, self.b2 = betas
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, grads):
+        self.t += 1
+        b1t = 1.0 - self.b1 ** self.t
+        b2t = 1.0 - self.b2 ** self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p -= self.lr * self.wd * p
+
+
+def flat_parameters(weights, biases) -> np.ndarray:
+    """Separate layer arrays in the ``theta`` layout w0, b0, w1, b1, ..."""
+    return np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb])
+
+
+def reference_scalar_fit(data, cfg) -> np.ndarray:
+    """Reference scalar-head trainer over separate per-layer arrays.
+
+    Each layer's gradient is ``acts.T @ g`` and ``g.sum(axis=0)``, and
+    ``PerArrayAdamW`` steps the arrays one by one. Returns the trained
+    parameters in the ``theta`` layout; ``fit`` must match them byte for byte.
+    """
+    model = new_model(data.task, data.feature_dim, cfg)
+    ws = [w.copy() for w in model.weights]
+    bs = [b.copy() for b in model.biases]
+    opt = PerArrayAdamW(ws + bs, cfg.lr, cfg.weight_decay)
+    rng = np.random.default_rng(derive_seed(cfg.seed, 0x7EA1))
+    feats = np.stack([s.features for s in data.samples])
+    labels = np.array([s.label for s in data.samples], dtype=np.float64)
+    for _ in range(cfg.epochs):
+        for idx in _batches(len(data), cfg.batch_size, rng):
+            acts, keeps = [feats[idx]], []
+            for w, b in zip(ws[:-1], bs[:-1]):
+                h = np.maximum(acts[-1] @ w + b, 0.0)
+                keeps.append((rng.random(h.shape) >= cfg.dropout) / (1.0 - cfg.dropout))
+                acts.append(h * keeps[-1])
+            out = (acts[-1] @ ws[-1] + bs[-1])[:, 0]
+            g = smooth_l1(out, labels[idx])[1][:, None]
+            grads_w, grads_b = [None] * len(ws), [None] * len(bs)
+            for i in range(len(ws) - 1, -1, -1):
+                grads_w[i] = acts[i].T @ g
+                grads_b[i] = g.sum(axis=0)
+                if i > 0:
+                    g = g @ ws[i].T * keeps[i - 1] * (acts[i] > 0.0)
+            opt.step(grads_w + grads_b)
+    return flat_parameters(ws, bs)
+
+
+def reference_segmenter_fit(data, cfg, aug) -> np.ndarray:
     """Reference segmenter trainer built from the public loss.
 
     Every image's gradient comes from ``seg_total_loss``, which also computes
-    the loss value; the bias add and the sigmoid are broadcasts and the bias
-    gradient is ``sum(axis=0)``. ``fit`` must match its parameters byte for
-    byte.
+    the loss value; the bias add and the sigmoid are broadcasts, the bias
+    gradient is ``sum(axis=0)`` and ``PerArrayAdamW`` steps the weight and
+    bias arrays separately. Returns the trained parameters in the ``theta``
+    layout; ``fit`` must match them byte for byte.
     """
     model = new_model("segmentation", SEG_FEATURE_DIM, cfg)
     rng = np.random.default_rng(derive_seed(cfg.seed, 0x7EA1))
-    opt = AdamW(model.params(), cfg.lr, cfg.weight_decay)
-    (w,), (b,) = model.weights, model.biases
+    w, b = model.weights[0].copy(), model.biases[0].copy()
+    opt = PerArrayAdamW([w, b], cfg.lr, cfg.weight_decay)
     for _ in range(cfg.epochs):
         for idx in _batches(len(data), cfg.batch_size, rng):
             loss_sum, gw_sum, gb_sum = 0.0, np.zeros_like(w), np.zeros_like(b)
@@ -430,7 +505,7 @@ def reference_segmenter_fit(data, cfg, aug):
                 gb_sum += g.sum(axis=0)
             assert np.isfinite(loss_sum)
             opt.step([gw_sum * (1.0 / len(idx)), gb_sum * (1.0 / len(idx))])
-    return model
+    return flat_parameters([w], [b])
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +520,26 @@ class TestCheckpoints:
         back = load_checkpoint(tmp_path / "m.ckpt")
         assert back.head == m.head and back.dims == m.dims
         assert back.dropout == m.dropout
-        for a, b in zip(m.params(), back.params()):
-            np.testing.assert_array_equal(a, b)
+        assert back.theta.tobytes() == m.theta.tobytes()
+        save_checkpoint(tmp_path / "back.ckpt", back)
+        assert (tmp_path / "back.ckpt").read_bytes() == (tmp_path / "m.ckpt").read_bytes()
+
+    def test_payload_is_theta_in_layer_order(self, tmp_path):
+        m = MLP([3, 4, 1], "scalar", seed=5)
+        save_checkpoint(tmp_path / "m.ckpt", m)
+        payload = (tmp_path / "m.ckpt").read_bytes()[-8 * m.theta.size:]
+        assert payload == flat_parameters(m.weights, m.biases).astype("<f8").tobytes()
+
+    def test_adamw_on_loaded_theta_moves_the_layers(self, tmp_path):
+        save_checkpoint(tmp_path / "m.ckpt", MLP([4, 8, 1], "scalar", seed=3))
+        m = load_checkpoint(tmp_path / "m.ckpt")
+        before = [a.copy() for a in m.weights + m.biases]
+        x = np.random.default_rng(0).normal(size=(5, 4))
+        out = m.predict_scalar(x)
+        AdamW(m.theta, lr=1e-2, weight_decay=0.0).step(np.ones_like(m.theta))
+        for old, new in zip(before, m.weights + m.biases):
+            assert np.all(new < old)
+        assert not np.array_equal(m.predict_scalar(x), out)
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "bad.ckpt").write_bytes(b"XXXX" + bytes(64))
@@ -485,5 +578,4 @@ class TestCheckpoints:
     def test_distinct_seeds_distinct_parameters(self):
         a = new_model("grading", 8, TrainConfig(seed=0))
         b = new_model("grading", 8, TrainConfig(seed=1))
-        assert any(not np.array_equal(pa, pb)
-                   for pa, pb in zip(a.params(), b.params()))
+        assert not np.array_equal(a.theta, b.theta)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drtricks.data import Dataset, Sample, gen_ordinal_dataset
-from drtricks.models import MLP, TrainConfig, fit
+from drtricks.models import MLP, TrainConfig, fit, round_half_away
 from drtricks.ssl import (
     PseudoBuckets,
     RPLConfig,
@@ -52,6 +52,13 @@ class TestConfidence:
         c = confidence_regressor(raw)
         assert -0.5 <= c <= 0.0
 
+    @given(st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_array_form_matches_per_value_distance(self, values):
+        expected = [-abs(float(round_half_away(r)) - r) for r in values]
+        assert confidence_regressor(np.array(values)).tobytes() == \
+            np.array(expected, dtype=np.float64).tobytes()
+
 
 class TestPseudoLabel:
     def test_regressor_bucketing_example(self):
@@ -91,6 +98,13 @@ class TestPseudoLabel:
     def test_ties_broken_by_ascending_id(self):
         buckets = pseudo_label(constant_regressor(0.9), unlabeled_from([0, 0, 0]))
         assert [s.id for s, _ in buckets.bucket(1)] == [0, 1, 2]
+
+    def test_ties_broken_by_ascending_id_in_any_pool_order(self):
+        # 1.2 - 1 and 1 - 0.8 are the same float, so four samples tie
+        pool = [(5, 1.2), (3, 0.8), (9, 1.2), (1, 0.8), (4, 1.0)]
+        samples = tuple(Sample(id=i, features=np.array([v, 0.0])) for i, v in pool)
+        buckets = pseudo_label(feature_passthrough_regressor(), Dataset(samples, "grading"))
+        assert [s.id for s, _ in buckets.bucket(1)] == [4, 1, 3, 5, 9]
 
 
 class TestSelectReliable:
@@ -164,8 +178,7 @@ class TestRplTrain:
         unlabeled = gen_ordinal_dataset(100, seed=1, labeled=False, id_offset=1000)
         a = rpl_train(labeled, unlabeled, RPLConfig(base=self.CFG, rounds=1))
         b = naive_pl_train(labeled, unlabeled, self.CFG)
-        for pa, pb in zip(a.params(), b.params()):
-            np.testing.assert_array_equal(pa, pb)
+        assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_empty_pool_equals_supervised(self):
         labeled = gen_ordinal_dataset(48, seed=0)
@@ -175,8 +188,7 @@ class TestRplTrain:
                           RPLConfig(base=self.CFG, rounds=5))
         supervised = fit("grading", labeled,
                          replace(self.CFG, seed=derive_seed(self.CFG.seed, 0)))
-        for pa, pb in zip(model.params(), supervised.params()):
-            np.testing.assert_array_equal(pa, pb)
+        assert model.theta.tobytes() == supervised.theta.tobytes()
 
     def test_deterministic(self):
         labeled = gen_ordinal_dataset(48, seed=2)
@@ -184,8 +196,7 @@ class TestRplTrain:
         cfg = RPLConfig(base=self.CFG, rounds=3)
         a = rpl_train(labeled, unlabeled, cfg)
         b = rpl_train(labeled, unlabeled, cfg)
-        for pa, pb in zip(a.params(), b.params()):
-            np.testing.assert_array_equal(pa, pb)
+        assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_empty_labeled_rejected(self):
         with pytest.raises(ValueError):
