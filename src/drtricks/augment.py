@@ -1,75 +1,40 @@
-"""Two-stage augmentation sampler for segmentation training.
+"""The segmentation training augmentation: one draw per sample per epoch.
 
-Every call applies exactly one pixel operator from each of the two pixel
-families (brightness-like and texture-like), then each geometric operator
-independently with its configured probability, in declared order. Geometric
-operators transform image and masks jointly (nearest neighbor for masks);
-pixel operators never touch masks. Outputs stay in [0, 1].
+``augment`` applies one brightness-like operator (ω) and one texture-like
+operator (ψ), each drawn uniformly, then each geometric operator with its
+probability, in the order of the table. Geometric operators move image and
+masks together (bilinear for the image, nearest neighbour for the masks,
+``reflect`` at the border); pixel operators never touch masks. Outputs
+stay in [0, 1]: each pixel operator's result and each warped image is
+clipped. Names follow Albumentations.
+
+=====  ===================  ==============================================  ======
+stage  operator             draws and parameters                            chance
+=====  ===================  ==============================================  ======
+ω      brightness_contrast  b, c ~ U(-0.2, 0.2); v (1 + c) + b              1/2
+ω      gamma                g ~ U(80, 120) / 100; v ** g                    1/2
+ψ      sharpen              a ~ U(0.2, 0.5), then a lightness ~ U(0.5, 1)   1/3
+                            drawn and unused; (1 - a) v + a (2 v - box(v))
+ψ      blur                 3x3 box mean, box(v)                            1/3
+ψ      downscale            s ~ U(0.7, 0.9); bilinear to round(s H) x       1/3
+                            round(s W) and back
+geo    flip                 horizontal or vertical, 1/2 each                0.5
+geo    shift_scale_rotate   angle ~ U(-90, 90) degrees, scale 1 +           0.5
+                            U(-0.1, 0.1), shift U(-0.2, 0.2) x side per
+                            axis, about the centre
+geo    grid_distortion      5x5 nodes, each moved U(-0.3, 0.3) x cell per   0.2
+                            axis (cell = max(H, W) / 4), bilinear between
+geo    coarse_dropout       1-3 holes of 32-128 px a side, clipped to the   0.2
+                            image; zeroed in the image, masks keep labels
+geo    affine               scale ~ U(0.8, 1.2) about the centre            0.5
+=====  ===================  ==============================================  ======
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-from .data import Image, MaskSet
-
-PIXEL_KINDS = ("brightness_contrast", "gamma", "sharpen", "blur", "downscale")
-GEOMETRIC_KINDS = ("flip", "shift_scale_rotate", "grid_distortion",
-                   "coarse_dropout", "affine")
-
-
-@dataclass(frozen=True)
-class AugOp:
-    kind: str
-    params: dict
-    probability: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in PIXEL_KINDS + GEOMETRIC_KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class AugPipeline:
-    """One op is drawn uniformly from each pixel family per call."""
-
-    omega_set: tuple[AugOp, ...]
-    psi_set: tuple[AugOp, ...]
-    geometric_set: tuple[AugOp, ...]
-
-    def __post_init__(self) -> None:
-        if not self.omega_set or not self.psi_set:
-            raise ValueError("both pixel-operator families must be nonempty")
-
-
-def build_pipeline() -> AugPipeline:
-    """Operator lists and parameters of the segmentation training pipeline."""
-    omega = (
-        AugOp("brightness_contrast", {"brightness_limit": 0.2, "contrast_limit": 0.2}),
-        AugOp("gamma", {"gamma_limit": (80, 120)}),
-    )
-    psi = (
-        AugOp("sharpen", {"alpha": (0.2, 0.5), "lightness": (0.5, 1.0)}),
-        AugOp("blur", {"blur_limit": 3}),
-        AugOp("downscale", {"scale_min": 0.7, "scale_max": 0.9}),
-    )
-    geometric = (
-        AugOp("flip", {"directions": ("horizontal", "vertical")}, 0.5),
-        AugOp("shift_scale_rotate",
-              {"shift_limit": 0.2, "scale_limit": 0.1, "rotate_limit": 90}, 0.5),
-        AugOp("grid_distortion", {"num_steps": 5, "distort_limit": 0.3}, 0.2),
-        AugOp("coarse_dropout",
-              {"max_height": 128, "min_height": 32, "max_width": 128,
-               "min_width": 32, "max_holes": 3}, 0.2),
-        AugOp("affine", {"scale": (0.8, 1.2)}, 0.5),
-    )
-    return AugPipeline(omega, psi, geometric)
 
 
 # ---------------------------------------------------------------------------
@@ -250,106 +215,97 @@ def _box_blur3(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# operator implementations
+# the pipeline (see the table in the module docstring)
 # ---------------------------------------------------------------------------
 
-def _apply_pixel(op: AugOp, img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    p = op.params
-    if op.kind == "brightness_contrast":
-        b = rng.uniform(-p["brightness_limit"], p["brightness_limit"])
-        c = rng.uniform(-p["contrast_limit"], p["contrast_limit"])
-        out = img * (1.0 + c) + b
-    elif op.kind == "gamma":
-        lo, hi = p["gamma_limit"]
-        g = rng.uniform(lo, hi) / 100.0
-        out = np.power(img, g)
-    elif op.kind == "sharpen":
-        a = rng.uniform(*p["alpha"])
-        rng.uniform(*p["lightness"])  # drawn for stream stability; see pipeline docs
-        out = img * (1.0 - a) + a * (2.0 * img - _box_blur3(img))
-    elif op.kind == "blur":
-        out = _box_blur3(img)
-    elif op.kind == "downscale":
-        s = rng.uniform(p["scale_min"], p["scale_max"])
-        h, w = img.shape
-        dh, dw = max(int(round(h * s)), 1), max(int(round(w * s)), 1)
-        out = resize_bilinear(resize_bilinear(img, dh, dw), h, w)
-    else:  # pragma: no cover
-        raise ValueError(op.kind)
-    return np.clip(out, 0.0, 1.0)
+def _brightness_contrast(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    b = rng.uniform(-0.2, 0.2)
+    c = rng.uniform(-0.2, 0.2)
+    return img * (1.0 + c) + b
 
 
-def _apply_geometric(op: AugOp, img: np.ndarray, masks: Optional[np.ndarray],
-                     rng: np.random.Generator):
-    p = op.params
-    if op.kind == "flip":
-        direction = p["directions"][rng.integers(len(p["directions"]))]
-        axis = 1 if direction == "horizontal" else 0
-        img = np.flip(img, axis=axis)
-        if masks is not None:
-            masks = np.flip(masks, axis=axis + 1)
-        return np.ascontiguousarray(img), None if masks is None else np.ascontiguousarray(masks)
-
-    if op.kind in ("shift_scale_rotate", "affine"):
-        if op.kind == "shift_scale_rotate":
-            angle = rng.uniform(-p["rotate_limit"], p["rotate_limit"])
-            scale = 1.0 + rng.uniform(-p["scale_limit"], p["scale_limit"])
-            ty = rng.uniform(-p["shift_limit"], p["shift_limit"]) * img.shape[0]
-            tx = rng.uniform(-p["shift_limit"], p["shift_limit"]) * img.shape[1]
-        else:
-            angle, ty, tx = 0.0, 0.0, 0.0
-            scale = rng.uniform(*p["scale"])
-        s = _sampler(*_affine_sources(img.shape, angle, scale, ty, tx), img.shape)
-        img = np.clip(_bilinear(img, s), 0.0, 1.0)
-        return img, None if masks is None else _nearest(masks, s)
-
-    if op.kind == "grid_distortion":
-        k = p["num_steps"]
-        h, w = img.shape
-        cell = max(h, w) / (k - 1)
-        dy_nodes = rng.uniform(-p["distort_limit"], p["distort_limit"], (k, k)) * cell
-        dx_nodes = rng.uniform(-p["distort_limit"], p["distort_limit"], (k, k)) * cell
-        nodes = _node_sampler(h, w, k)
-        dy, dx = _bilinear(dy_nodes, nodes), _bilinear(dx_nodes, nodes)
-        yy, xx = _grid(h, w)
-        s = _sampler(yy + dy, xx + dx, img.shape)
-        img = np.clip(_bilinear(img, s), 0.0, 1.0)
-        return img, None if masks is None else _nearest(masks, s)
-
-    if op.kind == "coarse_dropout":
-        # occlusion only; masks keep their labels
-        img = img.copy()
-        h, w = img.shape
-        holes = int(rng.integers(1, p["max_holes"] + 1))
-        for _ in range(holes):
-            hh = int(rng.integers(p["min_height"], p["max_height"] + 1))
-            ww = int(rng.integers(p["min_width"], p["max_width"] + 1))
-            hh, ww = min(hh, h), min(ww, w)
-            y0 = int(rng.integers(0, h - hh + 1))
-            x0 = int(rng.integers(0, w - ww + 1))
-            img[y0 : y0 + hh, x0 : x0 + ww] = 0.0
-        return img, masks
-
-    raise ValueError(op.kind)  # pragma: no cover
+def _gamma(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return np.power(img, rng.uniform(80, 120) / 100.0)
 
 
-def augment(
-    image: Image,
-    pipeline: AugPipeline,
-    rng: np.random.Generator,
-    masks: Optional[MaskSet] = None,
-) -> tuple[Image, Optional[MaskSet]]:
-    """One augmented draw: one omega op, one psi op, then geometric ops in order."""
-    img = np.asarray(image.values, dtype=np.float64)
-    m = None if masks is None else np.asarray(masks.channels, dtype=np.uint8)
+def _sharpen(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    a = rng.uniform(0.2, 0.5)
+    rng.uniform(0.5, 1.0)  # the lightness: drawn, unused, keeps the stream
+    return img * (1.0 - a) + a * (2.0 * img - _box_blur3(img))
 
-    omega = pipeline.omega_set[rng.integers(len(pipeline.omega_set))]
-    img = _apply_pixel(omega, img, rng)
-    psi = pipeline.psi_set[rng.integers(len(pipeline.psi_set))]
-    img = _apply_pixel(psi, img, rng)
 
-    for op in pipeline.geometric_set:
-        if rng.random() < op.probability:
-            img, m = _apply_geometric(op, img, m, rng)
+def _blur(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return _box_blur3(img)  # draws nothing
 
-    return Image(img), None if m is None else MaskSet(m)
+
+def _downscale(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    s = rng.uniform(0.7, 0.9)
+    h, w = img.shape
+    dh, dw = max(int(round(h * s)), 1), max(int(round(w * s)), 1)
+    return resize_bilinear(resize_bilinear(img, dh, dw), h, w)
+
+
+def _warp(img: np.ndarray, masks: np.ndarray, src_y: np.ndarray, src_x: np.ndarray):
+    """Image and masks sampled at (src_y, src_x) through one shared plan."""
+    s = _sampler(src_y, src_x, img.shape)
+    return np.clip(_bilinear(img, s), 0.0, 1.0), _nearest(masks, s)
+
+
+def _flip(img: np.ndarray, masks: np.ndarray, rng: np.random.Generator):
+    axis = (1, 0)[rng.integers(2)]  # horizontal, vertical
+    return (np.ascontiguousarray(np.flip(img, axis=axis)),
+            np.ascontiguousarray(np.flip(masks, axis=axis + 1)))
+
+
+def _shift_scale_rotate(img: np.ndarray, masks: np.ndarray, rng: np.random.Generator):
+    angle = rng.uniform(-90, 90)
+    scale = 1.0 + rng.uniform(-0.1, 0.1)
+    ty = rng.uniform(-0.2, 0.2) * img.shape[0]
+    tx = rng.uniform(-0.2, 0.2) * img.shape[1]
+    return _warp(img, masks, *_affine_sources(img.shape, angle, scale, ty, tx))
+
+
+def _grid_distortion(img: np.ndarray, masks: np.ndarray, rng: np.random.Generator):
+    k = 5
+    h, w = img.shape
+    cell = max(h, w) / (k - 1)
+    dy_nodes = rng.uniform(-0.3, 0.3, (k, k)) * cell
+    dx_nodes = rng.uniform(-0.3, 0.3, (k, k)) * cell
+    nodes = _node_sampler(h, w, k)
+    yy, xx = _grid(h, w)
+    return _warp(img, masks, yy + _bilinear(dy_nodes, nodes), xx + _bilinear(dx_nodes, nodes))
+
+
+def _coarse_dropout(img: np.ndarray, masks: np.ndarray, rng: np.random.Generator):
+    img = img.copy()
+    h, w = img.shape
+    for _ in range(int(rng.integers(1, 4))):
+        hh = min(int(rng.integers(32, 129)), h)
+        ww = min(int(rng.integers(32, 129)), w)
+        y0 = int(rng.integers(0, h - hh + 1))
+        x0 = int(rng.integers(0, w - ww + 1))
+        img[y0 : y0 + hh, x0 : x0 + ww] = 0.0
+    return img, masks  # occlusion only: the masks keep their labels
+
+
+def _affine(img: np.ndarray, masks: np.ndarray, rng: np.random.Generator):
+    scale = rng.uniform(0.8, 1.2)
+    return _warp(img, masks, *_affine_sources(img.shape, 0.0, scale, 0.0, 0.0))
+
+
+def augment(values: np.ndarray, channels: np.ndarray,
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One augmented draw of an (H, W) float64 image and its (3, H, W) uint8 masks."""
+    values = np.clip((_brightness_contrast, _gamma)[rng.integers(2)](values, rng), 0.0, 1.0)
+    values = np.clip((_sharpen, _blur, _downscale)[rng.integers(3)](values, rng), 0.0, 1.0)
+    if rng.random() < 0.5:
+        values, channels = _flip(values, channels, rng)
+    if rng.random() < 0.5:
+        values, channels = _shift_scale_rotate(values, channels, rng)
+    if rng.random() < 0.2:
+        values, channels = _grid_distortion(values, channels, rng)
+    if rng.random() < 0.2:
+        values, channels = _coarse_dropout(values, channels, rng)
+    if rng.random() < 0.5:
+        values, channels = _affine(values, channels, rng)
+    return values, channels

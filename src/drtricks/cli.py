@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dd
-from .augment import build_pipeline
 from .config import ConfigError, RunConfig, load_config
 from .ensemble import (Ensemble, EnsembleMemberError, ensemble_predict,
                        load_ensemble, save_ensemble, train_deep_ensemble,
@@ -190,14 +189,12 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     train = _load_data(cfg, _require(cfg.train_path, "[data] train"))
     tcfg = cfg.train_config(args.seed)
-    aug = build_pipeline() if cfg.augment else None
     if cfg.ensemble_k > 1:
-        ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k,
-                                  base_seed=args.seed, aug=aug)
+        ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k, base_seed=args.seed)
         manifest = save_ensemble(out, ens)
         print(f"trained ensemble of {cfg.ensemble_k}; manifest {manifest}")
     else:
-        model = fit(cfg.task, train, tcfg, aug=aug)
+        model = fit(cfg.task, train, tcfg)
         path = out / "model.ckpt"
         save_checkpoint(path, model)
         ens = Ensemble((model,), (args.seed,))
@@ -339,8 +336,11 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
 
 
 def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
-    """One seed's dev mean-DSC for each incremental segmentation arm."""
-    tcfg = cfg.train_config(seed)
+    """One seed's dev mean-DSC for each incremental segmentation arm.
+
+    Augmentation has no arm of its own, so every arm trains without it.
+    """
+    tcfg = replace(cfg.train_config(seed), augment=False)
     train = dd.gen_seg_dataset(cfg.n_labeled, size=cfg.size, seed=derive_seed(seed, 1))
     dev = dd.gen_seg_dataset(cfg.n_dev, size=cfg.size, seed=derive_seed(seed, 2))
     single = fit("segmentation", train, tcfg)
@@ -411,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--n", type=int, required=True)
     synth.add_argument("--seed", type=int, required=True)
     synth.add_argument("--out", required=True)
-    synth.add_argument("--dim", type=int, default=8)
-    synth.add_argument("--noise", type=float, default=0.5)
-    synth.add_argument("--size", type=int, default=64)
+    synth.add_argument("--dim", type=int, default=dd.SYNTH_DIM)
+    synth.add_argument("--noise", type=float, default=dd.SYNTH_NOISE)
+    synth.add_argument("--size", type=int, default=dd.SYNTH_SIZE)
     synth.add_argument("--unlabeled", action="store_true",
                        help="strip labels (build an unlabeled pool)")
     synth.add_argument("--id-offset", type=int, default=0,

@@ -14,7 +14,7 @@ from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .data import TASKS
+from .data import SYNTH_DIM, SYNTH_NOISE, SYNTH_SIZE, TASKS
 from .models import TrainConfig
 
 
@@ -44,9 +44,9 @@ class RunConfig:
     unlabeled_path: Optional[str] = _ini("data", None, key="unlabeled")
     model_path: Optional[str] = _ini("data", None, key="model")
     predictions_path: Optional[str] = _ini("data", None, key="predictions")
-    dim: int = _ini("synth", 8)
-    noise: float = _ini("synth", 0.5)
-    size: int = _ini("synth", 64)
+    dim: int = _ini("synth", SYNTH_DIM)
+    noise: float = _ini("synth", SYNTH_NOISE)
+    size: int = _ini("synth", SYNTH_SIZE)
     n_labeled: int = _ini("synth", 60)
     n_unlabeled: int = _ini("synth", 600)
     n_dev: int = _ini("synth", 10)
@@ -59,7 +59,7 @@ class RunConfig:
     aux: str = _ini("train", TrainConfig.aux)
     hidden: int = _ini("train", TrainConfig.hidden)
     dropout: float = _ini("train", TrainConfig.dropout)
-    augment: bool = _ini("train", False)
+    augment: bool = _ini("train", TrainConfig.augment)
     ensemble_k: int = _ini("pipeline", 1)
     rpl_rounds: int = _ini("pipeline", 5)
     tta: str = _ini("pipeline", "none")
@@ -80,18 +80,11 @@ class RunConfig:
             raise ConfigError(f"augment applies to segmentation only, not task {self.task!r}")
 
     def train_config(self, seed: int) -> TrainConfig:
+        """The [train] settings, each under its own name, and the run's seed."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.metadata["section"] == "train"}
         try:
-            return TrainConfig(
-                lr=self.lr,
-                weight_decay=self.weight_decay,
-                batch_size=self.batch_size,
-                epochs=self.epochs,
-                alpha=self.alpha,
-                aux=self.aux,
-                seed=seed,
-                hidden=self.hidden,
-                dropout=self.dropout,
-            )
+            return TrainConfig(seed=seed, **values)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

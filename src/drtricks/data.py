@@ -23,6 +23,10 @@ IRMA, NP, NV = 0, 1, 2
 #: Grade class proportions of the reference cohort (normal / NPDR / PDR).
 DEFAULT_GRADE_PROPORTIONS = (329 / 611, 212 / 611, 70 / 611)
 
+#: Defaults of the synthetic generators, shared by ``synth`` and ``[synth]``:
+#: feature dimension and noise of the ordinal tasks, image side of segmentation.
+SYNTH_DIM, SYNTH_NOISE, SYNTH_SIZE = 8, 0.5, 64
+
 TASKS = ("segmentation", "quality", "grading")
 
 
@@ -57,14 +61,6 @@ class Image:
         if not np.isfinite(v).all() or v.min() < 0.0 or v.max() > 1.0:
             raise DataError("image values must be finite and in [0, 1]")
         object.__setattr__(self, "values", _frozen(v))
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -267,8 +263,8 @@ def ordinal_class_centers(dim: int, spacing: float = 1.0) -> np.ndarray:
 def gen_ordinal_dataset(
     n: int,
     proportions: Sequence[float] = DEFAULT_GRADE_PROPORTIONS,
-    noise: float = 0.5,
-    dim: int = 8,
+    noise: float = SYNTH_NOISE,
+    dim: int = SYNTH_DIM,
     seed: int = 0,
     task: str = "grading",
     labeled: bool = True,
@@ -320,7 +316,7 @@ def _fading_disk(size: int, cy: int, cx: int, r: int) -> np.ndarray:
 
 def gen_seg_dataset(
     n: int,
-    size: int = 64,
+    size: int = SYNTH_SIZE,
     seed: int = 0,
     artifact_fraction: float = 0.2,
     id_offset: int = 0,

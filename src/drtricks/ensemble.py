@@ -40,7 +40,7 @@ class EnsembleMemberError(RuntimeError):
 
 
 def train_deep_ensemble(data: Dataset, cfg: TrainConfig, k: int = 5,
-                        base_seed: int | None = None, aug=None) -> Ensemble:
+                        base_seed: int | None = None) -> Ensemble:
     """Train k independent members with seeds base, base+1, ..., base+k-1."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -50,7 +50,7 @@ def train_deep_ensemble(data: Dataset, cfg: TrainConfig, k: int = 5,
     for i in range(k):
         seed = base + i
         try:
-            members.append(fit(data.task, data, replace(cfg, seed=seed), aug=aug))
+            members.append(fit(data.task, data, replace(cfg, seed=seed)))
         except (TrainingDivergedError, FloatingPointError) as exc:
             raise EnsembleMemberError(i, exc) from exc
         seeds.append(seed)

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .augment import augment
 from .data import NUM_CLASSES, DataError, Dataset, Image, MaskSet, SoftMaskSet
 
 EPS_CLAMP = 1e-7
@@ -48,12 +49,17 @@ class TrainConfig:
     seed: int = 0
     hidden: int = 32
     dropout: float = 0.2
+    augment: bool = False  # segmentation only: one ``augment`` draw per image and epoch
 
     def __post_init__(self) -> None:
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
         if self.alpha < 0:
             raise ValueError("auxiliary weight must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
@@ -374,11 +380,11 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def train(model: MLP, data: Dataset, cfg: TrainConfig, aug=None) -> MLP:
+def train(model: MLP, data: Dataset, cfg: TrainConfig) -> MLP:
     """Mini-batch AdamW training; deterministic for a fixed cfg.seed.
 
-    ``aug`` is an optional augmentation pipeline applied per sample per epoch
-    (segmentation only). Raises TrainingDivergedError at the first
+    With ``cfg.augment`` the segmenter trains on one ``augment`` draw per
+    image per epoch. Raises TrainingDivergedError at the first
     mini-batch with a non-finite loss (the regressor) or a non-finite
     gradient (the segmenter, whose step computes no loss value; an image
     holding a NaN fails at epoch 0), and, for the segmenter,
@@ -393,7 +399,7 @@ def train(model: MLP, data: Dataset, cfg: TrainConfig, aug=None) -> MLP:
         # A saturated sigmoid overflows in exp long before the clipped losses
         # turn non-finite, so overflow ends the run instead of warning.
         with np.errstate(over="raise"):
-            _train_segmenter(model, data, cfg, opt, rng, aug)
+            _train_segmenter(model, data, cfg, opt, rng)
         return model
 
     feats = np.stack([s.features for s in data.samples])
@@ -411,15 +417,15 @@ def train(model: MLP, data: Dataset, cfg: TrainConfig, aug=None) -> MLP:
     return model
 
 
-def _seg_targets(masks: MaskSet) -> tuple:
+def _seg_targets(channels: np.ndarray) -> tuple:
     """Per-image constants of the segmenter step, built once per training image
-    (once per draw when augmenting).
+    (once per draw when augmenting) from its (3, H, W) masks.
 
-    ``y`` is the (3, H, W) mask stack and ``y_flat`` the same masks in the
+    ``y`` is the mask stack and ``y_flat`` the same masks in the
     (H*W, 3) layout of the pixel head's output. ``wb`` holds the class
     weights, ``wy`` is ``wb * y`` and ``neg2w`` is ``-2 * w``.
     """
-    y = np.asarray(masks.channels, dtype=np.float64)
+    y = np.asarray(channels, dtype=np.float64)
     w = class_weights(y)
     if np.all(w == 0.0):
         raise ValueError("all-zero class weights make the dice denominator degenerate")
@@ -491,24 +497,23 @@ def _seg_logit_grad(out: np.ndarray, targets: tuple, aux: str, alpha: float,
     return grad
 
 
-def _train_segmenter(model, data, cfg, opt, rng, aug) -> None:
-    from .augment import augment as apply_aug  # local import to avoid a cycle
-
+def _train_segmenter(model, data, cfg, opt, rng) -> None:
     for s in data.samples:
         if s.image is None or s.masks is None:
             raise DataError("segmentation training requires images with masks")
-    if aug is None:
-        plain = [(seg_features(s.image), _seg_targets(s.masks)) for s in data.samples]
+    if not cfg.augment:
+        plain = [(seg_features(s.image), _seg_targets(s.masks.channels))
+                 for s in data.samples]
     buffers = {}  # mask shape -> _seg_step_buffers
 
     for epoch in range(cfg.epochs):
         for idx in _batches(len(data), cfg.batch_size, rng):
             acc = np.zeros_like(model.theta)
             for i in idx:
-                if aug is not None:
+                if cfg.augment:
                     s = data.samples[i]
-                    img, masks = apply_aug(s.image, aug, rng, masks=s.masks)
-                    f, targets = seg_features(img), _seg_targets(masks)
+                    values, channels = augment(s.image.values, s.masks.channels, rng)
+                    f, targets = seg_features(values), _seg_targets(channels)
                 else:
                     f, targets = plain[i]
                 shape = targets[0].shape
@@ -524,11 +529,11 @@ def _train_segmenter(model, data, cfg, opt, rng, aug) -> None:
             opt.step(acc * (1.0 / len(idx)))
 
 
-def fit(task: str, data: Dataset, cfg: TrainConfig, aug=None) -> MLP:
+def fit(task: str, data: Dataset, cfg: TrainConfig) -> MLP:
     """Create a fresh model for the task and train it."""
     in_dim = data.feature_dim or SEG_FEATURE_DIM
     model = new_model(task, in_dim, cfg)
-    return train(model, data, cfg, aug=aug)
+    return train(model, data, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,6 @@ class PseudoBuckets:
 
     entries: dict[int, tuple[tuple[Sample, float], ...]]
 
-    def bucket(self, k: int) -> tuple[tuple[Sample, float], ...]:
-        return self.entries.get(k, ())
-
-    def sizes(self) -> dict[int, int]:
-        return {k: len(v) for k, v in self.entries.items()}
-
 
 def confidence_regressor(raw) -> np.ndarray:
     """Negative distance of each raw output to its nearest integer."""

@@ -1,4 +1,4 @@
-"""Augmentation pipeline construction and operator behavior."""
+"""The segmentation augmentation pipeline and its operators."""
 import math
 
 import numpy as np
@@ -7,146 +7,142 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drtricks.augment import (
-    AugOp,
-    AugPipeline,
+    _affine,
     _bilinear,
+    _blur,
     _box_blur3,
+    _brightness_contrast,
+    _coarse_dropout,
+    _downscale,
+    _flip,
+    _gamma,
+    _grid_distortion,
     _nearest,
     _node_sampler,
     _sampler,
+    _sharpen,
+    _shift_scale_rotate,
     augment,
-    build_pipeline,
     resize_bilinear,
 )
-from drtricks.data import Image, MaskSet, gen_seg_dataset
+from drtricks.data import gen_seg_dataset
 
 
-def identity_pixel_pipeline(geometric=()):
-    """Pixel ops whose parameter draws collapse to the identity transform."""
-    omega = (AugOp("brightness_contrast", {"brightness_limit": 0.0,
-                                           "contrast_limit": 0.0}),)
-    psi = (AugOp("gamma", {"gamma_limit": (100, 100)}),)
-    return AugPipeline(omega, psi, tuple(geometric))
+class PinnedRng:
+    """Stands in for a Generator in one operator: ``uniform`` returns the point
+    ``t`` of the way from low to high, ``integers`` its lowest value."""
+
+    def __init__(self, t):
+        self.t = t
+
+    def uniform(self, low, high, size=None):
+        return low + self.t * (high - low)
+
+    def integers(self, low, high=None):
+        return 0 if high is None else low
 
 
-class TestBuildPipeline:
-    def test_segmentation_geometric_size(self):
-        ops = build_pipeline().geometric_set
-        assert [op.kind for op in ops] == ["flip", "shift_scale_rotate", "grid_distortion",
-                                           "coarse_dropout", "affine"]
+class GatedRng:
+    """A Generator whose ``random()``, the draw of every geometric gate, returns
+    ``gate``: 0.0 opens every gate, 0.99 closes them all. Every other draw
+    comes from ``default_rng(seed)``."""
 
-    def test_pixel_families(self):
-        p = build_pipeline()
-        assert {op.kind for op in p.omega_set} == {"brightness_contrast", "gamma"}
-        assert {op.kind for op in p.psi_set} == {"sharpen", "blur", "downscale"}
+    def __init__(self, seed, gate):
+        self.generator = np.random.default_rng(seed)
+        self.gate = gate
 
-    def test_rotation_limits_per_task(self):
-        ops = {op.kind: op for op in build_pipeline().geometric_set}
-        assert ops["shift_scale_rotate"].params["rotate_limit"] == 90
+    def random(self):
+        return self.gate
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
 
 
-class TestAugOpValidation:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            AugOp("solarize", {})
-
-    def test_probability_bounds(self):
-        with pytest.raises(ValueError):
-            AugOp("flip", {"directions": ("horizontal",)}, probability=1.5)
-
-    def test_pipeline_needs_both_pixel_families(self):
-        with pytest.raises(ValueError):
-            AugPipeline((), (AugOp("blur", {"blur_limit": 3}),), ())
+def delta_masks(h, w, channel, y, x):
+    masks = np.zeros((3, h, w), dtype=np.uint8)
+    masks[channel, y, x] = 1
+    return masks
 
 
 class TestAugment:
     def test_identity_draws_leave_image_unchanged(self):
-        img = Image(np.random.default_rng(0).uniform(0.1, 0.9, (16, 16)))
-        out, _ = augment(img, identity_pixel_pipeline(), np.random.default_rng(1))
-        np.testing.assert_allclose(out.values, img.values, atol=1e-12)
+        # brightness 0, contrast 0 and gamma exponent 1.0: the middle of each range
+        v = np.random.default_rng(0).uniform(0.1, 0.9, (16, 16))
+        out = _gamma(_brightness_contrast(v, PinnedRng(0.5)), PinnedRng(0.5))
+        np.testing.assert_allclose(out, v, atol=1e-12)
 
     def test_horizontal_flip_definition(self):
         values = np.zeros((8, 8))
         values[:2, :2] = [[0.1, 0.2], [0.3, 0.4]]
-        masks = np.zeros((3, 8, 8), dtype=np.uint8)
-        masks[0, 0, 0] = 1
-        flip = AugOp("flip", {"directions": ("horizontal",)}, probability=1.0)
-        out, out_masks = augment(Image(values), identity_pixel_pipeline([flip]),
-                                 np.random.default_rng(0), masks=MaskSet(masks))
-        np.testing.assert_allclose(out.values[0, -2:], [0.2, 0.1])
-        np.testing.assert_allclose(out.values[1, -2:], [0.4, 0.3])
-        assert out_masks.channels[0, 0, -1] == 1
+        out, out_masks = _flip(values, delta_masks(8, 8, 0, 0, 0), PinnedRng(0.0))
+        np.testing.assert_allclose(out[0, -2:], [0.2, 0.1])
+        np.testing.assert_allclose(out[1, -2:], [0.4, 0.3])
+        assert out_masks[0, 0, -1] == 1
 
     def test_gamma_example(self):
-        # exponent pinned at 1.2: 0.25**1.2
-        omega = (AugOp("brightness_contrast", {"brightness_limit": 0.0,
-                                               "contrast_limit": 0.0}),)
-        psi = (AugOp("gamma", {"gamma_limit": (120, 120)}),)
-        img = Image(np.full((8, 8), 0.25))
-        out, _ = augment(img, AugPipeline(omega, psi, ()), np.random.default_rng(0))
-        assert out.values[0, 0] == pytest.approx(0.25 ** 1.2, rel=1e-12)
-        assert out.values[0, 0] == pytest.approx(0.18946457, rel=1e-6)
+        # exponent at the top of its range, 1.2: 0.25**1.2
+        out = _gamma(np.full((8, 8), 0.25), PinnedRng(1.0))
+        assert out[0, 0] == pytest.approx(0.25 ** 1.2, rel=1e-12)
+        assert out[0, 0] == pytest.approx(0.18946457, rel=1e-6)
 
     def test_fixed_seed_reproducible(self):
-        pipe = build_pipeline()
-        d = __import__("drtricks.data", fromlist=["gen_seg_dataset"])
-        sample = d.gen_seg_dataset(1, 32, seed=0).samples[0]
-        a = augment(sample.image, pipe, np.random.default_rng(42), masks=sample.masks)
-        b = augment(sample.image, pipe, np.random.default_rng(42), masks=sample.masks)
-        np.testing.assert_array_equal(a[0].values, b[0].values)
-        np.testing.assert_array_equal(a[1].channels, b[1].channels)
+        sample = gen_seg_dataset(1, 32, seed=0).samples[0]
+        a = augment(sample.image.values, sample.masks.channels, np.random.default_rng(42))
+        b = augment(sample.image.values, sample.masks.channels, np.random.default_rng(42))
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_masks_stay_binary_and_images_in_range(self, seed):
-        from drtricks.data import gen_seg_dataset
-        pipe = build_pipeline()
         sample = gen_seg_dataset(1, 32, seed=seed).samples[0]
-        out, masks = augment(sample.image, pipe, np.random.default_rng(seed),
-                             masks=sample.masks)
-        assert out.values.min() >= 0.0 and out.values.max() <= 1.0
-        assert np.isin(masks.channels, (0, 1)).all()
+        out, masks = augment(sample.image.values, sample.masks.channels,
+                             np.random.default_rng(seed))
+        assert out.dtype == np.float64 and masks.dtype == np.uint8
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        assert np.isin(masks, (0, 1)).all()
 
     def test_geometric_alignment_of_delta(self):
         # a delta image and a delta mask at the same pixel stay co-located
         values = np.zeros((16, 16))
         values[5, 9] = 1.0
-        masks = np.zeros((3, 16, 16), dtype=np.uint8)
-        masks[1, 5, 9] = 1
-        ssr = AugOp("shift_scale_rotate",
-                    {"shift_limit": 0.1, "scale_limit": 0.05, "rotate_limit": 30},
-                    probability=1.0)
+        masks = delta_masks(16, 16, 1, 5, 9)
+        checked = 0
         for seed in range(10):
-            out, out_masks = augment(Image(values), identity_pixel_pipeline([ssr]),
-                                     np.random.default_rng(seed), masks=MaskSet(masks))
-            if out_masks.channels[1].sum() == 0:
+            out, out_masks = _shift_scale_rotate(values, masks, np.random.default_rng(seed))
+            if out_masks[1].sum() == 0:
                 continue  # delta warped out of frame
-            img_peak = np.unravel_index(np.argmax(out.values), out.values.shape)
-            mask_pos = np.argwhere(out_masks.channels[1])
+            img_peak = np.unravel_index(np.argmax(out), out.shape)
+            mask_pos = np.argwhere(out_masks[1])
             assert (np.abs(mask_pos - np.asarray(img_peak)).sum(axis=1) <= 1).any()
+            checked += 1
+        assert checked > 0
 
     def test_coarse_dropout_bounds(self):
-        op = AugOp("coarse_dropout", {"max_height": 4, "min_height": 2,
-                                      "max_width": 4, "min_width": 2,
-                                      "max_holes": 3}, probability=1.0)
-        img = Image(np.ones((16, 16)))
-        out, _ = augment(img, identity_pixel_pipeline([op]), np.random.default_rng(0))
-        zeroed = int((out.values == 0.0).sum())
-        assert 0 < zeroed <= 3 * 16  # at most max_holes rectangles of 4x4
+        masks = np.zeros((3, 200, 200), dtype=np.uint8)
+        for seed in range(4):
+            out, _ = _coarse_dropout(np.ones((200, 200)), masks, np.random.default_rng(seed))
+            zeroed = int((out == 0.0).sum())
+            assert 32 * 32 <= zeroed <= 3 * 128 * 128  # 1-3 holes of 32-128 px a side
+            # a hole larger than the image is clipped to it
+            small, _ = _coarse_dropout(np.ones((16, 16)), masks[:, :16, :16],
+                                       np.random.default_rng(seed))
+            assert (small == 0.0).all()
 
     def test_coarse_dropout_leaves_masks_untouched(self):
-        op = AugOp("coarse_dropout", {"max_height": 8, "min_height": 4,
-                                      "max_width": 8, "min_width": 4,
-                                      "max_holes": 2}, probability=1.0)
         masks = np.ones((3, 16, 16), dtype=np.uint8)
-        _, out_masks = augment(Image(np.ones((16, 16))), identity_pixel_pipeline([op]),
-                               np.random.default_rng(0), masks=MaskSet(masks))
-        np.testing.assert_array_equal(out_masks.channels, masks)
+        _, out_masks = _coarse_dropout(np.ones((16, 16)), masks, np.random.default_rng(0))
+        np.testing.assert_array_equal(out_masks, np.ones((3, 16, 16)))
 
     def test_zero_probability_geometric_never_fires(self):
-        flip = AugOp("flip", {"directions": ("horizontal",)}, probability=0.0)
-        img = Image(np.random.default_rng(3).uniform(0, 1, (12, 12)))
-        out, _ = augment(img, identity_pixel_pipeline([flip]), np.random.default_rng(5))
-        np.testing.assert_allclose(out.values, img.values, atol=1e-12)
+        # every gate closed: a draw is its two pixel operators alone
+        v = np.random.default_rng(3).uniform(0, 1, (12, 12))
+        masks = delta_masks(12, 12, 2, 3, 4)
+        out, out_masks = augment(v, masks, GatedRng(5, 0.99))
+        rng = np.random.default_rng(5)
+        pixel = np.clip((_brightness_contrast, _gamma)[rng.integers(2)](v, rng), 0.0, 1.0)
+        pixel = np.clip((_sharpen, _blur, _downscale)[rng.integers(3)](pixel, rng), 0.0, 1.0)
+        assert out.tobytes() == pixel.tobytes()
+        assert out_masks is masks
 
 
 class TestResize:
@@ -157,6 +153,125 @@ class TestResize:
     def test_constant_preserved(self):
         v = np.full((10, 10), 0.37)
         np.testing.assert_allclose(resize_bilinear(v, 17, 23), 0.37, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reference pipeline with scipy.ndimage resampling: the same operators,
+# parameters and random draws as ``augment``, with ``map_coordinates``
+# (reflect mode; order 1 for the image, order 0 for each mask channel) and
+# ``uniform_filter`` doing the resampling
+# ---------------------------------------------------------------------------
+
+def _map(values, src_y, src_x, order, mode="reflect"):
+    from scipy import ndimage
+
+    return ndimage.map_coordinates(values, [src_y, src_x], order=order, mode=mode)
+
+
+def _blur3(values):
+    from scipy import ndimage
+
+    return ndimage.uniform_filter(values, size=3, mode="reflect")
+
+
+def _resize(values, out_h, out_w):
+    h, w = values.shape
+    yy = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xx = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    return _map(values, *np.meshgrid(yy, xx, indexing="ij"), order=1)
+
+
+def _pixel_grid(h, w):
+    return np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
+
+
+def _warp_all(img, masks, src_y, src_x):
+    img = np.clip(_map(img, src_y, src_x, order=1), 0.0, 1.0)
+    masks = np.stack([_map(m.astype(float), src_y, src_x, order=0)
+                      for m in masks]).astype(np.uint8)
+    return img, masks
+
+
+def _rotate_scale_shift(img, masks, angle, scale, ty, tx):
+    h, w = img.shape
+    yy, xx = _pixel_grid(h, w)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    yq, xq = yy - cy - ty, xx - cx - tx
+    th = math.radians(angle)
+    cos_t, sin_t = math.cos(th), math.sin(th)
+    return _warp_all(img, masks, (cos_t * yq + sin_t * xq) / scale + cy,
+                     (-sin_t * yq + cos_t * xq) / scale + cx)
+
+
+def scipy_flip(img, masks, rng):
+    axis = 1 if rng.integers(2) == 0 else 0  # horizontal, vertical
+    return (np.ascontiguousarray(np.flip(img, axis=axis)),
+            np.ascontiguousarray(np.flip(masks, axis=axis + 1)))
+
+
+def scipy_shift_scale_rotate(img, masks, rng):
+    angle = rng.uniform(-90, 90)
+    scale = 1.0 + rng.uniform(-0.1, 0.1)
+    ty = rng.uniform(-0.2, 0.2) * img.shape[0]
+    tx = rng.uniform(-0.2, 0.2) * img.shape[1]
+    return _rotate_scale_shift(img, masks, angle, scale, ty, tx)
+
+
+def scipy_grid_distortion(img, masks, rng):
+    h, w = img.shape
+    cell = max(h, w) / 4
+    dy_nodes = rng.uniform(-0.3, 0.3, (5, 5)) * cell
+    dx_nodes = rng.uniform(-0.3, 0.3, (5, 5)) * cell
+    yy, xx = _pixel_grid(h, w)
+    nodes = (yy / (h - 1) * 4, xx / (w - 1) * 4)
+    dy = _map(dy_nodes, *nodes, order=1, mode="nearest")
+    dx = _map(dx_nodes, *nodes, order=1, mode="nearest")
+    return _warp_all(img, masks, yy + dy, xx + dx)
+
+
+def scipy_coarse_dropout(img, masks, rng):
+    img = img.copy()
+    h, w = img.shape
+    for _ in range(int(rng.integers(1, 4))):
+        hh = min(int(rng.integers(32, 129)), h)
+        ww = min(int(rng.integers(32, 129)), w)
+        y0, x0 = int(rng.integers(0, h - hh + 1)), int(rng.integers(0, w - ww + 1))
+        img[y0 : y0 + hh, x0 : x0 + ww] = 0.0
+    return img, masks
+
+
+def scipy_affine(img, masks, rng):
+    return _rotate_scale_shift(img, masks, 0.0, rng.uniform(0.8, 1.2), 0.0, 0.0)
+
+
+def scipy_augment(img, masks, rng):
+    """Reference ``augment``, written out."""
+    if rng.integers(2) == 0:  # brightness_contrast
+        b = rng.uniform(-0.2, 0.2)
+        c = rng.uniform(-0.2, 0.2)
+        img = img * (1.0 + c) + b
+    else:  # gamma
+        img = np.power(img, rng.uniform(80, 120) / 100.0)
+    img = np.clip(img, 0.0, 1.0)
+    psi = rng.integers(3)
+    if psi == 0:  # sharpen
+        a = rng.uniform(0.2, 0.5)
+        rng.uniform(0.5, 1.0)
+        img = img * (1.0 - a) + a * (2.0 * img - _blur3(img))
+    elif psi == 1:  # blur
+        img = _blur3(img)
+    else:  # downscale
+        s = rng.uniform(0.7, 0.9)
+        h, w = img.shape
+        dh, dw = max(int(round(h * s)), 1), max(int(round(w * s)), 1)
+        img = _resize(_resize(img, dh, dw), h, w)
+    img = np.clip(img, 0.0, 1.0)
+    for probability, op in ((0.5, scipy_flip), (0.5, scipy_shift_scale_rotate),
+                            (0.2, scipy_grid_distortion), (0.2, scipy_coarse_dropout),
+                            (0.5, scipy_affine)):
+        if rng.random() < probability:
+            img, masks = op(img, masks, rng)
+    return img, masks
 
 
 # ---------------------------------------------------------------------------
@@ -237,111 +352,30 @@ class TestScipyEquality:
     @pytest.mark.parametrize("size", [64, 33])
     @pytest.mark.parametrize("always", [False, True])
     def test_augment_equals_scipy_reference(self, size, always):
-        pipe = build_pipeline()
-        if always:  # every geometric op on every draw
-            pipe = AugPipeline(pipe.omega_set, pipe.psi_set,
-                               tuple(AugOp(op.kind, op.params) for op in pipe.geometric_set))
         samples = gen_seg_dataset(6, size, seed=size).samples
-        rng, ref_rng = np.random.default_rng(size), np.random.default_rng(size)
+        if always:  # every geometric op on every draw
+            rng, ref_rng = GatedRng(size, 0.0), GatedRng(size, 0.0)
+        else:
+            rng, ref_rng = np.random.default_rng(size), np.random.default_rng(size)
         for i in range(750):
             s = samples[i % len(samples)]
-            img, masks = augment(s.image, pipe, rng, masks=s.masks)
-            ref_img, ref_masks = scipy_augment(s.image.values, pipe, ref_rng,
-                                               s.masks.channels)
-            assert img.values.tobytes() == ref_img.tobytes()
-            assert masks.channels.tobytes() == ref_masks.tobytes()
-        assert rng.random() == ref_rng.random()  # same number of draws
+            img, masks = augment(s.image.values, s.masks.channels, rng)
+            ref_img, ref_masks = scipy_augment(s.image.values, s.masks.channels, ref_rng)
+            assert img.tobytes() == ref_img.tobytes()
+            assert masks.tobytes() == ref_masks.tobytes()
+        assert rng.uniform() == ref_rng.uniform()  # same number of draws
 
-
-def scipy_augment(img, pipeline, rng, masks):
-    """Reference augmentation with scipy.ndimage resampling.
-
-    The same operators, parameters and random draws as ``augment``, with
-    ``map_coordinates`` (reflect mode; order 1 for the image, order 0 for each
-    mask channel) and ``uniform_filter`` doing the resampling.
-    """
-    from scipy import ndimage
-
-    def warp(values, src_y, src_x, order):
-        return ndimage.map_coordinates(values, [src_y, src_x], order=order, mode="reflect")
-
-    def resize(values, out_h, out_w):
-        h, w = values.shape
-        yy = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-        xx = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-        return warp(values, *np.meshgrid(yy, xx, indexing="ij"), order=1)
-
-    def blur(values):
-        return ndimage.uniform_filter(values, size=3, mode="reflect")
-
-    def pixel(op, img):
-        p = op.params
-        if op.kind == "brightness_contrast":
-            b = rng.uniform(-p["brightness_limit"], p["brightness_limit"])
-            c = rng.uniform(-p["contrast_limit"], p["contrast_limit"])
-            out = img * (1.0 + c) + b
-        elif op.kind == "gamma":
-            out = np.power(img, rng.uniform(*p["gamma_limit"]) / 100.0)
-        elif op.kind == "sharpen":
-            a = rng.uniform(*p["alpha"])
-            rng.uniform(*p["lightness"])
-            out = img * (1.0 - a) + a * (2.0 * img - blur(img))
-        elif op.kind == "blur":
-            out = blur(img)
-        else:  # downscale
-            s = rng.uniform(p["scale_min"], p["scale_max"])
-            h, w = img.shape
-            dh, dw = max(int(round(h * s)), 1), max(int(round(w * s)), 1)
-            out = resize(resize(img, dh, dw), h, w)
-        return np.clip(out, 0.0, 1.0)
-
-    def warp_all(img, masks, src_y, src_x):
-        img = np.clip(warp(img, src_y, src_x, order=1), 0.0, 1.0)
-        masks = np.stack([warp(m.astype(float), src_y, src_x, order=0)
-                          for m in masks]).astype(np.uint8)
-        return img, masks
-
-    img = pixel(pipeline.omega_set[rng.integers(len(pipeline.omega_set))], img)
-    img = pixel(pipeline.psi_set[rng.integers(len(pipeline.psi_set))], img)
-    h, w = img.shape
-    yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
-    for op in pipeline.geometric_set:
-        if not rng.random() < op.probability:
-            continue
-        p = op.params
-        if op.kind == "flip":
-            axis = 1 if p["directions"][rng.integers(len(p["directions"]))] == "horizontal" else 0
-            img = np.ascontiguousarray(np.flip(img, axis=axis))
-            masks = np.ascontiguousarray(np.flip(masks, axis=axis + 1))
-        elif op.kind in ("shift_scale_rotate", "affine"):
-            if op.kind == "shift_scale_rotate":
-                angle = rng.uniform(-p["rotate_limit"], p["rotate_limit"])
-                scale = 1.0 + rng.uniform(-p["scale_limit"], p["scale_limit"])
-                ty = rng.uniform(-p["shift_limit"], p["shift_limit"]) * h
-                tx = rng.uniform(-p["shift_limit"], p["shift_limit"]) * w
-            else:
-                angle, ty, tx = 0.0, 0.0, 0.0
-                scale = rng.uniform(*p["scale"])
-            cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-            yq, xq = yy - cy - ty, xx - cx - tx
-            th = math.radians(angle)
-            cos_t, sin_t = math.cos(th), math.sin(th)
-            img, masks = warp_all(img, masks, (cos_t * yq + sin_t * xq) / scale + cy,
-                                  (-sin_t * yq + cos_t * xq) / scale + cx)
-        elif op.kind == "grid_distortion":
-            k = p["num_steps"]
-            cell = max(h, w) / (k - 1)
-            dy_nodes = rng.uniform(-p["distort_limit"], p["distort_limit"], (k, k)) * cell
-            dx_nodes = rng.uniform(-p["distort_limit"], p["distort_limit"], (k, k)) * cell
-            nodes = [yy / (h - 1) * (k - 1), xx / (w - 1) * (k - 1)]
-            dy = ndimage.map_coordinates(dy_nodes, nodes, order=1, mode="nearest")
-            dx = ndimage.map_coordinates(dx_nodes, nodes, order=1, mode="nearest")
-            img, masks = warp_all(img, masks, yy + dy, xx + dx)
-        else:  # coarse_dropout
-            img = img.copy()
-            for _ in range(int(rng.integers(1, p["max_holes"] + 1))):
-                hh = min(int(rng.integers(p["min_height"], p["max_height"] + 1)), h)
-                ww = min(int(rng.integers(p["min_width"], p["max_width"] + 1)), w)
-                y0, x0 = int(rng.integers(0, h - hh + 1)), int(rng.integers(0, w - ww + 1))
-                img[y0 : y0 + hh, x0 : x0 + ww] = 0.0
-    return img, masks
+    @pytest.mark.parametrize("op, ref", [
+        (_flip, scipy_flip), (_shift_scale_rotate, scipy_shift_scale_rotate),
+        (_grid_distortion, scipy_grid_distortion), (_affine, scipy_affine),
+    ], ids=["flip", "shift_scale_rotate", "grid_distortion", "affine"])
+    def test_warp_op_equals_scipy_reference(self, op, ref):
+        samples = gen_seg_dataset(3, 33, seed=1).samples
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for i in range(60):
+            s = samples[i % len(samples)]
+            img, masks = op(s.image.values, s.masks.channels, rng)
+            ref_img, ref_masks = ref(s.image.values, s.masks.channels, ref_rng)
+            assert img.tobytes() == ref_img.tobytes()
+            assert masks.tobytes() == ref_masks.tobytes()
+        assert rng.random() == ref_rng.random()

@@ -1,5 +1,6 @@
 """Config parsing, digests, and the command-line workflows."""
 import csv
+import inspect
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from drtricks import cli
 from drtricks.cli import main
 from drtricks.config import ConfigError, RunConfig, load_config
+from drtricks.data import gen_ordinal_dataset, gen_seg_dataset
 from drtricks.models import MLP, save_checkpoint
 
 BASE_CONFIG = """\
@@ -177,6 +179,15 @@ class TestSynth:
         assert main(["synth", "--task", "segmentation", "--n", "3", "--seed", "0",
                      "--size", "32", "--out", str(tmp_path / "seg")]) == 0
         assert (tmp_path / "seg" / "index.csv").exists()
+
+    def test_defaults_equal_run_config_and_generators(self):
+        args = cli.build_parser().parse_args(
+            ["synth", "--task", "grading", "--n", "1", "--seed", "0", "--out", "d"])
+        config = {f.name: f.default for f in fields(RunConfig)}
+        generators = {**inspect.signature(gen_ordinal_dataset).parameters,
+                      **inspect.signature(gen_seg_dataset).parameters}
+        for name in ("dim", "noise", "size"):
+            assert getattr(args, name) == config[name] == generators[name].default, name
 
 
 class TestWorkflows:
@@ -466,6 +477,20 @@ def test_bad_input_is_config_error(workspace, capsys, case):
                  "--out", str(workspace / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("setting", ["batch_size = 0", "batch_size = -1", "hidden = 0"],
+                         ids=["batch_size_0", "batch_size_minus_1", "hidden_0"])
+def test_bad_train_setting_is_config_error(workspace, capsys, setting):
+    cfg = write_config(workspace)
+    cfg.write_text(cfg.read_text().replace("batch_size = 16", setting))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--seed", "0",
+                 "--out", str(workspace / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert setting.split()[0] in err
+    assert not (workspace / "out" / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("task", ["grading", "quality", "segmentation"])

@@ -1,4 +1,5 @@
-"""Every module-level function in src/drtricks is referenced in src/."""
+"""Every module-level function and every class method in src/drtricks is
+referenced in src/."""
 import ast
 from pathlib import Path
 
@@ -55,3 +56,29 @@ def test_allowlist_is_exact():
     defined, referenced = _public_functions_and_references()
     assert set(ALLOWED_UNREFERENCED) <= set(defined)
     assert not set(ALLOWED_UNREFERENCED) & referenced, "drop wired-in names from the allowlist"
+
+
+def _methods_and_attribute_reads() -> tuple[list[str], set[str]]:
+    """file:Class.name of every method or property that is not a dunder, and
+    every attribute name that src/ reads (``x.name``).
+
+    A local variable or function of the same name does not count, so only
+    attribute reads are collected.
+    """
+    methods, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods.extend(f"{path.name}:{node.name}.{item.name}" for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not (item.name.startswith("__") and item.name.endswith("__")))
+        read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return methods, read
+
+
+def test_every_method_is_referenced():
+    methods, read = _methods_and_attribute_reads()
+    assert methods, "the scan found no methods"
+    unreferenced = sorted(m for m in methods if m.rsplit(".", 1)[1] not in read)
+    assert unreferenced == [], "wire these into a command or delete them"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drtricks.augment import augment, build_pipeline
+from drtricks.augment import augment
 from drtricks.data import Dataset, Image, MaskSet, Sample, gen_ordinal_dataset, gen_seg_dataset
 from drtricks.models import (
     MLP,
@@ -365,10 +365,10 @@ class TestTraining:
     def test_segmenter_bit_equal_to_loss_reference(self, aux, alpha, augmented):
         data = gen_seg_dataset(5, 32, seed=4)
         # batch 2 does not divide the 5 images: the last batch is short
-        cfg = TrainConfig(lr=0.2, epochs=3, batch_size=2, aux=aux, alpha=alpha, seed=6)
-        aug = build_pipeline() if augmented else None
-        trained = fit("segmentation", data, cfg, aug=aug)
-        expected = reference_segmenter_fit(data, cfg, aug)
+        cfg = TrainConfig(lr=0.2, epochs=3, batch_size=2, aux=aux, alpha=alpha, seed=6,
+                          augment=augmented)
+        trained = fit("segmentation", data, cfg)
+        expected = reference_segmenter_fit(data, cfg)
         assert trained.theta.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("batch_size", [16, 7])
@@ -391,11 +391,11 @@ class TestTraining:
         def transposed_view(a):  # C-ordered values behind a transposed view
             return np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
 
-        cfg = TrainConfig(lr=0.2, epochs=3, batch_size=2, seed=1)
-        for aug in (None, build_pipeline()):
+        for augmented in (False, True):
+            cfg = TrainConfig(lr=0.2, epochs=3, batch_size=2, seed=1, augment=augmented)
             written = set()
             for make in (np.ascontiguousarray, np.asfortranarray, transposed_view):
-                save_checkpoint(tmp_path / "m.ckpt", fit("segmentation", layouts(make), cfg, aug=aug))
+                save_checkpoint(tmp_path / "m.ckpt", fit("segmentation", layouts(make), cfg))
                 written.add((tmp_path / "m.ckpt").read_bytes())
             assert len(written) == 1
 
@@ -475,7 +475,7 @@ def reference_scalar_fit(data, cfg) -> np.ndarray:
     return flat_parameters(ws, bs)
 
 
-def reference_segmenter_fit(data, cfg, aug) -> np.ndarray:
+def reference_segmenter_fit(data, cfg) -> np.ndarray:
     """Reference segmenter trainer built from the public loss.
 
     Every image's gradient comes from ``seg_total_loss``, which also computes
@@ -492,10 +492,10 @@ def reference_segmenter_fit(data, cfg, aug) -> np.ndarray:
         for idx in _batches(len(data), cfg.batch_size, rng):
             loss_sum, gw_sum, gb_sum = 0.0, np.zeros_like(w), np.zeros_like(b)
             for i in idx:
-                img, masks = data.samples[i].image, data.samples[i].masks
-                if aug is not None:
-                    img, masks = augment(img, aug, rng, masks=masks)
-                f, y = seg_features(img), masks.channels.astype(np.float64)
+                img, masks = data.samples[i].image.values, data.samples[i].masks.channels
+                if cfg.augment:
+                    img, masks = augment(img, masks, rng)
+                f, y = seg_features(img), masks.astype(np.float64)
                 out = 1.0 / (1.0 + np.exp(-(f @ w + b)))
                 yhat = out.reshape(y.shape[1], y.shape[2], 3).transpose(2, 0, 1)
                 loss, grad_yhat = seg_total_loss(y, yhat, aux=cfg.aux, alpha=cfg.alpha)

@@ -64,9 +64,9 @@ class TestPseudoLabel:
     def test_regressor_bucketing_example(self):
         buckets = pseudo_label(feature_passthrough_regressor(),
                                unlabeled_from([0.1, 1.9, 2.2]))
-        assert [s.id for s, _ in buckets.bucket(0)] == [0]
-        assert buckets.bucket(1) == ()
-        two = buckets.bucket(2)
+        assert [s.id for s, _ in buckets.entries[0]] == [0]
+        assert buckets.entries[1] == ()
+        two = buckets.entries[2]
         # both 1.9 and 2.2 round to class 2, ordered by distance 0.1 < 0.2
         assert [s.id for s, _ in two] == [1, 2]
         assert two[0][1] == pytest.approx(-0.1)
@@ -77,8 +77,8 @@ class TestPseudoLabel:
         model = fit("grading", gen_ordinal_dataset(60, seed=1),
                     TrainConfig(epochs=15, lr=2e-3, seed=0))
         buckets = pseudo_label(model, data)
-        assert sum(buckets.sizes().values()) == 80
-        seen = [s.id for k in range(3) for s, _ in buckets.bucket(k)]
+        assert sum(len(b) for b in buckets.entries.values()) == 80
+        seen = [s.id for k in range(3) for s, _ in buckets.entries[k]]
         assert sorted(seen) == sorted(s.id for s in data.samples)
 
     def test_within_bucket_confidence_sorted(self):
@@ -87,24 +87,24 @@ class TestPseudoLabel:
                     TrainConfig(epochs=15, lr=2e-3, seed=0))
         buckets = pseudo_label(model, data)
         for k in range(3):
-            confs = [c for _, c in buckets.bucket(k)]
+            confs = [c for _, c in buckets.entries[k]]
             assert confs == sorted(confs, reverse=True)
 
     def test_empty_pool_is_fine(self):
         buckets = pseudo_label(constant_regressor(1.0),
                                Dataset((), "grading"))
-        assert buckets.sizes() == {0: 0, 1: 0, 2: 0}
+        assert buckets.entries == {0: (), 1: (), 2: ()}
 
     def test_ties_broken_by_ascending_id(self):
         buckets = pseudo_label(constant_regressor(0.9), unlabeled_from([0, 0, 0]))
-        assert [s.id for s, _ in buckets.bucket(1)] == [0, 1, 2]
+        assert [s.id for s, _ in buckets.entries[1]] == [0, 1, 2]
 
     def test_ties_broken_by_ascending_id_in_any_pool_order(self):
         # 1.2 - 1 and 1 - 0.8 are the same float, so four samples tie
         pool = [(5, 1.2), (3, 0.8), (9, 1.2), (1, 0.8), (4, 1.0)]
         samples = tuple(Sample(id=i, features=np.array([v, 0.0])) for i, v in pool)
         buckets = pseudo_label(feature_passthrough_regressor(), Dataset(samples, "grading"))
-        assert [s.id for s, _ in buckets.bucket(1)] == [4, 1, 3, 5, 9]
+        assert [s.id for s, _ in buckets.entries[1]] == [4, 1, 3, 5, 9]
 
 
 class TestSelectReliable:
@@ -143,7 +143,7 @@ class TestSelectReliable:
         for t in range(1, 5):
             chosen = {s.id for s in select_reliable(buckets, t, 5)}
             for k in range(3):
-                confs = buckets.bucket(k)
+                confs = buckets.entries[k]
                 sel = [c for s, c in confs if s.id in chosen]
                 rej = [c for s, c in confs if s.id not in chosen]
                 if sel and rej:
