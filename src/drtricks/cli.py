@@ -21,7 +21,7 @@ import numpy as np
 from . import data as dd
 from .config import ConfigError, RunConfig, load_config
 from .ensemble import (Ensemble, EnsembleMemberError, ensemble_predict,
-                       load_ensemble, save_ensemble, train_deep_ensemble,
+                       load_ensemble, map_members, save_ensemble, train_deep_ensemble,
                        tta_flip_predict, tta_rotate_seg)
 from .metrics import (MetricError, MetricsReport, UndefinedKappaError, accuracy,
                       confusion_matrix, mean_dsc, mean_iou, qwk,
@@ -103,7 +103,7 @@ def _binarize(soft: np.ndarray, post: bool) -> dd.MaskSet:
 def _decisions(cfg: RunConfig, ens: Ensemble, data: dd.Dataset):
     """Yield (sample, decision) in sample order: a grade, or a mask set per image."""
     if cfg.task != "segmentation":
-        raw = np.atleast_1d(ensemble_predict(ens, np.stack([s.features for s in data.samples])))
+        raw = np.atleast_1d(ensemble_predict(ens, data.feature_matrix))
         yield from zip(data.samples, _grades(raw, cfg.task, cfg.postprocess))
         return
     predict = lambda img: ensemble_predict(ens, img)
@@ -190,7 +190,8 @@ def cmd_train(args) -> int:
     train = _load_data(cfg, _require(cfg.train_path, "[data] train"))
     tcfg = cfg.train_config(args.seed)
     if cfg.ensemble_k > 1:
-        ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k, base_seed=args.seed)
+        ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k, base_seed=args.seed,
+                                  jobs=args.jobs)
         manifest = save_ensemble(out, ens)
         print(f"trained ensemble of {cfg.ensemble_k}; manifest {manifest}")
     else:
@@ -288,14 +289,15 @@ def _predicted_pairs(task: str, truth: dd.Dataset, pred_path: Path):
 # ablation
 # ---------------------------------------------------------------------------
 
-def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
+def _tabular_arms(cfg: RunConfig, seed: int, jobs: int | None = None) -> dict[str, float]:
     """One seed's dev QWK for each incremental arm of the ordinal tasks.
 
     TTA averages input transforms, none of which exist for plain feature
     vectors, so the +tta arm passes the +rpl predictions through unchanged.
     The +post arm applies the quality operating thresholds; for DR grading
     the mask-guided edit needs a segmentation model, so it is also a
-    pass-through here.
+    pass-through here. The supervised, PL and RPL ensemble members are
+    trained by one ``map_members`` over ``jobs`` processes.
     """
     tcfg = cfg.train_config(seed)
     labeled = dd.gen_ordinal_dataset(cfg.n_labeled, noise=cfg.noise, dim=cfg.dim,
@@ -304,24 +306,23 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
                                        seed=derive_seed(seed, 2), task=cfg.task,
                                        labeled=False, id_offset=10_000)
     train, dev = dd.split_train_dev(labeled, cfg.split_ratio, seed=derive_seed(seed, 3))
-    feats = np.stack([s.features for s in dev.samples])
+    feats = dev.feature_matrix
     k = cfg.ensemble_k
+    seeds = ([derive_seed(seed, 10) + i for i in range(k)]
+             + [derive_seed(seed, arm, i) for arm in (20, 30) for i in range(k)])
+
+    def member(j: int):  # supervised members, then naive-PL, then RPL members
+        member_cfg = replace(tcfg, seed=seeds[j])
+        if j < k:
+            return fit(cfg.task, train, member_cfg)
+        if j < 2 * k:
+            return naive_pl_train(train, unlabeled, member_cfg)
+        return rpl_train(train, unlabeled, RPLConfig(base=member_cfg, rounds=cfg.rpl_rounds))
 
     single = fit(cfg.task, train, tcfg)
-    sup_ens = train_deep_ensemble(train, tcfg, k=k, base_seed=derive_seed(seed, 10))
-    pl_ens = Ensemble(
-        tuple(naive_pl_train(train, unlabeled,
-                             replace(tcfg, seed=derive_seed(seed, 20, i)))
-              for i in range(k)),
-        tuple(derive_seed(seed, 20, i) for i in range(k)),
-    )
-    rpl_ens = Ensemble(
-        tuple(rpl_train(train, unlabeled,
-                        RPLConfig(base=replace(tcfg, seed=derive_seed(seed, 30, i)),
-                                  rounds=cfg.rpl_rounds))
-              for i in range(k)),
-        tuple(derive_seed(seed, 30, i) for i in range(k)),
-    )
+    members = map_members(member, 3 * k, jobs)
+    sup_ens, pl_ens, rpl_ens = (Ensemble(tuple(members[a:a + k]), tuple(seeds[a:a + k]))
+                                for a in (0, k, 2 * k))
     raw_rpl = np.atleast_1d(ensemble_predict(rpl_ens, feats))
     arms = {
         "baseline": (np.atleast_1d(single.predict_scalar(feats)), False),
@@ -335,17 +336,18 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
             for arm, (raw, post) in arms.items()}
 
 
-def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
+def _segmentation_arms(cfg: RunConfig, seed: int, jobs: int | None = None) -> dict[str, float]:
     """One seed's dev mean-DSC for each incremental segmentation arm.
 
     Augmentation has no arm of its own, so every arm trains without it.
+    The ensemble's members are trained over ``jobs`` processes.
     """
     tcfg = replace(cfg.train_config(seed), augment=False)
     train = dd.gen_seg_dataset(cfg.n_labeled, size=cfg.size, seed=derive_seed(seed, 1))
     dev = dd.gen_seg_dataset(cfg.n_dev, size=cfg.size, seed=derive_seed(seed, 2))
     single = fit("segmentation", train, tcfg)
     ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k,
-                              base_seed=derive_seed(seed, 10))
+                              base_seed=derive_seed(seed, 10), jobs=jobs)
 
     # The +tta and +post arms decide from the same rotation-TTA soft masks, and
     # the identity rotation of that TTA reuses the +ensemble prediction.
@@ -372,9 +374,12 @@ def cmd_ablate(args) -> int:
     seeds = args.seeds
     if cfg.task == "segmentation":
         arm_names, run_arms, metric = SEGMENTATION_ARMS, _segmentation_arms, "mean_dsc"
+        if cfg.augment:
+            print("note: ablate trains every arm without augmentation; "
+                  "[train] augment = true is ignored")
     else:
         arm_names, run_arms, metric = TABULAR_ARMS, _tabular_arms, "qwk"
-    per_seed = [run_arms(cfg, seed) for seed in seeds]
+    per_seed = [run_arms(cfg, seed, args.jobs) for seed in seeds]
     rows = []
     for arm in arm_names:
         vals = np.array([r[arm] for r in per_seed])
@@ -397,6 +402,22 @@ def _seed_list(text: str) -> list[int]:
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed list {text!r}")
     return seeds
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad job count {text!r}") from exc
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"job count must be >= 1, got {jobs}")
+    return jobs
+
+
+def _add_jobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--jobs", type=_jobs, default=None,
+                   help="processes that train ensemble members, each pinned to "
+                        "its own CPU (default and cap: the CPUs available)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,6 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--out", required=True)
+        if name == "train":
+            _add_jobs(p)
         p.set_defaults(func=func)
 
     ablate = sub.add_parser("ablate", help="run the trick-by-trick comparison")
@@ -437,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.add_argument("--seeds", type=_seed_list, required=True,
                         help="comma-separated seed list, e.g. 0,1,2")
     ablate.add_argument("--out", required=True)
+    _add_jobs(ablate)
     ablate.set_defaults(func=cmd_ablate)
     return parser
 

@@ -11,6 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -136,6 +137,21 @@ class Sample:
         return self.label is not None or self.masks is not None
 
 
+def relabeled(samples, label: int) -> list[Sample]:
+    """Copies of ``samples`` that carry ``label``.
+
+    Only the label is checked, once: the other fields passed their checks
+    when the samples were built, so the copies skip ``__post_init__``.
+    """
+    label = validate_label(label)
+    out = []
+    for s in samples:
+        copy = object.__new__(Sample)
+        copy.__dict__.update(s.__dict__, label=label)
+        out.append(copy)
+    return out
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Ordered, id-unique collection of samples sharing one input kind."""
@@ -170,6 +186,15 @@ class Dataset:
             if s.features is not None:
                 return s.features.shape[0]
         return None
+
+    @cached_property
+    def feature_matrix(self) -> np.ndarray:
+        """The (n, dim) stack of the feature vectors, built once and read-only."""
+        if self.feature_dim is None:
+            raise DataError("the dataset holds no feature vectors")
+        matrix = np.stack([s.features for s in self.samples])
+        matrix.setflags(write=False)
+        return matrix
 
     def labels(self) -> list[Optional[int]]:
         return [s.label for s in self.samples]

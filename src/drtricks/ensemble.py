@@ -6,15 +6,19 @@ member and branch order, so results are bit-deterministic.
 from __future__ import annotations
 
 import json
+import os
+import pickle
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .data import Dataset, Image
 from .models import (MLP, CheckpointError, TrainConfig, TrainingDivergedError, fit,
                      load_checkpoint, save_checkpoint, seg_features, segment_soft)
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -32,29 +36,135 @@ class Ensemble:
 
 
 class EnsembleMemberError(RuntimeError):
-    """A member's training failed numerically; ``index`` says which member."""
+    """A member's training failed numerically; ``index`` says which member.
 
-    def __init__(self, index: int, cause: Exception):
-        super().__init__(f"member {index} failed: {cause}")
+    ``args`` is ``(index, message)``, so the error survives a pickle round
+    trip from a worker process.
+    """
+
+    def __init__(self, index: int, cause: Exception | str):
+        super().__init__(index, str(cause))
         self.index = index
+
+    def __str__(self) -> str:
+        return f"member {self.args[0]} failed: {self.args[1]}"
+
+
+def _member(task: Callable[[int], T], i: int) -> T:
+    try:
+        return task(i)
+    except (TrainingDivergedError, FloatingPointError) as exc:
+        raise EnsembleMemberError(i, exc) from exc
+
+
+def _serve(task: Callable[[int], T], indices: range, cpu: int, fd: int) -> None:
+    """A forked worker: pickle ``(True, result)`` for each member in turn to
+    ``fd``, or ``(False, exception)`` for the first that fails, then stop.
+
+    It never returns: ``os._exit`` ends the child without unwinding into the
+    caller's stack or flushing the stdio buffers it inherited.
+    """
+    code = 1
+    try:
+        os.sched_setaffinity(0, {cpu})
+        with open(fd, "wb") as out:
+            for i in indices:
+                try:
+                    message = (True, _member(task, i))
+                except Exception as exc:
+                    message = (False, exc)
+                pickle.dump(message, out)
+                out.flush()
+                if not message[0]:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def map_members(task: Callable[[int], T], n: int, jobs: int | None = None) -> list[T]:
+    """``[task(i) for i in range(n)]``, the members spread over ``jobs`` processes.
+
+    ``jobs`` defaults to, and is capped at, the number of CPUs this process
+    may run on (and at ``n``); at 1 nothing is forked. Worker w runs members
+    w, w + jobs, w + 2 jobs, ... in order, and the calling process is worker
+    0: it trains its own share rather than wait. The other workers are
+    ``os.fork`` children, which inherit the datasets and the task, so only
+    their results are pickled, back through one pipe per worker. Each
+    worker is pinned to its own CPU, the caller to the first one until the
+    map returns: left unpinned, a child could share the caller's CPU and
+    run both at half speed.
+
+    A member that fails numerically raises ``EnsembleMemberError`` with its
+    index. Whatever the schedule, the failure raised is that of the lowest
+    failing member, as in a sequential loop. Every child is killed and
+    reaped before this returns or raises.
+    """
+    cpus = sorted(os.sched_getaffinity(0))
+    jobs = min(len(cpus) if jobs is None else jobs, len(cpus), n)
+    if jobs <= 1:
+        return [_member(task, i) for i in range(n)]
+    import signal
+
+    mask = os.sched_getaffinity(0)
+    results: list = [None] * n
+    children = []  # (worker, pid, read end of its pipe)
+    try:
+        for w in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(task, range(w, n, jobs), cpus[w], write_fd)
+            os.close(write_fd)
+            children.append((w, pid, open(read_fd, "rb")))
+        os.sched_setaffinity(0, {cpus[0]})
+
+        failure = None  # (index, exception) of the lowest failing member seen
+        for i in range(0, n, jobs):
+            try:
+                results[i] = _member(task, i)
+            except Exception as exc:
+                failure = (i, exc)
+                break
+        for w, _pid, pipe in children:
+            for i in range(w, n, jobs):
+                if failure is not None and i > failure[0]:
+                    break  # this member cannot change the outcome
+                try:
+                    ok, value = pickle.load(pipe)
+                except EOFError:
+                    raise RuntimeError(
+                        f"the worker of member {i} ended without its result") from None
+                if not ok:
+                    failure = (i, value)
+                    break
+                results[i] = value
+        if failure is not None:
+            raise failure[1]
+        return results
+    finally:
+        os.sched_setaffinity(0, mask)
+        for _w, pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)  # a child that is done has exited already
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
 def train_deep_ensemble(data: Dataset, cfg: TrainConfig, k: int = 5,
-                        base_seed: int | None = None) -> Ensemble:
-    """Train k independent members with seeds base, base+1, ..., base+k-1."""
+                        base_seed: int | None = None, jobs: int | None = None) -> Ensemble:
+    """Train k independent members with seeds base, base+1, ..., base+k-1.
+
+    The members are trained by ``map_members`` over ``jobs`` processes; the
+    result does not depend on ``jobs``.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     base = cfg.seed if base_seed is None else base_seed
-    members = []
-    seeds = []
-    for i in range(k):
-        seed = base + i
-        try:
-            members.append(fit(data.task, data, replace(cfg, seed=seed)))
-        except (TrainingDivergedError, FloatingPointError) as exc:
-            raise EnsembleMemberError(i, exc) from exc
-        seeds.append(seed)
-    return Ensemble(tuple(members), tuple(seeds))
+    seeds = tuple(base + i for i in range(k))
+    # ``fit`` is looked up when each member starts, so a wrapper installed
+    # on this module's binding sees every fit the caller runs.
+    members = map_members(lambda i: fit(data.task, data, replace(cfg, seed=seeds[i])), k, jobs)
+    return Ensemble(tuple(members), seeds)
 
 
 def ensemble_predict(e: Ensemble, x) -> np.ndarray | float:

@@ -114,6 +114,11 @@ class MLP:
         for w in self.weights:
             w[:] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
 
+    def __reduce__(self):
+        # Pickled as is, the layer views would come back as copies detached
+        # from theta; send theta alone and rebuild the views around it.
+        return _rebuilt, (self.dims, self.head, self.dropout, self.theta)
+
     def _split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views into a vector laid out like ``theta``."""
         weights, biases, at = [], [], 0
@@ -402,7 +407,7 @@ def train(model: MLP, data: Dataset, cfg: TrainConfig) -> MLP:
             _train_segmenter(model, data, cfg, opt, rng)
         return model
 
-    feats = np.stack([s.features for s in data.samples])
+    feats = data.feature_matrix
     labels = np.array([s.label for s in data.samples])
     if any(l is None for l in data.labels()):
         raise DataError("training requires labeled samples")
@@ -570,7 +575,12 @@ def load_checkpoint(path: Path | str) -> MLP:
     n_params = sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:]))
     if min(dims) < 1 or len(data) != offset + 8 * n_params:
         raise CheckpointError(f"{path}: trailing or missing parameter bytes")
-    model = MLP(dims, _HEAD_BY_CODE[head_code], dropout=dropout, seed=0)
+    return _rebuilt(dims, _HEAD_BY_CODE[head_code], dropout,
+                    np.frombuffer(data, dtype="<f8", offset=offset))
+
+
+def _rebuilt(dims: list[int], head: str, dropout: float, theta: np.ndarray) -> MLP:
+    model = MLP(dims, head, dropout=dropout, seed=0)
     # Fill in place: the weight and bias views (and any AdamW) share theta.
-    model.theta[:] = np.frombuffer(data, dtype="<f8", offset=offset)
+    model.theta[:] = theta
     return model

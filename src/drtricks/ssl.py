@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DataError, Dataset, Sample
+from .data import DataError, Dataset, Sample, relabeled
 from .models import (MLP, NUM_CLASSES, TrainConfig, derive_seed, fit, regressor_class,
                      round_half_away)
 
@@ -46,8 +46,7 @@ def pseudo_label(model: MLP, unlabeled: Dataset) -> PseudoBuckets:
     """Assign each unlabeled sample a predicted class and confidence."""
     entries: dict[int, list[tuple[Sample, float]]] = {k: [] for k in range(NUM_CLASSES)}
     if len(unlabeled) > 0:
-        feats = np.stack([s.features for s in unlabeled.samples])
-        raw = model.predict_scalar(feats)
+        raw = model.predict_scalar(unlabeled.feature_matrix)
         preds, confs = regressor_class(raw), confidence_regressor(raw)
         ids = np.array([s.id for s in unlabeled.samples])
         for j in np.lexsort((ids, -confs)):  # descending confidence, then id
@@ -63,8 +62,7 @@ def select_reliable(buckets: PseudoBuckets, t: int, rounds: int) -> list[Sample]
     for k in sorted(buckets.entries):
         bucket = buckets.entries[k]
         take = (t * len(bucket)) // rounds
-        for sample, _conf in bucket[:take]:
-            selected.append(replace(sample, label=k))
+        selected.extend(relabeled((sample for sample, _conf in bucket[:take]), k))
     return selected
 
 

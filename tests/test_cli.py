@@ -1,6 +1,7 @@
 """Config parsing, digests, and the command-line workflows."""
 import csv
 import inspect
+import os
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -328,6 +329,92 @@ class TestAblate:
             main(["ablate", "--config", str(cfg), "--seeds", "zero",
                   "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+
+    def test_segmentation_notes_that_augment_is_ignored(self, tmp_path, capsys):
+        plain = ABLATE_CONFIG.format(task="segmentation", n_labeled=4, lr="0.2")
+        aug = plain.replace("batch_size = 8", "batch_size = 8\naugment = true")
+        for name, text in (("plain", plain), ("aug", aug)):
+            (tmp_path / f"{name}.ini").write_text(text)
+            assert main(["ablate", "--config", str(tmp_path / f"{name}.ini"), "--seeds", "3",
+                         "--out", str(tmp_path / name)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("note: ablate trains every arm without augmentation; "
+                         "[train] augment = true is ignored\n") == 1
+        assert ((tmp_path / "plain" / "ablation.csv").read_bytes()
+                == (tmp_path / "aug" / "ablation.csv").read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# --jobs: members trained over worker processes give the same outputs
+# ---------------------------------------------------------------------------
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def _seg_workspace(tmp_path: Path, lr: float, k: int = 3) -> Path:
+    for part, seed in (("seg", 0), ("dev", 1)):
+        assert main(["synth", "--task", "segmentation", "--n", "4", "--size", "32",
+                     "--seed", str(seed), "--out", str(tmp_path / part),
+                     "--id-offset", str(100 * seed)]) == 0
+    cfg = tmp_path / "seg.ini"
+    cfg.write_text(SEG_CONFIG.format(train=tmp_path / "seg", lr=lr)
+                   .replace("[train]", f"dev = {tmp_path / 'dev'}\n\n[train]")
+                   + f"\n[pipeline]\nensemble_k = {k}\ntta = rotate\npostprocess = true\n")
+    return cfg
+
+
+class TestJobs:
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("task", ["grading", "segmentation"])
+    def test_one_and_two_jobs_write_the_same_bytes(self, workspace, capsys, command, task):
+        if task == "grading":
+            cfg = write_config(workspace, k=3,
+                               extra="[synth]\nn_labeled = 40\nn_unlabeled = 60\n")
+        else:
+            cfg = _seg_workspace(workspace, lr=0.2)
+        seeds = ["--seed", "0"] if command == "train" else ["--seeds", "0,1"]
+        outputs = []
+        for jobs in ("1", "2"):
+            capsys.readouterr()
+            out = workspace / f"jobs{jobs}"
+            assert main([command, "--config", str(cfg), *seeds, "--out", str(out),
+                         "--jobs", jobs]) == 0
+            outputs.append((_files(out), capsys.readouterr().out.replace(str(out), "OUT")))
+        assert outputs[0] == outputs[1]
+        expected = {"ablation.csv"} if command == "ablate" else {
+            "ensemble.json", "member_0.ckpt", "member_1.ckpt", "member_2.ckpt",
+            "report.csv", "report.json"}
+        assert set(outputs[0][0]) == expected
+
+    def test_saturating_ensemble_exits_3_with_one_line_under_any_jobs(self, tmp_path, capsys):
+        cfg = _seg_workspace(tmp_path, lr=1e9)
+        errors = []
+        for jobs in ("1", "2"):
+            capsys.readouterr()
+            assert main(["train", "--config", str(cfg), "--seed", "0",
+                         "--out", str(tmp_path / f"out{jobs}"), "--jobs", jobs]) == 3
+            errors.append(capsys.readouterr().err)
+            with pytest.raises(ChildProcessError):  # every worker was reaped
+                os.waitpid(-1, os.WNOHANG)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("numerical failure: member 0 failed: ")
+        assert errors[0].count("\n") == 1 and "overflow" in errors[0]
+        assert not (tmp_path / "out2" / "ensemble.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_bad_job_count_is_usage_error(self, tmp_path, capsys, command, jobs):
+        cfg = write_config(tmp_path)
+        seeds = ["--seed", "0"] if command == "train" else ["--seeds", "0"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), *seeds, "--out", str(tmp_path / "x"),
+                  "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "job count" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from drtricks.data import (
     read_mask_set,
     read_pgm,
     read_seg_dataset,
+    relabeled,
     split_train_dev,
     validate_label,
     write_dataset_csv,
@@ -116,6 +117,31 @@ class TestTypes:
         b = Sample(id=1, features=np.ones(4), label=0)
         with pytest.raises(DataError):
             Dataset((a, b), "grading")
+
+    def test_feature_matrix_is_one_read_only_stack(self):
+        d = make_tabular([0, 1, 2, 1], dim=3)
+        m = d.feature_matrix
+        assert m.tobytes() == np.stack([s.features for s in d.samples]).tobytes()
+        assert m.shape == (4, 3) and not m.flags.writeable
+        assert d.feature_matrix is m
+
+    def test_feature_matrix_of_images_rejected(self):
+        with pytest.raises(DataError):
+            gen_seg_dataset(1, 16, seed=0).feature_matrix
+
+    def test_relabeled_copies_every_field_but_the_label(self):
+        samples = list(make_tabular([0, None, 2], dim=3).samples)
+        out = relabeled(samples, 1)
+        assert [s.label for s in out] == [1, 1, 1]
+        for before, after in zip(samples, out):
+            assert after is not before and after.id == before.id
+            assert after.features is before.features
+            assert (after.image, after.masks) == (None, None)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_relabeled_rejects_a_bad_label(self, bad):
+        with pytest.raises(DataError):
+            relabeled(make_tabular([0]).samples, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
-"""Deep ensembles, flip/rotation TTA, and ensemble manifests."""
+"""Deep ensembles, member training over worker processes, flip/rotation TTA,
+and ensemble manifests."""
+import os
+import pickle
+import time
+
 import numpy as np
 import pytest
 
-from drtricks.data import Image, gen_ordinal_dataset, gen_seg_dataset
+from drtricks.data import DataError, Image, gen_ordinal_dataset, gen_seg_dataset
 from drtricks.ensemble import (
     Ensemble,
+    EnsembleMemberError,
     ensemble_predict,
     load_ensemble,
+    map_members,
     member_variance,
     save_ensemble,
     tta_flip_predict,
@@ -71,6 +78,93 @@ class TestTrainDeepEnsemble:
         with pytest.raises(ValueError):
             train_deep_ensemble(gen_ordinal_dataset(40, seed=0),
                                 TrainConfig(epochs=1), k=0)
+
+
+    def test_jobs_do_not_change_members(self):
+        data = gen_seg_dataset(4, 32, seed=0)
+        cfg = TrainConfig(epochs=2, lr=0.2, batch_size=2, seed=0)
+        one = train_deep_ensemble(data, cfg, k=3, base_seed=5, jobs=1)
+        two = train_deep_ensemble(data, cfg, k=3, base_seed=5, jobs=2)
+        assert one.seeds == two.seeds == (5, 6, 7)
+        for a, b in zip(one.members, two.members):
+            assert a.theta.tobytes() == b.theta.tobytes()
+            assert all(np.shares_memory(w, b.theta) for w in b.weights + b.biases)
+
+
+TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_at(indices, exc=FloatingPointError("overflow")):
+    def task(i):
+        if i in indices:
+            raise exc
+        return i
+    return task
+
+
+class TestMapMembers:
+    def test_jobs_one_runs_in_order_in_the_caller(self):
+        seen = []
+        assert map_members(lambda i: seen.append(i) or os.getpid(), 4, 1) == [os.getpid()] * 4
+        assert seen == [0, 1, 2, 3]
+
+    @TWO_CPUS
+    def test_results_in_member_order_and_caller_trains_its_share(self):
+        out = map_members(lambda i: (i * i, os.getpid()), 5, 2)
+        assert [r[0] for r in out] == [0, 1, 4, 9, 16]
+        assert {out[i][1] for i in (0, 2, 4)} == {os.getpid()}
+        assert len({out[i][1] for i in (1, 3)}) == 1 and out[1][1] != os.getpid()
+        _assert_no_child_left()
+
+    @TWO_CPUS
+    def test_each_worker_pinned_to_its_own_cpu_and_mask_restored(self):
+        before = os.sched_getaffinity(0)
+        cpus = sorted(before)
+        out = map_members(lambda i: os.sched_getaffinity(0), 4, 2)
+        assert out == [{cpus[0]}, {cpus[1]}, {cpus[0]}, {cpus[1]}]
+        assert os.sched_getaffinity(0) == before
+
+    @TWO_CPUS
+    def test_jobs_capped_at_members(self):
+        assert map_members(lambda i: os.getpid(), 1, 2) == [os.getpid()]
+
+    @pytest.mark.parametrize("failing, lowest", [({3, 4}, 3), ({2, 3}, 2), ({1, 4}, 1),
+                                                 ({4}, 4), ({0, 1}, 0)])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lowest_failing_member_raised(self, failing, lowest, jobs):
+        with pytest.raises(EnsembleMemberError) as info:
+            map_members(_failing_at(failing), 5, jobs)
+        assert info.value.index == lowest
+        assert str(info.value) == f"member {lowest} failed: overflow"
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_other_errors_raised_as_they_are(self, jobs):
+        with pytest.raises(DataError, match="^bad member data$"):
+            map_members(_failing_at({1}, DataError("bad member data")), 3, jobs)
+
+    def test_member_error_survives_pickle(self):
+        back = pickle.loads(pickle.dumps(EnsembleMemberError(3, FloatingPointError("nan"))))
+        assert (back.index, str(back)) == (3, "member 3 failed: nan")
+
+    @TWO_CPUS
+    @pytest.mark.parametrize("exc", [FloatingPointError("overflow"), KeyboardInterrupt()])
+    def test_caller_failure_kills_a_busy_child(self, exc):
+        def task(i):
+            if i == 0:
+                raise exc
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises((EnsembleMemberError, KeyboardInterrupt)):
+            map_members(task, 2, 2)
+        assert time.monotonic() - start < 10
+        _assert_no_child_left()
 
 
 class TestEnsemblePredict:

@@ -1,4 +1,6 @@
 """Learners: losses, optimizer, training loop, and checkpoints."""
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -540,6 +542,13 @@ class TestCheckpoints:
         for old, new in zip(before, m.weights + m.biases):
             assert np.all(new < old)
         assert not np.array_equal(m.predict_scalar(x), out)
+
+    def test_pickle_round_trip_keeps_layers_views_into_theta(self):
+        m = MLP([3, 4, 2], "pixel", dropout=0.25, seed=5)
+        back = pickle.loads(pickle.dumps(m))
+        assert (back.dims, back.head, back.dropout) == (m.dims, m.head, m.dropout)
+        assert back.theta.tobytes() == m.theta.tobytes()
+        assert all(np.shares_memory(a, back.theta) for a in back.weights + back.biases)
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "bad.ckpt").write_bytes(b"XXXX" + bytes(64))

@@ -1,12 +1,13 @@
 """Pseudo labeling buckets, the growing selection schedule, and RPL training."""
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drtricks.data import Dataset, Sample, gen_ordinal_dataset
+from drtricks.data import DataError, Dataset, Sample, gen_ordinal_dataset
 from drtricks.models import MLP, TrainConfig, fit, round_half_away
 from drtricks.ssl import (
     PseudoBuckets,
@@ -153,6 +154,21 @@ class TestSelectReliable:
         buckets = self.make_buckets([3, 3, 3])
         for s in select_reliable(buckets, 5, 5):
             assert s.label in (0, 1, 2)
+
+    def test_relabeled_like_replace(self):
+        buckets = self.make_buckets([4, 3, 2])
+        chosen = select_reliable(buckets, 5, 5)
+        expected = [replace(s, label=k) for k in range(3) for s, _ in buckets.entries[k]]
+        assert [(s.id, s.label) for s in chosen] == [(s.id, s.label) for s in expected]
+        assert all(a.features.tobytes() == b.features.tobytes() and not a.features.flags.writeable
+                   for a, b in zip(chosen, expected))
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_bad_bucket_label_rejected(self, bad):
+        buckets = PseudoBuckets({0: self.make_buckets([2]).entries[0],
+                                 bad: self.make_buckets([0, 3]).entries[1]})
+        with pytest.raises(DataError):
+            select_reliable(buckets, 5, 5)
 
     def test_round_index_bounds(self):
         buckets = self.make_buckets([3, 3, 3])
