@@ -190,8 +190,7 @@ def cmd_train(args) -> int:
     train = _load_data(cfg, _require(cfg.train_path, "[data] train"))
     tcfg = cfg.train_config(args.seed)
     if cfg.ensemble_k > 1:
-        ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k, base_seed=args.seed,
-                                  jobs=args.jobs)
+        ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k, base_seed=args.seed)
         manifest = save_ensemble(out, ens)
         print(f"trained ensemble of {cfg.ensemble_k}; manifest {manifest}")
     else:
@@ -289,7 +288,7 @@ def _predicted_pairs(task: str, truth: dd.Dataset, pred_path: Path):
 # ablation
 # ---------------------------------------------------------------------------
 
-def _tabular_arms(cfg: RunConfig, seed: int, jobs: int | None = None) -> dict[str, float]:
+def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     """One seed's dev QWK for each incremental arm of the ordinal tasks.
 
     TTA averages input transforms, none of which exist for plain feature
@@ -297,7 +296,8 @@ def _tabular_arms(cfg: RunConfig, seed: int, jobs: int | None = None) -> dict[st
     The +post arm applies the quality operating thresholds; for DR grading
     the mask-guided edit needs a segmentation model, so it is also a
     pass-through here. The supervised, PL and RPL ensemble members are
-    trained by one ``map_members`` over ``jobs`` processes.
+    trained by one ``map_members``; a member that fails is named by its arm
+    and its index there.
     """
     tcfg = cfg.train_config(seed)
     labeled = dd.gen_ordinal_dataset(cfg.n_labeled, noise=cfg.noise, dim=cfg.dim,
@@ -320,7 +320,11 @@ def _tabular_arms(cfg: RunConfig, seed: int, jobs: int | None = None) -> dict[st
         return rpl_train(train, unlabeled, RPLConfig(base=member_cfg, rounds=cfg.rpl_rounds))
 
     single = fit(cfg.task, train, tcfg)
-    members = map_members(member, 3 * k, jobs)
+    try:
+        members = map_members(member, 3 * k)
+    except EnsembleMemberError as exc:
+        arm = ("+ensemble", "+pl", "+rpl")[exc.index // k]
+        raise EnsembleMemberError(exc.index % k, exc.args[1], arm) from exc
     sup_ens, pl_ens, rpl_ens = (Ensemble(tuple(members[a:a + k]), tuple(seeds[a:a + k]))
                                 for a in (0, k, 2 * k))
     raw_rpl = np.atleast_1d(ensemble_predict(rpl_ens, feats))
@@ -336,18 +340,17 @@ def _tabular_arms(cfg: RunConfig, seed: int, jobs: int | None = None) -> dict[st
             for arm, (raw, post) in arms.items()}
 
 
-def _segmentation_arms(cfg: RunConfig, seed: int, jobs: int | None = None) -> dict[str, float]:
+def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     """One seed's dev mean-DSC for each incremental segmentation arm.
 
     Augmentation has no arm of its own, so every arm trains without it.
-    The ensemble's members are trained over ``jobs`` processes.
     """
     tcfg = replace(cfg.train_config(seed), augment=False)
     train = dd.gen_seg_dataset(cfg.n_labeled, size=cfg.size, seed=derive_seed(seed, 1))
     dev = dd.gen_seg_dataset(cfg.n_dev, size=cfg.size, seed=derive_seed(seed, 2))
     single = fit("segmentation", train, tcfg)
     ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k,
-                              base_seed=derive_seed(seed, 10), jobs=jobs)
+                              base_seed=derive_seed(seed, 10))
 
     # The +tta and +post arms decide from the same rotation-TTA soft masks, and
     # the identity rotation of that TTA reuses the +ensemble prediction.
@@ -379,7 +382,7 @@ def cmd_ablate(args) -> int:
                   "[train] augment = true is ignored")
     else:
         arm_names, run_arms, metric = TABULAR_ARMS, _tabular_arms, "qwk"
-    per_seed = [run_arms(cfg, seed, args.jobs) for seed in seeds]
+    per_seed = [run_arms(cfg, seed) for seed in seeds]
     rows = []
     for arm in arm_names:
         vals = np.array([r[arm] for r in per_seed])
@@ -402,22 +405,6 @@ def _seed_list(text: str) -> list[int]:
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed list {text!r}")
     return seeds
-
-
-def _jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad job count {text!r}") from exc
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"job count must be >= 1, got {jobs}")
-    return jobs
-
-
-def _add_jobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=_jobs, default=None,
-                   help="processes that train ensemble members, each pinned to "
-                        "its own CPU (default and cap: the CPUs available)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--out", required=True)
-        if name == "train":
-            _add_jobs(p)
         p.set_defaults(func=func)
 
     ablate = sub.add_parser("ablate", help="run the trick-by-trick comparison")
@@ -460,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.add_argument("--seeds", type=_seed_list, required=True,
                         help="comma-separated seed list, e.g. 0,1,2")
     ablate.add_argument("--out", required=True)
-    _add_jobs(ablate)
     ablate.set_defaults(func=cmd_ablate)
     return parser
 

@@ -36,18 +36,20 @@ class Ensemble:
 
 
 class EnsembleMemberError(RuntimeError):
-    """A member's training failed numerically; ``index`` says which member.
+    """A member's training failed numerically; ``index`` says which member,
+    and ``arm``, when set, which of several ensembles it belongs to.
 
-    ``args`` is ``(index, message)``, so the error survives a pickle round
-    trip from a worker process.
+    ``args`` is ``(index, message, arm)``, so the error survives a pickle
+    round trip from a worker process.
     """
 
-    def __init__(self, index: int, cause: Exception | str):
-        super().__init__(index, str(cause))
+    def __init__(self, index: int, cause: Exception | str, arm: str = ""):
+        super().__init__(index, str(cause), arm)
         self.index = index
 
     def __str__(self) -> str:
-        return f"member {self.args[0]} failed: {self.args[1]}"
+        index, message, arm = self.args
+        return f"{arm + ' ' if arm else ''}member {index} failed: {message}"
 
 
 def _member(task: Callable[[int], T], i: int) -> T:
@@ -58,10 +60,11 @@ def _member(task: Callable[[int], T], i: int) -> T:
 
 
 def _serve(task: Callable[[int], T], indices: range, cpu: int, fd: int) -> None:
-    """A forked worker: pickle ``(True, result)`` for each member in turn to
+    """A forked worker: send ``(True, result)`` for each member in turn to
     ``fd``, or ``(False, exception)`` for the first that fails, then stop.
 
-    It never returns: ``os._exit`` ends the child without unwinding into the
+    Each message is a pickle behind its 8-byte length. The worker never
+    returns: ``os._exit`` ends the child without unwinding into the
     caller's stack or flushing the stdio buffers it inherited.
     """
     code = 1
@@ -73,7 +76,9 @@ def _serve(task: Callable[[int], T], indices: range, cpu: int, fd: int) -> None:
                     message = (True, _member(task, i))
                 except Exception as exc:
                     message = (False, exc)
-                pickle.dump(message, out)
+                data = pickle.dumps(message)
+                out.write(len(data).to_bytes(8, "little"))
+                out.write(data)
                 out.flush()
                 if not message[0]:
                     break
@@ -82,59 +87,79 @@ def _serve(task: Callable[[int], T], indices: range, cpu: int, fd: int) -> None:
         os._exit(code)
 
 
-def map_members(task: Callable[[int], T], n: int, jobs: int | None = None) -> list[T]:
-    """``[task(i) for i in range(n)]``, the members spread over ``jobs`` processes.
+def _drain(pipe, inbox) -> None:
+    """Move each message from a worker's pipe to ``inbox`` as it arrives,
+    then ``None`` at the end, so the worker never waits on a full pipe."""
+    with pipe:
+        while len(head := pipe.read(8)) == 8:
+            size = int.from_bytes(head, "little")
+            data = pipe.read(size)
+            if len(data) != size:
+                break
+            inbox.put(data)
+        inbox.put(None)
 
-    ``jobs`` defaults to, and is capped at, the number of CPUs this process
-    may run on (and at ``n``); at 1 nothing is forked. Worker w runs members
-    w, w + jobs, w + 2 jobs, ... in order, and the calling process is worker
-    0: it trains its own share rather than wait. The other workers are
-    ``os.fork`` children, which inherit the datasets and the task, so only
-    their results are pickled, back through one pipe per worker. Each
-    worker is pinned to its own CPU, the caller to the first one until the
-    map returns: left unpinned, a child could share the caller's CPU and
-    run both at half speed.
+
+def map_members(task: Callable[[int], T], n: int) -> list[T]:
+    """``[task(i) for i in range(n)]``, the members spread over one process per CPU.
+
+    There are as many workers J as CPUs this process may run on, at most
+    ``n``; restrict the affinity (``taskset -c 0``) for fewer. Worker w runs
+    members w, w + J, w + 2 J, ... in order, and the calling process is
+    worker 0: it trains its own share rather than wait. The other
+    workers are ``os.fork`` children, which inherit the datasets and the
+    task, so only their results are pickled, back through one pipe per
+    worker that a thread of the caller drains. Each worker is pinned to its
+    own CPU, the caller to the first one until the map returns: left
+    unpinned, a child could share the caller's CPU and run both at half
+    speed. With one CPU nothing is forked.
 
     A member that fails numerically raises ``EnsembleMemberError`` with its
     index. Whatever the schedule, the failure raised is that of the lowest
     failing member, as in a sequential loop. Every child is killed and
     reaped before this returns or raises.
     """
-    cpus = sorted(os.sched_getaffinity(0))
-    jobs = min(len(cpus) if jobs is None else jobs, len(cpus), n)
-    if jobs <= 1:
-        return [_member(task, i) for i in range(n)]
+    import queue
     import signal
+    import threading
 
     mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    workers = max(1, min(len(cpus), n))
     results: list = [None] * n
-    children = []  # (worker, pid, read end of its pipe)
+    children = []  # (worker, pid, read end of its pipe, inbox)
+    drains = []
     try:
-        for w in range(1, jobs):
+        for w in range(1, workers):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _serve(task, range(w, n, jobs), cpus[w], write_fd)
+                _serve(task, range(w, n, workers), cpus[w], write_fd)
             os.close(write_fd)
-            children.append((w, pid, open(read_fd, "rb")))
-        os.sched_setaffinity(0, {cpus[0]})
+            children.append((w, pid, open(read_fd, "rb"), queue.SimpleQueue()))
+        # The drains start after the last fork: a child forked beside a
+        # running thread could inherit a lock that thread holds.
+        for _w, _pid, pipe, inbox in children:
+            drains.append(threading.Thread(target=_drain, args=(pipe, inbox), daemon=True))
+            drains[-1].start()
+        if children:
+            os.sched_setaffinity(0, {cpus[0]})
 
         failure = None  # (index, exception) of the lowest failing member seen
-        for i in range(0, n, jobs):
+        for i in range(0, n, workers):
             try:
                 results[i] = _member(task, i)
             except Exception as exc:
                 failure = (i, exc)
                 break
-        for w, _pid, pipe in children:
-            for i in range(w, n, jobs):
+        for w, _pid, _pipe, inbox in children:
+            for i in range(w, n, workers):
                 if failure is not None and i > failure[0]:
                     break  # this member cannot change the outcome
-                try:
-                    ok, value = pickle.load(pipe)
-                except EOFError:
-                    raise RuntimeError(
-                        f"the worker of member {i} ended without its result") from None
+                data = inbox.get()
+                if data is None:
+                    raise RuntimeError(f"the worker of member {i} ended without its result")
+                ok, value = pickle.loads(data)
                 if not ok:
                     failure = (i, value)
                     break
@@ -144,18 +169,21 @@ def map_members(task: Callable[[int], T], n: int, jobs: int | None = None) -> li
         return results
     finally:
         os.sched_setaffinity(0, mask)
-        for _w, pid, pipe in children:
+        for _w, pid, _pipe, _inbox in children:
             os.kill(pid, signal.SIGKILL)  # a child that is done has exited already
             os.waitpid(pid, 0)
+        for drain in drains:
+            drain.join()  # every write end is closed now, so each drain ends
+        for _w, _pid, pipe, _inbox in children:
             pipe.close()
 
 
 def train_deep_ensemble(data: Dataset, cfg: TrainConfig, k: int = 5,
-                        base_seed: int | None = None, jobs: int | None = None) -> Ensemble:
+                        base_seed: int | None = None) -> Ensemble:
     """Train k independent members with seeds base, base+1, ..., base+k-1.
 
-    The members are trained by ``map_members`` over ``jobs`` processes; the
-    result does not depend on ``jobs``.
+    The members are trained by ``map_members``; the result does not depend
+    on how many CPUs it spreads them over.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -163,7 +191,7 @@ def train_deep_ensemble(data: Dataset, cfg: TrainConfig, k: int = 5,
     seeds = tuple(base + i for i in range(k))
     # ``fit`` is looked up when each member starts, so a wrapper installed
     # on this module's binding sees every fit the caller runs.
-    members = map_members(lambda i: fit(data.task, data, replace(cfg, seed=seeds[i])), k, jobs)
+    members = map_members(lambda i: fit(data.task, data, replace(cfg, seed=seeds[i])), k)
     return Ensemble(tuple(members), seeds)
 
 

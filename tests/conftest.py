@@ -1,0 +1,13 @@
+"""Shared fixtures."""
+import os
+
+import pytest
+
+
+@pytest.fixture
+def cpus():
+    """``cpus(k)`` pins this process to its first k CPUs, and so sets how many
+    workers ``map_members`` uses; the mask is restored after the test."""
+    mask = os.sched_getaffinity(0)
+    yield lambda k: os.sched_setaffinity(0, sorted(mask)[:k])
+    os.sched_setaffinity(0, mask)

@@ -13,7 +13,7 @@ from drtricks import cli
 from drtricks.cli import main
 from drtricks.config import ConfigError, RunConfig, load_config
 from drtricks.data import gen_ordinal_dataset, gen_seg_dataset
-from drtricks.models import MLP, save_checkpoint
+from drtricks.models import MLP, derive_seed, save_checkpoint
 
 BASE_CONFIG = """\
 [run]
@@ -346,7 +346,7 @@ class TestAblate:
 
 
 # ---------------------------------------------------------------------------
-# --jobs: members trained over worker processes give the same outputs
+# Members trained over one or two worker processes give the same outputs
 # ---------------------------------------------------------------------------
 
 def _files(directory: Path) -> dict[str, bytes]:
@@ -366,10 +366,11 @@ def _seg_workspace(tmp_path: Path, lr: float, k: int = 3) -> Path:
     return cfg
 
 
-class TestJobs:
+class TestWorkers:
     @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("task", ["grading", "segmentation"])
-    def test_one_and_two_jobs_write_the_same_bytes(self, workspace, capsys, command, task):
+    def test_one_and_two_cpus_write_the_same_bytes(self, workspace, capsys, cpus,
+                                                   command, task):
         if task == "grading":
             cfg = write_config(workspace, k=3,
                                extra="[synth]\nn_labeled = 40\nn_unlabeled = 60\n")
@@ -377,11 +378,11 @@ class TestJobs:
             cfg = _seg_workspace(workspace, lr=0.2)
         seeds = ["--seed", "0"] if command == "train" else ["--seeds", "0,1"]
         outputs = []
-        for jobs in ("1", "2"):
+        for ncpu in (1, 2):
+            cpus(ncpu)
             capsys.readouterr()
-            out = workspace / f"jobs{jobs}"
-            assert main([command, "--config", str(cfg), *seeds, "--out", str(out),
-                         "--jobs", jobs]) == 0
+            out = workspace / f"cpus{ncpu}"
+            assert main([command, "--config", str(cfg), *seeds, "--out", str(out)]) == 0
             outputs.append((_files(out), capsys.readouterr().out.replace(str(out), "OUT")))
         assert outputs[0] == outputs[1]
         expected = {"ablation.csv"} if command == "ablate" else {
@@ -389,13 +390,15 @@ class TestJobs:
             "report.csv", "report.json"}
         assert set(outputs[0][0]) == expected
 
-    def test_saturating_ensemble_exits_3_with_one_line_under_any_jobs(self, tmp_path, capsys):
+    def test_saturating_ensemble_exits_3_with_one_line_on_any_cpus(self, tmp_path, capsys,
+                                                                   cpus):
         cfg = _seg_workspace(tmp_path, lr=1e9)
         errors = []
-        for jobs in ("1", "2"):
+        for ncpu in (1, 2):
+            cpus(ncpu)
             capsys.readouterr()
             assert main(["train", "--config", str(cfg), "--seed", "0",
-                         "--out", str(tmp_path / f"out{jobs}"), "--jobs", jobs]) == 3
+                         "--out", str(tmp_path / f"out{ncpu}")]) == 3
             errors.append(capsys.readouterr().err)
             with pytest.raises(ChildProcessError):  # every worker was reaped
                 os.waitpid(-1, os.WNOHANG)
@@ -404,17 +407,27 @@ class TestJobs:
         assert errors[0].count("\n") == 1 and "overflow" in errors[0]
         assert not (tmp_path / "out2" / "ensemble.json").exists()
 
-    @pytest.mark.parametrize("command", ["train", "ablate"])
-    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
-    def test_bad_job_count_is_usage_error(self, tmp_path, capsys, command, jobs):
-        cfg = write_config(tmp_path)
-        seeds = ["--seed", "0"] if command == "train" else ["--seeds", "0"]
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(cfg), *seeds, "--out", str(tmp_path / "x"),
-                  "--jobs", jobs])
-        assert exc.value.code == 2
-        assert "job count" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+    @pytest.mark.parametrize("trainer, arm, key", [("naive_pl_train", "+pl", 20),
+                                                   ("rpl_train", "+rpl", 30)])
+    def test_ablate_names_the_arm_of_a_failing_member(self, tmp_path, capsys, cpus,
+                                                      monkeypatch, trainer, arm, key):
+        original = getattr(cli, trainer)
+
+        def failing_second_member(*args):
+            cfg = args[-1] if trainer == "naive_pl_train" else args[-1].base
+            if cfg.seed == derive_seed(0, key, 1):
+                raise FloatingPointError("overflow")
+            return original(*args)
+
+        monkeypatch.setattr(cli, trainer, failing_second_member)
+        cfg = write_config(tmp_path, k=3, extra="[synth]\nn_labeled = 40\nn_unlabeled = 60\n")
+        errors = []
+        for ncpu in (1, 2):
+            cpus(ncpu)
+            assert main(["ablate", "--config", str(cfg), "--seeds", "0",
+                         "--out", str(tmp_path / f"out{ncpu}")]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"numerical failure: {arm} member 1 failed: overflow\n"] * 2
 
 
 # ---------------------------------------------------------------------------

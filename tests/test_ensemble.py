@@ -80,11 +80,13 @@ class TestTrainDeepEnsemble:
                                 TrainConfig(epochs=1), k=0)
 
 
-    def test_jobs_do_not_change_members(self):
+    def test_cpu_count_does_not_change_members(self, cpus):
         data = gen_seg_dataset(4, 32, seed=0)
         cfg = TrainConfig(epochs=2, lr=0.2, batch_size=2, seed=0)
-        one = train_deep_ensemble(data, cfg, k=3, base_seed=5, jobs=1)
-        two = train_deep_ensemble(data, cfg, k=3, base_seed=5, jobs=2)
+        cpus(1)
+        one = train_deep_ensemble(data, cfg, k=3, base_seed=5)
+        cpus(2)
+        two = train_deep_ensemble(data, cfg, k=3, base_seed=5)
         assert one.seeds == two.seeds == (5, 6, 7)
         for a, b in zip(one.members, two.members):
             assert a.theta.tobytes() == b.theta.tobytes()
@@ -108,53 +110,83 @@ def _failing_at(indices, exc=FloatingPointError("overflow")):
 
 
 class TestMapMembers:
-    def test_jobs_one_runs_in_order_in_the_caller(self):
+    def test_one_cpu_runs_in_order_in_the_caller(self, cpus):
+        cpus(1)
         seen = []
-        assert map_members(lambda i: seen.append(i) or os.getpid(), 4, 1) == [os.getpid()] * 4
+        assert map_members(lambda i: seen.append(i) or os.getpid(), 4) == [os.getpid()] * 4
         assert seen == [0, 1, 2, 3]
 
     @TWO_CPUS
-    def test_results_in_member_order_and_caller_trains_its_share(self):
-        out = map_members(lambda i: (i * i, os.getpid()), 5, 2)
+    def test_results_in_member_order_and_caller_trains_its_share(self, cpus):
+        cpus(2)
+        out = map_members(lambda i: (i * i, os.getpid()), 5)
         assert [r[0] for r in out] == [0, 1, 4, 9, 16]
         assert {out[i][1] for i in (0, 2, 4)} == {os.getpid()}
         assert len({out[i][1] for i in (1, 3)}) == 1 and out[1][1] != os.getpid()
         _assert_no_child_left()
 
     @TWO_CPUS
-    def test_each_worker_pinned_to_its_own_cpu_and_mask_restored(self):
+    def test_each_worker_pinned_to_its_own_cpu_and_mask_restored(self, cpus):
+        cpus(2)
         before = os.sched_getaffinity(0)
-        cpus = sorted(before)
-        out = map_members(lambda i: os.sched_getaffinity(0), 4, 2)
-        assert out == [{cpus[0]}, {cpus[1]}, {cpus[0]}, {cpus[1]}]
+        first, second = sorted(before)
+        out = map_members(lambda i: os.sched_getaffinity(0), 4)
+        assert out == [{first}, {second}, {first}, {second}]
         assert os.sched_getaffinity(0) == before
 
     @TWO_CPUS
-    def test_jobs_capped_at_members(self):
-        assert map_members(lambda i: os.getpid(), 1, 2) == [os.getpid()]
+    def test_a_large_result_does_not_stall_its_worker(self, cpus, tmp_path):
+        cpus(2)
+        started = tmp_path / "member 3 started"
+
+        def task(i):
+            if i == 0:  # the caller waits for the child to reach its next member
+                deadline = time.monotonic() + 10
+                while not started.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                return started.exists()
+            if i == 3:
+                started.touch()
+            return MLP([8, 2048, 1], "scalar", seed=i)  # ~150 kB pickled, over a pipe's buffer
+
+        out = map_members(task, 4)
+        assert out[0] is True
+        assert out[1].theta.tobytes() == MLP([8, 2048, 1], "scalar", seed=1).theta.tobytes()
+        _assert_no_child_left()
+
+    @TWO_CPUS
+    def test_workers_capped_at_members(self):
+        assert map_members(lambda i: os.getpid(), 1) == [os.getpid()]
+        assert map_members(lambda i: i, 0) == []
 
     @pytest.mark.parametrize("failing, lowest", [({3, 4}, 3), ({2, 3}, 2), ({1, 4}, 1),
                                                  ({4}, 4), ({0, 1}, 0)])
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_lowest_failing_member_raised(self, failing, lowest, jobs):
+    @pytest.mark.parametrize("ncpu", [1, 2])
+    def test_lowest_failing_member_raised(self, cpus, failing, lowest, ncpu):
+        cpus(ncpu)
         with pytest.raises(EnsembleMemberError) as info:
-            map_members(_failing_at(failing), 5, jobs)
+            map_members(_failing_at(failing), 5)
         assert info.value.index == lowest
         assert str(info.value) == f"member {lowest} failed: overflow"
         _assert_no_child_left()
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_other_errors_raised_as_they_are(self, jobs):
+    @pytest.mark.parametrize("ncpu", [1, 2])
+    def test_other_errors_raised_as_they_are(self, cpus, ncpu):
+        cpus(ncpu)
         with pytest.raises(DataError, match="^bad member data$"):
-            map_members(_failing_at({1}, DataError("bad member data")), 3, jobs)
+            map_members(_failing_at({1}, DataError("bad member data")), 3)
 
     def test_member_error_survives_pickle(self):
         back = pickle.loads(pickle.dumps(EnsembleMemberError(3, FloatingPointError("nan"))))
         assert (back.index, str(back)) == (3, "member 3 failed: nan")
+        back = pickle.loads(pickle.dumps(EnsembleMemberError(1, "nan", "+rpl")))
+        assert (back.index, str(back)) == (1, "+rpl member 1 failed: nan")
 
     @TWO_CPUS
     @pytest.mark.parametrize("exc", [FloatingPointError("overflow"), KeyboardInterrupt()])
-    def test_caller_failure_kills_a_busy_child(self, exc):
+    def test_caller_failure_kills_a_busy_child(self, cpus, exc):
+        cpus(2)
+
         def task(i):
             if i == 0:
                 raise exc
@@ -162,7 +194,7 @@ class TestMapMembers:
 
         start = time.monotonic()
         with pytest.raises((EnsembleMemberError, KeyboardInterrupt)):
-            map_members(task, 2, 2)
+            map_members(task, 2)
         assert time.monotonic() - start < 10
         _assert_no_child_left()
 
