@@ -295,9 +295,11 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     vectors, so the +tta arm passes the +rpl predictions through unchanged.
     The +post arm applies the quality operating thresholds; for DR grading
     the mask-guided edit needs a segmentation model, so it is also a
-    pass-through here. The supervised, PL and RPL ensemble members are
-    trained by one ``map_members``; a member that fails is named by its arm
-    and its index there.
+    pass-through here. The RPL, naive-PL and supervised ensemble members are
+    trained by one ``map_members``, in that order: costliest first, since an
+    RPL member fits T + 1 models, a PL member 2 and a supervised member 1, so
+    the workers that take them on demand finish together. A member that
+    fails is named by its arm and its index there.
     """
     tcfg = cfg.train_config(seed)
     labeled = dd.gen_ordinal_dataset(cfg.n_labeled, noise=cfg.noise, dim=cfg.dim,
@@ -308,14 +310,17 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     train, dev = dd.split_train_dev(labeled, cfg.split_ratio, seed=derive_seed(seed, 3))
     feats = dev.feature_matrix
     k = cfg.ensemble_k
-    seeds = ([derive_seed(seed, 10) + i for i in range(k)]
-             + [derive_seed(seed, arm, i) for arm in (20, 30) for i in range(k)])
+    seeds = {"+rpl": [derive_seed(seed, 30, i) for i in range(k)],
+             "+pl": [derive_seed(seed, 20, i) for i in range(k)],
+             "+ensemble": [derive_seed(seed, 10) + i for i in range(k)]}
+    layout = tuple(seeds)  # map index j is member j % k of arm layout[j // k]
 
-    def member(j: int):  # supervised members, then naive-PL, then RPL members
-        member_cfg = replace(tcfg, seed=seeds[j])
-        if j < k:
+    def member(j: int):
+        arm = layout[j // k]
+        member_cfg = replace(tcfg, seed=seeds[arm][j % k])
+        if arm == "+ensemble":
             return fit(cfg.task, train, member_cfg)
-        if j < 2 * k:
+        if arm == "+pl":
             return naive_pl_train(train, unlabeled, member_cfg)
         return rpl_train(train, unlabeled, RPLConfig(base=member_cfg, rounds=cfg.rpl_rounds))
 
@@ -323,10 +328,10 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     try:
         members = map_members(member, 3 * k)
     except EnsembleMemberError as exc:
-        arm = ("+ensemble", "+pl", "+rpl")[exc.index // k]
-        raise EnsembleMemberError(exc.index % k, exc.args[1], arm) from exc
-    sup_ens, pl_ens, rpl_ens = (Ensemble(tuple(members[a:a + k]), tuple(seeds[a:a + k]))
-                                for a in (0, k, 2 * k))
+        raise EnsembleMemberError(exc.index % k, exc.args[1], layout[exc.index // k]) from exc
+    rpl_ens, pl_ens, sup_ens = (
+        Ensemble(tuple(members[a * k:(a + 1) * k]), tuple(seeds[arm]))
+        for a, arm in enumerate(layout))
     raw_rpl = np.atleast_1d(ensemble_predict(rpl_ens, feats))
     arms = {
         "baseline": (np.atleast_1d(single.predict_scalar(feats)), False),
@@ -449,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-CONFIG_ERRORS = (ConfigError, dd.DataError, CheckpointError,
-                 FileNotFoundError, NotADirectoryError, PermissionError)
+CONFIG_ERRORS = (ConfigError, dd.DataError, CheckpointError, FileNotFoundError,
+                 IsADirectoryError, NotADirectoryError, PermissionError)
 NUMERICAL_ERRORS = (TrainingDivergedError, EnsembleMemberError,
                     MetricError, UndefinedKappaError, FloatingPointError)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import select
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -59,9 +60,49 @@ def _member(task: Callable[[int], T], i: int) -> T:
         raise EnsembleMemberError(i, exc) from exc
 
 
-def _serve(task: Callable[[int], T], indices: range, cpu: int, fd: int) -> None:
-    """A forked worker: send ``(True, result)`` for each member in turn to
-    ``fd``, or ``(False, exception)`` for the first that fails, then stop.
+def _outcome(task: Callable[[int], T], i: int) -> tuple:
+    """``(i, True, result)`` of member i, or ``(i, False, exception)`` if it fails."""
+    try:
+        return i, True, _member(task, i)
+    except Exception as exc:
+        return i, False, exc
+
+
+def _next_index(fd: int) -> int | None:
+    """The next member index from the index pipe ``fd``; None once it is empty
+    and closed.
+
+    ``_feed`` writes whole indices, at most PIPE_BUF bytes at a time, and the
+    kernel never splits such a write, so a 4-byte read gets one whole index.
+    """
+    data = os.read(fd, 4)
+    return int.from_bytes(data, "little") if data else None
+
+
+def _feed(fd: int, n: int) -> None:
+    """Write member indices 1, ..., n - 1 to the index pipe ``fd``, then close it.
+
+    A write blocks while the pipe is full, so any ``n`` fits.
+    """
+    per_write = select.PIPE_BUF // 4
+    try:
+        for start in range(1, n, per_write):
+            os.write(fd, np.arange(start, min(start + per_write, n), dtype="<u4").tobytes())
+    finally:
+        os.close(fd)
+
+
+def _take_rest(fd: int) -> None:
+    """Read the index pipe ``fd`` to its end: no worker starts another member,
+    and a feeder blocked on the full pipe gets to close it."""
+    while os.read(fd, select.PIPE_BUF):
+        pass
+
+
+def _serve(task: Callable[[int], T], indices: int, feed: int, cpu: int, fd: int) -> None:
+    """A forked worker: take member indices from the pipe ``indices`` until it
+    ends, and send ``(i, True, result)`` for each to ``fd``, or ``(i, False,
+    exception)`` for the first that fails, then stop.
 
     Each message is a pickle behind its 8-byte length. The worker never
     returns: ``os._exit`` ends the child without unwinding into the
@@ -69,18 +110,16 @@ def _serve(task: Callable[[int], T], indices: range, cpu: int, fd: int) -> None:
     """
     code = 1
     try:
+        os.close(feed)  # the caller's feeder holds the only write end, so the pipe can end
         os.sched_setaffinity(0, {cpu})
         with open(fd, "wb") as out:
-            for i in indices:
-                try:
-                    message = (True, _member(task, i))
-                except Exception as exc:
-                    message = (False, exc)
+            while (i := _next_index(indices)) is not None:
+                message = _outcome(task, i)
                 data = pickle.dumps(message)
                 out.write(len(data).to_bytes(8, "little"))
                 out.write(data)
                 out.flush()
-                if not message[0]:
+                if not message[1]:
                     break
         code = 0
     finally:
@@ -103,16 +142,18 @@ def _drain(pipe, inbox) -> None:
 def map_members(task: Callable[[int], T], n: int) -> list[T]:
     """``[task(i) for i in range(n)]``, the members spread over one process per CPU.
 
-    There are as many workers J as CPUs this process may run on, at most
-    ``n``; restrict the affinity (``taskset -c 0``) for fewer. Worker w runs
-    members w, w + J, w + 2 J, ... in order, and the calling process is
-    worker 0: it trains its own share rather than wait. The other
-    workers are ``os.fork`` children, which inherit the datasets and the
-    task, so only their results are pickled, back through one pipe per
-    worker that a thread of the caller drains. Each worker is pinned to its
-    own CPU, the caller to the first one until the map returns: left
-    unpinned, a child could share the caller's CPU and run both at half
-    speed. With one CPU nothing is forked.
+    There are as many workers as CPUs this process may run on, at most
+    ``n``; restrict the affinity (``taskset -c 0``) for fewer. Members are
+    handed out on demand, in index order: the calling process trains member
+    0, and every worker, the caller too, takes the next index from a pipe
+    whenever it is free, so a caller that orders its members costliest
+    first keeps every worker busy to the end. The other workers are
+    ``os.fork`` children, which inherit the datasets and the task, so only
+    their results are pickled, back through one pipe per worker that a
+    thread of the caller drains. Each worker is pinned to its own CPU, the
+    caller to the first one until the map returns: left unpinned, a child
+    could share the caller's CPU and run both at half speed. With one CPU
+    nothing is forked.
 
     A member that fails numerically raises ``EnsembleMemberError`` with its
     index. Whatever the schedule, the failure raised is that of the lowest
@@ -125,56 +166,84 @@ def map_members(task: Callable[[int], T], n: int) -> list[T]:
 
     mask = os.sched_getaffinity(0)
     cpus = sorted(mask)
-    workers = max(1, min(len(cpus), n))
     results: list = [None] * n
-    children = []  # (worker, pid, read end of its pipe, inbox)
+    settled = bytearray(n)  # 1 once member i has its result or its failure
+    failure = None  # (index, exception) of the lowest failing member seen
+    ended = 0  # children whose pipe has closed
+
+    def settle(i: int, ok: bool, value) -> None:
+        nonlocal failure
+        settled[i] = 1
+        if ok:
+            results[i] = value
+        elif failure is None or i < failure[0]:
+            failure = (i, value)
+
+    def receive(data: bytes | None) -> None:
+        nonlocal ended
+        if data is None:
+            ended += 1
+        else:
+            settle(*pickle.loads(data))
+
+    indices, feed = os.pipe()
+    feeder = threading.Thread(target=_feed, args=(feed, n), daemon=True)
+    inbox = queue.SimpleQueue()  # every child's messages, then None at each one's end
+    children = []  # (pid, read end of its pipe)
     drains = []
     try:
-        for w in range(1, workers):
+        for w in range(1, min(len(cpus), n)):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _serve(task, range(w, n, workers), cpus[w], write_fd)
+                _serve(task, indices, feed, cpus[w], write_fd)
             os.close(write_fd)
-            children.append((w, pid, open(read_fd, "rb"), queue.SimpleQueue()))
-        # The drains start after the last fork: a child forked beside a
+            children.append((pid, open(read_fd, "rb")))
+        # The threads start after the last fork: a child forked beside a
         # running thread could inherit a lock that thread holds.
-        for _w, _pid, pipe, inbox in children:
+        feeder.start()
+        for _pid, pipe in children:
             drains.append(threading.Thread(target=_drain, args=(pipe, inbox), daemon=True))
             drains[-1].start()
         if children:
             os.sched_setaffinity(0, {cpus[0]})
 
-        failure = None  # (index, exception) of the lowest failing member seen
-        for i in range(0, n, workers):
-            try:
-                results[i] = _member(task, i)
-            except Exception as exc:
-                failure = (i, exc)
+        i = 0 if n else None
+        while i is not None:
+            settle(*_outcome(task, i))
+            while not inbox.empty():
+                receive(inbox.get())
+            i = _next_index(indices) if failure is None else None
+        if failure is not None:
+            # Take the members nobody has started back out of the pipe. Indices
+            # leave it in order, so every member below the failure has started.
+            _take_rest(indices)
+        lowest = 0  # wait for the members below that are still running
+        while True:
+            while lowest < n and settled[lowest]:
+                lowest += 1
+            if lowest >= (n if failure is None else failure[0]):
                 break
-        for w, _pid, _pipe, inbox in children:
-            for i in range(w, n, workers):
-                if failure is not None and i > failure[0]:
-                    break  # this member cannot change the outcome
-                data = inbox.get()
-                if data is None:
-                    raise RuntimeError(f"the worker of member {i} ended without its result")
-                ok, value = pickle.loads(data)
-                if not ok:
-                    failure = (i, value)
-                    break
-                results[i] = value
+            if ended == len(children):
+                raise RuntimeError(f"a worker ended without the result of member {lowest}")
+            receive(inbox.get())
         if failure is not None:
             raise failure[1]
         return results
     finally:
         os.sched_setaffinity(0, mask)
-        for _w, pid, _pipe, _inbox in children:
+        for pid, _pipe in children:
             os.kill(pid, signal.SIGKILL)  # a child that is done has exited already
             os.waitpid(pid, 0)
+        if feeder.ident is None:
+            os.close(feed)  # never started: the write end is still the caller's
+        else:
+            _take_rest(indices)
+            feeder.join()
+        os.close(indices)
         for drain in drains:
             drain.join()  # every write end is closed now, so each drain ends
-        for _w, _pid, pipe, _inbox in children:
+        for _pid, pipe in children:
             pipe.close()
 
 
@@ -281,9 +350,12 @@ def load_ensemble(manifest: Path | str) -> Ensemble:
     try:
         entries = json.loads(manifest.read_text())["members"]
         paths = [manifest.parent / entry["path"] for entry in entries]
-        seeds = tuple(int(entry["seed"]) for entry in entries)
+        seeds = tuple(entry["seed"] for entry in entries)
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{manifest}: malformed ensemble manifest ({exc!r})") from exc
+    for seed in seeds:
+        if type(seed) is not int:  # a JSON float or boolean is no seed
+            raise CheckpointError(f"{manifest}: member seed {seed!r} is not an integer")
     members = tuple(load_checkpoint(p) for p in paths)
     try:
         return Ensemble(members, seeds)

@@ -97,6 +97,8 @@ class MLP:
     Dropout is applied to hidden activations at training time only.
     ``weights[i]`` and ``biases[i]`` are views into one parameter vector
     ``theta``, laid out ``w0, b0, w1, b1, ...`` as in the checkpoint.
+    ``backward`` writes the gradient into one vector of the same layout,
+    allocated with the model and reused by every call.
     """
 
     def __init__(self, dims: list[int], head: str, dropout: float = 0.0, seed: int = 0):
@@ -111,6 +113,8 @@ class MLP:
         self.theta = np.zeros(sum(din * dout + dout
                                   for din, dout in zip(self.dims[:-1], self.dims[1:])))
         self.weights, self.biases = self._split(self.theta)
+        self._grad = np.empty_like(self.theta)
+        self._grads_w, self._grads_b = self._split(self._grad)
         for w in self.weights:
             w[:] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
 
@@ -145,10 +149,12 @@ class MLP:
         masks = []
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
             if train and self.dropout > 0.0:
                 keep = (rng.random(h.shape) >= self.dropout) / (1.0 - self.dropout)
-                h = h * keep
+                h *= keep
                 masks.append(keep)
             else:
                 masks.append(None)
@@ -168,10 +174,12 @@ class MLP:
         return h, (acts, masks)
 
     def backward(self, cache, grad_logits: np.ndarray) -> np.ndarray:
-        """Gradient of ``theta`` (one vector in its layout) given dLoss/dlogits."""
+        """Gradient of ``theta`` (one vector in its layout) given dLoss/dlogits.
+
+        The vector is the model's own buffer: the next call overwrites it.
+        """
         acts, masks = cache
-        grad = np.empty_like(self.theta)
-        grads_w, grads_b = self._split(grad)
+        grads_w, grads_b = self._grads_w, self._grads_b
         g = grad_logits
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
@@ -185,9 +193,9 @@ class MLP:
             if i > 0:
                 g = g @ self.weights[i].T
                 if masks[i - 1] is not None:
-                    g = g * masks[i - 1]
-                g = g * (acts[i] > 0.0)
-        return grad
+                    g *= masks[i - 1]
+                g *= acts[i] > 0.0
+        return self._grad
 
     # -- convenience --------------------------------------------------------
 
@@ -365,18 +373,36 @@ class AdamW:
         self.t = 0
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
+        self._step = np.empty_like(theta)  # the temporaries of ``step``
+        self._denom = np.empty_like(theta)
 
     def step(self, grad: np.ndarray) -> None:
+        """One update of ``theta``: ``m += (1 - b1) g``, ``v += (1 - b2) g g``,
+        ``p -= lr (m / b1t) / (sqrt(v / b2t) + eps)``, ``p -= lr wd p``.
+
+        The temporaries live in buffers allocated once per optimizer; the
+        operations and their order are those of the expressions, and so are the bits.
+        """
         self.t += 1
         b1t = 1.0 - self.b1 ** self.t
         b2t = 1.0 - self.b2 ** self.t
-        p, m, v = self.theta, self.m, self.v
+        p, m, v, step, denom = self.theta, self.m, self.v, self._step, self._denom
         m *= self.b1
-        m += (1.0 - self.b1) * grad
+        np.multiply(grad, 1.0 - self.b1, out=step)
+        m += step
         v *= self.b2
-        v += (1.0 - self.b2) * grad * grad
-        p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-        p -= self.lr * self.wd * p
+        np.multiply(grad, 1.0 - self.b2, out=step)
+        step *= grad
+        v += step
+        np.divide(m, b1t, out=step)
+        step *= self.lr
+        np.divide(v, b2t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        p -= step
+        np.multiply(p, self.lr * self.wd, out=step)
+        p -= step
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -408,14 +434,13 @@ def train(model: MLP, data: Dataset, cfg: TrainConfig) -> MLP:
         return model
 
     feats = data.feature_matrix
-    labels = np.array([s.label for s in data.samples])
     if any(l is None for l in data.labels()):
         raise DataError("training requires labeled samples")
+    labels = np.array(data.labels(), dtype=np.float64)
     for epoch in range(cfg.epochs):
         for idx in _batches(len(data), cfg.batch_size, rng):
-            xb, yb = feats[idx], labels[idx]
-            out, cache = model._forward_cached(xb, train=True, rng=rng)
-            loss, grad_out = smooth_l1(out, yb.astype(np.float64))
+            out, cache = model._forward_cached(feats[idx], train=True, rng=rng)
+            loss, grad_out = smooth_l1(out, labels[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             opt.step(model.backward(cache, grad_out[:, None]))

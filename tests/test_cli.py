@@ -429,6 +429,30 @@ class TestWorkers:
             errors.append(capsys.readouterr().err)
         assert errors == [f"numerical failure: {arm} member 1 failed: overflow\n"] * 2
 
+    def test_ablate_names_the_lowest_failing_member_of_its_layout(self, tmp_path, capsys,
+                                                                 cpus, monkeypatch):
+        failing = {derive_seed(0, 20, 0), derive_seed(0, 30, 2)}  # +pl 0 and +rpl 2
+
+        def failing_members(original):
+            def trainer(*args):
+                cfg = getattr(args[-1], "base", args[-1])  # an RPLConfig or a TrainConfig
+                if cfg.seed in failing:
+                    raise FloatingPointError("overflow")
+                return original(*args)
+            return trainer
+
+        for trainer_name in ("naive_pl_train", "rpl_train"):
+            monkeypatch.setattr(cli, trainer_name, failing_members(getattr(cli, trainer_name)))
+        cfg = write_config(tmp_path, k=3, extra="[synth]\nn_labeled = 40\nn_unlabeled = 60\n")
+        errors = []
+        for ncpu in (1, 2):
+            cpus(ncpu)
+            assert main(["ablate", "--config", str(cfg), "--seeds", "0",
+                         "--out", str(tmp_path / f"out{ncpu}")]) == 3
+            errors.append(capsys.readouterr().err)
+        # the RPL members come first in the layout of the map
+        assert errors == ["numerical failure: +rpl member 2 failed: overflow\n"] * 2
+
 
 # ---------------------------------------------------------------------------
 # bad input ends with exit 2 (or 3 when numerical) and one line on stderr
@@ -565,6 +589,12 @@ BAD_INPUTS = {
     "index_csv_not_utf8": ("train", _index_not_utf8),
     "predictions_csv_not_utf8": (
         "evaluate", lambda ws: _predictions(ws, b"id,prediction\n20000,\xff\n")),
+    # a path that names a directory
+    "training_csv_is_a_directory": ("train", lambda ws: {"train": ws / "labeled"}),
+    "predict_dev_is_a_directory": (
+        "predict", lambda ws: {**_checkpoint(ws, lambda b: b), "dev": ws / "dev"}),
+    "manifest_member_path_empty": (
+        "predict", lambda ws: _manifest(ws, '{"members": [{"path": "", "seed": 0}]}')),
 }
 
 

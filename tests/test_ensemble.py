@@ -121,8 +121,9 @@ class TestMapMembers:
         cpus(2)
         out = map_members(lambda i: (i * i, os.getpid()), 5)
         assert [r[0] for r in out] == [0, 1, 4, 9, 16]
-        assert {out[i][1] for i in (0, 2, 4)} == {os.getpid()}
-        assert len({out[i][1] for i in (1, 3)}) == 1 and out[1][1] != os.getpid()
+        pids = [r[1] for r in out]
+        assert pids[0] == os.getpid()  # the caller trains member 0 itself
+        assert len(set(pids) - {os.getpid()}) <= 1
         _assert_no_child_left()
 
     @TWO_CPUS
@@ -130,9 +131,40 @@ class TestMapMembers:
         cpus(2)
         before = os.sched_getaffinity(0)
         first, second = sorted(before)
-        out = map_members(lambda i: os.sched_getaffinity(0), 4)
-        assert out == [{first}, {second}, {first}, {second}]
+        out = map_members(lambda i: (os.getpid(), os.sched_getaffinity(0)), 40)
+        cpus_of = {}  # pid -> the CPUs it ran every one of its members on
+        for pid, affinity in out:
+            assert cpus_of.setdefault(pid, affinity) == affinity
+        assert cpus_of.pop(os.getpid()) == {first}
+        assert list(cpus_of.values()) in ([], [{second}])
         assert os.sched_getaffinity(0) == before
+
+    @TWO_CPUS
+    def test_a_free_worker_takes_the_next_member(self, cpus, tmp_path):
+        cpus(2)
+        started = tmp_path / "member 4 started"
+
+        def task(i):
+            if i == 4:
+                started.touch()
+            if i == 0:  # the caller is busy until the last member has started
+                deadline = time.monotonic() + 10
+                while not started.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                return started.exists(), os.getpid()
+            return True, os.getpid()
+
+        out = map_members(task, 5)
+        assert out[0] == (True, os.getpid())
+        assert len({pid for _ok, pid in out[1:]}) == 1 and out[1][1] != os.getpid()
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("ncpu", [1, 2])
+    def test_more_members_than_one_pipe_buffer_of_indices(self, cpus, ncpu):
+        cpus(ncpu)
+        n = 20_000  # 4-byte indices: 80 kB, more than a 64 KiB pipe holds
+        assert map_members(lambda i: i, n) == list(range(n))
+        _assert_no_child_left()
 
     @TWO_CPUS
     def test_a_large_result_does_not_stall_its_worker(self, cpus, tmp_path):
@@ -168,6 +200,33 @@ class TestMapMembers:
             map_members(_failing_at(failing), 5)
         assert info.value.index == lowest
         assert str(info.value) == f"member {lowest} failed: overflow"
+        _assert_no_child_left()
+
+    @TWO_CPUS
+    def test_lower_failure_wins_when_it_ends_last(self, cpus, tmp_path):
+        cpus(2)
+        one, two = tmp_path / "member 1 started", tmp_path / "member 2 failed"
+
+        def wait_for(path):
+            deadline = time.monotonic() + 10
+            while not path.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        def task(i):
+            if i == 0:
+                wait_for(one)  # so the child holds member 1
+            elif i == 1:
+                one.touch()
+                wait_for(two)
+                raise FloatingPointError("lower")
+            elif i == 2:
+                two.touch()
+                raise FloatingPointError("higher")
+            return i
+
+        with pytest.raises(EnsembleMemberError) as info:
+            map_members(task, 4)
+        assert str(info.value) == "member 1 failed: lower"
         _assert_no_child_left()
 
     @pytest.mark.parametrize("ncpu", [1, 2])
@@ -326,3 +385,17 @@ class TestManifest:
         (tmp_path / "ensemble.json").write_text(text)
         with pytest.raises(CheckpointError):
             load_ensemble(tmp_path / "ensemble.json")
+
+    @pytest.mark.parametrize("seed", ["1e400", "1.5", "2.0", "true", '"3"', "null"])
+    def test_seed_that_is_no_json_integer_rejected(self, tmp_path, seed):
+        (tmp_path / "ensemble.json").write_text(
+            '{"members": [{"path": "m.ckpt", "seed": %s}]}' % seed)
+        with pytest.raises(CheckpointError, match="is not an integer"):
+            load_ensemble(tmp_path / "ensemble.json")
+
+    def test_any_json_integer_seed_loads(self, tmp_path):
+        save_ensemble(tmp_path, Ensemble((constant_scalar(1.0),), (0,)))
+        seed = 2 ** 70
+        (tmp_path / "ensemble.json").write_text(
+            '{"members": [{"path": "member_0.ckpt", "seed": %d}]}' % seed)
+        assert load_ensemble(tmp_path / "ensemble.json").seeds == (seed,)

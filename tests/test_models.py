@@ -380,6 +380,14 @@ class TestTraining:
         assert fit("grading", data, cfg).theta.tobytes() == \
             reference_scalar_fit(data, cfg).tobytes()
 
+    @pytest.mark.parametrize("batch_size, dropout", [(1, 0.3), (64, 0.3), (16, 0.0)],
+                             ids=["batch_1", "batch_over_n", "no_dropout"])
+    def test_scalar_head_bit_equal_at_edge_batches(self, batch_size, dropout):
+        data = gen_ordinal_dataset(45, seed=5)
+        cfg = TrainConfig(lr=2e-3, epochs=3, batch_size=batch_size, dropout=dropout, seed=2)
+        assert fit("grading", data, cfg).theta.tobytes() == \
+            reference_scalar_fit(data, cfg).tobytes()
+
     def test_checkpoint_independent_of_raster_layout(self, tmp_path):
         data = gen_seg_dataset(4, 32, seed=2)
 
@@ -463,7 +471,8 @@ def reference_scalar_fit(data, cfg) -> np.ndarray:
             acts, keeps = [feats[idx]], []
             for w, b in zip(ws[:-1], bs[:-1]):
                 h = np.maximum(acts[-1] @ w + b, 0.0)
-                keeps.append((rng.random(h.shape) >= cfg.dropout) / (1.0 - cfg.dropout))
+                keeps.append(1.0 if cfg.dropout == 0.0 else  # no draw without dropout
+                             (rng.random(h.shape) >= cfg.dropout) / (1.0 - cfg.dropout))
                 acts.append(h * keeps[-1])
             out = (acts[-1] @ ws[-1] + bs[-1])[:, 0]
             g = smooth_l1(out, labels[idx])[1][:, None]
