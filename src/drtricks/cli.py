@@ -103,7 +103,7 @@ def _binarize(soft: np.ndarray, post: bool) -> dd.MaskSet:
 def _decisions(cfg: RunConfig, ens: Ensemble, data: dd.Dataset):
     """Yield (sample, decision) in sample order: a grade, or a mask set per image."""
     if cfg.task != "segmentation":
-        raw = np.atleast_1d(ensemble_predict(ens, data.feature_matrix))
+        raw = ensemble_predict(ens, data.feature_matrix)
         yield from zip(data.samples, _grades(raw, cfg.task, cfg.postprocess))
         return
     predict = lambda img: ensemble_predict(ens, img)
@@ -270,7 +270,7 @@ def _predicted_pairs(task: str, truth: dd.Dataset, pred_path: Path):
     segmentation = task == "segmentation"
     path, column = ((pred_path / "predictions.csv", "stem") if segmentation
                     else (pred_path, "prediction"))
-    rows = csv.reader(dd.open_utf8(path))
+    rows = iter(dd.read_csv(path))
     if next(rows, None) != ["id", column]:
         raise dd.FormatError(f"unexpected prediction columns in {path}")
     try:  # a row of other than two fields fails to unpack; blank lines are skipped
@@ -278,6 +278,8 @@ def _predicted_pairs(task: str, truth: dd.Dataset, pred_path: Path):
                  for i, v in filter(None, rows)}
     except (ValueError, TypeError) as exc:
         raise dd.FormatError(f"{path}: malformed prediction row ({exc})") from exc
+    if segmentation and any("\0" in stem for stem in by_id.values()):
+        raise dd.FormatError(f"{path}: a mask set stem holds a NUL byte")
     for s in truth.samples:
         if s.id not in by_id:
             raise dd.DataError(f"no prediction for sample {s.id}")
@@ -332,11 +334,11 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     rpl_ens, pl_ens, sup_ens = (
         Ensemble(tuple(members[a * k:(a + 1) * k]), tuple(seeds[arm]))
         for a, arm in enumerate(layout))
-    raw_rpl = np.atleast_1d(ensemble_predict(rpl_ens, feats))
+    raw_rpl = ensemble_predict(rpl_ens, feats)
     arms = {
-        "baseline": (np.atleast_1d(single.predict_scalar(feats)), False),
-        "+ensemble": (np.atleast_1d(ensemble_predict(sup_ens, feats)), False),
-        "+pl": (np.atleast_1d(ensemble_predict(pl_ens, feats)), False),
+        "baseline": (single.predict_scalar(feats), False),
+        "+ensemble": (ensemble_predict(sup_ens, feats), False),
+        "+pl": (ensemble_predict(pl_ens, feats), False),
         "+rpl": (raw_rpl, False),
         "+tta": (raw_rpl, False),
         "+post": (raw_rpl, True),
@@ -454,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-CONFIG_ERRORS = (ConfigError, dd.DataError, CheckpointError, FileNotFoundError,
-                 IsADirectoryError, NotADirectoryError, PermissionError)
+CONFIG_ERRORS = (ConfigError, dd.DataError, CheckpointError, OSError)
 NUMERICAL_ERRORS = (TrainingDivergedError, EnsembleMemberError,
                     MetricError, UndefinedKappaError, FloatingPointError)
 

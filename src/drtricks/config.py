@@ -78,6 +78,14 @@ class RunConfig:
             raise ConfigError("split_ratio must be in (0, 1)")
         if self.augment and self.task != "segmentation":
             raise ConfigError(f"augment applies to segmentation only, not task {self.task!r}")
+        if self.task == "segmentation" and (self.hidden, self.dropout) != (
+                TrainConfig.hidden, TrainConfig.dropout):
+            raise ConfigError("[train] hidden and dropout apply to the ordinal tasks only, "
+                              "not task 'segmentation'")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata["section"] == "data" and value is not None and "\0" in value:
+                raise ConfigError(f"[data] {f.metadata['key']}: a path cannot hold a NUL byte")
 
     def train_config(self, seed: int) -> TrainConfig:
         """The [train] settings, each under its own name, and the run's seed."""

@@ -8,7 +8,6 @@ seed and own their RNG; every type is immutable after construction.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -176,9 +175,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
 
     @property
     def feature_dim(self) -> Optional[int]:
@@ -461,6 +457,8 @@ def read_pgm(path: Path | str) -> np.ndarray:
         raise FormatError(f"{path}: non-numeric PGM header field") from exc
     if maxval != 255:
         raise FormatError(f"{path}: expected maxval 255, got {maxval}")
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: PGM dimensions {width}x{height} are not positive")
     body = data[pos : pos + width * height]
     if len(body) != width * height:
         raise FormatError(f"{path}: pixel payload does not match dimensions")
@@ -502,13 +500,15 @@ def read_mask_set(stem: Path | str) -> MaskSet:
     return MaskSet(np.stack(rasters))
 
 
-def open_utf8(path: Path | str) -> io.StringIO:
-    """A text file's contents, ready for the csv module; FormatError unless UTF-8."""
+def read_csv(path: Path | str) -> list[list[str]]:
+    """A CSV file's rows; FormatError unless it is UTF-8 text the csv module parses."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return io.StringIO(fh.read(), newline="")
+            return list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise FormatError(f"{path}: malformed CSV ({exc})") from exc
 
 
 def write_dataset_csv(path: Path | str, d: Dataset) -> None:
@@ -525,7 +525,7 @@ def write_dataset_csv(path: Path | str, d: Dataset) -> None:
 
 
 def read_dataset_csv(path: Path | str, task: str) -> Dataset:
-    rows = list(csv.reader(open_utf8(path)))
+    rows = read_csv(path)
     if not rows:
         raise FormatError(f"{path}: empty CSV")
     header = rows[0]
@@ -569,7 +569,7 @@ def read_seg_dataset(directory: Path | str) -> Dataset:
     index = directory / "index.csv"
     if not index.exists():
         raise FormatError(f"{directory}: missing index.csv")
-    rows = list(csv.reader(open_utf8(index)))
+    rows = read_csv(index)
     if not rows or rows[0] != ["id", "image", "has_masks"]:
         raise FormatError(f"{directory}: malformed index.csv header")
     samples = []
@@ -578,6 +578,8 @@ def read_seg_dataset(directory: Path | str) -> Dataset:
             sid, image_name, has_masks = int(row[0]), row[1], bool(int(row[2]))
         except (ValueError, IndexError) as exc:
             raise FormatError(f"{index}: malformed row {row!r}") from exc
+        if "\0" in image_name:
+            raise FormatError(f"{index}: image name {image_name!r} holds a NUL byte")
         image = read_image(directory / image_name)
         masks = None
         if has_masks:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import select
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -60,49 +59,34 @@ def _member(task: Callable[[int], T], i: int) -> T:
         raise EnsembleMemberError(i, exc) from exc
 
 
-def _outcome(task: Callable[[int], T], i: int) -> tuple:
-    """``(i, True, result)`` of member i, or ``(i, False, exception)`` if it fails."""
+def _outcome(task: Callable[[int], T], i: int, indices: int) -> tuple:
+    """``(i, True, result)`` of member i, or ``(i, False, exception)`` if it
+    fails; a failure first moves the index file ``indices`` to its end, so
+    that no worker starts another member."""
     try:
         return i, True, _member(task, i)
     except Exception as exc:
+        os.lseek(indices, 0, os.SEEK_END)
         return i, False, exc
 
 
 def _next_index(fd: int) -> int | None:
-    """The next member index from the index pipe ``fd``; None once it is empty
-    and closed.
+    """The next member index from the index file ``fd``; None at its end.
 
-    ``_feed`` writes whole indices, at most PIPE_BUF bytes at a time, and the
-    kernel never splits such a write, so a 4-byte read gets one whole index.
+    Every worker reads through the one open file description that ``fd``
+    names. For a regular file made by ``open(2)``, ``read(2)`` moves that
+    shared offset atomically across processes (since Linux 3.14), so each
+    4-byte read takes a different index, in order. A memfd is not made by
+    ``open(2)`` and gets no such lock: two workers can read one index.
     """
     data = os.read(fd, 4)
     return int.from_bytes(data, "little") if data else None
 
 
-def _feed(fd: int, n: int) -> None:
-    """Write member indices 1, ..., n - 1 to the index pipe ``fd``, then close it.
-
-    A write blocks while the pipe is full, so any ``n`` fits.
-    """
-    per_write = select.PIPE_BUF // 4
-    try:
-        for start in range(1, n, per_write):
-            os.write(fd, np.arange(start, min(start + per_write, n), dtype="<u4").tobytes())
-    finally:
-        os.close(fd)
-
-
-def _take_rest(fd: int) -> None:
-    """Read the index pipe ``fd`` to its end: no worker starts another member,
-    and a feeder blocked on the full pipe gets to close it."""
-    while os.read(fd, select.PIPE_BUF):
-        pass
-
-
-def _serve(task: Callable[[int], T], indices: int, feed: int, cpu: int, fd: int) -> None:
-    """A forked worker: take member indices from the pipe ``indices`` until it
-    ends, and send ``(i, True, result)`` for each to ``fd``, or ``(i, False,
-    exception)`` for the first that fails, then stop.
+def _serve(task: Callable[[int], T], indices: int, cpu: int, fd: int) -> None:
+    """A forked worker: take member indices from the file ``indices`` until
+    it ends, and send ``(i, True, result)`` for each to ``fd``, or ``(i,
+    False, exception)`` for the first that fails, then stop.
 
     Each message is a pickle behind its 8-byte length. The worker never
     returns: ``os._exit`` ends the child without unwinding into the
@@ -110,11 +94,10 @@ def _serve(task: Callable[[int], T], indices: int, feed: int, cpu: int, fd: int)
     """
     code = 1
     try:
-        os.close(feed)  # the caller's feeder holds the only write end, so the pipe can end
         os.sched_setaffinity(0, {cpu})
         with open(fd, "wb") as out:
             while (i := _next_index(indices)) is not None:
-                message = _outcome(task, i)
+                message = _outcome(task, i, indices)
                 data = pickle.dumps(message)
                 out.write(len(data).to_bytes(8, "little"))
                 out.write(data)
@@ -145,23 +128,26 @@ def map_members(task: Callable[[int], T], n: int) -> list[T]:
     There are as many workers as CPUs this process may run on, at most
     ``n``; restrict the affinity (``taskset -c 0``) for fewer. Members are
     handed out on demand, in index order: the calling process trains member
-    0, and every worker, the caller too, takes the next index from a pipe
-    whenever it is free, so a caller that orders its members costliest
-    first keeps every worker busy to the end. The other workers are
-    ``os.fork`` children, which inherit the datasets and the task, so only
-    their results are pickled, back through one pipe per worker that a
-    thread of the caller drains. Each worker is pinned to its own CPU, the
-    caller to the first one until the map returns: left unpinned, a child
-    could share the caller's CPU and run both at half speed. With one CPU
-    nothing is forked.
+    0, and every worker, the caller too, reads the next index from one
+    shared file whenever it is free, so a caller that orders its members
+    costliest first keeps every worker busy to the end. The other workers
+    are ``os.fork`` children, which inherit the datasets, the task and the
+    file's one offset, so only their results are pickled, back through one
+    pipe per worker that a thread of the caller drains. Each worker is
+    pinned to its own CPU, the caller to the first one until the map
+    returns: left unpinned, a child could share the caller's CPU and run
+    both at half speed. With one CPU nothing is forked.
 
     A member that fails numerically raises ``EnsembleMemberError`` with its
-    index. Whatever the schedule, the failure raised is that of the lowest
-    failing member, as in a sequential loop. Every child is killed and
-    reaped before this returns or raises.
+    index; any other error is raised as it is. The worker of a failing
+    member moves the shared offset to the end, so no worker starts another
+    member. Every member below it has started already, and the failure
+    raised is that of the lowest failing member, as in a sequential loop.
+    Every child is killed and reaped before this returns or raises.
     """
     import queue
     import signal
+    import tempfile
     import threading
 
     mask = os.sched_getaffinity(0)
@@ -186,22 +172,23 @@ def map_members(task: Callable[[int], T], n: int) -> list[T]:
         else:
             settle(*pickle.loads(data))
 
-    indices, feed = os.pipe()
-    feeder = threading.Thread(target=_feed, args=(feed, n), daemon=True)
+    index_file = tempfile.TemporaryFile()
+    indices = index_file.fileno()
     inbox = queue.SimpleQueue()  # every child's messages, then None at each one's end
     children = []  # (pid, read end of its pipe)
     drains = []
     try:
+        index_file.write(np.arange(1, n, dtype="<u4").tobytes())
+        index_file.seek(0)
         for w in range(1, min(len(cpus), n)):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _serve(task, indices, feed, cpus[w], write_fd)
+                _serve(task, indices, cpus[w], write_fd)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
         # The threads start after the last fork: a child forked beside a
         # running thread could inherit a lock that thread holds.
-        feeder.start()
         for _pid, pipe in children:
             drains.append(threading.Thread(target=_drain, args=(pipe, inbox), daemon=True))
             drains[-1].start()
@@ -210,14 +197,8 @@ def map_members(task: Callable[[int], T], n: int) -> list[T]:
 
         i = 0 if n else None
         while i is not None:
-            settle(*_outcome(task, i))
-            while not inbox.empty():
-                receive(inbox.get())
-            i = _next_index(indices) if failure is None else None
-        if failure is not None:
-            # Take the members nobody has started back out of the pipe. Indices
-            # leave it in order, so every member below the failure has started.
-            _take_rest(indices)
+            settle(*_outcome(task, i, indices))
+            i = _next_index(indices)
         lowest = 0  # wait for the members below that are still running
         while True:
             while lowest < n and settled[lowest]:
@@ -235,12 +216,7 @@ def map_members(task: Callable[[int], T], n: int) -> list[T]:
         for pid, _pipe in children:
             os.kill(pid, signal.SIGKILL)  # a child that is done has exited already
             os.waitpid(pid, 0)
-        if feeder.ident is None:
-            os.close(feed)  # never started: the write end is still the caller's
-        else:
-            _take_rest(indices)
-            feeder.join()
-        os.close(indices)
+        index_file.close()
         for drain in drains:
             drain.join()  # every write end is closed now, so each drain ends
         for _pid, pipe in children:
@@ -264,7 +240,7 @@ def train_deep_ensemble(data: Dataset, cfg: TrainConfig, k: int = 5,
     return Ensemble(tuple(members), seeds)
 
 
-def ensemble_predict(e: Ensemble, x) -> np.ndarray | float:
+def ensemble_predict(e: Ensemble, x) -> np.ndarray:
     """Arithmetic mean of member predictions, computed in member order.
 
     For pixel heads the image's ``seg_features`` are computed once and
@@ -277,8 +253,6 @@ def ensemble_predict(e: Ensemble, x) -> np.ndarray | float:
         preds = [segment_soft(m, v, feats) for m in e.members]
     else:
         preds = [m.predict_scalar(np.atleast_2d(x)) for m in e.members]
-        if np.asarray(x).ndim == 1:
-            preds = [float(p[0]) for p in preds]
     out = preds[0]
     for p in preds[1:]:
         out = out + p
@@ -351,11 +325,14 @@ def load_ensemble(manifest: Path | str) -> Ensemble:
         entries = json.loads(manifest.read_text())["members"]
         paths = [manifest.parent / entry["path"] for entry in entries]
         seeds = tuple(entry["seed"] for entry in entries)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"{manifest}: malformed ensemble manifest ({exc!r})") from exc
     for seed in seeds:
         if type(seed) is not int:  # a JSON float or boolean is no seed
             raise CheckpointError(f"{manifest}: member seed {seed!r} is not an integer")
+    for path in paths:
+        if "\0" in str(path):
+            raise CheckpointError(f"{manifest}: member path {str(path)!r} holds a NUL byte")
     members = tuple(load_checkpoint(p) for p in paths)
     try:
         return Ensemble(members, seeds)

@@ -113,28 +113,39 @@ class TestConfig:
         assert (cfg.task, cfg.tta, cfg.ensemble_k, cfg.postprocess) == ("grading", "none", 5, False)
 
     def test_every_field_set_from_ini_reads_back(self, tmp_path):
-        p = tmp_path / "all.ini"
-        p.write_text(
-            "[run]\ntask = segmentation\n"
+        """Two configs, one segmentation and one ordinal, set every field to a
+        non-default value: ``augment`` applies to segmentation only, and
+        ``hidden`` and ``dropout`` to the ordinal tasks only."""
+        template = (
+            "[run]\ntask = {task}\n"
             "[data]\ntrain = t.csv\ndev = d.csv\nunlabeled = u.csv\nmodel = m.ckpt\n"
             "predictions = p.csv\n"
             "[synth]\ndim = 5\nnoise = 0.25\nsize = 48\nn_labeled = 30\nn_unlabeled = 70\n"
             "n_dev = 4\nsplit_ratio = 0.6\n"
             "[train]\nlr = 0.01\nweight_decay = 0.5\nbatch_size = 3\nepochs = 9\n"
-            "alpha = 0.75\naux = focal\nhidden = 7\ndropout = 0.1\naugment = true\n"
+            "alpha = 0.75\naux = focal\n{task_keys}"
             "[pipeline]\nensemble_k = 3\nrpl_rounds = 2\ntta = rotate\npostprocess = true\n")
-        expected = dict(
-            task="segmentation", train_path="t.csv", dev_path="d.csv",
+        shared = dict(
+            train_path="t.csv", dev_path="d.csv",
             unlabeled_path="u.csv", model_path="m.ckpt", predictions_path="p.csv",
             dim=5, noise=0.25, size=48, n_labeled=30, n_unlabeled=70, n_dev=4,
             split_ratio=0.6, lr=0.01, weight_decay=0.5, batch_size=3, epochs=9,
-            alpha=0.75, aux="focal", hidden=7, dropout=0.1, augment=True,
-            ensemble_k=3, rpl_rounds=2, tta="rotate", postprocess=True)
-        cfg = load_config(p)
-        got = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-        assert got == expected
-        assert all(type(got[k]) is type(v) for k, v in expected.items())
-        assert all(f.default != expected[f.name] for f in fields(RunConfig))
+            alpha=0.75, aux="focal", ensemble_k=3, rpl_rounds=2, tta="rotate", postprocess=True)
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        read_back = set()
+        for task, task_keys, task_fields in (
+                ("segmentation", "augment = true\n", dict(augment=True)),
+                ("grading", "hidden = 7\ndropout = 0.1\n", dict(hidden=7, dropout=0.1))):
+            p = tmp_path / f"{task}.ini"
+            p.write_text(template.format(task=task, task_keys=task_keys))
+            expected = {**shared, "task": task, **task_fields}
+            cfg = load_config(p)
+            got = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+            assert got == defaults | expected
+            assert all(type(got[k]) is type(v) for k, v in expected.items())
+            assert all(defaults[k] != v for k, v in expected.items())
+            read_back |= expected.keys()
+        assert read_back == defaults.keys()
 
     @pytest.mark.parametrize("task", ["grading", "quality"])
     def test_augment_rejected_on_tabular_tasks(self, tmp_path, capsys, task):
@@ -144,6 +155,15 @@ class TestConfig:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "augment applies to segmentation only" in err
+
+    @pytest.mark.parametrize("setting", ["hidden = 8", "dropout = 0.1"], ids=["hidden", "dropout"])
+    def test_hidden_and_dropout_rejected_for_segmentation(self, tmp_path, capsys, setting):
+        p = tmp_path / "seg.ini"
+        p.write_text(f"[run]\ntask = segmentation\n[train]\n{setting}\n")
+        assert main(["train", "--config", str(p), "--seed", "0",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "apply to the ordinal tasks only" in err
 
     def test_digest_changes_iff_semantic_field_changes(self):
         a = RunConfig(task="grading")
@@ -536,6 +556,29 @@ def _index_not_utf8(ws: Path) -> dict:
     return {"task": "segmentation", "train": ws / "segbad"}
 
 
+def _index_image_name_with_nul(ws: Path) -> dict:
+    (ws / "segnul").mkdir()
+    (ws / "segnul" / "index.csv").write_text("id,image,has_masks\n0,a\0b.pgm,0\n")
+    return {"task": "segmentation", "train": ws / "segnul"}
+
+
+def _index_image_name_too_long(ws: Path) -> dict:
+    (ws / "seglong").mkdir()
+    (ws / "seglong" / "index.csv").write_text(f"id,image,has_masks\n0,{'a' * 300}.pgm,0\n")
+    return {"task": "segmentation", "train": ws / "seglong"}
+
+
+def _nul_segmentation_predictions(ws: Path) -> dict:
+    """Predictions naming the truth mask sets, the first stem with a NUL byte in it."""
+    dev = _segmentation_dev(ws)["dev"]
+    rows = [line.split(",") for line in (dev / "index.csv").read_text().splitlines()[1:]]
+    stems = [image.removesuffix(".pgm") for _sid, image, _ in rows]
+    stems[0] = stems[0][:3] + "\0" + stems[0][3:]
+    (dev / "predictions.csv").write_text("id,stem\n" + "".join(
+        f"{sid},{stem}\n" for (sid, _image, _), stem in zip(rows, stems)))
+    return {"task": "segmentation", "dev": dev, "predictions": dev}
+
+
 def _five_feature_dev(ws: Path) -> dict:
     assert main(["synth", "--task", "grading", "--n", "30", "--seed", "3", "--dim", "5",
                  "--out", str(ws / "dev5")]) == 0
@@ -595,6 +638,18 @@ BAD_INPUTS = {
         "predict", lambda ws: {**_checkpoint(ws, lambda b: b), "dev": ws / "dev"}),
     "manifest_member_path_empty": (
         "predict", lambda ws: _manifest(ws, '{"members": [{"path": "", "seed": 0}]}')),
+    # a path that holds a NUL byte, which no file name can
+    "config_data_path_with_nul": ("train", lambda ws: {"train": "a\0b"}),
+    "index_csv_image_name_with_nul": ("train", _index_image_name_with_nul),
+    "manifest_member_path_with_nul": (
+        "predict", lambda ws: _manifest(ws, '{"members": [{"path": "a\\u0000b", "seed": 0}]}')),
+    "segmentation_prediction_stem_with_nul": ("evaluate", _nul_segmentation_predictions),
+    # what the operating system refuses, or the JSON parser cannot nest
+    "index_csv_image_name_too_long": ("train", _index_image_name_too_long),
+    "manifest_nested_too_deep": ("predict", lambda ws: _manifest(ws, "[" * 100_000)),
+    # the csv module refuses a field over 131072 characters
+    "dataset_csv_field_over_csv_limit": (
+        "train", lambda ws: _train_csv(ws, b"id,feat_0,label\n0," + b"1" * 140_000 + b",1\n")),
 }
 
 

@@ -179,19 +179,19 @@ class TestSplit:
         d = make_tabular([i % 3 for i in range(90)])
         a = split_train_dev(d, 0.8, seed=7)
         b = split_train_dev(d, 0.8, seed=7)
-        assert [s.id for s in a[0]] == [s.id for s in b[0]]
-        assert [s.id for s in a[1]] == [s.id for s in b[1]]
+        assert [s.id for s in a[0].samples] == [s.id for s in b[0].samples]
+        assert [s.id for s in a[1].samples] == [s.id for s in b[1].samples]
 
     def test_stratified_counts_50_30_20(self):
         labels = [0] * 50 + [1] * 30 + [2] * 20
         train, _dev = split_train_dev(make_tabular(labels), 0.8, seed=3)
-        per_class = [sum(1 for s in train if s.label == k) for k in range(3)]
+        per_class = [sum(1 for s in train.samples if s.label == k) for k in range(3)]
         assert per_class == [40, 24, 16]
 
     def test_exact_partition(self):
         d = make_tabular([i % 3 for i in range(61)])
         train, dev = split_train_dev(d, 0.8, seed=11)
-        ids = sorted([s.id for s in train] + [s.id for s in dev])
+        ids = sorted([s.id for s in train.samples] + [s.id for s in dev.samples])
         assert ids == sorted(s.id for s in d.samples)
 
     def test_small_class_rejected(self):
@@ -332,6 +332,12 @@ class TestIO:
         (tmp_path / "t.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(10))
         with pytest.raises(FormatError):
             read_pgm(tmp_path / "t.pgm")
+
+    @pytest.mark.parametrize("dims, payload", [(b"-5 -5", 25), (b"-1 -16", 16), (b"0 4", 0)])
+    def test_pgm_rejects_dimensions_that_are_not_positive(self, tmp_path, dims, payload):
+        (tmp_path / "n.pgm").write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(payload))
+        with pytest.raises(FormatError, match="not positive"):
+            read_pgm(tmp_path / "n.pgm")
 
     def test_pgm_rejects_wrong_magic(self, tmp_path):
         (tmp_path / "w.pgm").write_bytes(b"P6\n4 4\n255\n" + bytes(48))

@@ -2,6 +2,7 @@
 and ensemble manifests."""
 import os
 import pickle
+import threading
 import time
 
 import numpy as np
@@ -167,6 +168,47 @@ class TestMapMembers:
         _assert_no_child_left()
 
     @TWO_CPUS
+    def test_one_thread_per_child(self, cpus, tmp_path):
+        cpus(2)
+        held, counted = tmp_path / "member 1 started", tmp_path / "member 0 counted"
+
+        def wait_for(path):
+            deadline = time.monotonic() + 10
+            while not path.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        def task(i):
+            if i == 0:  # the child is held in member 1 while the caller counts
+                wait_for(held)
+                count = threading.active_count()
+                counted.touch()
+                return count
+            if i == 1:
+                held.touch()
+                wait_for(counted)
+            return i
+
+        before = threading.active_count()
+        n = 20_000
+        out = map_members(task, n)
+        assert out[0] == before + 1  # the drain of the one child, no other thread
+        assert out[1:] == list(range(1, n))
+        _assert_no_child_left()
+
+    @TWO_CPUS
+    def test_each_member_runs_exactly_once(self, cpus, tmp_path):
+        cpus(2)
+
+        def task(i):  # a second run of member i fails to create its file again
+            os.close(os.open(tmp_path / str(i), os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            return i
+
+        n = 5_000
+        assert map_members(task, n) == list(range(n))
+        assert len(os.listdir(tmp_path)) == n
+        _assert_no_child_left()
+
+    @TWO_CPUS
     def test_a_large_result_does_not_stall_its_worker(self, cpus, tmp_path):
         cpus(2)
         started = tmp_path / "member 3 started"
@@ -262,11 +304,11 @@ class TestEnsemblePredict:
     def test_identical_members_equal_single(self):
         m = constant_scalar(1.3)
         e = Ensemble((m, m, m), (0, 0, 0))
-        assert ensemble_predict(e, np.zeros(4)) == pytest.approx(1.3)
+        assert ensemble_predict(e, np.zeros((1, 4))) == pytest.approx(1.3)
 
     def test_scalar_mean(self):
         e = Ensemble((constant_scalar(1.0), constant_scalar(2.0)), (0, 1))
-        assert ensemble_predict(e, np.zeros(4)) == pytest.approx(1.5)
+        assert ensemble_predict(e, np.zeros((1, 4))) == pytest.approx(1.5)
 
     def test_batch_mean_is_member_order_mean(self):
         feats = np.stack([s.features for s in gen_ordinal_dataset(40, seed=0).samples])
