@@ -290,6 +290,21 @@ def _predicted_pairs(task: str, truth: dd.Dataset, pred_path: Path):
 # ablation
 # ---------------------------------------------------------------------------
 
+def _map_arms(member, layout: tuple[str, ...], k: int) -> list:
+    """``member(j)`` for the k members of each arm in ``layout``, then for the
+    single ``baseline`` fit at index ``len(layout) * k``, over one ``map_members``.
+
+    The single fit comes last, so it runs on a core the members leave idle.
+    A member that fails is named by its arm and its index there.
+    """
+    try:
+        return map_members(member, len(layout) * k + 1)
+    except EnsembleMemberError as exc:
+        arm, i = divmod(exc.index, k)
+        raise EnsembleMemberError(i, exc.args[1],
+                                  layout[arm] if arm < len(layout) else "baseline") from exc
+
+
 def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     """One seed's dev QWK for each incremental arm of the ordinal tasks.
 
@@ -297,11 +312,11 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     vectors, so the +tta arm passes the +rpl predictions through unchanged.
     The +post arm applies the quality operating thresholds; for DR grading
     the mask-guided edit needs a segmentation model, so it is also a
-    pass-through here. The RPL, naive-PL and supervised ensemble members are
-    trained by one ``map_members``, in that order: costliest first, since an
-    RPL member fits T + 1 models, a PL member 2 and a supervised member 1, so
-    the workers that take them on demand finish together. A member that
-    fails is named by its arm and its index there.
+    pass-through here. The RPL, naive-PL and supervised ensemble members and
+    the single baseline fit are trained by one ``map_members``, in that
+    order: costliest first, since an RPL member fits T + 1 models, a PL
+    member 2 and the others 1, so the workers that take them on demand
+    finish together.
     """
     tcfg = cfg.train_config(seed)
     labeled = dd.gen_ordinal_dataset(cfg.n_labeled, noise=cfg.noise, dim=cfg.dim,
@@ -315,9 +330,11 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     seeds = {"+rpl": [derive_seed(seed, 30, i) for i in range(k)],
              "+pl": [derive_seed(seed, 20, i) for i in range(k)],
              "+ensemble": [derive_seed(seed, 10) + i for i in range(k)]}
-    layout = tuple(seeds)  # map index j is member j % k of arm layout[j // k]
+    layout = tuple(seeds)  # map index j < 3k is member j % k of arm layout[j // k]
 
     def member(j: int):
+        if j == len(layout) * k:
+            return fit(cfg.task, train, tcfg)
         arm = layout[j // k]
         member_cfg = replace(tcfg, seed=seeds[arm][j % k])
         if arm == "+ensemble":
@@ -326,11 +343,8 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
             return naive_pl_train(train, unlabeled, member_cfg)
         return rpl_train(train, unlabeled, RPLConfig(base=member_cfg, rounds=cfg.rpl_rounds))
 
-    single = fit(cfg.task, train, tcfg)
-    try:
-        members = map_members(member, 3 * k)
-    except EnsembleMemberError as exc:
-        raise EnsembleMemberError(exc.index % k, exc.args[1], layout[exc.index // k]) from exc
+    members = _map_arms(member, layout, k)
+    single = members.pop()
     rpl_ens, pl_ens, sup_ens = (
         Ensemble(tuple(members[a * k:(a + 1) * k]), tuple(seeds[arm]))
         for a, arm in enumerate(layout))
@@ -350,14 +364,20 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
 def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     """One seed's dev mean-DSC for each incremental segmentation arm.
 
-    Augmentation has no arm of its own, so every arm trains without it.
+    Augmentation has no arm of its own, so every arm trains without it. The
+    k ensemble members (seeds base, base + 1, ..., as ``train_deep_ensemble``
+    gives them) and then the single baseline fit are trained by one
+    ``map_members``.
     """
     tcfg = replace(cfg.train_config(seed), augment=False)
     train = dd.gen_seg_dataset(cfg.n_labeled, size=cfg.size, seed=derive_seed(seed, 1))
     dev = dd.gen_seg_dataset(cfg.n_dev, size=cfg.size, seed=derive_seed(seed, 2))
-    single = fit("segmentation", train, tcfg)
-    ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k,
-                              base_seed=derive_seed(seed, 10))
+    k = cfg.ensemble_k
+    seeds = tuple(derive_seed(seed, 10) + i for i in range(k))
+    cfgs = [replace(tcfg, seed=s) for s in seeds] + [tcfg]
+    fits = _map_arms(lambda j: fit("segmentation", train, cfgs[j]), ("+ensemble",), k)
+    single = fits.pop()
+    ens = Ensemble(tuple(fits), seeds)
 
     # The +tta and +post arms decide from the same rotation-TTA soft masks, and
     # the identity rotation of that TTA reuses the +ensemble prediction.

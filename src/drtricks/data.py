@@ -301,6 +301,8 @@ def gen_ordinal_dataset(
         raise DataError("need n >= 30")
     if noise < 0:
         raise DataError("noise must be non-negative")
+    if dim < 1:
+        raise DataError("feature dimension must be >= 1")
     rng = np.random.default_rng(seed)
     counts = largest_remainder_counts(n, proportions)
     centers = ordinal_class_centers(dim)
@@ -532,6 +534,8 @@ def read_dataset_csv(path: Path | str, task: str) -> Dataset:
     if not header or header[0] != "id" or header[-1] != "label":
         raise FormatError(f"{path}: expected header id,feat_*,label")
     dim = len(header) - 2
+    if dim < 1:
+        raise FormatError(f"{path}: no feature column")
     if [h for h in header[1:-1]] != [f"feat_{j}" for j in range(dim)]:
         raise FormatError(f"{path}: malformed feature columns")
     samples = []

@@ -8,6 +8,7 @@ decay, constant learning rate).
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,16 +53,18 @@ class TrainConfig:
     augment: bool = False  # segmentation only: one ``augment`` draw per image and epoch
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be positive and finite")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be non-negative and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("auxiliary weight must be non-negative")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be non-negative and finite")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.aux not in ("bce", "focal"):
@@ -94,7 +97,9 @@ class MLP:
 
     Heads: ``scalar`` (one real output, the ordinal regressor) and ``pixel``
     (3 sigmoid outputs per feature row, used by the segmenter).
-    Dropout is applied to hidden activations at training time only.
+    Dropout acts on hidden activations at training time only: the trainer
+    draws the masks (``_dropout_masks``) and hands them to
+    ``_forward_cached``, and ``forward`` applies none.
     ``weights[i]`` and ``biases[i]`` are views into one parameter vector
     ``theta``, laid out ``w0, b0, w1, b1, ...`` as in the checkpoint.
     ``backward`` writes the gradient into one vector of the same layout,
@@ -134,35 +139,30 @@ class MLP:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(
-        self,
-        x: np.ndarray,
-        train: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        out, _ = self._forward_cached(x, train=train, rng=rng)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out, _ = self._forward_cached(x)
         return out
 
-    def _forward_cached(self, x, train=False, rng=None):
+    def _forward_cached(self, x, keeps=None):
+        """Output and backward cache; ``keeps`` holds one dropout mask per
+        hidden layer (see ``_dropout_masks``), or is None for no dropout.
+
+        The masks are drawn by the trainer, never here.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         acts = [x]
-        masks = []
         h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+        for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
             h = h @ w
             h += b
             np.maximum(h, 0.0, out=h)
-            if train and self.dropout > 0.0:
-                keep = (rng.random(h.shape) >= self.dropout) / (1.0 - self.dropout)
-                h *= keep
-                masks.append(keep)
-            else:
-                masks.append(None)
+            if keeps is not None:
+                h *= keeps[i]
             acts.append(h)
         h = h @ self.weights[-1]
         if self.head == "scalar":
             h += self.biases[-1]
-            return h[:, 0], (acts, masks)
+            return h[:, 0], (acts, keeps)
         # pixel: the bias goes in one column at a time (twice as fast as a
         # broadcast add on (H*W, 3)), then the sigmoid 1 / (1 + exp(-z)) in place.
         for j, bj in enumerate(self.biases[-1]):
@@ -171,14 +171,38 @@ class MLP:
         np.exp(h, out=h)
         h += 1.0
         np.divide(1.0, h, out=h)
-        return h, (acts, masks)
+        return h, (acts, keeps)
+
+    def _dropout_masks(self, sizes, rng: np.random.Generator
+                       ) -> Optional[list[list[np.ndarray]]]:
+        """Dropout masks for consecutive batches of ``sizes`` rows, from one draw.
+
+        Each batch gets one (rows, width) mask per hidden layer, the kept
+        units scaled by 1 / (1 - p). ``Generator.random`` fills consecutive
+        doubles from one stream, so the draw fills the masks batch by batch
+        and, within a batch, layer by layer, with the values one draw per
+        layer and batch would give in that order. None without dropout or
+        without a hidden layer: then nothing is drawn.
+        """
+        widths = self.dims[1:-1]
+        if self.dropout == 0.0 or not widths:
+            return None
+        keep = (rng.random(sum(sizes) * sum(widths)) >= self.dropout) / (1.0 - self.dropout)
+        masks, at = [], 0
+        for rows in sizes:
+            batch = []
+            for width in widths:
+                batch.append(keep[at : at + rows * width].reshape(rows, width))
+                at += rows * width
+            masks.append(batch)
+        return masks
 
     def backward(self, cache, grad_logits: np.ndarray) -> np.ndarray:
         """Gradient of ``theta`` (one vector in its layout) given dLoss/dlogits.
 
         The vector is the model's own buffer: the next call overwrites it.
         """
-        acts, masks = cache
+        acts, keeps = cache
         grads_w, grads_b = self._grads_w, self._grads_b
         g = grad_logits
         last = len(self.weights) - 1
@@ -189,11 +213,11 @@ class MLP:
             if i == last and self.head == "pixel":
                 np.einsum("ij->j", g, out=grads_b[i])
             else:
-                g.sum(axis=0, out=grads_b[i])
+                np.add.reduce(g, axis=0, out=grads_b[i])  # ``g.sum`` without its wrapper
             if i > 0:
                 g = g @ self.weights[i].T
-                if masks[i - 1] is not None:
-                    g *= masks[i - 1]
+                if keeps is not None:
+                    g *= keeps[i - 1]
                 g *= acts[i] > 0.0
         return self._grad
 
@@ -344,11 +368,13 @@ def smooth_l1(pred, target, beta: float = 1.0):
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     d = p - t
-    small = np.abs(d) < beta
-    vals = np.where(small, d * d / (2.0 * beta), np.abs(d) - beta / 2.0)
+    a = np.abs(d)
+    small = a < beta
+    vals = np.where(small, d * d / (2.0 * beta), a - beta / 2.0)
     grads = np.where(small, d / beta, np.sign(d))
     n = max(vals.size, 1)
-    return float(vals.sum()) / n, grads / n
+    grads /= n
+    return float(vals.sum()) / n, grads
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +463,22 @@ def train(model: MLP, data: Dataset, cfg: TrainConfig) -> MLP:
     if any(l is None for l in data.labels()):
         raise DataError("training requires labeled samples")
     labels = np.array(data.labels(), dtype=np.float64)
+    n, size = len(data), cfg.batch_size
+    starts = range(0, n, size)
+    sizes = [min(size, n - start) for start in starts]
     for epoch in range(cfg.epochs):
-        for idx in _batches(len(data), cfg.batch_size, rng):
-            out, cache = model._forward_cached(feats[idx], train=True, rng=rng)
-            loss, grad_out = smooth_l1(out, labels[idx])
-            if not np.isfinite(loss):
+        # The epoch's order, rows and dropout masks are drawn and gathered
+        # once, and each step slices them. The draws are those of the
+        # per-step loop: the permutation, then one mask per step and hidden
+        # layer, in that order.
+        order = rng.permutation(n)
+        x, y = feats[order], labels[order]
+        masks = model._dropout_masks(sizes, rng)
+        for b, start in enumerate(starts):
+            out, cache = model._forward_cached(x[start : start + size],
+                                               None if masks is None else masks[b])
+            loss, grad_out = smooth_l1(out, y[start : start + size])
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             opt.step(model.backward(cache, grad_out[:, None]))
     return model
@@ -549,7 +586,8 @@ def _train_segmenter(model, data, cfg, opt, rng) -> None:
                 shape = targets[0].shape
                 if shape not in buffers:
                     buffers[shape] = _seg_step_buffers(shape)
-                out, cache = model._forward_cached(f, train=True, rng=rng)
+                keeps = model._dropout_masks((len(f),), rng)
+                out, cache = model._forward_cached(f, None if keeps is None else keeps[0])
                 grad = _seg_logit_grad(out, targets, cfg.aux, cfg.alpha, buffers[shape])
                 acc += model.backward(cache, grad)
             # p is clipped and the features are finite, so the loss is
@@ -561,9 +599,10 @@ def _train_segmenter(model, data, cfg, opt, rng) -> None:
 
 def fit(task: str, data: Dataset, cfg: TrainConfig) -> MLP:
     """Create a fresh model for the task and train it."""
-    in_dim = data.feature_dim or SEG_FEATURE_DIM
-    model = new_model(task, in_dim, cfg)
-    return train(model, data, cfg)
+    if len(data) == 0:
+        raise DataError("training data must be nonempty")
+    in_dim = SEG_FEATURE_DIM if task == "segmentation" else data.feature_dim
+    return train(new_model(task, in_dim, cfg), data, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ predictions = {predictions}
 
 [train]
 epochs = 10
-lr = 2e-3
+lr = {lr}
 batch_size = 16
-
+{train_extra}
 [pipeline]
 ensemble_k = {k}
 rpl_rounds = 3
@@ -46,6 +46,8 @@ def write_config(tmp_path, **kw):
     kw.setdefault("k", 1)
     kw.setdefault("task", "grading")
     kw.setdefault("extra", "")
+    kw.setdefault("lr", "2e-3")
+    kw.setdefault("train_extra", "")
     path = tmp_path / "run.ini"
     # surrogate escapes become raw bytes, so a case can write bytes that are not UTF-8
     path.write_bytes(BASE_CONFIG.format(**kw).encode(errors="surrogateescape"))
@@ -473,6 +475,31 @@ class TestWorkers:
         # the RPL members come first in the layout of the map
         assert errors == ["numerical failure: +rpl member 2 failed: overflow\n"] * 2
 
+    @pytest.mark.parametrize("task", ["grading", "segmentation"])
+    def test_ablate_names_a_failing_baseline(self, workspace, capsys, cpus, monkeypatch,
+                                             task):
+        original = cli.fit
+
+        def failing_baseline(task, data, cfg):
+            if cfg.seed == 0:  # the ablate seed: only the single fit trains with it
+                raise FloatingPointError("overflow")
+            return original(task, data, cfg)
+
+        monkeypatch.setattr(cli, "fit", failing_baseline)
+        if task == "grading":
+            cfg = write_config(workspace, k=2,
+                               extra="[synth]\nn_labeled = 40\nn_unlabeled = 60\n")
+        else:
+            cfg = _seg_workspace(workspace, lr=0.2, k=2)
+            cfg.write_text(cfg.read_text() + "\n[synth]\nn_labeled = 4\nn_dev = 2\nsize = 32\n")
+        errors = []
+        for ncpu in (1, 2):
+            cpus(ncpu)
+            assert main(["ablate", "--config", str(cfg), "--seeds", "0",
+                         "--out", str(workspace / f"out{ncpu}")]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors == ["numerical failure: baseline member 0 failed: overflow\n"] * 2
+
 
 # ---------------------------------------------------------------------------
 # bad input ends with exit 2 (or 3 when numerical) and one line on stderr
@@ -650,6 +677,16 @@ BAD_INPUTS = {
     # the csv module refuses a field over 131072 characters
     "dataset_csv_field_over_csv_limit": (
         "train", lambda ws: _train_csv(ws, b"id,feat_0,label\n0," + b"1" * 140_000 + b",1\n")),
+    # a feature vector needs at least one feature
+    "training_csv_without_feature_columns": ("train", lambda ws: _train_csv(ws, b"id,label\n0,1\n")),
+    "ablate_synth_dim_0": ("ablate", lambda ws: {"extra": "[synth]\ndim = 0\n"}),
+    "ablate_synth_dim_minus_2": ("ablate", lambda ws: {"extra": "[synth]\ndim = -2\n"}),
+    # training settings outside their range
+    "lr_nan": ("train", lambda ws: {"lr": "nan"}),
+    "lr_inf": ("train", lambda ws: {"lr": "inf"}),
+    "weight_decay_minus_1": ("train", lambda ws: {"train_extra": "weight_decay = -1\n"}),
+    "weight_decay_inf": ("train", lambda ws: {"train_extra": "weight_decay = inf\n"}),
+    "alpha_nan": ("train", lambda ws: {"train_extra": "alpha = nan\n"}),
 }
 
 
@@ -658,10 +695,19 @@ def test_bad_input_is_config_error(workspace, capsys, case):
     command, corrupt = BAD_INPUTS[case]
     cfg = write_config(workspace, **corrupt(workspace))
     capsys.readouterr()
-    assert main([command, "--config", str(cfg), "--seed", "0",
-                 "--out", str(workspace / "out")]) == 2
+    seed = ["--seeds", "0"] if command == "ablate" else ["--seed", "0"]
+    assert main([command, "--config", str(cfg), *seed, "--out", str(workspace / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_synth_dim_below_one_is_usage_error(tmp_path, capsys, dim):
+    assert main(["synth", "--task", "grading", "--n", "40", "--seed", "0", "--dim", dim,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "data.csv").exists()
 
 
 @pytest.mark.parametrize("setting", ["batch_size = 0", "batch_size = -1", "hidden = 0"],

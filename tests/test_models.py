@@ -79,6 +79,19 @@ class TestRounding:
                                       [0, 2, 2])
 
 
+@pytest.fixture
+def generators(monkeypatch):
+    """Seed -> the last generator ``np.random.default_rng`` made for it."""
+    made, real = {}, np.random.default_rng
+
+    def recording(seed=None):
+        made[seed] = real(seed)
+        return made[seed]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return made
+
+
 # ---------------------------------------------------------------------------
 # forward passes
 # ---------------------------------------------------------------------------
@@ -108,6 +121,16 @@ class TestForward:
         m.biases[1][0] = 0.25  # b1 is theta[20]
         assert (m.theta[2 * 4 + 1], m.theta[12 + 3], m.theta[16 + 1], m.theta[20]) == \
             (7.0, -2.0, 5.0, 0.25)
+
+    def test_forward_never_draws(self, generators):
+        m = MLP([4, 16, 1], "scalar", dropout=0.5, seed=1)
+        x = np.random.default_rng(2).normal(size=(5, 4))
+        hidden = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
+        expected = (hidden @ m.weights[1] + m.biases[1])[:, 0]
+        generators.clear()
+        out, (_acts, keeps) = m._forward_cached(x)
+        assert keeps is None and not generators
+        assert m.forward(x).tobytes() == out.tobytes() == expected.tobytes()
 
     def test_dropout_disabled_at_inference(self):
         m = MLP([4, 16, 1], "scalar", dropout=0.5, seed=1)
@@ -336,8 +359,7 @@ class TestTraining:
             opt = AdamW(m.theta, lr=1e-3, weight_decay=1e-2)
             losses = []
             for _ in range(10):
-                out, cache = m._forward_cached(x, train=True,
-                                               rng=np.random.default_rng(0))
+                out, cache = m._forward_cached(x)
                 loss, grad = smooth_l1(out, t)
                 losses.append(loss)
                 opt.step(m.backward(cache, grad[:, None]))
@@ -387,6 +409,34 @@ class TestTraining:
         cfg = TrainConfig(lr=2e-3, epochs=3, batch_size=batch_size, dropout=dropout, seed=2)
         assert fit("grading", data, cfg).theta.tobytes() == \
             reference_scalar_fit(data, cfg).tobytes()
+
+    def test_scalar_fit_leaves_the_generator_where_the_reference_does(self, generators):
+        data = gen_ordinal_dataset(45, seed=3)
+        cfg = TrainConfig(lr=2e-3, epochs=4, batch_size=7, dropout=0.3, seed=4)
+        fit("grading", data, cfg)
+        reference = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0x7EA1)))
+        reference_scalar_fit(data, cfg, rng=reference)
+        assert generators[derive_seed(cfg.seed, 0x7EA1)].bit_generator.state == \
+            reference.bit_generator.state
+
+    def test_deeper_net_with_short_last_batch_bit_equal_to_reference(self):
+        rng = np.random.default_rng(8)
+        data = Dataset(tuple(Sample(id=i, features=rng.normal(size=5), label=i % 3)
+                             for i in range(11)), "grading")
+        cfg = TrainConfig(lr=2e-3, epochs=3, batch_size=4, seed=1)
+        model = MLP([5, 7, 3, 1], "scalar", dropout=0.3, seed=2)
+        expected = reference_scalar_fit(data, cfg, model=model)
+        assert train(model, data, cfg).theta.tobytes() == expected.tobytes()
+
+    def test_no_dropout_draws_only_the_batch_orders(self, generators):
+        data = gen_ordinal_dataset(45, seed=5)
+        cfg = TrainConfig(epochs=3, batch_size=16, dropout=0.0, seed=2)
+        fit("grading", data, cfg)
+        expected = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0x7EA1)))
+        for _ in range(cfg.epochs):
+            expected.permutation(len(data))
+        assert generators[derive_seed(cfg.seed, 0x7EA1)].bit_generator.state == \
+            expected.bit_generator.state
 
     def test_checkpoint_independent_of_raster_layout(self, tmp_path):
         data = gen_seg_dataset(4, 32, seed=2)
@@ -452,18 +502,22 @@ def flat_parameters(weights, biases) -> np.ndarray:
     return np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb])
 
 
-def reference_scalar_fit(data, cfg) -> np.ndarray:
+def reference_scalar_fit(data, cfg, model=None, rng=None) -> np.ndarray:
     """Reference scalar-head trainer over separate per-layer arrays.
 
+    It trains copies of ``model``'s layers (default: ``new_model``'s for
+    ``cfg``) and draws from ``rng`` (default: the trainer's seed) one batch
+    order per epoch and, with dropout, one mask per step and hidden layer.
     Each layer's gradient is ``acts.T @ g`` and ``g.sum(axis=0)``, and
     ``PerArrayAdamW`` steps the arrays one by one. Returns the trained
     parameters in the ``theta`` layout; ``fit`` must match them byte for byte.
     """
-    model = new_model(data.task, data.feature_dim, cfg)
+    model = new_model(data.task, data.feature_dim, cfg) if model is None else model
     ws = [w.copy() for w in model.weights]
     bs = [b.copy() for b in model.biases]
     opt = PerArrayAdamW(ws + bs, cfg.lr, cfg.weight_decay)
-    rng = np.random.default_rng(derive_seed(cfg.seed, 0x7EA1))
+    rng = np.random.default_rng(derive_seed(cfg.seed, 0x7EA1)) if rng is None else rng
+    p = model.dropout
     feats = np.stack([s.features for s in data.samples])
     labels = np.array([s.label for s in data.samples], dtype=np.float64)
     for _ in range(cfg.epochs):
@@ -471,8 +525,8 @@ def reference_scalar_fit(data, cfg) -> np.ndarray:
             acts, keeps = [feats[idx]], []
             for w, b in zip(ws[:-1], bs[:-1]):
                 h = np.maximum(acts[-1] @ w + b, 0.0)
-                keeps.append(1.0 if cfg.dropout == 0.0 else  # no draw without dropout
-                             (rng.random(h.shape) >= cfg.dropout) / (1.0 - cfg.dropout))
+                keeps.append(1.0 if p == 0.0 else  # no draw without dropout
+                             (rng.random(h.shape) >= p) / (1.0 - p))
                 acts.append(h * keeps[-1])
             out = (acts[-1] @ ws[-1] + bs[-1])[:, 0]
             g = smooth_l1(out, labels[idx])[1][:, None]
