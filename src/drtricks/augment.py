@@ -50,7 +50,7 @@ def _fold_reflect(c: np.ndarray, n: int) -> np.ndarray:
 
     -c-1 below 0 and 2n-c-1 from n up; beyond [-n, 2n) a modulo by 2n comes
     first. The result may fall in [-1, 0) or [n-1, n), whose neighbours are the
-    one-pixel edge padding of ``_pad_edge``.
+    one-pixel edge padding of ``_pad_edge``. The result is a new array.
     """
     if n == 1:
         return np.zeros_like(c)
@@ -72,6 +72,41 @@ def _fold_reflect(c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _axis_plan(c: np.ndarray, n: int) -> tuple:
+    """Per source coordinate on an axis of n pixels: the floor of its folded
+    value, the weight ``1 - frac`` of that pixel, and the nearest pixel
+    ``floor(folded + 0.5)``; the pixels as whole numbers in float64."""
+    f = _fold_reflect(c, n)
+    lower = np.floor(f)
+    weight = 1.0 - (f - lower)
+    f += 0.5
+    np.floor(f, out=f)
+    return lower, weight, f
+
+
+def _flat_index(y: np.ndarray, x: np.ndarray, stride: int) -> np.ndarray:
+    """Flat indices ``(y + 1) * stride + x + 1`` into the edge-padded raster,
+    from whole numbers in float64 that broadcast; overwrites ``y``.
+    Every step is exact, so the order of the additions does not matter."""
+    y *= stride
+    y += stride + 1
+    if y.shape == x.shape:
+        y += x
+    else:  # a column and a row
+        y = y + x
+    return y.astype(np.intp)
+
+
+def _plane(a: np.ndarray, shape) -> np.ndarray:
+    """``a`` broadcast to ``shape`` as an array of its own: a broadcast view
+    makes every multiply by it in ``_bilinear`` slower."""
+    if a.shape == shape:
+        return a
+    out = np.empty(shape)
+    out[...] = a
+    return out
+
+
 def _sampler(src_y: np.ndarray, src_x: np.ndarray, shape) -> tuple:
     """Gather plan for sampling an (h, w) raster at (src_y, src_x).
 
@@ -79,26 +114,19 @@ def _sampler(src_y: np.ndarray, src_x: np.ndarray, shape) -> tuple:
     edge-padded raster, the weights ``wy0, wy1, wx0, wx1`` (``w0 = 1 - frac``
     and ``w1 = 1 - w0``) and the flat index of the nearest pixel,
     ``floor(c + 0.5)``. One plan serves the image and every mask channel.
+    ``src_y`` and ``src_x`` broadcast to the output shape: a separable map
+    passes an (h', 1) column and a (1, w') row, and its folds, floors and
+    weights then cost one column or row each.
     """
     h, w = shape
     stride = w + 2
-    fy, fx = _fold_reflect(src_y, h), _fold_reflect(src_x, w)
-    y0, x0 = np.floor(fy), np.floor(fx)
-    wy0 = np.subtract(1.0, fy - y0)
-    wx0 = np.subtract(1.0, fx - x0)
-    y0 *= stride  # flat indices are exact integers in float64
-    y0 += x0
-    corner = y0.astype(np.intp)
-    corner += stride + 1
-    fy += 0.5
-    np.floor(fy, out=fy)
-    fy *= stride
-    fx += 0.5
-    np.floor(fx, out=fx)
-    fy += fx
-    nearest = fy.astype(np.intp)
-    nearest += stride + 1
-    return corner, (wy0, 1.0 - wy0, wx0, 1.0 - wx0), nearest
+    y0, wy0, ny = _axis_plan(src_y, h)
+    x0, wx0, nx = _axis_plan(src_x, w)
+    corner = _flat_index(y0, x0, stride)
+    weights = (wy0, 1.0 - wy0, wx0, 1.0 - wx0)
+    if wy0.shape != wx0.shape:  # separable
+        weights = tuple(_plane(a, corner.shape) for a in weights)
+    return corner, weights, _flat_index(ny, nx, stride)
 
 
 def _read_only(sampler: tuple) -> tuple:
@@ -144,20 +172,17 @@ def _nearest(masks: np.ndarray, sampler: tuple) -> np.ndarray:
     return np.take(flat, sampler[2], axis=-1)
 
 
-@functools.lru_cache(maxsize=8)
-def _grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column coordinates of every pixel, (H, W) each, read-only."""
-    yy, xx = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
-                         indexing="ij")
-    yy.flags.writeable = xx.flags.writeable = False
-    return yy, xx
+def _axes(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row coordinates as an (h, 1) column and column coordinates as a (1, w) row."""
+    return np.arange(h, dtype=float)[:, None], np.arange(w, dtype=float)[None, :]
 
 
 @functools.lru_cache(maxsize=64)
 def _resize_sampler(h: int, w: int, out_h: int, out_w: int) -> tuple:
-    yy = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xx = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    return _read_only(_sampler(*np.meshgrid(yy, xx, indexing="ij"), (h, w)))
+    yy, xx = _axes(out_h, out_w)
+    yy = (yy + 0.5) * (h / out_h) - 0.5
+    xx = (xx + 0.5) * (w / out_w) - 0.5
+    return _read_only(_sampler(yy, xx, (h, w)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -167,10 +192,8 @@ def _node_sampler(h: int, w: int, k: int) -> tuple:
     The node coordinates span [0, k-1] exactly, where the ``nearest`` and
     ``reflect`` modes agree: both read the edge pixel past the last node.
     """
-    yy, xx = _grid(h, w)
-    node_y = yy / (h - 1) * (k - 1)
-    node_x = xx / (w - 1) * (k - 1)
-    return _read_only(_sampler(node_y, node_x, (k, k)))
+    yy, xx = _axes(h, w)
+    return _read_only(_sampler(yy / (h - 1) * (k - 1), xx / (w - 1) * (k - 1), (k, k)))
 
 
 def resize_bilinear(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -180,12 +203,22 @@ def resize_bilinear(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def _affine_sources(shape, angle_deg: float, scale: float, ty: float, tx: float):
-    """Source coordinates for an inverse-mapped rotation/scale/shift about center."""
+    """Source coordinates for an inverse-mapped rotation/scale/shift about center:
+    ``(cos yq + sin xq) / scale + cy`` and ``(-sin yq + cos xq) / scale + cx``
+    with ``yq = y - cy - ty`` and ``xq = x - cx - tx``.
+
+    They are (H, W) planes, built from an (H, 1) and a (1, W) term. Without a
+    rotation the map is separable, and the sources stay an (H, 1) column and a
+    (1, W) row: ``yq`` is never -0.0, so ``1.0 yq + 0.0 xq`` is ``yq`` bit for
+    bit, and likewise for x.
+    """
     h, w = shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = _grid(h, w)
+    yy, xx = _axes(h, w)
     yq = yy - cy - ty
     xq = xx - cx - tx
+    if angle_deg == 0.0:
+        return yq / scale + cy, xq / scale + cx
     th = math.radians(angle_deg)
     cos_t, sin_t = math.cos(th), math.sin(th)
     src_y = (cos_t * yq + sin_t * xq) / scale + cy
@@ -193,25 +226,40 @@ def _affine_sources(shape, angle_deg: float, scale: float, ty: float, tx: float)
     return src_y, src_x
 
 
-def _running_mean3(v: np.ndarray) -> np.ndarray:
-    """Size-3 moving mean along axis 0 with the border reflected.
+def _running_sum3(e: np.ndarray) -> np.ndarray:
+    """Size-3 running sums down the rows of ``e``, (n + 2, m) -> (n, m).
 
     SciPy's running sum: the first window added left to right, then a
-    cumulative sum of e[k+2] - e[k-1] over the extended rows e, each sum
-    divided by 3.
+    cumulative sum of e[k+2] - e[k-1]. The cumulative sum runs over pairs of
+    columns viewed as one complex number each, whose addition is the two
+    float additions: the same bits in half the steps. An odd width gets a
+    zero column to pair with.
     """
-    e = np.concatenate([v[:1], v, v[-1:]])
-    s = np.empty(v.shape)
-    s[0] = ((0.0 + e[0]) + e[1]) + e[2]
-    np.subtract(e[3:], e[:-3], out=s[1:])
-    np.cumsum(s, axis=0, out=s)
-    s /= 3.0
-    return s
+    n, m = e.shape[0] - 2, e.shape[1]
+    s = np.empty((n, m + m % 2))
+    s[:, m:] = 0.0
+    s[0, :m] = ((0.0 + e[0]) + e[1]) + e[2]
+    np.subtract(e[3:], e[:-3], out=s[1:, :m])
+    pairs = s.view(np.complex128)
+    np.add.accumulate(pairs, axis=0, out=pairs)
+    return s[:, :m]
 
 
 def _box_blur3(values: np.ndarray) -> np.ndarray:
-    """3x3 box mean (``uniform_filter(size=3, mode="reflect")``): axis 0, then 1."""
-    return np.ascontiguousarray(_running_mean3(_running_mean3(values).T).T)
+    """3x3 box mean (``uniform_filter(size=3, mode="reflect")``): axis 0, then 1.
+
+    Each axis extends the border by one reflected (repeated) pixel, takes the
+    running sums and divides them by 3. The first division writes the means
+    transposed, extended for the second axis; the second writes them back.
+    """
+    h, w = values.shape
+    sums = _running_sum3(np.concatenate([values[:1], values, values[-1:]]))
+    e = np.empty((w + 2, h))
+    np.divide(sums.T, 3.0, out=e[1:-1])
+    e[0], e[-1] = e[1], e[-2]
+    out = np.empty((h, w))
+    np.divide(_running_sum3(e).T, 3.0, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +269,9 @@ def _box_blur3(values: np.ndarray) -> np.ndarray:
 def _brightness_contrast(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     b = rng.uniform(-0.2, 0.2)
     c = rng.uniform(-0.2, 0.2)
-    return img * (1.0 + c) + b
+    out = img * (1.0 + c)
+    out += b
+    return out
 
 
 def _gamma(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -231,7 +281,12 @@ def _gamma(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _sharpen(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     a = rng.uniform(0.2, 0.5)
     rng.uniform(0.5, 1.0)  # the lightness: drawn, unused, keeps the stream
-    return img * (1.0 - a) + a * (2.0 * img - _box_blur3(img))
+    detail = 2.0 * img
+    detail -= _box_blur3(img)
+    detail *= a  # a * detail, bit for bit
+    out = img * (1.0 - a)
+    out += detail
+    return out
 
 
 def _blur(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -248,7 +303,8 @@ def _downscale(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _warp(img: np.ndarray, masks: np.ndarray, src_y: np.ndarray, src_x: np.ndarray):
     """Image and masks sampled at (src_y, src_x) through one shared plan."""
     s = _sampler(src_y, src_x, img.shape)
-    return np.clip(_bilinear(img, s), 0.0, 1.0), _nearest(masks, s)
+    out = _bilinear(img, s)
+    return np.clip(out, 0.0, 1.0, out=out), _nearest(masks, s)
 
 
 def _flip(img: np.ndarray, masks: np.ndarray, rng: np.random.Generator):
@@ -272,8 +328,11 @@ def _grid_distortion(img: np.ndarray, masks: np.ndarray, rng: np.random.Generato
     dy_nodes = rng.uniform(-0.3, 0.3, (k, k)) * cell
     dx_nodes = rng.uniform(-0.3, 0.3, (k, k)) * cell
     nodes = _node_sampler(h, w, k)
-    yy, xx = _grid(h, w)
-    return _warp(img, masks, yy + _bilinear(dy_nodes, nodes), xx + _bilinear(dx_nodes, nodes))
+    src_y, src_x = _bilinear(dy_nodes, nodes), _bilinear(dx_nodes, nodes)
+    yy, xx = _axes(h, w)
+    src_y += yy  # y + dy, bit for bit
+    src_x += xx
+    return _warp(img, masks, src_y, src_x)
 
 
 def _coarse_dropout(img: np.ndarray, masks: np.ndarray, rng: np.random.Generator):
@@ -296,8 +355,11 @@ def _affine(img: np.ndarray, masks: np.ndarray, rng: np.random.Generator):
 def augment(values: np.ndarray, channels: np.ndarray,
             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One augmented draw of an (H, W) float64 image and its (3, H, W) uint8 masks."""
-    values = np.clip((_brightness_contrast, _gamma)[rng.integers(2)](values, rng), 0.0, 1.0)
-    values = np.clip((_sharpen, _blur, _downscale)[rng.integers(3)](values, rng), 0.0, 1.0)
+    # every pixel operator returns a new array, which is clipped in place
+    values = (_brightness_contrast, _gamma)[rng.integers(2)](values, rng)
+    np.clip(values, 0.0, 1.0, out=values)
+    values = (_sharpen, _blur, _downscale)[rng.integers(3)](values, rng)
+    np.clip(values, 0.0, 1.0, out=values)
     if rng.random() < 0.5:
         values, channels = _flip(values, channels, rng)
     if rng.random() < 0.5:

@@ -253,26 +253,41 @@ def seg_features(image: Image | np.ndarray) -> np.ndarray:
     """Per-pixel feature stack (H*W, 4): raw value plus box means r=1,2,4.
 
     Each box mean is the exact edge-clipped mean over the (2r+1)^2 window.
-    One summed-area table serves every radius: padded once by edge
-    replication (which is the clipping of window corners to the image), its
-    four window corners are plain slices. Ensembles compute this once per
-    image and share it across members (see ``ensemble_predict``).
+    One summed-area table serves every radius. It is allocated with a
+    margin of ``max(SEG_FEATURE_RADII)`` on every side: zeros above and to
+    the left, copies of the last row and column below and to the right,
+    which clips every window corner to the image. A window's four corners
+    are then four offsets into the flat table: each term runs over one
+    contiguous range of ``(H - 1) * stride + W`` entries, whose every
+    ``stride``-th run of W entries is one image row. Ensembles compute this
+    once per image and share it across members (see ``ensemble_predict``).
     """
     v = image.values if isinstance(image, Image) else np.asarray(image, dtype=np.float64)
     h, w = v.shape
     reach = max(SEG_FEATURE_RADII)
-    table = np.zeros((h + 1, w + 1))
-    table[1:, 1:] = np.cumsum(np.cumsum(v, axis=0), axis=1)
-    table = np.pad(table, reach, mode="edge")
+    stride = w + 1 + 2 * reach
+    table = np.empty((h + 1 + 2 * reach, stride))
+    table[: reach + 1] = 0.0
+    table[reach + 1 :, : reach + 1] = 0.0
+    inner = table[reach + 1 : reach + 1 + h, reach + 1 : reach + 1 + w]
+    np.cumsum(v, axis=0, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
+    table[reach + 1 + h :, reach + 1 : reach + 1 + w] = table[reach + h, reach + 1 : reach + 1 + w]
+    table[reach + 1 :, reach + 1 + w :] = table[reach + 1 :, reach + w : reach + 1 + w]
+    flat = table.ravel()
+    n = (h - 1) * stride + w
+    sums = np.empty(h * stride)
+    total, box = sums[:n], sums.reshape(h, stride)[:, :w]
     areas = _window_areas(h, w)
     out = np.empty((h, w, SEG_FEATURE_DIM))
     out[..., 0] = v
     for i, r in enumerate(SEG_FEATURE_RADII, start=1):
         lo, hi = reach - r, reach + r + 1
-        top, bottom = table[lo : lo + h], table[hi : hi + h]
-        total = (bottom[:, hi : hi + w] - top[:, hi : hi + w]
-                 - bottom[:, lo : lo + w] + top[:, lo : lo + w])
-        out[..., i] = total / areas[i - 1]
+        # bottom-right - top-right - bottom-left + top-left, left to right
+        np.subtract(flat[hi * stride + hi :][:n], flat[lo * stride + hi :][:n], out=total)
+        total -= flat[hi * stride + lo :][:n]
+        total += flat[lo * stride + lo :][:n]
+        np.divide(box, areas[i - 1], out=out[..., i])
     return out.reshape(-1, SEG_FEATURE_DIM)
 
 
@@ -463,7 +478,16 @@ def train(model: MLP, data: Dataset, cfg: TrainConfig) -> MLP:
     if any(l is None for l in data.labels()):
         raise DataError("training requires labeled samples")
     labels = np.array(data.labels(), dtype=np.float64)
-    n, size = len(data), cfg.batch_size
+    # A diverging fit overflows on its way to a non-finite loss, which ends
+    # the run with TrainingDivergedError; NumPy's warnings on the way would
+    # only print noise before that one-line failure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _train_scalar(model, feats, labels, cfg, opt, rng)
+    return model
+
+
+def _train_scalar(model, feats, labels, cfg, opt, rng) -> None:
+    n, size = len(labels), cfg.batch_size
     starts = range(0, n, size)
     sizes = [min(size, n - start) for start in starts]
     for epoch in range(cfg.epochs):
@@ -481,7 +505,9 @@ def train(model: MLP, data: Dataset, cfg: TrainConfig) -> MLP:
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             opt.step(model.backward(cache, grad_out[:, None]))
-    return model
+    # The last step can overflow after the last finite loss.
+    if not np.isfinite(model.theta).all():
+        raise TrainingDivergedError(cfg.epochs - 1, "non-finite parameters")
 
 
 def _seg_targets(channels: np.ndarray) -> tuple:
@@ -489,16 +515,24 @@ def _seg_targets(channels: np.ndarray) -> tuple:
     (once per draw when augmenting) from its (3, H, W) masks.
 
     ``y`` is the mask stack and ``y_flat`` the same masks in the
-    (H*W, 3) layout of the pixel head's output. ``wb`` holds the class
-    weights, ``wy`` is ``wb * y`` and ``neg2w`` is ``-2 * w``.
+    (H*W, 3) layout of the pixel head's output, filled column by column
+    from the masks. ``wb`` holds the class weights, ``wy`` is ``wb * y``
+    and ``neg2w`` is ``-2 * w``. Masks whose every channel covers all
+    pixels but one weigh every class 0, which leaves the dice loss
+    undefined: a DataError.
     """
     y = np.asarray(channels, dtype=np.float64)
     w = class_weights(y)
-    if np.all(w == 0.0):
-        raise ValueError("all-zero class weights make the dice denominator degenerate")
+    if not w.any():
+        raise DataError("all-zero class weights make the dice denominator degenerate"
+                        " (every mask channel covers all pixels but one)")
     wb = w[:, None, None]
-    y_flat = np.ascontiguousarray(y.transpose(1, 2, 0).reshape(-1, NUM_CLASSES))
-    return y, y_flat, wb, wb * y, -2.0 * w
+    y_flat = np.empty((y.shape[1] * y.shape[2], NUM_CLASSES))
+    wy = np.empty(y.shape)
+    for j, (mask, c) in enumerate(zip(channels, w)):
+        y_flat[:, j] = mask.ravel()
+        np.multiply(c, y[j], out=wy[j])  # channel by channel: wb * y, bit for bit
+    return y, y_flat, wb, wy, -2.0 * w
 
 
 def _seg_step_buffers(shape: tuple) -> tuple:
@@ -569,8 +603,12 @@ def _train_segmenter(model, data, cfg, opt, rng) -> None:
         if s.image is None or s.masks is None:
             raise DataError("segmentation training requires images with masks")
     if not cfg.augment:
-        plain = [(seg_features(s.image), _seg_targets(s.masks.channels))
-                 for s in data.samples]
+        plain = []
+        for s in data.samples:
+            try:
+                plain.append((seg_features(s.image), _seg_targets(s.masks.channels)))
+            except DataError as exc:
+                raise DataError(f"sample {s.id}: {exc}") from None
     buffers = {}  # mask shape -> _seg_step_buffers
 
     for epoch in range(cfg.epochs):

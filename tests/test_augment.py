@@ -58,6 +58,28 @@ class GatedRng:
         return getattr(self.generator, name)
 
 
+def raster_samples(n, shape, seed):
+    """(image, masks) pairs: whole synthetic images for a square ``shape`` given
+    as one int, else centred (h, w) crops of 64x64 ones."""
+    if isinstance(shape, int):
+        return [(s.image.values, s.masks.channels)
+                for s in gen_seg_dataset(n, shape, seed=seed).samples]
+    h, w = shape
+    y0, x0 = (64 - h) // 2, (64 - w) // 2
+    return [(np.ascontiguousarray(s.image.values[y0 : y0 + h, x0 : x0 + w]),
+             np.ascontiguousarray(s.masks.channels[:, y0 : y0 + h, x0 : x0 + w]))
+            for s in gen_seg_dataset(n, 64, seed=seed).samples]
+
+
+# Off-square rasters catch a resampling plan that swaps rows and columns,
+# which every square case lets through.
+OFF_SQUARE = [(33, 47), (47, 33), (8, 64)]
+
+
+def shape_id(shape):
+    return str(shape) if isinstance(shape, int) else "x".join(map(str, shape))
+
+
 def delta_masks(h, w, channel, y, x):
     masks = np.zeros((3, h, w), dtype=np.uint8)
     masks[channel, y, x] = 1
@@ -349,33 +371,44 @@ class TestScipyEquality:
         assert got.tobytes() == expected.tobytes()
         assert got.flags.c_contiguous
 
-    @pytest.mark.parametrize("size", [64, 33])
+    @pytest.mark.parametrize("size", [64, 33, *OFF_SQUARE], ids=shape_id)
     @pytest.mark.parametrize("always", [False, True])
     def test_augment_equals_scipy_reference(self, size, always):
-        samples = gen_seg_dataset(6, size, seed=size).samples
+        seed = size if isinstance(size, int) else size[0] * 100 + size[1]
+        samples = raster_samples(6, size, seed)
         if always:  # every geometric op on every draw
-            rng, ref_rng = GatedRng(size, 0.0), GatedRng(size, 0.0)
+            rng, ref_rng = GatedRng(seed, 0.0), GatedRng(seed, 0.0)
         else:
-            rng, ref_rng = np.random.default_rng(size), np.random.default_rng(size)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for i in range(750):
-            s = samples[i % len(samples)]
-            img, masks = augment(s.image.values, s.masks.channels, rng)
-            ref_img, ref_masks = scipy_augment(s.image.values, s.masks.channels, ref_rng)
+            values, channels = samples[i % len(samples)]
+            img, masks = augment(values, channels, rng)
+            ref_img, ref_masks = scipy_augment(values, channels, ref_rng)
             assert img.tobytes() == ref_img.tobytes()
             assert masks.tobytes() == ref_masks.tobytes()
         assert rng.uniform() == ref_rng.uniform()  # same number of draws
 
-    @pytest.mark.parametrize("op, ref", [
+    WARP_OPS = pytest.mark.parametrize("op, ref", [
         (_flip, scipy_flip), (_shift_scale_rotate, scipy_shift_scale_rotate),
         (_grid_distortion, scipy_grid_distortion), (_affine, scipy_affine),
     ], ids=["flip", "shift_scale_rotate", "grid_distortion", "affine"])
-    def test_warp_op_equals_scipy_reference(self, op, ref):
-        samples = gen_seg_dataset(3, 33, seed=1).samples
+
+    @staticmethod
+    def check_warp_op(op, ref, samples):
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
         for i in range(60):
-            s = samples[i % len(samples)]
-            img, masks = op(s.image.values, s.masks.channels, rng)
-            ref_img, ref_masks = ref(s.image.values, s.masks.channels, ref_rng)
+            values, channels = samples[i % len(samples)]
+            img, masks = op(values, channels, rng)
+            ref_img, ref_masks = ref(values, channels, ref_rng)
             assert img.tobytes() == ref_img.tobytes()
             assert masks.tobytes() == ref_masks.tobytes()
         assert rng.random() == ref_rng.random()
+
+    @WARP_OPS
+    def test_warp_op_equals_scipy_reference(self, op, ref):
+        self.check_warp_op(op, ref, raster_samples(3, 33, seed=1))
+
+    @WARP_OPS
+    @pytest.mark.parametrize("shape", OFF_SQUARE, ids=shape_id)
+    def test_warp_op_equals_scipy_reference_off_square(self, op, ref, shape):
+        self.check_warp_op(op, ref, raster_samples(3, shape, seed=1))

@@ -3,6 +3,8 @@ import csv
 import inspect
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,7 +14,15 @@ import pytest
 from drtricks import cli
 from drtricks.cli import main
 from drtricks.config import ConfigError, RunConfig, load_config
-from drtricks.data import gen_ordinal_dataset, gen_seg_dataset
+from drtricks.data import (
+    Dataset,
+    Image,
+    MaskSet,
+    Sample,
+    gen_ordinal_dataset,
+    gen_seg_dataset,
+    write_seg_dataset,
+)
 from drtricks.models import MLP, derive_seed, save_checkpoint
 
 BASE_CONFIG = """\
@@ -794,6 +804,40 @@ def test_saturated_segmenter_training_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "overflow" in err
     assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_masks_that_zero_every_class_weight_exit_2(tmp_path, capsys, k):
+    # every channel covers 63 of 64 pixels, so each weight is log(64 / 64) = 0
+    masks = np.ones((3, 8, 8), dtype=np.uint8)
+    masks[:, 0, 0] = 0
+    rng = np.random.default_rng(0)
+    write_seg_dataset(tmp_path / "seg", Dataset(tuple(
+        Sample(id=i, image=Image(rng.uniform(0, 1, (8, 8))), masks=MaskSet(masks))
+        for i in range(4)), "segmentation"))
+    cfg = tmp_path / "seg.ini"
+    cfg.write_text(SEG_CONFIG.format(train=tmp_path / "seg", lr=0.2)
+                   + f"\n[pipeline]\nensemble_k = {k}\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample 0: all-zero class weights") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lr", ["1e30", "1e200"])
+def test_diverging_scalar_fit_prints_one_line(workspace, lr):
+    # NumPy's warnings go to a real stderr only outside pytest's capture
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run(
+        [sys.executable, "-m", "drtricks.cli", "train", "--config",
+         str(write_config(workspace, lr=lr)), "--seed", "0", "--out", str(workspace / "out")],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 3
+    assert result.stderr.startswith("numerical failure: non-finite training loss at epoch")
+    assert result.stderr.count("\n") == 1
 
 
 def test_segmentation_ablate_predicts_four_times_per_dev_image(monkeypatch):

@@ -1,5 +1,7 @@
 """Learners: losses, optimizer, training loop, and checkpoints."""
+import hashlib
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drtricks.augment import augment
-from drtricks.data import Dataset, Image, MaskSet, Sample, gen_ordinal_dataset, gen_seg_dataset
+from drtricks.data import (
+    DataError,
+    Dataset,
+    Image,
+    MaskSet,
+    Sample,
+    gen_ordinal_dataset,
+    gen_seg_dataset,
+)
 from drtricks.models import (
     MLP,
     SEG_FEATURE_DIM,
@@ -472,6 +482,45 @@ class TestTraining:
         data = gen_seg_dataset(4, 32, seed=0)
         with pytest.raises(FloatingPointError):
             fit("segmentation", data, TrainConfig(lr=1e9, epochs=3, batch_size=4, seed=0))
+
+    # SHA-256 of theta after these augmented fits. augment, seg_features and
+    # the per-draw targets are written for speed, and every rewrite must keep
+    # these bits; the SciPy reference checks augment alone. They hold for
+    # NumPy 2.4 on x86-64 (the sigmoid's exp and gamma's power are NumPy's own).
+    AUGMENTED_FIT_DIGESTS = {
+        32: "a10465d76d995db6e4816d1a854d9fedb1f21e6c51046bbc2dee05ac2d28e957",
+        33: "4147d940a4b3bcd806d3f499d8fbe357ac9a57188f9de8ff9d9375149f021ec2",
+    }
+
+    @pytest.mark.parametrize("size", sorted(AUGMENTED_FIT_DIGESTS))
+    def test_augmented_fit_keeps_its_bytes(self, size):
+        cfg = TrainConfig(lr=0.2, epochs=3, batch_size=4, augment=True, seed=5)
+        theta = fit("segmentation", gen_seg_dataset(6, size, seed=21), cfg).theta
+        assert hashlib.sha256(theta.tobytes()).hexdigest() == self.AUGMENTED_FIT_DIGESTS[size]
+
+    def test_all_zero_class_weights_name_the_sample(self):
+        # every channel covers 63 of 64 pixels: each weight is log(64 / 64) = 0
+        masks = np.ones((3, 8, 8), dtype=np.uint8)
+        masks[:, 0, 0] = 0
+        rng = np.random.default_rng(0)
+        data = Dataset(tuple(Sample(id=40 + i, image=Image(rng.uniform(0, 1, (8, 8))),
+                                    masks=MaskSet(masks)) for i in range(2)), "segmentation")
+        with pytest.raises(DataError, match="^sample 40: all-zero class weights"):
+            fit("segmentation", data, TrainConfig(lr=0.2, epochs=1, seed=0))
+
+    @pytest.mark.parametrize("lr", [1e30, 1e200])
+    def test_diverging_scalar_fit_raises_without_warnings(self, lr):
+        data = gen_ordinal_dataset(45, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError, match="non-finite training loss"):
+                fit("grading", data, TrainConfig(lr=lr, epochs=5, batch_size=16, seed=0))
+
+    def test_scalar_fit_whose_last_step_overflows_raises(self):
+        # one step: a finite loss, then AdamW's decay overflows every weight
+        data = gen_ordinal_dataset(45, seed=3)
+        with pytest.raises(TrainingDivergedError, match="non-finite parameters at epoch 0"):
+            fit("grading", data, TrainConfig(lr=1e200, epochs=1, batch_size=64, seed=0))
 
 
 class PerArrayAdamW:
