@@ -43,10 +43,24 @@ def _require(value, what: str):
     return value
 
 
-def _load_data(cfg: RunConfig, path: str) -> dd.Dataset:
+def _load_data(cfg: RunConfig, path: str, masks: bool = True) -> dd.Dataset:
+    """The task's data set at ``path``; ``masks`` false skips the mask files."""
     if cfg.task == "segmentation":
-        return dd.read_seg_dataset(path)
+        return dd.read_seg_dataset(path, masks=masks)
     return dd.read_dataset_csv(path, cfg.task)
+
+
+def _load_dev(cfg: RunConfig, masks: bool = True) -> dd.Dataset:
+    """The ``[data] dev`` set that the pipeline decides on. Rotation TTA needs
+    square images, so under it a DataError names the first that is not."""
+    dev = _load_data(cfg, _require(cfg.dev_path, "[data] dev"), masks)
+    if cfg.task == "segmentation" and cfg.tta == "rotate":
+        for s in dev.samples:
+            h, w = s.image.values.shape
+            if h != w:
+                raise dd.DataError(f"sample {s.id}: rotation TTA needs a square image, "
+                                   f"got {h}x{w}")
+    return dev
 
 
 def _load_model_or_ensemble(path: str) -> Ensemble:
@@ -188,6 +202,8 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
     train = _load_data(cfg, _require(cfg.train_path, "[data] train"))
+    # read before training, so that a dev set the report cannot use fails first
+    dev = None if cfg.dev_path is None else _load_dev(cfg)
     tcfg = cfg.train_config(args.seed)
     if cfg.ensemble_k > 1:
         ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k, base_seed=args.seed)
@@ -199,7 +215,7 @@ def cmd_train(args) -> int:
         save_checkpoint(path, model)
         ens = Ensemble((model,), (args.seed,))
         print(f"trained single model; checkpoint {path}")
-    _maybe_dev_report(cfg, ens, args.seed, out)
+    _maybe_dev_report(cfg, ens, dev, args.seed, out)
     return 0
 
 
@@ -210,6 +226,7 @@ def cmd_rpl(args) -> int:
     out = _out_dir(args)
     labeled = _load_data(cfg, _require(cfg.train_path, "[data] train"))
     unlabeled = _load_data(cfg, _require(cfg.unlabeled_path, "[data] unlabeled"))
+    dev = None if cfg.dev_path is None else _load_dev(cfg)
     tcfg = cfg.train_config(args.seed)
     rcfg = RPLConfig(base=tcfg, rounds=cfg.rpl_rounds)
     model = rpl_train(labeled, unlabeled, rcfg, audit_path=out / "audit.csv")
@@ -217,14 +234,14 @@ def cmd_rpl(args) -> int:
     save_checkpoint(path, model)
     print(f"reliable pseudo labeling over {cfg.rpl_rounds} rounds; checkpoint {path}")
     print(f"audit log {out / 'audit.csv'}")
-    _maybe_dev_report(cfg, Ensemble((model,), (args.seed,)), args.seed, out)
+    _maybe_dev_report(cfg, Ensemble((model,), (args.seed,)), dev, args.seed, out)
     return 0
 
 
-def _maybe_dev_report(cfg: RunConfig, ens: Ensemble, seed: int, out: Path) -> None:
-    if cfg.dev_path is None:
+def _maybe_dev_report(cfg: RunConfig, ens: Ensemble, dev: dd.Dataset | None, seed: int,
+                      out: Path) -> None:
+    if dev is None:
         return
-    dev = _load_data(cfg, cfg.dev_path)
     _check_model_fits(ens, cfg, dev)
     _write_report(cfg, _score(cfg.task, _decisions(cfg, ens, dev)), seed, out, "dev ")
 
@@ -233,7 +250,7 @@ def cmd_predict(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
     ens = _load_model_or_ensemble(_require(cfg.model_path, "[data] model"))
-    inputs = _load_data(cfg, _require(cfg.dev_path, "[data] dev"))
+    inputs = _load_dev(cfg, masks=False)  # predict never reads the masks
     _check_model_fits(ens, cfg, inputs)
     print(f"pipeline: {_pipeline_description(cfg, len(ens.members))}")
     segmentation = cfg.task == "segmentation"

@@ -568,7 +568,9 @@ def write_seg_dataset(directory: Path | str, d: Dataset) -> None:
             writer.writerow([s.id, f"{name}.pgm", int(s.masks is not None)])
 
 
-def read_seg_dataset(directory: Path | str) -> Dataset:
+def read_seg_dataset(directory: Path | str, masks: bool = True) -> Dataset:
+    """The images of a ``write_seg_dataset`` directory, with their mask sets
+    unless ``masks`` is false: then no mask file is opened."""
     directory = Path(directory)
     index = directory / "index.csv"
     if not index.exists():
@@ -585,8 +587,8 @@ def read_seg_dataset(directory: Path | str) -> Dataset:
         if "\0" in image_name:
             raise FormatError(f"{index}: image name {image_name!r} holds a NUL byte")
         image = read_image(directory / image_name)
-        masks = None
-        if has_masks:
-            masks = read_mask_set(directory / Path(image_name).stem)
-        samples.append(Sample(id=sid, image=image, masks=masks))
+        mask_set = None
+        if has_masks and masks:
+            mask_set = read_mask_set(directory / Path(image_name).stem)
+        samples.append(Sample(id=sid, image=image, masks=mask_set))
     return Dataset(tuple(samples), "segmentation")

@@ -241,22 +241,24 @@ def train_deep_ensemble(data: Dataset, cfg: TrainConfig, k: int = 5,
 
 
 def ensemble_predict(e: Ensemble, x) -> np.ndarray:
-    """Arithmetic mean of member predictions, computed in member order.
+    """Arithmetic mean of member predictions, summed in member order into the
+    first member's fresh output; for pixel heads a contiguous (3, H, W).
 
     For pixel heads the image's ``seg_features`` are computed once and
     shared by every member, so each member costs one forward pass.
     """
-    head = e.members[0].head
-    if head == "pixel":
+    if e.members[0].head == "pixel":
         v = _image_values(x)
         feats = seg_features(v)
-        preds = [segment_soft(m, v, feats) for m in e.members]
+        predict = lambda m: segment_soft(m, v, feats)
     else:
-        preds = [m.predict_scalar(np.atleast_2d(x)) for m in e.members]
-    out = preds[0]
-    for p in preds[1:]:
-        out = out + p
-    return out / len(preds)
+        x = np.atleast_2d(x)
+        predict = lambda m: m.predict_scalar(x)
+    out = predict(e.members[0])
+    for m in e.members[1:]:
+        out += predict(m)
+    out /= len(e.members)
+    return out
 
 
 def member_variance(e: Ensemble, x) -> float:
@@ -278,8 +280,11 @@ def tta_flip_predict(predict_fn: Callable[[np.ndarray], np.ndarray], x) -> np.nd
     """
     v = _image_values(x)
     predict = lambda b: np.asarray(predict_fn(np.ascontiguousarray(b)), dtype=np.float64)
-    preds = [predict(v), predict(v[:, ::-1])[..., :, ::-1], predict(v[::-1, :])[..., ::-1, :]]
-    return sum(preds[1:], preds[0]) / len(preds)
+    acc = np.array(predict(v), order="C")  # a copy: never write into predict_fn's array
+    acc += predict(v[:, ::-1])[..., :, ::-1]
+    acc += predict(v[::-1, :])[..., ::-1, :]
+    acc /= 3
+    return acc
 
 
 def tta_rotate_seg(predict_fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
@@ -294,10 +299,13 @@ def tta_rotate_seg(predict_fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndar
     acc = None
     for k in (1, 2, 3, 4):
         rotated = np.ascontiguousarray(np.rot90(v, k))
-        pred = np.asarray(predict_fn(rotated), dtype=np.float64)
-        aligned = np.ascontiguousarray(np.rot90(pred, -k, axes=(1, 2)))
-        acc = aligned if acc is None else acc + aligned
-    return acc / 4.0
+        aligned = np.rot90(np.asarray(predict_fn(rotated), dtype=np.float64), -k, axes=(1, 2))
+        if acc is None:  # a C-order copy: never write into predict_fn's array
+            acc = np.array(aligned, order="C")
+        else:
+            acc += aligned
+    acc /= 4.0
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,9 @@ class MLP:
     """Fully connected net with ReLU hidden layers and a task head.
 
     Heads: ``scalar`` (one real output, the ordinal regressor) and ``pixel``
-    (3 sigmoid outputs per feature row, used by the segmenter).
+    (3 sigmoid outputs per feature row, used by the segmenter). A pixel
+    head's ``forward`` returns them in the soft-mask layout (3, N), one
+    contiguous row per channel; ``backward`` takes dLoss/dlogits as (N, 3).
     Dropout acts on hidden activations at training time only: the trainer
     draws the masks (``_dropout_masks``) and hands them to
     ``_forward_cached``, and ``forward`` applies none.
@@ -159,19 +161,21 @@ class MLP:
             if keeps is not None:
                 h *= keeps[i]
             acts.append(h)
-        h = h @ self.weights[-1]
         if self.head == "scalar":
+            h = h @ self.weights[-1]
             h += self.biases[-1]
             return h[:, 0], (acts, keeps)
-        # pixel: the bias goes in one column at a time (twice as fast as a
-        # broadcast add on (H*W, 3)), then the sigmoid 1 / (1 + exp(-z)) in place.
-        for j, bj in enumerate(self.biases[-1]):
-            h[:, j] += bj
-        np.negative(h, out=h)
-        np.exp(h, out=h)
-        h += 1.0
-        np.divide(1.0, h, out=h)
-        return h, (acts, keeps)
+        # pixel: W^T h^T is the (3, N) soft-mask layout, with the bits of
+        # h @ W transposed. The bias goes in one contiguous row per channel,
+        # then the sigmoid 1 / (1 + exp(-z)) in place.
+        z = self.weights[-1].T @ h.T
+        for zj, bj in zip(z, self.biases[-1]):
+            zj += bj
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+        return z, (acts, keeps)
 
     def _dropout_masks(self, sizes, rng: np.random.Generator
                        ) -> Optional[list[list[np.ndarray]]]:
@@ -293,14 +297,15 @@ def seg_features(image: Image | np.ndarray) -> np.ndarray:
 
 def segment_soft(m: MLP, image: Image | np.ndarray,
                  feats: Optional[np.ndarray] = None) -> np.ndarray:
-    """Soft lesion prediction (3, H, W) for one image.
+    """Soft lesion prediction for one image: a C-contiguous (3, H, W) array,
+    the pixel head's (3, H*W) output reshaped.
 
     ``feats`` are the image's ``seg_features`` when the caller already has
     them: an ensemble computes them once and shares them across its members.
     """
     v = image.values if isinstance(image, Image) else np.asarray(image, dtype=np.float64)
     out = m.forward(seg_features(v) if feats is None else feats)
-    return out.reshape(v.shape[0], v.shape[1], NUM_CLASSES).transpose(2, 0, 1)
+    return out.reshape(NUM_CLASSES, v.shape[0], v.shape[1])
 
 
 def new_model(task: str, in_dim: int, cfg: TrainConfig) -> MLP:
@@ -510,68 +515,82 @@ def _train_scalar(model, feats, labels, cfg, opt, rng) -> None:
         raise TrainingDivergedError(cfg.epochs - 1, "non-finite parameters")
 
 
-def _seg_targets(channels: np.ndarray) -> tuple:
+def _seg_targets(channels: np.ndarray, out: Optional[np.ndarray] = None) -> tuple:
     """Per-image constants of the segmenter step, built once per training image
-    (once per draw when augmenting) from its (3, H, W) masks.
+    (once per draw when augmenting) from its (3, H, W) masks, each in the
+    (3, H*W) layout of the pixel head's output.
 
-    ``y`` is the mask stack and ``y_flat`` the same masks in the
-    (H*W, 3) layout of the pixel head's output, filled column by column
-    from the masks. ``wb`` holds the class weights, ``wy`` is ``wb * y``
-    and ``neg2w`` is ``-2 * w``. Masks whose every channel covers all
-    pixels but one weigh every class 0, which leaves the dice loss
-    undefined: a DataError.
+    ``y`` is the mask stack, ``w`` the class weights, ``wy`` is ``w * y``,
+    channel by channel, and ``neg2w`` is ``-2 * w``. ``y`` and ``wy`` are
+    the two halves of ``out``, a (2, 3, H*W) array (a fresh one if None),
+    which an augmented fit reuses for every draw. Masks whose every channel
+    covers all pixels but one weigh every class 0, which leaves the dice
+    loss undefined: a DataError.
     """
-    y = np.asarray(channels, dtype=np.float64)
-    w = class_weights(y)
+    if out is None:
+        out = np.empty((2, NUM_CLASSES, channels[0].size))
+    y, wy = out
+    masks = y.reshape(channels.shape)
+    np.copyto(masks, channels)
+    w = class_weights(masks)
     if not w.any():
         raise DataError("all-zero class weights make the dice denominator degenerate"
                         " (every mask channel covers all pixels but one)")
-    wb = w[:, None, None]
-    y_flat = np.empty((y.shape[1] * y.shape[2], NUM_CLASSES))
-    wy = np.empty(y.shape)
-    for j, (mask, c) in enumerate(zip(channels, w)):
-        y_flat[:, j] = mask.ravel()
-        np.multiply(c, y[j], out=wy[j])  # channel by channel: wb * y, bit for bit
-    return y, y_flat, wb, wy, -2.0 * w
+    for wy_c, y_c, c in zip(wy, y, w):
+        np.multiply(c, y_c, out=wy_c)
+    return y, w, wy, -2.0 * w
 
 
-def _seg_step_buffers(shape: tuple) -> tuple:
-    """The six image-sized temporaries of ``_seg_logit_grad`` for (3, H, W)
-    masks, allocated once per fit and mask shape and reused by every step.
+def _seg_step_buffers(pixels: int) -> tuple:
+    """The image-sized temporaries of ``_seg_logit_grad`` for images of
+    ``pixels`` = H*W pixels: five (3, H*W) planes and the (H*W, 3) logit
+    gradient, allocated once per fit and image size and reused by every step.
 
     Freed after every step, they let glibc trim the top of the heap, and the
     next step faults their pages back in: that cost a third of the training
     throughput of a run that has not imported SciPy.
     """
-    flat = (shape[1] * shape[2], shape[0])
-    return (np.empty(shape),) + tuple(np.empty(flat) for _ in range(5))
+    return tuple(np.empty((NUM_CLASSES, pixels)) for _ in range(5)) + (
+        np.empty((pixels, NUM_CLASSES)),)
+
+
+def _scale_rows(planes: np.ndarray, factors: np.ndarray) -> None:
+    """``planes *= factors[:, None]`` in place, one contiguous row at a time:
+    the same products, faster than the (3, 1) broadcast (5.5 against 7.6 us
+    on (3, 4096) planes, x86-64)."""
+    for row, c in zip(planes, factors):
+        row *= c
 
 
 def _seg_logit_grad(out: np.ndarray, targets: tuple, aux: str, alpha: float,
                     buffers: tuple) -> np.ndarray:
     """Gradient of ``seg_total_loss`` wrt the pixel head's logits, (H*W, 3).
 
-    It performs the operations of ``seg_total_loss`` and of the sigmoid
-    derivative in the same order, element by element, so the result is
-    bit-identical to that path; it skips the loss values. The dice sums run
-    over the (3, H, W) view as in ``weighted_dice_loss``, because the order of
-    a sum sets its bits. Every temporary, the result included, lives in
-    ``buffers`` (see ``_seg_step_buffers``), whose layouts match the arrays
-    the operations would allocate.
+    ``out`` is the pixel head's (3, H*W) soft mask, in the layout of the
+    targets (see ``_seg_targets``). The step performs the operations of
+    ``seg_total_loss`` and of the sigmoid derivative in the same order,
+    element by element, so the result is bit-identical to that path; it
+    skips the loss values. Every term runs over contiguous (3, H*W) planes;
+    the dice sums run over them as over the (3, H, W) masks in
+    ``weighted_dice_loss``, because the order of a sum sets its bits. The
+    last product writes the result once, transposed, into the (H*W, 3)
+    gradient that ``MLP.backward`` takes. Every temporary, the result
+    included, lives in ``buffers`` (see ``_seg_step_buffers``).
     """
-    y, y_flat, wb, wy, neg2w = targets
+    y, w, wy, neg2w = targets
     buf, p, q, g, t, grad = buffers
-    ph = out.reshape(y.shape[1], y.shape[2], NUM_CLASSES).transpose(2, 0, 1)
-    np.multiply(wy, ph, out=buf)
-    num = float(np.sum(buf))
-    np.add(y, ph, out=buf)
-    buf *= wb
-    den = float(np.sum(buf)) + DICE_EPS
+    # ``np.add.reduce`` and ``ndarray.clip`` are ``np.sum`` and ``np.clip``
+    # without their Python wrappers
+    np.multiply(wy, out, out=buf)
+    num = float(np.add.reduce(buf, axis=None))
+    np.add(y, out, out=buf)
+    _scale_rows(buf, w)
+    den = float(np.add.reduce(buf, axis=None)) + DICE_EPS
 
-    np.clip(out, EPS_CLAMP, 1.0 - EPS_CLAMP, out=p)
+    out.clip(EPS_CLAMP, 1.0 - EPS_CLAMP, out=p)
     np.subtract(1.0, p, out=q)
     if aux == "bce":  # (p - y) / (p (1 - p)) / n
-        np.subtract(p, y_flat, out=g)
+        np.subtract(p, y, out=g)
         q *= p
         g /= q
     else:  # focal: where(y == 1, log p - (1 - p) / p, -log(1 - p) + p / (1 - p)) / n
@@ -582,19 +601,18 @@ def _seg_logit_grad(out: np.ndarray, targets: tuple, aux: str, alpha: float,
         np.negative(t, out=t)
         p /= q
         t += p
-        np.copyto(g, t, where=y_flat != 1.0)
+        np.copyto(g, t, where=y != 1.0)
     g /= out.size
     g *= alpha
 
-    np.multiply(y_flat, den, out=grad)  # dice: -2 w (y den - num) / den^2
-    grad -= num
-    for j, c in enumerate(neg2w):  # column-wise, as the bias add in the forward pass
-        grad[:, j] *= c
-    grad /= den * den
-    grad += g
-    grad *= out  # chain rule through the sigmoid: out (1 - out)
+    np.multiply(y, den, out=buf)  # dice: -2 w (y den - num) / den^2
+    buf -= num
+    _scale_rows(buf, neg2w)
+    buf /= den * den
+    buf += g
+    buf *= out  # chain rule through the sigmoid: out (1 - out)
     np.subtract(1.0, out, out=q)
-    grad *= q
+    np.multiply(buf, q, out=grad.T)
     return grad
 
 
@@ -609,7 +627,11 @@ def _train_segmenter(model, data, cfg, opt, rng) -> None:
                 plain.append((seg_features(s.image), _seg_targets(s.masks.channels)))
             except DataError as exc:
                 raise DataError(f"sample {s.id}: {exc}") from None
-    buffers = {}  # mask shape -> _seg_step_buffers
+    # Per image size, allocated once per fit: the step's temporaries and the
+    # targets of an augmented draw (its y and wy; see _seg_targets).
+    sizes = {s.image.values.size for s in data.samples}
+    buffers = {n: _seg_step_buffers(n) for n in sizes}
+    draws = {n: np.empty((2, NUM_CLASSES, n)) for n in sizes} if cfg.augment else None
 
     for epoch in range(cfg.epochs):
         for idx in _batches(len(data), cfg.batch_size, rng):
@@ -618,15 +640,13 @@ def _train_segmenter(model, data, cfg, opt, rng) -> None:
                 if cfg.augment:
                     s = data.samples[i]
                     values, channels = augment(s.image.values, s.masks.channels, rng)
-                    f, targets = seg_features(values), _seg_targets(channels)
+                    f = seg_features(values)
+                    targets = _seg_targets(channels, draws[len(f)])
                 else:
                     f, targets = plain[i]
-                shape = targets[0].shape
-                if shape not in buffers:
-                    buffers[shape] = _seg_step_buffers(shape)
                 keeps = model._dropout_masks((len(f),), rng)
                 out, cache = model._forward_cached(f, None if keeps is None else keeps[0])
-                grad = _seg_logit_grad(out, targets, cfg.aux, cfg.alpha, buffers[shape])
+                grad = _seg_logit_grad(out, targets, cfg.aux, cfg.alpha, buffers[len(f)])
                 acc += model.backward(cache, grad)
             # p is clipped and the features are finite, so the loss is
             # non-finite exactly when the gradient is.

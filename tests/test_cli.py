@@ -1,5 +1,6 @@
 """Config parsing, digests, and the command-line workflows."""
 import csv
+import hashlib
 import inspect
 import os
 import shutil
@@ -386,16 +387,23 @@ def _files(directory: Path) -> dict[str, bytes]:
             for p in sorted(directory.rglob("*")) if p.is_file()}
 
 
-def _seg_workspace(tmp_path: Path, lr: float, k: int = 3) -> Path:
-    for part, seed in (("seg", 0), ("dev", 1)):
-        assert main(["synth", "--task", "segmentation", "--n", "4", "--size", "32",
-                     "--seed", str(seed), "--out", str(tmp_path / part),
-                     "--id-offset", str(100 * seed)]) == 0
+def _seg_config(tmp_path: Path, dev: Path, k: int, lr: float = 0.2, model: str = "") -> Path:
+    """A segmentation config over ``tmp_path / "seg"`` and ``dev`` with k members,
+    rotation TTA and post-processing; ``model`` is an optional ``[data]`` line."""
     cfg = tmp_path / "seg.ini"
     cfg.write_text(SEG_CONFIG.format(train=tmp_path / "seg", lr=lr)
-                   .replace("[train]", f"dev = {tmp_path / 'dev'}\n\n[train]")
+                   .replace("[train]", f"dev = {dev}\n{model}\n[train]")
                    + f"\n[pipeline]\nensemble_k = {k}\ntta = rotate\npostprocess = true\n")
     return cfg
+
+
+def _seg_workspace(tmp_path: Path, lr: float, k: int = 3, n: int = 4, size: int = 32,
+                   model: str = "") -> Path:
+    for part, seed in (("seg", 0), ("dev", 1)):
+        assert main(["synth", "--task", "segmentation", "--n", str(n), "--size", str(size),
+                     "--seed", str(seed), "--out", str(tmp_path / part),
+                     "--id-offset", str(100 * seed)]) == 0
+    return _seg_config(tmp_path, tmp_path / "dev", k, lr, model)
 
 
 class TestWorkers:
@@ -823,6 +831,72 @@ def test_masks_that_zero_every_class_weight_exit_2(tmp_path, capsys, k):
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sample 0: all-zero class weights") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_rotation_tta_on_a_non_square_dev_image_exits_2(tmp_path, capsys, command):
+    rng = np.random.default_rng(0)
+    write_seg_dataset(tmp_path / "dev", Dataset(tuple(
+        Sample(id=50 + i, image=Image(rng.uniform(0, 1, shape)),
+               masks=MaskSet(rng.integers(0, 2, (3, *shape))))
+        for i, shape in enumerate([(16, 16), (16, 20), (20, 16)])), "segmentation"))
+    assert main(["synth", "--task", "segmentation", "--n", "4", "--size", "32",
+                 "--seed", "0", "--out", str(tmp_path / "seg")]) == 0
+    save_checkpoint(tmp_path / "pixel.ckpt", MLP([4, 3], "pixel"))
+    cfg = _seg_config(tmp_path, tmp_path / "dev", k=2, model=f"model = {tmp_path / 'pixel.ckpt'}")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        "error: sample 51: rotation TTA needs a square image, got 16x20\n"
+    assert not any((tmp_path / "out").iterdir())  # train fitted and saved nothing
+
+
+def _trained_seg_workspace(tmp_path: Path, size: int) -> Path:
+    """A 2-member ensemble trained on 6 images of the given size (the dev set
+    has 6 too); its config runs rotation TTA and post-processing."""
+    cfg = _seg_workspace(tmp_path, lr=0.2, k=2, n=6, size=size,
+                         model=f"model = {tmp_path / 'model' / 'ensemble.json'}")
+    cfg.write_text(cfg.read_text().replace("epochs = 3", "epochs = 10"))
+    assert main(["train", "--config", str(cfg), "--seed", "0",
+                 "--out", str(tmp_path / "model")]) == 0
+    return cfg
+
+
+def _masks_digest(directory: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(directory.glob("pred_*.pgm")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+# SHA-256 of the mask PGMs that predict writes from a trained ensemble under
+# rotation TTA and post-processing: every rewrite of the inference path must
+# keep these bytes (NumPy 2.4 on x86-64).
+PREDICTED_MASK_DIGESTS = {
+    33: "0cd2e3456e1112243fd117aca234c13686178e8351c3b6a161fe55908c9a113e",
+    64: "eb0282b19e58b7a8d140de99188f5f29fcd1b07a0a4eb480b7cd6d5b82fa4b23",
+}
+
+
+@pytest.mark.parametrize("size", sorted(PREDICTED_MASK_DIGESTS))
+def test_predicted_masks_keep_their_bytes(tmp_path, size):
+    cfg = _trained_seg_workspace(tmp_path, size)
+    assert main(["predict", "--config", str(cfg), "--seed", "0",
+                 "--out", str(tmp_path / "preds")]) == 0
+    assert _masks_digest(tmp_path / "preds") == PREDICTED_MASK_DIGESTS[size]
+
+
+def test_predict_reads_no_dev_mask(tmp_path):
+    cfg = _trained_seg_workspace(tmp_path, 33)
+    outputs = []
+    for run in ("with", "without"):
+        assert main(["predict", "--config", str(cfg), "--seed", "0",
+                     "--out", str(tmp_path / run)]) == 0
+        outputs.append(_files(tmp_path / run))
+        for mask in (tmp_path / "dev").glob("sample_*_*.pgm"):
+            mask.unlink()
+    assert len(outputs[0]) == 6 * 3 + 1 and outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("lr", ["1e30", "1e200"])

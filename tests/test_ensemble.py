@@ -1,5 +1,6 @@
 """Deep ensembles, member training over worker processes, flip/rotation TTA,
 and ensemble manifests."""
+import hashlib
 import os
 import pickle
 import threading
@@ -330,7 +331,7 @@ class TestEnsemblePredict:
         e = Ensemble(members, tuple(range(5)))
         for x in (img, Image(img)):
             out = ensemble_predict(e, x)
-            assert out.shape == (3, 12, 17)
+            assert out.shape == (3, 12, 17) and out.flags.c_contiguous
             assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("k", [1, 5])
@@ -383,6 +384,15 @@ class TestFlipTta:
         out = tta_flip_predict(threshold_oracle, img)
         assert np.unravel_index(np.argmax(out[0]), img.shape) == (2, 5)
 
+    def test_writes_into_no_branch_prediction(self):
+        img = np.random.default_rng(5).uniform(0, 1, (8, 12))
+        returned = []
+        predict = lambda v: returned.append(threshold_oracle(v)) or returned[-1]
+        out = tta_flip_predict(predict, img)
+        assert out.flags.c_contiguous
+        assert [r.tobytes() for r in returned] == \
+            [threshold_oracle(v).tobytes() for v in (img, img[:, ::-1], img[::-1, :])]
+
 
 class TestRotateTta:
     def test_equivariant_oracle_reproduced_exactly(self):
@@ -404,6 +414,31 @@ class TestRotateTta:
         img = Image(np.random.default_rng(4).uniform(0, 1, (8, 8)))
         out = tta_rotate_seg(threshold_oracle, img)
         np.testing.assert_array_equal(out, threshold_oracle(img.values))
+
+    def test_writes_into_no_branch_prediction(self):
+        # the segmentation ablate hands back its plain prediction as the identity branch
+        img = np.random.default_rng(6).uniform(0, 1, (8, 8))
+        plain = threshold_oracle(img)
+        predict = lambda v: plain if np.array_equal(v, img) else threshold_oracle(v)
+        out = tta_rotate_seg(predict, img)
+        assert out.flags.c_contiguous
+        assert plain.tobytes() == threshold_oracle(img).tobytes()
+
+    # SHA-256 of rotation TTA over a 2-member ensemble of trained segmenters.
+    # The forward pass, the ensemble mean and the TTA mean are written for
+    # speed, and every rewrite must keep these bits (NumPy 2.4 on x86-64).
+    INFERENCE_DIGESTS = {
+        33: "e5e25d1ba6864444c2e567723e258bc1e1adb7282cecb138d2076d0b89e9d7e0",
+        64: "930b2fdca7902f8cd4d6da76a08d3c1443d27eeb8161879343fecff919445388",
+    }
+
+    @pytest.mark.parametrize("size", sorted(INFERENCE_DIGESTS))
+    def test_ensemble_rotation_tta_keeps_its_bytes(self, size):
+        cfg = TrainConfig(lr=0.2, epochs=5, batch_size=4, seed=5)
+        e = train_deep_ensemble(gen_seg_dataset(6, size, seed=21), cfg, k=2)
+        image = gen_seg_dataset(1, size, seed=22).samples[0].image
+        out = tta_rotate_seg(lambda v: ensemble_predict(e, v), image)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.INFERENCE_DIGESTS[size]
 
 
 class TestManifest:

@@ -142,6 +142,21 @@ class TestForward:
         assert keeps is None and not generators
         assert m.forward(x).tobytes() == out.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 64, 143, 4096])
+    @pytest.mark.parametrize("dims", [[4, 3], [4, 7, 3]], ids=["linear", "hidden"])
+    def test_pixel_forward_is_the_transposed_sigmoid(self, dims, n):
+        rng = np.random.default_rng(n)
+        m = MLP(dims, "pixel", seed=n)
+        m.theta[:] = rng.normal(size=m.theta.size)  # non-zero biases too
+        x = rng.uniform(0, 1, (n, 4))
+        h = x
+        for w, b in zip(m.weights[:-1], m.biases[:-1]):
+            h = np.maximum(h @ w + b, 0.0)
+        expected = 1 / (1 + np.exp(-(h @ m.weights[-1] + m.biases[-1])))
+        out = m.forward(x)
+        assert out.shape == (3, n) and out.flags.c_contiguous
+        assert out.tobytes() == np.ascontiguousarray(expected.T).tobytes()
+
     def test_dropout_disabled_at_inference(self):
         m = MLP([4, 16, 1], "scalar", dropout=0.5, seed=1)
         x = np.random.default_rng(2).normal(size=(5, 4))
@@ -192,7 +207,7 @@ class TestSegFeatures:
     def test_segment_soft_shape_and_range(self):
         m = new_model("segmentation", 4, TrainConfig())
         out = segment_soft(m, np.random.default_rng(1).uniform(0, 1, (16, 16)))
-        assert out.shape == (3, 16, 16)
+        assert out.shape == (3, 16, 16) and out.flags.c_contiguous
         assert (out > 0).all() and (out < 1).all()
 
 
