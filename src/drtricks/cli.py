@@ -441,11 +441,19 @@ def cmd_ablate(args) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _seed_list(text: str) -> list[int]:
+def _seed(text: str) -> int:
+    """A seed: a non-negative integer, as ``np.random.SeedSequence`` takes."""
     try:
-        seeds = [int(part) for part in text.split(",") if part.strip() != ""]
+        seed = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}") from exc
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"negative seed {text!r}")
+    return seed
+
+
+def _seed_list(text: str) -> list[int]:
+    seeds = [_seed(part) for part in text.split(",") if part.strip() != ""]
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed list {text!r}")
     return seeds
@@ -461,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="generate a synthetic dataset")
     synth.add_argument("--task", required=True, choices=dd.TASKS)
     synth.add_argument("--n", type=int, required=True)
-    synth.add_argument("--seed", type=int, required=True)
+    synth.add_argument("--seed", type=_seed, required=True)
     synth.add_argument("--out", required=True)
     synth.add_argument("--dim", type=int, default=dd.SYNTH_DIM)
     synth.add_argument("--noise", type=float, default=dd.SYNTH_NOISE)
@@ -480,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--seed", type=_seed, required=True)
         p.add_argument("--out", required=True)
         p.set_defaults(func=func)
 

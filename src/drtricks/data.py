@@ -225,23 +225,15 @@ def largest_remainder_counts(n: int, proportions: Sequence[float]) -> list[int]:
 
 
 def split_train_dev(d: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic stratified split into (train, dev).
+    """Deterministic split into (train, dev), stratified on the ordinal labels.
 
-    Stratifies on ordinal labels where they exist; per-class train counts are
-    floored and the shortfall is distributed in class-index order.
+    Every sample must be labeled. Per-class train counts are floored and the
+    shortfall is distributed in class-index order.
     """
     if not 0.0 < ratio < 1.0:
         raise DataError(f"split ratio must be in (0, 1), got {ratio}")
     rng = np.random.default_rng(seed)
-    has_labels = any(s.label is not None for s in d.samples)
     target = round(ratio * len(d))
-    if not has_labels:
-        idx = rng.permutation(len(d))
-        take = set(idx[:target].tolist())
-        train = [s for i, s in enumerate(d.samples) if i in take]
-        dev = [s for i, s in enumerate(d.samples) if i not in take]
-        return Dataset(tuple(train), d.task), Dataset(tuple(dev), d.task)
-
     by_class: dict[int, list[int]] = {}
     for i, s in enumerate(d.samples):
         if s.label is None:
@@ -275,15 +267,15 @@ def split_train_dev(d: Dataset, ratio: float, seed: int) -> tuple[Dataset, Datas
 # synthetic generators
 # ---------------------------------------------------------------------------
 
-def ordinal_class_centers(dim: int, spacing: float = 1.0) -> np.ndarray:
-    """Colinear class centers c_k = k * spacing * u so grades embed ordinally."""
+def ordinal_class_centers(dim: int) -> np.ndarray:
+    """Colinear class centers c_k = k * u, with u = (1, ..., 1) / sqrt(dim), so
+    grades embed ordinally."""
     u = np.ones(dim) / math.sqrt(dim)
-    return np.stack([k * spacing * u for k in range(NUM_CLASSES)])
+    return np.stack([k * u for k in range(NUM_CLASSES)])
 
 
 def gen_ordinal_dataset(
     n: int,
-    proportions: Sequence[float] = DEFAULT_GRADE_PROPORTIONS,
     noise: float = SYNTH_NOISE,
     dim: int = SYNTH_DIM,
     seed: int = 0,
@@ -293,7 +285,7 @@ def gen_ordinal_dataset(
 ) -> Dataset:
     """Gaussian blobs around colinear class centers with ordinal labels.
 
-    Class counts follow the requested proportions exactly (largest-remainder
+    Class counts follow ``DEFAULT_GRADE_PROPORTIONS`` exactly (largest-remainder
     apportionment). ``labeled=False`` strips the labels but keeps the same
     geometry, for building unlabeled pools.
     """
@@ -304,7 +296,7 @@ def gen_ordinal_dataset(
     if dim < 1:
         raise DataError("feature dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    counts = largest_remainder_counts(n, proportions)
+    counts = largest_remainder_counts(n, DEFAULT_GRADE_PROPORTIONS)
     centers = ordinal_class_centers(dim)
     labels = np.repeat(np.arange(NUM_CLASSES), counts)
     rng.shuffle(labels)

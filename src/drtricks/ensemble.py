@@ -165,13 +165,6 @@ def map_members(task: Callable[[int], T], n: int) -> list[T]:
         elif failure is None or i < failure[0]:
             failure = (i, value)
 
-    def receive(data: bytes | None) -> None:
-        nonlocal ended
-        if data is None:
-            ended += 1
-        else:
-            settle(*pickle.loads(data))
-
     index_file = tempfile.TemporaryFile()
     indices = index_file.fileno()
     inbox = queue.SimpleQueue()  # every child's messages, then None at each one's end
@@ -207,7 +200,11 @@ def map_members(task: Callable[[int], T], n: int) -> list[T]:
                 break
             if ended == len(children):
                 raise RuntimeError(f"a worker ended without the result of member {lowest}")
-            receive(inbox.get())
+            data = inbox.get()
+            if data is None:
+                ended += 1
+            else:
+                settle(*pickle.loads(data))
         if failure is not None:
             raise failure[1]
         return results
@@ -261,13 +258,6 @@ def ensemble_predict(e: Ensemble, x) -> np.ndarray:
     return out
 
 
-def member_variance(e: Ensemble, x) -> float:
-    """Population variance of member predictions (scalar heads)."""
-    vals = np.array([float(np.atleast_1d(m.predict_scalar(np.atleast_2d(x)))[0])
-                     for m in e.members])
-    return float(vals.var())
-
-
 def _image_values(x) -> np.ndarray:
     return x.values if isinstance(x, Image) else np.asarray(x, dtype=np.float64)
 
@@ -312,13 +302,14 @@ def tta_rotate_seg(predict_fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndar
 # manifest I/O
 # ---------------------------------------------------------------------------
 
-def save_ensemble(directory: Path | str, e: Ensemble, prefix: str = "member") -> Path:
-    """Write member checkpoints plus a manifest listing paths and seeds."""
+def save_ensemble(directory: Path | str, e: Ensemble) -> Path:
+    """Write member checkpoints ``member_<i>.ckpt`` plus a manifest listing
+    paths and seeds."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, (m, seed) in enumerate(zip(e.members, e.seeds)):
-        name = f"{prefix}_{i}.ckpt"
+        name = f"member_{i}.ckpt"
         save_checkpoint(directory / name, m)
         entries.append({"path": name, "seed": seed})
     manifest = directory / "ensemble.json"

@@ -25,14 +25,13 @@ class MetricError(ValueError):
     pass
 
 
-def confusion_matrix(truths: Sequence[int], preds: Sequence[int],
-                     num_classes: int = NUM_CLASSES) -> np.ndarray:
+def confusion_matrix(truths: Sequence[int], preds: Sequence[int]) -> np.ndarray:
     """Counts with rows = truth, columns = prediction."""
     t = np.asarray(truths, dtype=int)
     p = np.asarray(preds, dtype=int)
     if t.shape != p.shape:
         raise MetricError("truths and predictions must have equal length")
-    cm = np.zeros((num_classes, num_classes), dtype=int)
+    cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=int)
     np.add.at(cm, (t, p), 1)
     return cm
 
@@ -134,12 +133,6 @@ def auc_macro_ovr(scores: np.ndarray, truths: Sequence[int]) -> tuple[float, lis
     if not aucs:
         raise MetricError("no class has both positive and negative samples")
     return float(np.mean(aucs)), skipped
-
-
-def regressor_class_scores(raw: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
-    """Per-class scores from a scalar regressor: negative distance to class index."""
-    r = np.asarray(raw, dtype=np.float64)
-    return -np.abs(r[:, None] - np.arange(num_classes)[None, :])
 
 
 def accuracy(preds: Sequence[int], truths: Sequence[int]) -> float:

@@ -6,23 +6,12 @@ segmentation-guided edit of DR grades.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import IRMA, NP, NV, MaskSet, SoftMaskSet, validate_label
 
-
-@dataclass(frozen=True)
-class GradeDecisionRule:
-    """Operating thresholds mapping a raw regressor output to a grade."""
-
-    low: float = 0.54
-    high: float = 1.5
-
-    def __post_init__(self) -> None:
-        if not self.low < self.high:
-            raise ValueError("low threshold must be below high threshold")
+#: Operating thresholds of the quality grades: raw < low is 0, raw < high is 1, else 2.
+QUALITY_LOW, QUALITY_HIGH = 0.54, 1.5
 
 
 def _running_max(a: np.ndarray, k: int) -> np.ndarray:
@@ -70,35 +59,35 @@ def reconcile_irma_nv(soft: SoftMaskSet | np.ndarray, masks: MaskSet | np.ndarra
     return MaskSet(out)
 
 
-def quality_decision(raw: float, rule: GradeDecisionRule = GradeDecisionRule()) -> int:
+def quality_decision(raw: float) -> int:
     """Grade decision from a raw score using the operating thresholds."""
     raw = float(raw)
-    if raw < rule.low:
+    if raw < QUALITY_LOW:
         return 0
-    if raw < rule.high:
+    if raw < QUALITY_HIGH:
         return 1
     return 2
 
 
-def grade_postedit(grade: int, masks: MaskSet | np.ndarray, nv_min_pixels: int = 1) -> int:
+def grade_postedit(grade: int, masks: MaskSet | np.ndarray) -> int:
     """Edit a DR grade with the segmentation output.
 
-    Any NV detection (at least ``nv_min_pixels`` positives) forces PDR;
-    otherwise a fully lesion-free mask forces normal; else unchanged.
+    Any NV detection (at least one positive pixel) forces PDR; otherwise a
+    fully lesion-free mask forces normal; else unchanged.
     """
     grade = validate_label(grade)
     b = masks.channels if isinstance(masks, MaskSet) else np.asarray(masks)
-    if int(b[NV].sum()) >= nv_min_pixels:
+    if int(b[NV].sum()) >= 1:
         return 2
     if int(b.sum()) == 0:
         return 0
     return grade
 
 
-def postprocess_masks(soft: SoftMaskSet | np.ndarray, threshold: float = 0.5,
-                      dilation_kernel: int = 5) -> MaskSet:
-    """Full segmentation post-processing: binarize, dilate NP, reconcile IRMA/NV."""
+def postprocess_masks(soft: SoftMaskSet | np.ndarray) -> MaskSet:
+    """Full segmentation post-processing: binarize at 0.5, dilate NP over a
+    5 x 5 square, reconcile IRMA/NV."""
     s = soft.channels if isinstance(soft, SoftMaskSet) else np.asarray(soft, dtype=np.float64)
-    binary = (s >= threshold).astype(np.uint8)
-    binary[NP] = dilate(binary[NP], dilation_kernel)
+    binary = (s >= 0.5).astype(np.uint8)
+    binary[NP] = dilate(binary[NP], 5)
     return reconcile_irma_nv(s, binary)

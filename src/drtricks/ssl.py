@@ -107,8 +107,6 @@ def rpl_train(
     return model
 
 
-def naive_pl_train(labeled: Dataset, unlabeled: Dataset, cfg: TrainConfig,
-                   audit_path: Optional[Path | str] = None) -> MLP:
+def naive_pl_train(labeled: Dataset, unlabeled: Dataset, cfg: TrainConfig) -> MLP:
     """Single-round pseudo labeling keeping every pseudo label."""
-    return rpl_train(labeled, unlabeled, RPLConfig(base=cfg, rounds=1),
-                     audit_path=audit_path)
+    return rpl_train(labeled, unlabeled, RPLConfig(base=cfg, rounds=1))

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -358,10 +359,21 @@ class TestAblate:
     def test_bad_seed_list_is_usage_error(self, tmp_path):
         cfg = tmp_path / "abl.ini"
         cfg.write_text(ABLATE_CONFIG.format(task="grading", n_labeled=40, lr="2e-3"))
-        with pytest.raises(SystemExit) as exc:
-            main(["ablate", "--config", str(cfg), "--seeds", "zero",
-                  "--out", str(tmp_path / "x")])
-        assert exc.value.code == 2
+        for seeds in ("zero", "-1", "0,-1", "1,-2,3", "1.5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["ablate", "--config", str(cfg), "--seeds", seeds,
+                      "--out", str(tmp_path / "x")])
+            assert exc.value.code == 2, seeds
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        for argv in (["train", "--config", str(write_config(tmp_path))],
+                     ["synth", "--task", "grading", "--n", "30"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--seed", "-1", "--out", str(tmp_path / "x")])
+            assert exc.value.code == 2
+            assert "argument --seed: negative seed '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
     def test_segmentation_notes_that_augment_is_ignored(self, tmp_path, capsys):
@@ -648,6 +660,10 @@ BAD_INPUTS = {
     "checkpoint_200_bytes": ("predict", lambda ws: _checkpoint(ws, lambda b: b[:200])),
     "checkpoint_head_code_0": ("predict",
                                lambda ws: _checkpoint(ws, lambda b: b[:4] + b"\0" + b[5:])),
+    "checkpoint_parameter_nan": (
+        "predict", lambda ws: _checkpoint(ws, lambda b: b[:-8] + struct.pack("<d", np.nan))),
+    "checkpoint_parameter_inf": (
+        "predict", lambda ws: _checkpoint(ws, lambda b: b[:-8] + struct.pack("<d", np.inf))),
     "manifest_open_brace": ("predict", lambda ws: _manifest(ws, "{")),
     "manifest_without_members": ("predict", lambda ws: _manifest(ws, '{"x": 1}')),
     "prediction_not_integer": ("evaluate", lambda ws: _predictions(ws, b"id,prediction\n0,x\n")),

@@ -5,14 +5,13 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "drtricks"
 
-# Public functions that nothing in src/ calls yet, each with why it stays.
-# Private functions get no allowlist: one that nothing calls is deleted.
+# Public functions that nothing in src/ calls, each with the acceptance
+# criterion that pins it. Private functions get no allowlist: one that
+# nothing calls is deleted.
 ALLOWED_UNREFERENCED = {
-    "auc_macro_ovr": "macro one-vs-rest AUC planned for the evaluate report",
-    "regressor_class_scores": "per-class regressor scores that feed auc_macro_ovr",
-    "member_variance": "ensemble disagreement planned as a predictions.csv column",
-    "grade_postedit": "mask-guided grade edit pinned by the acceptance criteria",
-    "seg_total_loss": "dice + aux loss pinned by criterion 1; the segmenter trainer "
+    "auc_macro_ovr": "criterion 2 pins the macro one-vs-rest AUC",
+    "grade_postedit": "criterion 6 pins the mask-guided grade edit",
+    "seg_total_loss": "criterion 1 pins dice + alpha * aux; the segmenter trainer "
                       "computes its gradient without the loss value",
 }
 

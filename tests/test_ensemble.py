@@ -16,7 +16,6 @@ from drtricks.ensemble import (
     ensemble_predict,
     load_ensemble,
     map_members,
-    member_variance,
     save_ensemble,
     tta_flip_predict,
     tta_rotate_seg,
@@ -351,12 +350,6 @@ class TestEnsemblePredict:
         assert len(calls) == 1
         tta_rotate_seg(lambda v: ensemble_predict(e, v), img)
         assert len(calls) == 1 + 4
-
-    def test_member_variance_nonnegative(self):
-        e = Ensemble((constant_scalar(1.0), constant_scalar(2.0)), (0, 1))
-        assert member_variance(e, np.zeros(4)) == pytest.approx(0.25)
-        same = Ensemble((constant_scalar(1.0), constant_scalar(1.0)), (0, 1))
-        assert member_variance(same, np.zeros(4)) == 0.0
 
 
 class TestFlipTta:

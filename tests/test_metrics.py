@@ -23,7 +23,6 @@ from drtricks.metrics import (
     mean_dsc,
     mean_iou,
     qwk,
-    regressor_class_scores,
     write_report_csv,
     write_report_json,
 )
@@ -180,12 +179,6 @@ class TestAuc:
     def test_no_evaluable_class_rejected(self):
         with pytest.raises(MetricError):
             auc_macro_ovr(np.zeros((4, 3)), [0, 0, 0, 0])
-
-    def test_regressor_scores_shape_and_order(self):
-        s = regressor_class_scores(np.array([0.0, 1.0, 2.4]))
-        assert s.shape == (3, 3)
-        assert s[0].argmax() == 0 and s[2].argmax() == 2
-        assert s[2, 2] == pytest.approx(-0.4)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(

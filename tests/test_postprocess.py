@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from drtricks.data import IRMA, NP, NV, MaskSet, SoftMaskSet
 from drtricks.postprocess import (
-    GradeDecisionRule,
     dilate,
     grade_postedit,
     postprocess_masks,
@@ -156,14 +155,6 @@ class TestQualityDecision:
         decisions = [quality_decision(x) for x in xs]
         assert decisions == sorted(decisions)
 
-    def test_custom_rule(self):
-        rule = GradeDecisionRule(low=0.2, high=0.8)
-        assert quality_decision(0.5, rule) == 1
-
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            GradeDecisionRule(low=1.5, high=0.54)
-
 
 class TestGradePostedit:
     def masks(self, irma=0, np_count=0, nv=0):
@@ -186,10 +177,6 @@ class TestGradePostedit:
 
     def test_pdr_with_nv_stays_pdr(self):
         assert grade_postedit(2, self.masks(nv=2)) == 2
-
-    def test_threshold_configurable(self):
-        assert grade_postedit(1, self.masks(nv=1), nv_min_pixels=2) == 1
-        assert grade_postedit(1, self.masks(nv=2), nv_min_pixels=2) == 2
 
     def test_invalid_grade_rejected(self):
         with pytest.raises(ValueError):
