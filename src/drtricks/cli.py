@@ -227,6 +227,9 @@ def cmd_rpl(args) -> int:
     labeled = _load_data(cfg, _require(cfg.train_path, "[data] train"))
     unlabeled = _load_data(cfg, _require(cfg.unlabeled_path, "[data] unlabeled"))
     dev = None if cfg.dev_path is None else _load_dev(cfg)
+    if cfg.ensemble_k > 1:
+        print("note: rpl trains one model; "
+              f"[pipeline] ensemble_k = {cfg.ensemble_k} is ignored")
     tcfg = cfg.train_config(args.seed)
     rcfg = RPLConfig(base=tcfg, rounds=cfg.rpl_rounds)
     model = rpl_train(labeled, unlabeled, rcfg, audit_path=out / "audit.csv")

@@ -192,6 +192,13 @@ class Dataset:
         matrix.setflags(write=False)
         return matrix
 
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """The sample ids in sample order, built once and read-only."""
+        ids = np.array([s.id for s in self.samples])
+        ids.setflags(write=False)
+        return ids
+
     def labels(self) -> list[Optional[int]]:
         return [s.label for s in self.samples]
 
@@ -344,6 +351,8 @@ def gen_seg_dataset(
     (NP disks keep a full-radius margin from the border; NV dot centers are
     kept far enough apart that dots never merge).
     """
+    if n < 1:
+        raise DataError("need n >= 1")
     if size < 32:
         raise DataError("need size >= 32")
     if not 0.0 <= artifact_fraction <= 1.0:

@@ -31,9 +31,13 @@ class RPLConfig:
 
 @dataclass(frozen=True)
 class PseudoBuckets:
-    """Per predicted class: samples sorted by descending confidence, then id."""
+    """The pool ordered by predicted class, then descending confidence, then id:
+    pool indices ``order`` with their ``confs``; class k's run ends at ``ends[k]``."""
 
-    entries: dict[int, tuple[tuple[Sample, float], ...]]
+    pool: Dataset
+    order: np.ndarray
+    confs: np.ndarray
+    ends: np.ndarray
 
 
 def confidence_regressor(raw) -> np.ndarray:
@@ -44,36 +48,35 @@ def confidence_regressor(raw) -> np.ndarray:
 
 def pseudo_label(model: MLP, unlabeled: Dataset) -> PseudoBuckets:
     """Assign each unlabeled sample a predicted class and confidence."""
-    entries: dict[int, list[tuple[Sample, float]]] = {k: [] for k in range(NUM_CLASSES)}
-    if len(unlabeled) > 0:
-        raw = model.predict_scalar(unlabeled.feature_matrix)
-        preds, confs = regressor_class(raw), confidence_regressor(raw)
-        ids = np.array([s.id for s in unlabeled.samples])
-        for j in np.lexsort((ids, -confs)):  # descending confidence, then id
-            entries[int(preds[j])].append((unlabeled.samples[j], float(confs[j])))
-    return PseudoBuckets({k: tuple(v) for k, v in entries.items()})
+    raw = model.predict_scalar(unlabeled.feature_matrix) if len(unlabeled) else np.zeros(0)
+    preds, confs = regressor_class(raw), confidence_regressor(raw)
+    order = np.lexsort((unlabeled.ids, -confs, preds))
+    return PseudoBuckets(unlabeled, order, confs[order],
+                         np.cumsum(np.bincount(preds, minlength=NUM_CLASSES)))
+
+
+def _runs(buckets: PseudoBuckets, t: int, rounds: int):
+    """(class, start offset, bucket size, number taken) per class, in class order."""
+    if not 1 <= t <= rounds:
+        raise ValueError(f"round index {t} outside 1..{rounds}")
+    ends = buckets.ends.tolist()
+    for k, (start, end) in enumerate(zip([0] + ends[:-1], ends)):
+        yield k, start, end - start, (t * (end - start)) // rounds
 
 
 def select_reliable(buckets: PseudoBuckets, t: int, rounds: int) -> list[Sample]:
     """Top floor(t/T * bucket size) entries per class, labeled with the class."""
-    if not 1 <= t <= rounds:
-        raise ValueError(f"round index {t} outside 1..{rounds}")
+    samples = buckets.pool.samples
     selected: list[Sample] = []
-    for k in sorted(buckets.entries):
-        bucket = buckets.entries[k]
-        take = (t * len(bucket)) // rounds
-        selected.extend(relabeled((sample for sample, _conf in bucket[:take]), k))
+    for k, start, _size, take in _runs(buckets, t, rounds):
+        picked = buckets.order[start:start + take].tolist()
+        selected.extend(relabeled((samples[i] for i in picked), k))
     return selected
 
 
 def _audit_rows(buckets: PseudoBuckets, t: int, rounds: int) -> list[list]:
-    rows = []
-    for k in sorted(buckets.entries):
-        bucket = buckets.entries[k]
-        take = (t * len(bucket)) // rounds
-        min_conf = repr(bucket[take - 1][1]) if take else ""
-        rows.append([t, k, len(bucket), take, min_conf])
-    return rows
+    return [[t, k, size, take, repr(float(buckets.confs[start + take - 1])) if take else ""]
+            for k, start, size, take in _runs(buckets, t, rounds)]
 
 
 def write_audit_log(path: Path | str, rows: list[list]) -> None:

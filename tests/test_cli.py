@@ -267,6 +267,18 @@ class TestWorkflows:
         rows = list(csv.DictReader(open(workspace / "rpl" / "audit.csv")))
         assert sorted({int(r["round"]) for r in rows}) == [1, 2, 3]
 
+    def test_rpl_notes_that_ensemble_k_is_ignored(self, workspace, capsys):
+        note = "note: rpl trains one model; [pipeline] ensemble_k = 3 is ignored\n"
+        for k in (1, 3):
+            cfg = write_config(workspace, k=k)
+            capsys.readouterr()
+            assert main(["rpl", "--config", str(cfg), "--seed", "0",
+                         "--out", str(workspace / f"rpl{k}")]) == 0
+            assert capsys.readouterr().out.count(note) == (k == 3)
+        assert (workspace / "rpl3" / "model.ckpt").read_bytes() == \
+            (workspace / "rpl1" / "model.ckpt").read_bytes()
+        assert not (workspace / "rpl3" / "member_0.ckpt").exists()
+
     def test_ensemble_training_writes_manifest(self, workspace):
         cfg = write_config(workspace, k=2, model=workspace / "ens")
         assert main(["train", "--config", str(cfg), "--seed", "0",
@@ -342,7 +354,8 @@ class TestAblate:
                        .replace("n_dev = 2", "n_dev = 0"))
         assert main(["ablate", "--config", str(cfg), "--seeds", "3",
                      "--out", str(tmp_path / "seg")]) == 2
-        assert capsys.readouterr().err == "error: the dev set holds no samples to score\n"
+        # the generator rejects the empty dev set before any member trains
+        assert capsys.readouterr().err == "error: need n >= 1\n"
         assert not (tmp_path / "seg" / "ablation.csv").exists()
 
     @pytest.mark.parametrize("seeds", [",", " , ,", ""])
@@ -744,6 +757,14 @@ def test_synth_dim_below_one_is_usage_error(tmp_path, capsys, dim):
     assert not (tmp_path / "out" / "data.csv").exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_segmentation_synth_of_no_image_is_config_error(tmp_path, capsys, n):
+    assert main(["synth", "--task", "segmentation", "--n", n, "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: need n >= 1\n"
+    assert not (tmp_path / "out" / "index.csv").exists()
+
+
 @pytest.mark.parametrize("setting", ["batch_size = 0", "batch_size = -1", "hidden = 0"],
                          ids=["batch_size_0", "batch_size_minus_1", "hidden_0"])
 def test_bad_train_setting_is_config_error(workspace, capsys, setting):
@@ -806,6 +827,20 @@ def test_short_index_row_is_config_error(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--seed", "0",
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_segmentation_dev_report_over_no_image_is_config_error(tmp_path, capsys):
+    assert main(["synth", "--task", "segmentation", "--n", "3", "--size", "32",
+                 "--seed", "0", "--out", str(tmp_path / "seg")]) == 0
+    (tmp_path / "dev").mkdir()
+    (tmp_path / "dev" / "index.csv").write_text("id,image,has_masks\n")
+    cfg = tmp_path / "seg.ini"
+    cfg.write_text(SEG_CONFIG.format(train=tmp_path / "seg", lr=0.2)
+                   .replace("[train]", f"dev = {tmp_path / 'dev'}\n\n[train]"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: the dev set holds no samples to score\n"
 
 
 def test_segmentation_rpl_is_config_error(tmp_path, capsys):
@@ -901,6 +936,27 @@ def test_predicted_masks_keep_their_bytes(tmp_path, size):
     assert main(["predict", "--config", str(cfg), "--seed", "0",
                  "--out", str(tmp_path / "preds")]) == 0
     assert _masks_digest(tmp_path / "preds") == PREDICTED_MASK_DIGESTS[size]
+
+
+# SHA-256 of rpl's checkpoint and audit log and of a one-seed grading
+# ablate's table: every rewrite of the pseudo-labeling path must keep these
+# bytes (NumPy 2.4 on x86-64).
+PSEUDO_LABELING_DIGESTS = {
+    "rpl/model.ckpt": "11cf9a465e8e6b3bb3f6d20175c89eff53e96ff5fd0e8f728a9f429076f4bc0e",
+    "rpl/audit.csv": "c9b2d0d720dc27c0bba7416f8ce751d6c54427779b321f4bb39ee753aad70621",
+    "ablate/ablation.csv": "24bea7c7b0cae65929f787e046d2bb0db4126a515ff6a855d3722f408fe0cbb8",
+}
+
+
+def test_pseudo_labeling_outputs_keep_their_bytes(workspace):
+    assert main(["rpl", "--config", str(write_config(workspace)), "--seed", "0",
+                 "--out", str(workspace / "rpl")]) == 0
+    cfg = workspace / "abl.ini"
+    cfg.write_text(ABLATE_CONFIG.format(task="grading", n_labeled=40, lr="2e-3"))
+    assert main(["ablate", "--config", str(cfg), "--seeds", "0",
+                 "--out", str(workspace / "ablate")]) == 0
+    assert {name: hashlib.sha256((workspace / name).read_bytes()).hexdigest()
+            for name in PSEUDO_LABELING_DIGESTS} == PSEUDO_LABELING_DIGESTS
 
 
 def test_predict_reads_no_dev_mask(tmp_path):

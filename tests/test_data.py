@@ -125,6 +125,11 @@ class TestTypes:
         assert m.shape == (4, 3) and not m.flags.writeable
         assert d.feature_matrix is m
 
+    def test_ids_are_one_read_only_array(self):
+        d = make_tabular([0, 1, 2], id_offset=70)
+        assert d.ids.tolist() == [70, 71, 72] and not d.ids.flags.writeable
+        assert d.ids is d.ids
+
     def test_feature_matrix_of_images_rejected(self):
         with pytest.raises(DataError):
             gen_seg_dataset(1, 16, seed=0).feature_matrix
@@ -291,6 +296,11 @@ class TestSegGenerator:
     def test_minimum_size_enforced(self):
         with pytest.raises(DataError):
             gen_seg_dataset(5, 16)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_empty_dataset_rejected(self, n):
+        with pytest.raises(DataError, match="need n >= 1"):
+            gen_seg_dataset(n, 32)
 
 
 # ---------------------------------------------------------------------------

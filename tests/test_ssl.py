@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drtricks.data import DataError, Dataset, Sample, gen_ordinal_dataset
-from drtricks.models import MLP, TrainConfig, fit, round_half_away
+from drtricks.data import Dataset, Sample, gen_ordinal_dataset, relabeled
+from drtricks.models import (NUM_CLASSES, MLP, TrainConfig, fit, regressor_class,
+                             round_half_away)
 from drtricks.ssl import (
     PseudoBuckets,
     RPLConfig,
+    _audit_rows,
     confidence_regressor,
     naive_pl_train,
     pseudo_label,
@@ -61,13 +63,20 @@ class TestConfidence:
             np.array(expected, dtype=np.float64).tobytes()
 
 
+def bucket(buckets: PseudoBuckets, k: int) -> list[tuple[Sample, float]]:
+    """Class k's run of the buckets as (sample, confidence) pairs."""
+    ends = [0, *buckets.ends.tolist()]
+    return [(buckets.pool.samples[buckets.order[j]], float(buckets.confs[j]))
+            for j in range(ends[k], ends[k + 1])]
+
+
 class TestPseudoLabel:
     def test_regressor_bucketing_example(self):
         buckets = pseudo_label(feature_passthrough_regressor(),
                                unlabeled_from([0.1, 1.9, 2.2]))
-        assert [s.id for s, _ in buckets.entries[0]] == [0]
-        assert buckets.entries[1] == ()
-        two = buckets.entries[2]
+        assert [s.id for s, _ in bucket(buckets, 0)] == [0]
+        assert bucket(buckets, 1) == []
+        two = bucket(buckets, 2)
         # both 1.9 and 2.2 round to class 2, ordered by distance 0.1 < 0.2
         assert [s.id for s, _ in two] == [1, 2]
         assert two[0][1] == pytest.approx(-0.1)
@@ -78,8 +87,8 @@ class TestPseudoLabel:
         model = fit("grading", gen_ordinal_dataset(60, seed=1),
                     TrainConfig(epochs=15, lr=2e-3, seed=0))
         buckets = pseudo_label(model, data)
-        assert sum(len(b) for b in buckets.entries.values()) == 80
-        seen = [s.id for k in range(3) for s, _ in buckets.entries[k]]
+        assert buckets.pool is data and buckets.ends[-1] == 80
+        seen = [s.id for k in range(3) for s, _ in bucket(buckets, k)]
         assert sorted(seen) == sorted(s.id for s in data.samples)
 
     def test_within_bucket_confidence_sorted(self):
@@ -88,38 +97,35 @@ class TestPseudoLabel:
                     TrainConfig(epochs=15, lr=2e-3, seed=0))
         buckets = pseudo_label(model, data)
         for k in range(3):
-            confs = [c for _, c in buckets.entries[k]]
+            confs = [c for _, c in bucket(buckets, k)]
             assert confs == sorted(confs, reverse=True)
 
     def test_empty_pool_is_fine(self):
         buckets = pseudo_label(constant_regressor(1.0),
                                Dataset((), "grading"))
-        assert buckets.entries == {0: (), 1: (), 2: ()}
+        assert buckets.order.size == buckets.confs.size == 0
+        assert buckets.ends.tolist() == [0, 0, 0]
 
     def test_ties_broken_by_ascending_id(self):
         buckets = pseudo_label(constant_regressor(0.9), unlabeled_from([0, 0, 0]))
-        assert [s.id for s, _ in buckets.entries[1]] == [0, 1, 2]
+        assert [s.id for s, _ in bucket(buckets, 1)] == [0, 1, 2]
 
     def test_ties_broken_by_ascending_id_in_any_pool_order(self):
         # 1.2 - 1 and 1 - 0.8 are the same float, so four samples tie
         pool = [(5, 1.2), (3, 0.8), (9, 1.2), (1, 0.8), (4, 1.0)]
         samples = tuple(Sample(id=i, features=np.array([v, 0.0])) for i, v in pool)
         buckets = pseudo_label(feature_passthrough_regressor(), Dataset(samples, "grading"))
-        assert [s.id for s, _ in buckets.entries[1]] == [4, 1, 3, 5, 9]
+        assert [s.id for s, _ in bucket(buckets, 1)] == [4, 1, 3, 5, 9]
 
 
 class TestSelectReliable:
     def make_buckets(self, sizes):
-        entries = {}
-        next_id = 0
-        for k, size in enumerate(sizes):
-            items = []
-            for j in range(size):
-                items.append((Sample(id=next_id, features=np.zeros(2)),
-                              1.0 - j * 0.01))
-                next_id += 1
-            entries[k] = tuple(items)
-        return PseudoBuckets(entries)
+        """Buckets of the given sizes over a pool in bucket order, confidences
+        falling by 0.01 within each bucket."""
+        pool = Dataset(tuple(Sample(id=i, features=np.zeros(2)) for i in range(sum(sizes))),
+                       "grading")
+        confs = np.concatenate([1.0 - np.arange(size) * 0.01 for size in sizes])
+        return PseudoBuckets(pool, np.arange(len(pool)), confs, np.cumsum(sizes))
 
     def test_final_round_takes_everything(self):
         buckets = self.make_buckets([7, 13, 4])
@@ -144,7 +150,7 @@ class TestSelectReliable:
         for t in range(1, 5):
             chosen = {s.id for s in select_reliable(buckets, t, 5)}
             for k in range(3):
-                confs = buckets.entries[k]
+                confs = bucket(buckets, k)
                 sel = [c for s, c in confs if s.id in chosen]
                 rej = [c for s, c in confs if s.id not in chosen]
                 if sel and rej:
@@ -158,17 +164,10 @@ class TestSelectReliable:
     def test_relabeled_like_replace(self):
         buckets = self.make_buckets([4, 3, 2])
         chosen = select_reliable(buckets, 5, 5)
-        expected = [replace(s, label=k) for k in range(3) for s, _ in buckets.entries[k]]
+        expected = [replace(s, label=k) for k in range(3) for s, _ in bucket(buckets, k)]
         assert [(s.id, s.label) for s in chosen] == [(s.id, s.label) for s in expected]
         assert all(a.features.tobytes() == b.features.tobytes() and not a.features.flags.writeable
                    for a, b in zip(chosen, expected))
-
-    @pytest.mark.parametrize("bad", [3, -1])
-    def test_bad_bucket_label_rejected(self, bad):
-        buckets = PseudoBuckets({0: self.make_buckets([2]).entries[0],
-                                 bad: self.make_buckets([0, 3]).entries[1]})
-        with pytest.raises(DataError):
-            select_reliable(buckets, 5, 5)
 
     def test_round_index_bounds(self):
         buckets = self.make_buckets([3, 3, 3])
@@ -184,6 +183,74 @@ class TestSelectReliable:
         buckets = self.make_buckets(sizes)
         expected = sum((t * n) // 5 for n in sizes)
         assert len(select_reliable(buckets, t, 5)) == expected
+
+
+# The per-sample loop that the array code replaced, kept as its oracle: per
+# class, (sample, confidence) pairs by descending confidence, then id.
+
+def reference_pseudo_label(model: MLP, unlabeled: Dataset) -> dict:
+    entries = {k: [] for k in range(NUM_CLASSES)}
+    if len(unlabeled) > 0:
+        raw = model.predict_scalar(unlabeled.feature_matrix)
+        preds, confs = regressor_class(raw), confidence_regressor(raw)
+        ids = np.array([s.id for s in unlabeled.samples])
+        for j in np.lexsort((ids, -confs)):
+            entries[int(preds[j])].append((unlabeled.samples[j], float(confs[j])))
+    return {k: tuple(v) for k, v in entries.items()}
+
+
+def reference_select_reliable(entries: dict, t: int, rounds: int) -> list[Sample]:
+    selected = []
+    for k in sorted(entries):
+        take = (t * len(entries[k])) // rounds
+        selected.extend(relabeled((sample for sample, _conf in entries[k][:take]), k))
+    return selected
+
+
+def reference_audit_rows(entries: dict, t: int, rounds: int) -> list[list]:
+    rows = []
+    for k in sorted(entries):
+        take = (t * len(entries[k])) // rounds
+        min_conf = repr(entries[k][take - 1][1]) if take else ""
+        rows.append([t, k, len(entries[k]), take, min_conf])
+    return rows
+
+
+# exact ties (1.2 and 0.8 lie equally far from 1), halves, and outputs
+# outside the label range 0..2, beside arbitrary finite values
+RAW_OUTPUTS = st.one_of(
+    st.sampled_from([-1.5, -0.5, -0.2, 0.0, 0.5, 0.8, 1.0, 1.2, 1.5, 2.5, 3.7]),
+    st.floats(min_value=-4, max_value=6, allow_nan=False))
+
+
+class TestMatchesPerSampleLoop:
+    @given(st.lists(st.tuples(st.integers(min_value=-10**6, max_value=10**6), RAW_OUTPUTS),
+                    max_size=40, unique_by=lambda pair: pair[0]),
+           st.integers(min_value=1, max_value=6))
+    @settings(max_examples=200, deadline=None)
+    def test_same_selection_and_audit_as_the_loop(self, pool, rounds):
+        # the pool keeps hypothesis's order: shuffled, non-contiguous ids
+        samples = tuple(Sample(id=i, features=np.array([v, 0.0])) for i, v in pool)
+        unlabeled = Dataset(samples, "grading")
+        model = feature_passthrough_regressor()
+        buckets = pseudo_label(model, unlabeled)
+        entries = reference_pseudo_label(model, unlabeled)
+        for k in range(NUM_CLASSES):
+            assert [(s.id, repr(c)) for s, c in bucket(buckets, k)] == \
+                [(s.id, repr(c)) for s, c in entries[k]]
+        for t in range(1, rounds + 1):
+            got = select_reliable(buckets, t, rounds)
+            want = reference_select_reliable(entries, t, rounds)
+            assert [(s.id, s.label) for s in got] == [(s.id, s.label) for s in want]
+            assert all(a.features is b.features for a, b in zip(got, want))
+            assert _audit_rows(buckets, t, rounds) == reference_audit_rows(entries, t, rounds)
+
+    def test_empty_pool_matches(self):
+        unlabeled = Dataset((), "grading")
+        buckets = pseudo_label(constant_regressor(1.0), unlabeled)
+        entries = reference_pseudo_label(constant_regressor(1.0), unlabeled)
+        assert select_reliable(buckets, 1, 1) == reference_select_reliable(entries, 1, 1) == []
+        assert _audit_rows(buckets, 1, 1) == reference_audit_rows(entries, 1, 1)
 
 
 class TestRplTrain:
