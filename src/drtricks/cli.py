@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -51,9 +50,12 @@ def _load_data(cfg: RunConfig, path: str, masks: bool = True) -> dd.Dataset:
 
 
 def _load_dev(cfg: RunConfig, masks: bool = True) -> dd.Dataset:
-    """The ``[data] dev`` set that the pipeline decides on. Rotation TTA needs
-    square images, so under it a DataError names the first that is not."""
+    """The ``[data] dev`` set that the pipeline decides on; a DataError if it
+    holds no sample. Rotation TTA needs square images, so under it a
+    DataError names the first that is not."""
     dev = _load_data(cfg, _require(cfg.dev_path, "[data] dev"), masks)
+    if not dev.samples:
+        raise dd.DataError("the dev set holds no samples")
     if cfg.task == "segmentation" and cfg.tta == "rotate":
         for s in dev.samples:
             h, w = s.image.values.shape
@@ -77,8 +79,6 @@ def _check_model_fits(ens: Ensemble, cfg: RunConfig, data: dd.Dataset) -> None:
     """ConfigError unless every member's head and input width fit the task's data."""
     if cfg.task == "segmentation":
         head, width = "pixel", SEG_FEATURE_DIM
-    elif data.feature_dim is None:
-        raise dd.DataError("the input CSV holds no samples")
     else:
         head, width = "scalar", data.feature_dim
     for m in ens.members:
@@ -158,13 +158,6 @@ def _write_report(cfg: RunConfig, values: dict[str, float], seed: int, out: Path
     write_report_json(out / "report.json", report)
     for metric, v in sorted(values.items()):
         print(f"{prefix}{metric}: {v:.4f}")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _out_dir(args) -> Path:
@@ -266,7 +259,7 @@ def cmd_predict(args) -> int:
             dd.write_mask_set(stem, decision)
             decision = stem.name
         rows.append([s.id, decision])
-    _write_csv(out / "predictions.csv", ["id", "stem" if segmentation else "prediction"], rows)
+    dd.write_csv(out / "predictions.csv", ["id", "stem" if segmentation else "prediction"], rows)
     print(f"wrote predictions for {len(inputs)} samples to {out}")
     return 0
 
@@ -435,7 +428,7 @@ def cmd_ablate(args) -> int:
         vals = np.array([r[arm] for r in per_seed])
         rows.append([arm, metric, repr(float(vals.mean())), repr(float(vals.std()))])
         print(f"{arm:10s} {metric} mean {vals.mean():.4f} stddev {vals.std():.4f}")
-    _write_csv(out / "ablation.csv", ["arm", "metric", "mean", "stddev"], rows)
+    dd.write_csv(out / "ablation.csv", ["arm", "metric", "mean", "stddev"], rows)
     print(f"wrote {out / 'ablation.csv'} ({len(rows)} arms over {len(seeds)} seeds)")
     return 0
 

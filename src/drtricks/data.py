@@ -118,6 +118,8 @@ class Sample:
     label: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if not -2**63 <= self.id < 2**63:
+            raise DataError(f"sample id {self.id} is outside the 64-bit integer range")
         if (self.features is None) == (self.image is None):
             raise DataError("sample needs exactly one of features or image")
         if self.features is not None:
@@ -195,7 +197,7 @@ class Dataset:
     @cached_property
     def ids(self) -> np.ndarray:
         """The sample ids in sample order, built once and read-only."""
-        ids = np.array([s.id for s in self.samples])
+        ids = np.array([s.id for s in self.samples], dtype=np.int64)
         ids.setflags(write=False)
         return ids
 
@@ -514,17 +516,22 @@ def read_csv(path: Path | str) -> list[list[str]]:
         raise FormatError(f"{path}: malformed CSV ({exc})") from exc
 
 
+def write_csv(path: Path | str, header: list[str], rows) -> None:
+    """Write ``header``, then each of ``rows``, as CSV lines."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_dataset_csv(path: Path | str, d: Dataset) -> None:
     """Tabular dataset as CSV: id,feat_0..feat_{D-1},label (label may be empty)."""
     dim = d.feature_dim
     if dim is None:
         raise DataError("CSV serialization requires feature-vector samples")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", *[f"feat_{j}" for j in range(dim)], "label"])
-        for s in d.samples:
-            label = "" if s.label is None else str(s.label)
-            writer.writerow([s.id, *[repr(float(v)) for v in s.features], label])
+    write_csv(path, ["id", *[f"feat_{j}" for j in range(dim)], "label"],
+              ([s.id, *[repr(float(v)) for v in s.features], "" if s.label is None else s.label]
+               for s in d.samples))
 
 
 def read_dataset_csv(path: Path | str, task: str) -> Dataset:
@@ -556,17 +563,16 @@ def write_seg_dataset(directory: Path | str, d: Dataset) -> None:
     """Segmentation dataset as a directory of PGMs plus an index.csv."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "index.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "image", "has_masks"])
-        for s in d.samples:
-            if s.image is None:
-                raise DataError("segmentation dataset requires image samples")
-            name = f"sample_{s.id:05d}"
-            write_image(directory / f"{name}.pgm", s.image)
-            if s.masks is not None:
-                write_mask_set(directory / name, s.masks)
-            writer.writerow([s.id, f"{name}.pgm", int(s.masks is not None)])
+    rows = []
+    for s in d.samples:
+        if s.image is None:
+            raise DataError("segmentation dataset requires image samples")
+        name = f"sample_{s.id:05d}"
+        write_image(directory / f"{name}.pgm", s.image)
+        if s.masks is not None:
+            write_mask_set(directory / name, s.masks)
+        rows.append([s.id, f"{name}.pgm", int(s.masks is not None)])
+    write_csv(directory / "index.csv", ["id", "image", "has_masks"], rows)
 
 
 def read_seg_dataset(directory: Path | str, masks: bool = True) -> Dataset:

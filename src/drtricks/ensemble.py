@@ -52,19 +52,16 @@ class EnsembleMemberError(RuntimeError):
         return f"{arm + ' ' if arm else ''}member {index} failed: {message}"
 
 
-def _member(task: Callable[[int], T], i: int) -> T:
-    try:
-        return task(i)
-    except (TrainingDivergedError, FloatingPointError) as exc:
-        raise EnsembleMemberError(i, exc) from exc
-
-
 def _outcome(task: Callable[[int], T], i: int, indices: int) -> tuple:
     """``(i, True, result)`` of member i, or ``(i, False, exception)`` if it
-    fails; a failure first moves the index file ``indices`` to its end, so
-    that no worker starts another member."""
+    fails, a numerical failure as ``EnsembleMemberError``; a failure first
+    moves the index file ``indices`` to its end, so that no worker starts
+    another member."""
     try:
-        return i, True, _member(task, i)
+        try:
+            return i, True, task(i)
+        except (TrainingDivergedError, FloatingPointError) as exc:
+            raise EnsembleMemberError(i, exc) from exc
     except Exception as exc:
         os.lseek(indices, 0, os.SEEK_END)
         return i, False, exc
@@ -83,43 +80,27 @@ def _next_index(fd: int) -> int | None:
     return int.from_bytes(data, "little") if data else None
 
 
-def _serve(task: Callable[[int], T], indices: int, cpu: int, fd: int) -> None:
+def _serve(task: Callable[[int], T], indices: int, cpu: int, out) -> None:
     """A forked worker: take member indices from the file ``indices`` until
-    it ends, and send ``(i, True, result)`` for each to ``fd``, or ``(i,
-    False, exception)`` for the first that fails, then stop.
+    it ends, and append the pickle of ``(i, True, result)`` for each to its
+    own file ``out``, or of ``(i, False, exception)`` for the first that
+    fails, then stop.
 
-    Each message is a pickle behind its 8-byte length. The worker never
-    returns: ``os._exit`` ends the child without unwinding into the
-    caller's stack or flushing the stdio buffers it inherited.
+    The worker never returns: ``os._exit`` ends the child without unwinding
+    into the caller's stack or flushing the stdio buffers it inherited.
     """
     code = 1
     try:
         os.sched_setaffinity(0, {cpu})
-        with open(fd, "wb") as out:
-            while (i := _next_index(indices)) is not None:
-                message = _outcome(task, i, indices)
-                data = pickle.dumps(message)
-                out.write(len(data).to_bytes(8, "little"))
-                out.write(data)
-                out.flush()
-                if not message[1]:
-                    break
+        while (i := _next_index(indices)) is not None:
+            outcome = _outcome(task, i, indices)
+            out.write(pickle.dumps(outcome))
+            out.flush()
+            if not outcome[1]:
+                break
         code = 0
     finally:
         os._exit(code)
-
-
-def _drain(pipe, inbox) -> None:
-    """Move each message from a worker's pipe to ``inbox`` as it arrives,
-    then ``None`` at the end, so the worker never waits on a full pipe."""
-    with pipe:
-        while len(head := pipe.read(8)) == 8:
-            size = int.from_bytes(head, "little")
-            data = pipe.read(size)
-            if len(data) != size:
-                break
-            inbox.put(data)
-        inbox.put(None)
 
 
 def map_members(task: Callable[[int], T], n: int) -> list[T]:
@@ -132,92 +113,76 @@ def map_members(task: Callable[[int], T], n: int) -> list[T]:
     shared file whenever it is free, so a caller that orders its members
     costliest first keeps every worker busy to the end. The other workers
     are ``os.fork`` children, which inherit the datasets, the task and the
-    file's one offset, so only their results are pickled, back through one
-    pipe per worker that a thread of the caller drains. Each worker is
-    pinned to its own CPU, the caller to the first one until the map
-    returns: left unpinned, a child could share the caller's CPU and run
-    both at half speed. With one CPU nothing is forked.
+    file's one offset, so only their results are pickled, each into an
+    unlinked file of its worker's own that the caller reads once that
+    worker has ended. Each worker is pinned to its own CPU, the caller to
+    the first one until the map returns: left unpinned, a child could share
+    the caller's CPU and run both at half speed. With one CPU nothing is
+    forked.
 
     A member that fails numerically raises ``EnsembleMemberError`` with its
     index; any other error is raised as it is. The worker of a failing
     member moves the shared offset to the end, so no worker starts another
     member. Every member below it has started already, and the failure
     raised is that of the lowest failing member, as in a sequential loop.
-    Every child is killed and reaped before this returns or raises.
+    Unless the caller itself failed with every lower member done, it waits
+    for every worker to end, so a failure also waits for a higher member
+    that a worker holds: at most one per worker. Every child is killed and
+    reaped before this returns or raises.
     """
-    import queue
     import signal
     import tempfile
-    import threading
 
     mask = os.sched_getaffinity(0)
     cpus = sorted(mask)
-    results: list = [None] * n
-    settled = bytearray(n)  # 1 once member i has its result or its failure
-    failure = None  # (index, exception) of the lowest failing member seen
-    ended = 0  # children whose pipe has closed
-
-    def settle(i: int, ok: bool, value) -> None:
-        nonlocal failure
-        settled[i] = 1
-        if ok:
-            results[i] = value
-        elif failure is None or i < failure[0]:
-            failure = (i, value)
-
+    outcomes = {}  # member index -> (True, result) or (False, exception)
     index_file = tempfile.TemporaryFile()
     indices = index_file.fileno()
-    inbox = queue.SimpleQueue()  # every child's messages, then None at each one's end
-    children = []  # (pid, read end of its pipe)
-    drains = []
+    pids, outs = [], []  # the children not yet reaped, and the file of each child
     try:
         index_file.write(np.arange(1, n, dtype="<u4").tobytes())
         index_file.seek(0)
         for w in range(1, min(len(cpus), n)):
-            read_fd, write_fd = os.pipe()
+            outs.append(tempfile.TemporaryFile())
             pid = os.fork()
             if pid == 0:
-                _serve(task, indices, cpus[w], write_fd)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        # The threads start after the last fork: a child forked beside a
-        # running thread could inherit a lock that thread holds.
-        for _pid, pipe in children:
-            drains.append(threading.Thread(target=_drain, args=(pipe, inbox), daemon=True))
-            drains[-1].start()
-        if children:
+                _serve(task, indices, cpus[w], outs[-1])
+            pids.append(pid)
+        if pids:
             os.sched_setaffinity(0, {cpus[0]})
 
         i = 0 if n else None
         while i is not None:
-            settle(*_outcome(task, i, indices))
+            i, ok, value = _outcome(task, i, indices)
+            outcomes[i] = ok, value
             i = _next_index(indices)
-        lowest = 0  # wait for the members below that are still running
-        while True:
-            while lowest < n and settled[lowest]:
-                lowest += 1
-            if lowest >= (n if failure is None else failure[0]):
-                break
-            if ended == len(children):
-                raise RuntimeError(f"a worker ended without the result of member {lowest}")
-            data = inbox.get()
-            if data is None:
-                ended += 1
-            else:
-                settle(*pickle.loads(data))
-        if failure is not None:
-            raise failure[1]
-        return results
+        lowest = lambda: min((j for j, (ok, _v) in outcomes.items() if not ok), default=n)
+        if any(j not in outcomes for j in range(lowest())):
+            while pids:  # a worker holds a member that decides the map
+                os.waitpid(pids[-1], 0)
+                pids.pop()
+            for out in outs:
+                out.seek(0)
+                try:
+                    while True:
+                        j, ok, value = pickle.load(out)
+                        outcomes[j] = ok, value
+                except (EOFError, pickle.UnpicklingError):
+                    pass  # the file's end, or a record cut short by its worker's death
+        failed = lowest()
+        for j in range(failed):
+            if j not in outcomes:
+                raise RuntimeError(f"a worker ended without the result of member {j}")
+        if failed < n:
+            raise outcomes[failed][1]
+        return [outcomes[j][1] for j in range(n)]
     finally:
         os.sched_setaffinity(0, mask)
-        for pid, _pipe in children:
-            os.kill(pid, signal.SIGKILL)  # a child that is done has exited already
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        index_file.close()
-        for drain in drains:
-            drain.join()  # every write end is closed now, so each drain ends
-        for _pid, pipe in children:
-            pipe.close()
+        for f in (index_file, *outs):
+            f.close()
 
 
 def train_deep_ensemble(data: Dataset, cfg: TrainConfig, k: int = 5,

@@ -6,7 +6,6 @@ and a serializable metrics report.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import NUM_CLASSES
+from .data import NUM_CLASSES, write_csv
 
 
 class UndefinedKappaError(ValueError):
@@ -178,10 +177,7 @@ REPORT_COLUMNS = ["task", "metric", "class", "value", "seed", "config_digest"]
 
 
 def write_report_csv(path: Path | str, report: MetricsReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerows(report.rows())
+    write_csv(path, REPORT_COLUMNS, report.rows())
 
 
 def write_report_json(path: Path | str, report: MetricsReport) -> None:

@@ -7,14 +7,13 @@ pseudo labels with the newest model, and repeats for T rounds.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .data import DataError, Dataset, Sample, relabeled
+from .data import DataError, Dataset, Sample, relabeled, write_csv
 from .models import (MLP, NUM_CLASSES, TrainConfig, derive_seed, fit, regressor_class,
                      round_half_away)
 
@@ -79,13 +78,6 @@ def _audit_rows(buckets: PseudoBuckets, t: int, rounds: int) -> list[list]:
             for k, start, size, take in _runs(buckets, t, rounds)]
 
 
-def write_audit_log(path: Path | str, rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "class", "bucket_size", "selected", "min_conf_selected"])
-        writer.writerows(rows)
-
-
 def rpl_train(
     labeled: Dataset,
     unlabeled: Dataset,
@@ -106,7 +98,8 @@ def rpl_train(
             round_cfg = replace(cfg.base, seed=derive_seed(cfg.base.seed, t))
             model = fit(labeled.task, combined, round_cfg)
     if audit_path is not None:
-        write_audit_log(audit_path, audit)
+        write_csv(audit_path, ["round", "class", "bucket_size", "selected", "min_conf_selected"],
+                  audit)
     return model
 
 

@@ -649,6 +649,21 @@ def _nul_segmentation_predictions(ws: Path) -> dict:
     return {"task": "segmentation", "dev": dev, "predictions": dev}
 
 
+def _first_id(path: Path, sid: int) -> dict:
+    """Give the first sample of a dataset CSV or index.csv the id ``sid``; no
+    config override."""
+    rows = path.read_text().splitlines()
+    rows[1] = f"{sid}," + rows[1].split(",", 1)[1]
+    path.write_text("\n".join(rows) + "\n")
+    return {}
+
+
+def _index_id_past_int64(ws: Path) -> dict:
+    seg = _segmentation_dev(ws)["dev"]
+    _first_id(seg / "index.csv", 2**63)
+    return {"task": "segmentation", "train": seg, "dev": seg}
+
+
 def _five_feature_dev(ws: Path) -> dict:
     assert main(["synth", "--task", "grading", "--n", "30", "--seed", "3", "--dim", "5",
                  "--out", str(ws / "dev5")]) == 0
@@ -700,6 +715,15 @@ BAD_INPUTS = {
     "segmentation_dev_report_unmasked_sample": ("train", _unlabeled_segmentation_dev),
     "segmentation_evaluate_unmasked_sample": ("evaluate", _unlabeled_segmentation_dev),
     "segmentation_dev_report_empty_dev": ("train", _empty_segmentation_dev),
+    "segmentation_predict_empty_dev": (
+        "predict", lambda ws: {**_empty_segmentation_dev(ws), **_pixel_checkpoint(ws)}),
+    # a sample id outside the int64 range
+    "training_csv_id_past_int64": (
+        "train", lambda ws: _first_id(ws / "labeled" / "data.csv", 2**63)),
+    "training_csv_id_below_int64": (
+        "train", lambda ws: _first_id(ws / "labeled" / "data.csv", -2**63 - 1)),
+    "rpl_pool_id_past_uint64": ("rpl", lambda ws: _first_id(ws / "unlab" / "data.csv", 2**64 + 4)),
+    "index_csv_id_past_int64": ("train", _index_id_past_int64),
     # byte 0xff is not UTF-8
     "config_not_utf8": ("train", lambda ws: {"extra": "# \udcff\n"}),
     "dataset_csv_not_utf8": ("train", lambda ws: _train_csv(ws, b"id,feat_0,label\n0,\xff,1\n")),
@@ -840,7 +864,30 @@ def test_segmentation_dev_report_over_no_image_is_config_error(tmp_path, capsys)
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--seed", "0",
                  "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: the dev set holds no samples to score\n"
+    assert capsys.readouterr().err == "error: the dev set holds no samples\n"
+    assert not any((tmp_path / "out").iterdir())  # nothing was fitted or saved
+
+
+@pytest.mark.parametrize("command", ["train", "rpl"])
+def test_ordinal_dev_report_over_no_sample_fails_before_training(workspace, capsys, command):
+    header = (workspace / "dev" / "data.csv").read_text().splitlines()[0]
+    (workspace / "dev" / "data.csv").write_text(header + "\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(write_config(workspace)), "--seed", "0",
+                 "--out", str(workspace / "out")]) == 2
+    assert capsys.readouterr().err == "error: the dev set holds no samples\n"
+    assert not any((workspace / "out").iterdir())
+
+
+@pytest.mark.parametrize("offset", ["9223372036854775808", "18446744073709551620",
+                                    "-9223372036854775809"])
+@pytest.mark.parametrize("task", ["grading", "segmentation"])
+def test_synth_of_an_id_outside_int64_is_config_error(tmp_path, capsys, task, offset):
+    assert main(["synth", "--task", task, "--n", "30", "--size", "32", "--seed", "0",
+                 "--out", str(tmp_path / "out"), "--id-offset", offset]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample id ") and err.count("\n") == 1
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_segmentation_rpl_is_config_error(tmp_path, capsys):

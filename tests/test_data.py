@@ -130,6 +130,17 @@ class TestTypes:
         assert d.ids.tolist() == [70, 71, 72] and not d.ids.flags.writeable
         assert d.ids is d.ids
 
+    @pytest.mark.parametrize("sid", [2**63, 2**63 + 5, 2**64 + 4, -2**63 - 1])
+    def test_ids_outside_int64_rejected(self, sid):
+        with pytest.raises(DataError, match="outside the 64-bit integer range"):
+            Sample(id=sid, features=np.zeros(2))
+
+    def test_ids_are_int64_to_the_bounds(self):
+        d = Dataset(tuple(Sample(id=i, features=np.zeros(2)) for i in (2**63 - 1, -2**63, 3)),
+                    "grading")
+        assert d.ids.dtype == np.int64 and d.ids.tolist() == [2**63 - 1, -2**63, 3]
+        assert Dataset((), "grading").ids.dtype == np.int64
+
     def test_feature_matrix_of_images_rejected(self):
         with pytest.raises(DataError):
             gen_seg_dataset(1, 16, seed=0).feature_matrix
@@ -398,6 +409,16 @@ class TestIO:
             # images pass through 8-bit quantization
             assert np.abs(sa.image.values - sb.image.values).max() <= 0.5 / 255
             np.testing.assert_array_equal(sa.masks.channels, sb.masks.channels)
+
+    def test_readers_reject_an_id_outside_int64(self, tmp_path):
+        (tmp_path / "d.csv").write_text("id,feat_0,label\n18446744073709551620,0.5,1\n")
+        with pytest.raises(DataError, match="outside the 64-bit integer range"):
+            read_dataset_csv(tmp_path / "d.csv", "grading")
+        write_seg_dataset(tmp_path / "seg", gen_seg_dataset(1, 32, seed=0))
+        index = tmp_path / "seg" / "index.csv"
+        index.write_text(index.read_text().replace("\n0,", "\n9223372036854775808,"))
+        with pytest.raises(DataError, match="outside the 64-bit integer range"):
+            read_seg_dataset(tmp_path / "seg")
 
     def test_seg_dataset_missing_index(self, tmp_path):
         (tmp_path / "empty").mkdir()

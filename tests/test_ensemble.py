@@ -102,6 +102,12 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _wait_for(path):
+    deadline = time.monotonic() + 10
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 def _failing_at(indices, exc=FloatingPointError("overflow")):
     def task(i):
         if i in indices:
@@ -168,31 +174,61 @@ class TestMapMembers:
         _assert_no_child_left()
 
     @TWO_CPUS
-    def test_one_thread_per_child(self, cpus, tmp_path):
+    def test_no_thread_is_started(self, cpus, tmp_path):
         cpus(2)
         held, counted = tmp_path / "member 1 started", tmp_path / "member 0 counted"
 
-        def wait_for(path):
-            deadline = time.monotonic() + 10
-            while not path.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-
         def task(i):
             if i == 0:  # the child is held in member 1 while the caller counts
-                wait_for(held)
+                _wait_for(held)
                 count = threading.active_count()
                 counted.touch()
                 return count
             if i == 1:
                 held.touch()
-                wait_for(counted)
+                _wait_for(counted)
             return i
 
         before = threading.active_count()
         n = 20_000
         out = map_members(task, n)
-        assert out[0] == before + 1  # the drain of the one child, no other thread
+        assert out[0] == before
         assert out[1:] == list(range(1, n))
+        assert threading.active_count() == before
+        _assert_no_child_left()
+
+    @TWO_CPUS
+    def test_a_worker_that_dies_in_a_member_is_named(self, cpus, tmp_path):
+        cpus(2)
+        dying = tmp_path / "member 1 about to exit"
+
+        def task(i):
+            if i == 0:  # the caller waits here while the child dies in member 1
+                _wait_for(dying)
+                time.sleep(0.2)
+            elif i == 1:
+                dying.touch()
+                os._exit(7)
+            return i
+
+        with pytest.raises(RuntimeError, match="^a worker ended without the result of member 1$"):
+            map_members(task, 6)
+        _assert_no_child_left()
+
+    @TWO_CPUS
+    @pytest.mark.parametrize("failing, exc", [
+        (set(), None), ({0}, FloatingPointError("overflow")),
+        ({1}, FloatingPointError("overflow")), ({0}, KeyboardInterrupt())],
+        ids=["success", "caller_fails", "worker_fails", "caller_interrupted"])
+    def test_no_file_descriptor_left_open(self, cpus, failing, exc):
+        cpus(2)
+        before = len(os.listdir("/proc/self/fd"))
+        if failing:
+            with pytest.raises((EnsembleMemberError, KeyboardInterrupt)):
+                map_members(_failing_at(failing, exc), 8)
+        else:
+            assert map_members(_failing_at(failing), 8) == list(range(8))
+        assert len(os.listdir("/proc/self/fd")) == before
         _assert_no_child_left()
 
     @TWO_CPUS
@@ -249,17 +285,12 @@ class TestMapMembers:
         cpus(2)
         one, two = tmp_path / "member 1 started", tmp_path / "member 2 failed"
 
-        def wait_for(path):
-            deadline = time.monotonic() + 10
-            while not path.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-
         def task(i):
             if i == 0:
-                wait_for(one)  # so the child holds member 1
+                _wait_for(one)  # so the child holds member 1
             elif i == 1:
                 one.touch()
-                wait_for(two)
+                _wait_for(two)
                 raise FloatingPointError("lower")
             elif i == 2:
                 two.touch()

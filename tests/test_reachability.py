@@ -32,7 +32,6 @@ ALLOWED_UNREACHED = {
     "postprocess.py:grade_postedit": "criterion 6 pins the mask-guided grade edit",
     "data.py:SoftMaskSet.__post_init__": "criterion 6 builds soft mask sets",
     "ensemble.py:_serve": "runs only in a forked worker; TestMapMembers covers it on two CPUs",
-    "ensemble.py:_drain": "runs only beside a forked worker; TestMapMembers covers it",
     "models.py:MLP.__reduce__": "pickles a model back from a forked worker; "
                                 "TestMapMembers covers it",
 }
