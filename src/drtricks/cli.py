@@ -65,6 +65,13 @@ def _load_dev(cfg: RunConfig, masks: bool = True) -> dd.Dataset:
     return dev
 
 
+def _check_width(train: dd.Dataset, other: dd.Dataset | None, what: str) -> None:
+    """ConfigError if ``other`` holds feature vectors of another width than ``train``'s."""
+    if other is not None and len({train.feature_dim, other.feature_dim} - {None}) > 1:
+        raise ConfigError(f"the {what} has {other.feature_dim} features per sample; "
+                          f"the training data has {train.feature_dim}")
+
+
 def _load_model_or_ensemble(path: str) -> Ensemble:
     """Load a single checkpoint or an ensemble manifest as an Ensemble."""
     p = Path(path)
@@ -197,6 +204,7 @@ def cmd_train(args) -> int:
     train = _load_data(cfg, _require(cfg.train_path, "[data] train"))
     # read before training, so that a dev set the report cannot use fails first
     dev = None if cfg.dev_path is None else _load_dev(cfg)
+    _check_width(train, dev, "dev set")
     tcfg = cfg.train_config(args.seed)
     if cfg.ensemble_k > 1:
         ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k, base_seed=args.seed)
@@ -220,6 +228,8 @@ def cmd_rpl(args) -> int:
     labeled = _load_data(cfg, _require(cfg.train_path, "[data] train"))
     unlabeled = _load_data(cfg, _require(cfg.unlabeled_path, "[data] unlabeled"))
     dev = None if cfg.dev_path is None else _load_dev(cfg)
+    _check_width(labeled, unlabeled, "unlabeled pool")
+    _check_width(labeled, dev, "dev set")
     if cfg.ensemble_k > 1:
         print("note: rpl trains one model; "
               f"[pipeline] ensemble_k = {cfg.ensemble_k} is ignored")
@@ -252,13 +262,12 @@ def cmd_predict(args) -> int:
     segmentation = cfg.task == "segmentation"
     if not segmentation and cfg.tta != "none":
         print("note: test-time augmentation has no effect on feature vectors")
-    rows = []
-    for s, decision in _decisions(cfg, ens, inputs):
-        if segmentation:  # each mask set is written before the next one is computed
-            stem = out / f"pred_{s.id:05d}"
-            dd.write_mask_set(stem, decision)
-            decision = stem.name
-        rows.append([s.id, decision])
+    if segmentation:  # on two or more CPUs a set is written while the next is computed
+        stems = {s.id: out / f"pred_{s.id:05d}" for s in inputs.samples}
+        dd.write_mask_sets((stems[s.id], masks) for s, masks in _decisions(cfg, ens, inputs))
+        rows = [[i, stem.name] for i, stem in stems.items()]
+    else:
+        rows = [[s.id, grade] for s, grade in _decisions(cfg, ens, inputs)]
     dd.write_csv(out / "predictions.csv", ["id", "stem" if segmentation else "prediction"], rows)
     print(f"wrote predictions for {len(inputs)} samples to {out}")
     return 0

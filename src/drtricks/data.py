@@ -8,7 +8,11 @@ seed and own their RNG; every type is immutable after construction.
 from __future__ import annotations
 
 import csv
+import marshal
 import math
+import os
+import struct
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -424,14 +428,17 @@ def gen_seg_dataset(
 # file I/O: PGM rasters, mask sets, tabular CSV, segmentation directories
 # ---------------------------------------------------------------------------
 
-def write_pgm(path: Path | str, arr: np.ndarray) -> None:
-    """Write a uint8 raster as binary PGM (P5, maxval 255)."""
+def _pgm_bytes(arr: np.ndarray) -> bytes:
+    """A uint8 raster as the bytes of a binary PGM file (P5, maxval 255)."""
     a = np.asarray(arr, dtype=np.uint8)
     if a.ndim != 2:
         raise DataError("PGM raster must be 2-D")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode("ascii"))
-        fh.write(a.tobytes())
+    return f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode("ascii") + a.tobytes()
+
+
+def write_pgm(path: Path | str, arr: np.ndarray) -> None:
+    """Write a uint8 raster as binary PGM (P5, maxval 255)."""
+    Path(path).write_bytes(_pgm_bytes(arr))
 
 
 def read_pgm(path: Path | str) -> np.ndarray:
@@ -489,6 +496,65 @@ def write_mask_set(stem: Path | str, masks: MaskSet) -> list[Path]:
     for path, channel in zip(paths, masks.channels):
         write_pgm(path, channel * np.uint8(255))
     return paths
+
+
+# write_mask_sets' helper, run as ``python -I -S -c _WRITER``: it creates a
+# file for each record on stdin (two little-endian 8-byte lengths, then the
+# path and the bytes) and stops at its first OSError, which it sends back.
+_WRITER = """
+import marshal, os, struct, sys
+src = sys.stdin.buffer
+while len(head := src.read(16)) == 16:
+    n, m = struct.unpack("<QQ", head)
+    path, data = os.fsdecode(src.read(n)), memoryview(src.read(m))
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        while data:
+            data = data[os.write(fd, data):]
+        os.close(fd)
+    except OSError as exc:
+        sys.stdout.buffer.write(marshal.dumps((exc.errno, exc.strerror, exc.filename)))
+        break
+"""
+
+
+def write_mask_sets(pairs) -> None:
+    """Write each ``(stem, mask set)`` of ``pairs`` as ``write_mask_set`` does.
+
+    On more than one CPU a helper process creates the files while the caller
+    computes the next pair; with one CPU, or no ``sys.executable``, they are
+    written here. The bytes are the same either way, and so is the OSError of
+    the first write that fails. If ``pairs`` raises, the files sent before are
+    written first. The helper is reaped before this returns or raises.
+    """
+    if len(os.sched_getaffinity(0)) < 2 or not sys.executable:
+        for stem, masks in pairs:
+            write_mask_set(stem, masks)
+        return
+    import subprocess
+
+    helper = subprocess.Popen([sys.executable, "-I", "-S", "-c", _WRITER],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL)
+    try:
+        try:
+            for stem, masks in pairs:
+                for path, channel in zip(_mask_paths(stem), masks.channels):
+                    name, data = os.fsencode(path), _pgm_bytes(channel * np.uint8(255))
+                    helper.stdin.write(struct.pack("<QQ", len(name), len(data)) + name + data)
+                helper.stdin.flush()
+        except BrokenPipeError:
+            pass  # the helper has stopped; what it sent back is raised below
+        finally:  # a write error goes first, as a loop that writes as it goes stops there
+            report = helper.communicate()[0]  # closes the pipe, waits for the helper
+            if report:
+                raise OSError(*marshal.loads(report))
+            if helper.returncode:
+                raise OSError(f"the mask file writer ended with exit code {helper.returncode}")
+    finally:
+        if helper.returncode is None:  # interrupted while waiting for it
+            helper.kill()
+            helper.wait()
 
 
 def read_mask_set(stem: Path | str) -> MaskSet:

@@ -702,6 +702,11 @@ BAD_INPUTS = {
         "train", lambda ws: _train_csv(ws, b"id,feat_0,label\n", k=2)),
     # a checkpoint that does not fit the task's data
     "dev_report_narrower_than_model": ("train", _five_feature_dev),
+    "rpl_dev_report_narrower_than_model": ("rpl", _five_feature_dev),
+    "ensemble_dev_report_narrower_than_model": (
+        "train", lambda ws: {**_five_feature_dev(ws), "k": 2}),
+    "rpl_pool_narrower_than_training_data": (
+        "rpl", lambda ws: {"unlabeled": _five_feature_dev(ws)["dev"]}),
     "predict_input_narrower_than_model": (
         "predict", lambda ws: {**_checkpoint(ws, lambda b: b), **_five_feature_dev(ws)}),
     "scalar_checkpoint_under_segmentation": (
@@ -761,15 +766,22 @@ BAD_INPUTS = {
 }
 
 
+# the cases that fit and save a model before the dev report finds what it cannot score
+SAVED_BEFORE_FAILING = {"dev_report_unlabeled_sample", "segmentation_dev_report_unmasked_sample"}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_config_error(workspace, capsys, case):
     command, corrupt = BAD_INPUTS[case]
     cfg = write_config(workspace, **corrupt(workspace))
     capsys.readouterr()
     seed = ["--seeds", "0"] if command == "ablate" else ["--seed", "0"]
-    assert main([command, "--config", str(cfg), *seed, "--out", str(workspace / "out")]) == 2
+    out = workspace / "out"
+    assert main([command, "--config", str(cfg), *seed, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if case not in SAVED_BEFORE_FAILING:
+        assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])
@@ -1016,6 +1028,108 @@ def test_predict_reads_no_dev_mask(tmp_path):
         for mask in (tmp_path / "dev").glob("sample_*_*.pgm"):
             mask.unlink()
     assert len(outputs[0]) == 6 * 3 + 1 and outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# predict writes its mask files through a helper process on two CPUs
+# ---------------------------------------------------------------------------
+
+TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+
+
+def _tree_sha256(directory: Path) -> str:
+    digest = hashlib.sha256()
+    for name, data in _files(directory).items():
+        digest.update(name.encode() + b"\0" + data)
+    return digest.hexdigest()
+
+
+def _predict_on(cfg: Path, out: Path) -> int:
+    return main(["predict", "--config", str(cfg), "--seed", "0", "--out", str(out)])
+
+
+class TestMaskWriter:
+    @TWO_CPUS
+    @pytest.mark.parametrize("pipeline", ["tta = rotate\npostprocess = true\n", "tta = none\n"],
+                             ids=["rotate_post", "none"])
+    def test_one_and_two_cpus_write_the_same_tree(self, tmp_path, cpus, pipeline):
+        cfg = _trained_seg_workspace(tmp_path, 33)
+        cfg.write_text(cfg.read_text().replace("tta = rotate\npostprocess = true\n", pipeline))
+        digests = []
+        for ncpu in (1, 2):
+            cpus(ncpu)
+            assert _predict_on(cfg, tmp_path / f"cpus{ncpu}") == 0
+            digests.append(_tree_sha256(tmp_path / f"cpus{ncpu}"))
+        assert digests[0] == digests[1]
+
+    @TWO_CPUS
+    def test_a_failed_write_exits_2_alike_on_one_and_two_cpus(self, tmp_path, capsys, cpus):
+        cfg = _trained_seg_workspace(tmp_path, 33)
+        results = []
+        for ncpu in (1, 2):
+            cpus(ncpu)
+            out = tmp_path / f"out{ncpu}"
+            (out / "pred_00101_np.pgm").mkdir(parents=True)  # the second dev image's NP mask
+            capsys.readouterr()
+            assert _predict_on(cfg, out) == 2
+            with pytest.raises(ChildProcessError):  # the helper was reaped
+                os.waitpid(-1, os.WNOHANG)
+            results.append((capsys.readouterr().err.replace(str(out), "OUT"), _files(out)))
+        assert results[0] == results[1]
+        err, files = results[0]
+        assert err == "error: [Errno 21] Is a directory: 'OUT/pred_00101_np.pgm'\n"
+        # the first mask set and the mask before the failing one; no predictions.csv
+        assert set(files) == {"pred_00100_irma.pgm", "pred_00100_np.pgm", "pred_00100_nv.pgm",
+                              "pred_00101_irma.pgm"}
+
+    @TWO_CPUS
+    def test_a_failing_caller_leaves_the_sets_it_made(self, tmp_path, capsys, cpus,
+                                                       monkeypatch):
+        cfg = _trained_seg_workspace(tmp_path, 33)
+        original, calls = cli.tta_rotate_seg, []
+
+        def failing_third_image(predict, image):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("overflow")
+            return original(predict, image)
+
+        monkeypatch.setattr(cli, "tta_rotate_seg", failing_third_image)
+        trees = []
+        for ncpu in (1, 2):
+            cpus(ncpu)
+            calls.clear()
+            capsys.readouterr()
+            assert _predict_on(cfg, tmp_path / f"out{ncpu}") == 3
+            assert capsys.readouterr().err == "numerical failure: overflow\n"
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            trees.append(_files(tmp_path / f"out{ncpu}"))
+        assert trees[0] == trees[1]
+        assert sorted(trees[0]) == [f"pred_0010{i}_{ch}.pgm" for i in (0, 1)
+                                    for ch in ("irma", "np", "nv")]
+
+    @TWO_CPUS
+    def test_a_helper_that_dies_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        cfg = _trained_seg_workspace(tmp_path, 33)
+        monkeypatch.setattr(cli.dd, "_WRITER", "import sys; sys.exit(5)")
+        capsys.readouterr()
+        assert _predict_on(cfg, tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: the mask file writer ended with exit code 5\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not (tmp_path / "out" / "predictions.csv").exists()
+
+    def test_one_cpu_starts_no_process(self, tmp_path, cpus, monkeypatch):
+        cfg = _trained_seg_workspace(tmp_path, 33)
+        cpus(1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("predict started a process on one CPU")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        assert _predict_on(cfg, tmp_path / "preds") == 0
+        assert _masks_digest(tmp_path / "preds") == PREDICTED_MASK_DIGESTS[33]
 
 
 @pytest.mark.parametrize("lr", ["1e30", "1e200"])

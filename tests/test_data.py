@@ -13,6 +13,7 @@ from drtricks.data import (
     MaskSet,
     Sample,
     SoftMaskSet,
+    _pgm_bytes,
     gen_ordinal_dataset,
     gen_seg_dataset,
     largest_remainder_counts,
@@ -323,6 +324,10 @@ class TestIO:
         arr = np.random.default_rng(0).integers(0, 256, (12, 9), dtype=np.uint8)
         write_pgm(tmp_path / "a.pgm", arr)
         np.testing.assert_array_equal(read_pgm(tmp_path / "a.pgm"), arr)
+        # the bytes that write_mask_sets sends to its helper process
+        (tmp_path / "b.pgm").write_bytes(_pgm_bytes(arr))
+        np.testing.assert_array_equal(read_pgm(tmp_path / "b.pgm"), arr)
+        assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
 
     def test_mask_roundtrip_and_suffixes(self, tmp_path):
         rng = np.random.default_rng(1)
