@@ -263,9 +263,9 @@ def cmd_predict(args) -> int:
     if not segmentation and cfg.tta != "none":
         print("note: test-time augmentation has no effect on feature vectors")
     if segmentation:  # on two or more CPUs a set is written while the next is computed
-        stems = {s.id: out / f"pred_{s.id:05d}" for s in inputs.samples}
-        dd.write_mask_sets((stems[s.id], masks) for s, masks in _decisions(cfg, ens, inputs))
-        rows = [[i, stem.name] for i, stem in stems.items()]
+        stem = lambda s: f"pred_{s.id:05d}"
+        dd.write_mask_sets((out / stem(s), masks) for s, masks in _decisions(cfg, ens, inputs))
+        rows = [[s.id, stem(s)] for s in inputs.samples]
     else:
         rows = [[s.id, grade] for s, grade in _decisions(cfg, ens, inputs)]
     dd.write_csv(out / "predictions.csv", ["id", "stem" if segmentation else "prediction"], rows)

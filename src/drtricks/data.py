@@ -490,25 +490,33 @@ def _mask_paths(stem: Path | str) -> list[Path]:
     return [stem.with_name(stem.name + f"_{ch}.pgm") for ch in LESION_CHANNELS]
 
 
+def _mask_rasters(stem: Path | str, masks: MaskSet):
+    """Yield each channel's file path and its raster of 0 and 255."""
+    for path, channel in zip(_mask_paths(stem), masks.channels):
+        yield path, channel * np.uint8(255)
+
+
 def write_mask_set(stem: Path | str, masks: MaskSet) -> list[Path]:
     """Write one binary PGM per channel, suffixed _irma/_np/_nv."""
-    paths = _mask_paths(stem)
-    for path, channel in zip(paths, masks.channels):
-        write_pgm(path, channel * np.uint8(255))
-    return paths
+    for path, raster in _mask_rasters(stem, masks):
+        write_pgm(path, raster)
+    return _mask_paths(stem)
 
 
 # write_mask_sets' helper, run as ``python -I -S -c _WRITER``: it creates a
 # file for each record on stdin (two little-endian 8-byte lengths, then the
-# path and the bytes) and stops at its first OSError, which it sends back.
+# path and the bytes) and stops at its first OSError, which it sends back, or
+# at a record cut short by the end of its input.
 _WRITER = """
 import marshal, os, struct, sys
 src = sys.stdin.buffer
 while len(head := src.read(16)) == 16:
     n, m = struct.unpack("<QQ", head)
-    path, data = os.fsdecode(src.read(n)), memoryview(src.read(m))
+    name, data = src.read(n), memoryview(src.read(m))
+    if len(name) != n or len(data) != m:
+        break
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        fd = os.open(os.fsdecode(name), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         while data:
             data = data[os.write(fd, data):]
         os.close(fd)
@@ -522,12 +530,14 @@ def write_mask_sets(pairs) -> None:
     """Write each ``(stem, mask set)`` of ``pairs`` as ``write_mask_set`` does.
 
     On more than one CPU a helper process creates the files while the caller
-    computes the next pair; with one CPU, or no ``sys.executable``, they are
-    written here. The bytes are the same either way, and so is the OSError of
-    the first write that fails. If ``pairs`` raises, the files sent before are
-    written first. The helper is reaped before this returns or raises.
+    computes the next pair; on one CPU, where a helper only adds work, they
+    are written here. The bytes are the same either way, and so is the
+    OSError of the first write that fails. If ``pairs`` raises, the files
+    sent before are written first. The helper runs in a session of its own,
+    so a Ctrl-C meant for the caller does not stop it; it is reaped before
+    this returns or raises.
     """
-    if len(os.sched_getaffinity(0)) < 2 or not sys.executable:
+    if len(os.sched_getaffinity(0)) < 2:
         for stem, masks in pairs:
             write_mask_set(stem, masks)
         return
@@ -535,12 +545,12 @@ def write_mask_sets(pairs) -> None:
 
     helper = subprocess.Popen([sys.executable, "-I", "-S", "-c", _WRITER],
                               stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                              stderr=subprocess.DEVNULL)
+                              stderr=subprocess.DEVNULL, start_new_session=True)
     try:
         try:
             for stem, masks in pairs:
-                for path, channel in zip(_mask_paths(stem), masks.channels):
-                    name, data = os.fsencode(path), _pgm_bytes(channel * np.uint8(255))
+                for path, raster in _mask_rasters(stem, masks):
+                    name, data = os.fsencode(path), _pgm_bytes(raster)
                     helper.stdin.write(struct.pack("<QQ", len(name), len(data)) + name + data)
                 helper.stdin.flush()
         except BrokenPipeError:

@@ -3,6 +3,9 @@ import os
 
 import pytest
 
+# for tests that need work spread over two CPUs
+TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+
 
 @pytest.fixture
 def cpus():

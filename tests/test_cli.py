@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import TWO_CPUS
 from drtricks import cli
 from drtricks.cli import main
 from drtricks.config import ConfigError, RunConfig, load_config
@@ -1034,9 +1036,6 @@ def test_predict_reads_no_dev_mask(tmp_path):
 # predict writes its mask files through a helper process on two CPUs
 # ---------------------------------------------------------------------------
 
-TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
-
-
 def _tree_sha256(directory: Path) -> str:
     digest = hashlib.sha256()
     for name, data in _files(directory).items():
@@ -1108,6 +1107,36 @@ class TestMaskWriter:
         assert trees[0] == trees[1]
         assert sorted(trees[0]) == [f"pred_0010{i}_{ch}.pgm" for i in (0, 1)
                                     for ch in ("irma", "np", "nv")]
+
+    @TWO_CPUS
+    def test_ctrl_c_interrupts_the_caller_and_the_helper_finishes(self, tmp_path, monkeypatch):
+        cfg = _trained_seg_workspace(tmp_path, 33)
+        original, calls, helpers = cli.tta_rotate_seg, [], []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                helpers.append(self)
+
+        def ctrl_c_at_third_image(predict, image):
+            calls.append(1)
+            if len(calls) == 3:
+                # a terminal's Ctrl-C signals every process of the caller's group
+                (helper,) = helpers
+                if os.getpgid(helper.pid) == os.getpgrp():
+                    os.kill(helper.pid, signal.SIGINT)
+                raise KeyboardInterrupt
+            return original(predict, image)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        monkeypatch.setattr(cli, "tta_rotate_seg", ctrl_c_at_third_image)
+        with pytest.raises(KeyboardInterrupt):
+            _predict_on(cfg, tmp_path / "out")
+        assert helpers[0].returncode == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(_files(tmp_path / "out")) == [f"pred_0010{i}_{ch}.pgm" for i in (0, 1)
+                                                    for ch in ("irma", "np", "nv")]
 
     @TWO_CPUS
     def test_a_helper_that_dies_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):

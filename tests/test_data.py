@@ -1,4 +1,8 @@
 """Data types, splitting, synthetic generators, and file round-trips."""
+import struct
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from drtricks.data import (
     MaskSet,
     Sample,
     SoftMaskSet,
+    _WRITER,
     _pgm_bytes,
     gen_ordinal_dataset,
     gen_seg_dataset,
@@ -328,6 +333,19 @@ class TestIO:
         (tmp_path / "b.pgm").write_bytes(_pgm_bytes(arr))
         np.testing.assert_array_equal(read_pgm(tmp_path / "b.pgm"), arr)
         assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+
+    def test_mask_file_writer_skips_a_record_cut_short(self, tmp_path):
+        def record(name, data):
+            path = bytes(tmp_path / name)
+            return struct.pack("<QQ", len(path), len(data)) + path + data
+
+        body = _pgm_bytes(np.full((4, 5), 255, dtype=np.uint8))
+        stdin = record("a.pgm", body) + record("b.pgm", body)[:-1]
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", _WRITER], input=stdin,
+                              capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm"]
+        assert (tmp_path / "a.pgm").read_bytes() == body
 
     def test_mask_roundtrip_and_suffixes(self, tmp_path):
         rng = np.random.default_rng(1)

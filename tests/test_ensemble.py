@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import TWO_CPUS
 from drtricks.data import DataError, Image, gen_ordinal_dataset, gen_seg_dataset
 from drtricks.ensemble import (
     Ensemble,
@@ -92,9 +93,6 @@ class TestTrainDeepEnsemble:
         for a, b in zip(one.members, two.members):
             assert a.theta.tobytes() == b.theta.tobytes()
             assert all(np.shares_memory(w, b.theta) for w in b.weights + b.biases)
-
-
-TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
 
 
 def _assert_no_child_left():
