@@ -505,6 +505,7 @@ class TestTraining:
     AUGMENTED_FIT_DIGESTS = {
         32: "a10465d76d995db6e4816d1a854d9fedb1f21e6c51046bbc2dee05ac2d28e957",
         33: "4147d940a4b3bcd806d3f499d8fbe357ac9a57188f9de8ff9d9375149f021ec2",
+        64: "2618c486ab83531e12551be8636e2b8a24109a628d9bbae767017859323a93cd",
     }
 
     @pytest.mark.parametrize("size", sorted(AUGMENTED_FIT_DIGESTS))
