@@ -86,47 +86,28 @@ def _axis_plan(c: np.ndarray, n: int) -> tuple:
 
 def _flat_index(y: np.ndarray, x: np.ndarray, stride: int) -> np.ndarray:
     """Flat indices ``(y + 1) * stride + x + 1`` into the edge-padded raster,
-    from whole numbers in float64 that broadcast; overwrites ``y``.
+    from planes of whole numbers in float64; overwrites ``y``.
     Every step is exact, so the order of the additions does not matter."""
     y *= stride
     y += stride + 1
-    if y.shape == x.shape:
-        y += x
-    else:  # a column and a row
-        y = y + x
+    y += x
     return y.astype(np.intp)
 
 
-def _plane(a: np.ndarray, shape) -> np.ndarray:
-    """``a`` broadcast to ``shape`` as an array of its own: a broadcast view
-    makes every multiply by it in ``_bilinear`` slower."""
-    if a.shape == shape:
-        return a
-    out = np.empty(shape)
-    out[...] = a
-    return out
-
-
 def _sampler(src_y: np.ndarray, src_x: np.ndarray, shape) -> tuple:
-    """Gather plan for sampling an (h, w) raster at (src_y, src_x).
+    """Gather plan for sampling an (h, w) raster at the planes (src_y, src_x).
 
     Returns the flat index of the top-left bilinear neighbour in the
     edge-padded raster, the weights ``wy0, wy1, wx0, wx1`` (``w0 = 1 - frac``
     and ``w1 = 1 - w0``) and the flat index of the nearest pixel,
     ``floor(c + 0.5)``. One plan serves the image and every mask channel.
-    ``src_y`` and ``src_x`` broadcast to the output shape: a separable map
-    passes an (h', 1) column and a (1, w') row, and its folds, floors and
-    weights then cost one column or row each.
     """
     h, w = shape
     stride = w + 2
     y0, wy0, ny = _axis_plan(src_y, h)
     x0, wx0, nx = _axis_plan(src_x, w)
-    corner = _flat_index(y0, x0, stride)
-    weights = (wy0, 1.0 - wy0, wx0, 1.0 - wx0)
-    if wy0.shape != wx0.shape:  # separable
-        weights = tuple(_plane(a, corner.shape) for a in weights)
-    return corner, weights, _flat_index(ny, nx, stride)
+    return (_flat_index(y0, x0, stride), (wy0, 1.0 - wy0, wx0, 1.0 - wx0),
+            _flat_index(ny, nx, stride))
 
 
 def _read_only(sampler: tuple) -> tuple:
@@ -172,9 +153,9 @@ def _nearest(masks: np.ndarray, sampler: tuple) -> np.ndarray:
     return np.take(flat, sampler[2], axis=-1)
 
 
-def _axes(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row coordinates as an (h, 1) column and column coordinates as a (1, w) row."""
-    return np.arange(h, dtype=float)[:, None], np.arange(w, dtype=float)[None, :]
+def _axes(h: int, w: int) -> np.ndarray:
+    """The y and x coordinates of every pixel of an (h, w) raster, as two planes."""
+    return np.indices((h, w), dtype=float)
 
 
 @functools.lru_cache(maxsize=64)
@@ -207,18 +188,14 @@ def _affine_sources(shape, angle_deg: float, scale: float, ty: float, tx: float)
     ``(cos yq + sin xq) / scale + cy`` and ``(-sin yq + cos xq) / scale + cx``
     with ``yq = y - cy - ty`` and ``xq = x - cx - tx``.
 
-    They are (H, W) planes, built from an (H, 1) and a (1, W) term. Without a
-    rotation the map is separable, and the sources stay an (H, 1) column and a
-    (1, W) row: ``yq`` is never -0.0, so ``1.0 yq + 0.0 xq`` is ``yq`` bit for
-    bit, and likewise for x.
+    ``yq`` is never -0.0, so at a zero angle ``1.0 yq + 0.0 xq`` is ``yq``
+    bit for bit, and likewise for x: a pure scale needs no path of its own.
     """
     h, w = shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     yy, xx = _axes(h, w)
     yq = yy - cy - ty
     xq = xx - cx - tx
-    if angle_deg == 0.0:
-        return yq / scale + cy, xq / scale + cx
     th = math.radians(angle_deg)
     cos_t, sin_t = math.cos(th), math.sin(th)
     src_y = (cos_t * yq + sin_t * xq) / scale + cy

@@ -49,13 +49,17 @@ def _load_data(cfg: RunConfig, path: str, masks: bool = True) -> dd.Dataset:
     return dd.read_dataset_csv(path, cfg.task)
 
 
-def _load_dev(cfg: RunConfig, masks: bool = True) -> dd.Dataset:
+def _load_dev(cfg: RunConfig, scored: bool = True) -> dd.Dataset:
     """The ``[data] dev`` set that the pipeline decides on; a DataError if it
-    holds no sample. Rotation TTA needs square images, so under it a
-    DataError names the first that is not."""
-    dev = _load_data(cfg, _require(cfg.dev_path, "[data] dev"), masks)
+    holds no sample, or if it is ``scored`` and a sample has no ground truth
+    (``predict`` scores nothing, and skips the mask files). Rotation TTA needs
+    square images, so under it a DataError names the first that is not."""
+    dev = _load_data(cfg, _require(cfg.dev_path, "[data] dev"), scored)
     if not dev.samples:
         raise dd.DataError("the dev set holds no samples")
+    unlabeled = [s.id for s in dev.samples if not s.labeled]
+    if scored and unlabeled:
+        raise dd.DataError(f"sample {unlabeled[0]} has no ground truth to score against")
     if cfg.task == "segmentation" and cfg.tta == "rotate":
         for s in dev.samples:
             h, w = s.image.values.shape
@@ -256,7 +260,7 @@ def cmd_predict(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
     ens = _load_model_or_ensemble(_require(cfg.model_path, "[data] model"))
-    inputs = _load_dev(cfg, masks=False)  # predict never reads the masks
+    inputs = _load_dev(cfg, scored=False)
     _check_model_fits(ens, cfg, inputs)
     print(f"pipeline: {_pipeline_description(cfg, len(ens.members))}")
     segmentation = cfg.task == "segmentation"
@@ -401,14 +405,12 @@ def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     single = fits.pop()
     ens = Ensemble(tuple(fits), seeds)
 
-    # The +tta and +post arms decide from the same rotation-TTA soft masks, and
-    # the identity rotation of that TTA reuses the +ensemble prediction.
+    # The +tta and +post arms decide from the same rotation-TTA soft masks.
     pairs = {arm: [] for arm in SEGMENTATION_ARMS}
     for s in dev.samples:
         v = s.image.values
         plain = np.asarray(ensemble_predict(ens, v))
-        tta = tta_rotate_seg(
-            lambda img: plain if np.array_equal(img, v) else ensemble_predict(ens, img), v)
+        tta = tta_rotate_seg(lambda img: ensemble_predict(ens, img), v)
         for arm, soft, post in (("baseline", segment_soft(single, s.image), False),
                                 ("+ensemble", plain, False), ("+tta", tta, False),
                                 ("+post", tta, True)):

@@ -434,15 +434,20 @@ def _seg_workspace(tmp_path: Path, lr: float, k: int = 3, n: int = 4, size: int 
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("command", ["train", "ablate"])
-    @pytest.mark.parametrize("task", ["grading", "segmentation"])
+    @pytest.mark.parametrize("task, command", [
+        ("grading", "ablate"), ("grading", "train"), ("segmentation", "ablate"),
+        ("segmentation", "train"), ("augmented_segmentation", "train")])
     def test_one_and_two_cpus_write_the_same_bytes(self, workspace, capsys, cpus,
                                                    command, task):
+        k = 2 if task == "augmented_segmentation" else 3
         if task == "grading":
-            cfg = write_config(workspace, k=3,
+            cfg = write_config(workspace, k=k,
                                extra="[synth]\nn_labeled = 40\nn_unlabeled = 60\n")
         else:
-            cfg = _seg_workspace(workspace, lr=0.2)
+            cfg = _seg_workspace(workspace, lr=0.2, k=k)
+            if task == "augmented_segmentation":  # each member augments in its own worker
+                cfg.write_text(cfg.read_text().replace("batch_size = 4",
+                                                       "batch_size = 4\naugment = true"))
         seeds = ["--seed", "0"] if command == "train" else ["--seeds", "0,1"]
         outputs = []
         for ncpu in (1, 2):
@@ -453,8 +458,8 @@ class TestWorkers:
             outputs.append((_files(out), capsys.readouterr().out.replace(str(out), "OUT")))
         assert outputs[0] == outputs[1]
         expected = {"ablation.csv"} if command == "ablate" else {
-            "ensemble.json", "member_0.ckpt", "member_1.ckpt", "member_2.ckpt",
-            "report.csv", "report.json"}
+            "ensemble.json", *(f"member_{i}.ckpt" for i in range(k)), "report.csv",
+            "report.json"}
         assert set(outputs[0][0]) == expected
 
     def test_saturating_ensemble_exits_3_with_one_line_on_any_cpus(self, tmp_path, capsys,
@@ -718,6 +723,7 @@ BAD_INPUTS = {
         "predict", lambda ws: {**_checkpoint(ws, lambda b: b), **_dev_csv(ws, b"id,feat_0,label\n")}),
     # a dev sample without ground truth cannot be scored
     "dev_report_unlabeled_sample": ("train", _unlabeled_dev),
+    "rpl_dev_report_unlabeled_sample": ("rpl", _unlabeled_dev),
     "evaluate_unlabeled_sample": ("evaluate", _unlabeled_dev),
     "segmentation_dev_report_unmasked_sample": ("train", _unlabeled_segmentation_dev),
     "segmentation_evaluate_unmasked_sample": ("evaluate", _unlabeled_segmentation_dev),
@@ -768,10 +774,6 @@ BAD_INPUTS = {
 }
 
 
-# the cases that fit and save a model before the dev report finds what it cannot score
-SAVED_BEFORE_FAILING = {"dev_report_unlabeled_sample", "segmentation_dev_report_unmasked_sample"}
-
-
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_config_error(workspace, capsys, case):
     command, corrupt = BAD_INPUTS[case]
@@ -782,8 +784,7 @@ def test_bad_input_is_config_error(workspace, capsys, case):
     assert main([command, "--config", str(cfg), *seed, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    if case not in SAVED_BEFORE_FAILING:
-        assert not out.exists() or not any(out.iterdir())
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])
@@ -1176,7 +1177,7 @@ def test_diverging_scalar_fit_prints_one_line(workspace, lr):
     assert result.stderr.count("\n") == 1
 
 
-def test_segmentation_ablate_predicts_four_times_per_dev_image(monkeypatch):
+def test_segmentation_ablate_predicts_five_times_per_dev_image(monkeypatch):
     calls = []
     original = cli.ensemble_predict
 
@@ -1189,4 +1190,4 @@ def test_segmentation_ablate_predicts_four_times_per_dev_image(monkeypatch):
                     lr=0.2, ensemble_k=2)
     arms = cli._segmentation_arms(cfg, 3)
     assert set(arms) == set(cli.SEGMENTATION_ARMS)
-    assert len(calls) == 4 * cfg.n_dev
+    assert len(calls) == 5 * cfg.n_dev  # +ensemble once, then the four TTA rotations
