@@ -42,22 +42,29 @@ def _require(value, what: str):
     return value
 
 
-def _load_data(cfg: RunConfig, path: str, masks: bool = True) -> dd.Dataset:
+def _load_data(cfg: RunConfig, path: str, masks: bool = True) -> dd.Dataset | dd.Table:
     """The task's data set at ``path``; ``masks`` false skips the mask files."""
     if cfg.task == "segmentation":
         return dd.read_seg_dataset(path, masks=masks)
     return dd.read_dataset_csv(path, cfg.task)
 
 
-def _load_dev(cfg: RunConfig, scored: bool = True) -> dd.Dataset:
+def _truths(data: dd.Dataset | dd.Table) -> list:
+    """Each sample's ground truth in order, its label or mask set; None if it has none."""
+    if isinstance(data, dd.Table):
+        return [None if label < 0 else label for label in data.labels.tolist()]
+    return [s.masks for s in data.samples]
+
+
+def _load_dev(cfg: RunConfig, scored: bool = True) -> dd.Dataset | dd.Table:
     """The ``[data] dev`` set that the pipeline decides on; a DataError if it
     holds no sample, or if it is ``scored`` and a sample has no ground truth
     (``predict`` scores nothing, and skips the mask files). Rotation TTA needs
     square images, so under it a DataError names the first that is not."""
     dev = _load_data(cfg, _require(cfg.dev_path, "[data] dev"), scored)
-    if not dev.samples:
+    if not len(dev):
         raise dd.DataError("the dev set holds no samples")
-    unlabeled = [s.id for s in dev.samples if not s.labeled]
+    unlabeled = [i for i, t in zip(dev.ids.tolist(), _truths(dev)) if t is None]
     if scored and unlabeled:
         raise dd.DataError(f"sample {unlabeled[0]} has no ground truth to score against")
     if cfg.task == "segmentation" and cfg.tta == "rotate":
@@ -69,11 +76,11 @@ def _load_dev(cfg: RunConfig, scored: bool = True) -> dd.Dataset:
     return dev
 
 
-def _check_width(train: dd.Dataset, other: dd.Dataset | None, what: str) -> None:
-    """ConfigError if ``other`` holds feature vectors of another width than ``train``'s."""
-    if other is not None and len({train.feature_dim, other.feature_dim} - {None}) > 1:
-        raise ConfigError(f"the {what} has {other.feature_dim} features per sample; "
-                          f"the training data has {train.feature_dim}")
+def _check_width(train: dd.Dataset | dd.Table, other, what: str) -> None:
+    """ConfigError if ``other`` is a table of another width than the table ``train``."""
+    if isinstance(other, dd.Table) and other.features.shape[1] != train.features.shape[1]:
+        raise ConfigError(f"the {what} has {other.features.shape[1]} features per sample; "
+                          f"the training data has {train.features.shape[1]}")
 
 
 def _load_model_or_ensemble(path: str) -> Ensemble:
@@ -86,12 +93,12 @@ def _load_model_or_ensemble(path: str) -> Ensemble:
     return Ensemble((load_checkpoint(p),), (0,))
 
 
-def _check_model_fits(ens: Ensemble, cfg: RunConfig, data: dd.Dataset) -> None:
+def _check_model_fits(ens: Ensemble, cfg: RunConfig, data: dd.Dataset | dd.Table) -> None:
     """ConfigError unless every member's head and input width fit the task's data."""
     if cfg.task == "segmentation":
         head, width = "pixel", SEG_FEATURE_DIM
     else:
-        head, width = "scalar", data.feature_dim
+        head, width = "scalar", data.features.shape[1]
     for m in ens.members:
         if m.head != head or m.dims[0] != width:
             raise ConfigError(
@@ -125,34 +132,33 @@ def _binarize(soft: np.ndarray, post: bool) -> dd.MaskSet:
     return dd.MaskSet((soft >= 0.5).astype(np.uint8))
 
 
-def _decisions(cfg: RunConfig, ens: Ensemble, data: dd.Dataset):
-    """Yield (sample, decision) in sample order: a grade, or a mask set per image."""
+def _decisions(cfg: RunConfig, ens: Ensemble, data: dd.Dataset | dd.Table):
+    """Yield one decision per sample, in order: a grade, or a mask set per image."""
     if cfg.task != "segmentation":
-        raw = ensemble_predict(ens, data.feature_matrix)
-        yield from zip(data.samples, _grades(raw, cfg.task, cfg.postprocess))
+        yield from _grades(ensemble_predict(ens, data.features), cfg.task, cfg.postprocess)
         return
     predict = lambda img: ensemble_predict(ens, img)
     tta = {"rotate": tta_rotate_seg, "flip": tta_flip_predict}.get(cfg.tta)
     for s in data.samples:
         soft = tta(predict, s.image) if tta else np.asarray(predict(s.image.values))
-        yield s, _binarize(soft, cfg.postprocess)
+        yield _binarize(soft, cfg.postprocess)
 
 
-def _score(task: str, pairs) -> dict[str, float]:
+def _score(task: str, truth: dd.Dataset | dd.Table, decisions) -> dict[str, float]:
     """qwk and accuracy of grades, or mean_dsc and mean_iou of mask sets.
 
-    ``pairs`` yields (truth sample, decision); no pairs, or a truth sample
-    without a label or mask set, is a DataError.
+    ``decisions`` yields one decision per sample of ``truth``, in order; no
+    sample, or one without a label or mask set, is a DataError.
     """
     a, b = [], []  # truth and predicted grades, or per-image DSC and IoU
-    for s, decision in pairs:
-        if not s.labeled:
-            raise dd.DataError(f"sample {s.id} has no ground truth to score against")
+    for sid, t, decision in zip(truth.ids.tolist(), _truths(truth), decisions):
+        if t is None:
+            raise dd.DataError(f"sample {sid} has no ground truth to score against")
         if task == "segmentation":
-            a.append(mean_dsc(decision.channels, s.masks.channels))
-            b.append(mean_iou(decision.channels, s.masks.channels))
+            a.append(mean_dsc(decision.channels, t.channels))
+            b.append(mean_iou(decision.channels, t.channels))
         else:
-            a.append(s.label)
+            a.append(t)
             b.append(decision)
     if not a:
         raise dd.DataError("the dev set holds no samples to score")
@@ -248,12 +254,12 @@ def cmd_rpl(args) -> int:
     return 0
 
 
-def _maybe_dev_report(cfg: RunConfig, ens: Ensemble, dev: dd.Dataset | None, seed: int,
-                      out: Path) -> None:
+def _maybe_dev_report(cfg: RunConfig, ens: Ensemble, dev: dd.Dataset | dd.Table | None,
+                      seed: int, out: Path) -> None:
     if dev is None:
         return
     _check_model_fits(ens, cfg, dev)
-    _write_report(cfg, _score(cfg.task, _decisions(cfg, ens, dev)), seed, out, "dev ")
+    _write_report(cfg, _score(cfg.task, dev, _decisions(cfg, ens, dev)), seed, out, "dev ")
 
 
 def cmd_predict(args) -> int:
@@ -266,12 +272,13 @@ def cmd_predict(args) -> int:
     segmentation = cfg.task == "segmentation"
     if not segmentation and cfg.tta != "none":
         print("note: test-time augmentation has no effect on feature vectors")
+    ids = inputs.ids.tolist()
     if segmentation:  # on two or more CPUs a set is written while the next is computed
-        stem = lambda s: f"pred_{s.id:05d}"
-        dd.write_mask_sets((out / stem(s), masks) for s, masks in _decisions(cfg, ens, inputs))
-        rows = [[s.id, stem(s)] for s in inputs.samples]
+        stems = [f"pred_{i:05d}" for i in ids]
+        dd.write_mask_sets(zip((out / stem for stem in stems), _decisions(cfg, ens, inputs)))
+        rows = zip(ids, stems)
     else:
-        rows = [[s.id, grade] for s, grade in _decisions(cfg, ens, inputs)]
+        rows = list(zip(ids, _decisions(cfg, ens, inputs)))
     dd.write_csv(out / "predictions.csv", ["id", "stem" if segmentation else "prediction"], rows)
     print(f"wrote predictions for {len(inputs)} samples to {out}")
     return 0
@@ -282,13 +289,14 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     truth = _load_data(cfg, _require(cfg.dev_path, "[data] dev"))
     pred_path = Path(_require(cfg.predictions_path, "[data] predictions"))
-    values = _score(cfg.task, _predicted_pairs(cfg.task, truth, pred_path))
+    values = _score(cfg.task, truth, _predicted(cfg.task, truth, pred_path))
     _write_report(cfg, values, args.seed, out, "")
     return 0
 
 
-def _predicted_pairs(task: str, truth: dd.Dataset, pred_path: Path):
-    """Yield (truth sample, decision) from what ``predict`` wrote, one sample at a time.
+def _predicted(task: str, truth: dd.Dataset | dd.Table, pred_path: Path):
+    """Yield the decision of each sample of ``truth``, in order, from what
+    ``predict`` wrote, one sample at a time.
 
     For segmentation ``pred_path`` is the directory ``predict`` wrote; for
     the ordinal tasks it is its ``predictions.csv``. FormatError if malformed.
@@ -306,10 +314,10 @@ def _predicted_pairs(task: str, truth: dd.Dataset, pred_path: Path):
         raise dd.FormatError(f"{path}: malformed prediction row ({exc})") from exc
     if segmentation and any("\0" in stem for stem in by_id.values()):
         raise dd.FormatError(f"{path}: a mask set stem holds a NUL byte")
-    for s in truth.samples:
-        if s.id not in by_id:
-            raise dd.DataError(f"no prediction for sample {s.id}")
-        yield s, dd.read_mask_set(pred_path / by_id[s.id]) if segmentation else by_id[s.id]
+    for sid in truth.ids.tolist():
+        if sid not in by_id:
+            raise dd.DataError(f"no prediction for sample {sid}")
+        yield dd.read_mask_set(pred_path / by_id[sid]) if segmentation else by_id[sid]
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +357,9 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
                                      seed=derive_seed(seed, 1), task=cfg.task)
     unlabeled = dd.gen_ordinal_dataset(cfg.n_unlabeled, noise=cfg.noise, dim=cfg.dim,
                                        seed=derive_seed(seed, 2), task=cfg.task,
-                                       labeled=False, id_offset=10_000)
+                                       labeled=False, id_offset=cfg.n_labeled)
     train, dev = dd.split_train_dev(labeled, cfg.split_ratio, seed=derive_seed(seed, 3))
-    feats = dev.feature_matrix
+    feats = dev.features
     k = cfg.ensemble_k
     seeds = {"+rpl": [derive_seed(seed, 30, i) for i in range(k)],
              "+pl": [derive_seed(seed, 20, i) for i in range(k)],
@@ -383,7 +391,7 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
         "+tta": (raw_rpl, False),
         "+post": (raw_rpl, True),
     }
-    return {arm: _score(cfg.task, zip(dev.samples, _grades(raw, cfg.task, post)))["qwk"]
+    return {arm: _score(cfg.task, dev, _grades(raw, cfg.task, post))["qwk"]
             for arm, (raw, post) in arms.items()}
 
 
@@ -406,7 +414,7 @@ def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     ens = Ensemble(tuple(fits), seeds)
 
     # The +tta and +post arms decide from the same rotation-TTA soft masks.
-    pairs = {arm: [] for arm in SEGMENTATION_ARMS}
+    decisions = {arm: [] for arm in SEGMENTATION_ARMS}
     for s in dev.samples:
         v = s.image.values
         plain = np.asarray(ensemble_predict(ens, v))
@@ -414,8 +422,8 @@ def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
         for arm, soft, post in (("baseline", segment_soft(single, s.image), False),
                                 ("+ensemble", plain, False), ("+tta", tta, False),
                                 ("+post", tta, True)):
-            pairs[arm].append((s, _binarize(soft, post)))
-    return {arm: _score("segmentation", p)["mean_dsc"] for arm, p in pairs.items()}
+            decisions[arm].append(_binarize(soft, post))
+    return {arm: _score("segmentation", dev, d)["mean_dsc"] for arm, d in decisions.items()}
 
 
 TABULAR_ARMS = ("baseline", "+ensemble", "+pl", "+rpl", "+tta", "+post")

@@ -1,9 +1,11 @@
 """Core data types, synthetic dataset generators, splitting, and file I/O.
 
 Images are grayscale rasters normalized to [0, 1]; lesion masks carry three
-binary channels (IRMA, NP, NV). Tabular datasets hold fixed-length feature
-vectors with ordinal labels in {0, 1, 2}. All generators take an explicit
-seed and own their RNG; every type is immutable after construction.
+binary channels (IRMA, NP, NV). A segmentation ``Dataset`` is a tuple of
+image ``Sample``s. An ordinal data set (quality or grading) is a ``Table``
+of arrays: ids, a feature matrix and labels in {0, 1, 2}, -1 for none, so
+selecting samples is one row gather. All generators take an explicit seed
+and own their RNG; every type is immutable after construction.
 """
 from __future__ import annotations
 
@@ -108,95 +110,80 @@ def validate_label(value: int) -> int:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One dataset element: tabular features or an image, optionally labeled.
+class Table:
+    """An ordinal data set (quality or grading) as arrays, one row per sample:
+    unique int64 ``ids``, an (n, dim) float64 ``features`` matrix with dim >= 1,
+    and int64 ``labels`` in {0, 1, 2}, where -1 means "no label"."""
 
-    ``label`` is an ordinal grade for tabular tasks and absent for unlabeled
-    samples; segmentation samples carry a mask set instead.
-    """
+    task: str
+    ids: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.task not in TASKS[1:]:
+            raise DataError(f"unknown ordinal task {self.task!r}")
+        try:
+            ids = np.asarray(self.ids, dtype=np.int64)
+        except OverflowError:
+            bad = next(i for i in self.ids if not -2**63 <= i < 2**63)
+            raise DataError(f"sample id {bad} is outside the 64-bit integer range") from None
+        features = np.asarray(self.features, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        n = len(ids)
+        if features.ndim != 2 or features.shape[1] < 1 or len(features) != n \
+                or labels.shape != (n,):
+            raise DataError("a table needs one feature row and one label per id")
+        if len(set(ids.tolist())) != n:
+            raise DataError("sample ids must be unique within a dataset")
+        if not np.isfinite(features).all():
+            raise DataError("features must be finite")
+        bad = labels[(labels < -1) | (labels > 2)]
+        if bad.size:
+            raise DataError(f"ordinal label must be in {{0, 1, 2}}, got {bad[0]}")
+        for name, value in (("ids", ids), ("features", features), ("labels", labels)):
+            object.__setattr__(self, name, _frozen(value))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows, labels=None) -> Table:
+        """The rows ``rows`` in that order, labeled ``labels`` if given."""
+        return Table(self.task, self.ids[rows], self.features[rows],
+                     self.labels[rows] if labels is None else labels)
+
+
+@dataclass(frozen=True)
+class Sample:
+    """One segmentation image, with its lesion mask set if it is labeled."""
 
     id: int
-    features: Optional[np.ndarray] = None
-    image: Optional[Image] = None
+    image: Image
     masks: Optional[MaskSet] = None
-    label: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not -2**63 <= self.id < 2**63:
             raise DataError(f"sample id {self.id} is outside the 64-bit integer range")
-        if (self.features is None) == (self.image is None):
-            raise DataError("sample needs exactly one of features or image")
-        if self.features is not None:
-            f = np.asarray(self.features, dtype=np.float64)
-            if f.ndim != 1 or not np.isfinite(f).all():
-                raise DataError("features must be a finite 1-D vector")
-            object.__setattr__(self, "features", _frozen(f))
-        if self.label is not None:
-            object.__setattr__(self, "label", validate_label(self.label))
-        if self.masks is not None and self.image is not None:
-            if self.masks.shape != self.image.values.shape:
-                raise DataError("mask shape does not match image shape")
-
-    @property
-    def labeled(self) -> bool:
-        return self.label is not None or self.masks is not None
-
-
-def relabeled(samples, label: int) -> list[Sample]:
-    """Copies of ``samples`` that carry ``label``.
-
-    Only the label is checked, once: the other fields passed their checks
-    when the samples were built, so the copies skip ``__post_init__``.
-    """
-    label = validate_label(label)
-    out = []
-    for s in samples:
-        copy = object.__new__(Sample)
-        copy.__dict__.update(s.__dict__, label=label)
-        out.append(copy)
-    return out
+        if self.masks is not None and self.masks.shape != self.image.values.shape:
+            raise DataError("mask shape does not match image shape")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered, id-unique collection of samples sharing one input kind."""
+    """Ordered, id-unique collection of segmentation samples."""
 
     samples: tuple[Sample, ...]
-    task: str
+    task = "segmentation"  # a class constant, not a field: every image data set is one
 
     def __post_init__(self) -> None:
-        if self.task not in TASKS:
-            raise DataError(f"unknown task {self.task!r}")
         samples = tuple(self.samples)
         ids = [s.id for s in samples]
         if len(set(ids)) != len(ids):
             raise DataError("sample ids must be unique within a dataset")
-        kinds = {s.features is not None for s in samples}
-        if len(kinds) > 1:
-            raise DataError("all samples must share the same input kind")
-        dims = {s.features.shape[0] for s in samples if s.features is not None}
-        if len(dims) > 1:
-            raise DataError("feature vectors must share one dimension")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def feature_dim(self) -> Optional[int]:
-        for s in self.samples:
-            if s.features is not None:
-                return s.features.shape[0]
-        return None
-
-    @cached_property
-    def feature_matrix(self) -> np.ndarray:
-        """The (n, dim) stack of the feature vectors, built once and read-only."""
-        if self.feature_dim is None:
-            raise DataError("the dataset holds no feature vectors")
-        matrix = np.stack([s.features for s in self.samples])
-        matrix.setflags(write=False)
-        return matrix
 
     @cached_property
     def ids(self) -> np.ndarray:
@@ -204,9 +191,6 @@ class Dataset:
         ids = np.array([s.id for s in self.samples], dtype=np.int64)
         ids.setflags(write=False)
         return ids
-
-    def labels(self) -> list[Optional[int]]:
-        return [s.label for s in self.samples]
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +221,25 @@ def largest_remainder_counts(n: int, proportions: Sequence[float]) -> list[int]:
     return counts.tolist()
 
 
-def split_train_dev(d: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
+def split_train_dev(d: Table, ratio: float, seed: int) -> tuple[Table, Table]:
     """Deterministic split into (train, dev), stratified on the ordinal labels.
 
     Every sample must be labeled. Per-class train counts are floored and the
-    shortfall is distributed in class-index order.
+    shortfall is distributed in class-index order. Both parts keep the rows
+    in ``d``'s order.
     """
     if not 0.0 < ratio < 1.0:
         raise DataError(f"split ratio must be in (0, 1), got {ratio}")
     rng = np.random.default_rng(seed)
     target = round(ratio * len(d))
-    by_class: dict[int, list[int]] = {}
-    for i, s in enumerate(d.samples):
-        if s.label is None:
-            raise DataError("stratified split requires every sample labeled")
-        by_class.setdefault(s.label, []).append(i)
-    for k, members in sorted(by_class.items()):
-        if len(members) < 2:
+    if (d.labels < 0).any():
+        raise DataError("stratified split requires every sample labeled")
+    classes = sorted(set(d.labels.tolist()))
+    by_class = {k: np.flatnonzero(d.labels == k) for k in classes}
+    for k in classes:
+        if len(by_class[k]) < 2:
             raise DataError(f"class {k} has fewer than 2 samples; cannot stratify")
 
-    classes = sorted(by_class)
     takes = {k: int(math.floor(ratio * len(by_class[k]))) for k in classes}
     short = target - sum(takes.values())
     for k in classes:
@@ -266,14 +249,11 @@ def split_train_dev(d: Dataset, ratio: float, seed: int) -> tuple[Dataset, Datas
             takes[k] += 1
             short -= 1
 
-    train_idx: set[int] = set()
+    in_train = np.zeros(len(d), dtype=bool)
     for k in classes:
-        members = np.array(by_class[k])
-        perm = rng.permutation(len(members))
-        train_idx.update(members[perm[: takes[k]]].tolist())
-    train = [s for i, s in enumerate(d.samples) if i in train_idx]
-    dev = [s for i, s in enumerate(d.samples) if i not in train_idx]
-    return Dataset(tuple(train), d.task), Dataset(tuple(dev), d.task)
+        perm = rng.permutation(len(by_class[k]))
+        in_train[by_class[k][perm[: takes[k]]]] = True
+    return d.take(np.flatnonzero(in_train)), d.take(np.flatnonzero(~in_train))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +275,7 @@ def gen_ordinal_dataset(
     task: str = "grading",
     labeled: bool = True,
     id_offset: int = 0,
-) -> Dataset:
+) -> Table:
     """Gaussian blobs around colinear class centers with ordinal labels.
 
     Class counts follow ``DEFAULT_GRADE_PROPORTIONS`` exactly (largest-remainder
@@ -314,15 +294,8 @@ def gen_ordinal_dataset(
     labels = np.repeat(np.arange(NUM_CLASSES), counts)
     rng.shuffle(labels)
     feats = centers[labels] + noise * rng.standard_normal((n, dim))
-    samples = tuple(
-        Sample(
-            id=id_offset + i,
-            features=feats[i],
-            label=int(labels[i]) if labeled else None,
-        )
-        for i in range(n)
-    )
-    return Dataset(samples, task)
+    return Table(task, range(id_offset, id_offset + n), feats,
+                 labels if labeled else np.full(n, -1))
 
 
 def _disk(size: int, cy: int, cx: int, r: int) -> np.ndarray:
@@ -421,7 +394,7 @@ def gen_seg_dataset(
                 masks=MaskSet(masks),
             )
         )
-    return Dataset(tuple(samples), "segmentation")
+    return Dataset(tuple(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -600,17 +573,14 @@ def write_csv(path: Path | str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def write_dataset_csv(path: Path | str, d: Dataset) -> None:
+def write_dataset_csv(path: Path | str, d: Table) -> None:
     """Tabular dataset as CSV: id,feat_0..feat_{D-1},label (label may be empty)."""
-    dim = d.feature_dim
-    if dim is None:
-        raise DataError("CSV serialization requires feature-vector samples")
-    write_csv(path, ["id", *[f"feat_{j}" for j in range(dim)], "label"],
-              ([s.id, *[repr(float(v)) for v in s.features], "" if s.label is None else s.label]
-               for s in d.samples))
+    write_csv(path, ["id", *[f"feat_{j}" for j in range(d.features.shape[1])], "label"],
+              ([i, *map(repr, row), "" if label < 0 else label] for i, row, label
+               in zip(d.ids.tolist(), d.features.tolist(), d.labels.tolist())))
 
 
-def read_dataset_csv(path: Path | str, task: str) -> Dataset:
+def read_dataset_csv(path: Path | str, task: str) -> Table:
     rows = read_csv(path)
     if not rows:
         raise FormatError(f"{path}: empty CSV")
@@ -622,17 +592,18 @@ def read_dataset_csv(path: Path | str, task: str) -> Dataset:
         raise FormatError(f"{path}: no feature column")
     if [h for h in header[1:-1]] != [f"feat_{j}" for j in range(dim)]:
         raise FormatError(f"{path}: malformed feature columns")
-    samples = []
+    ids, features, labels = [], [], []
     for row in rows[1:]:
         if len(row) != len(header):
             raise FormatError(f"{path}: row width mismatch")
         try:
-            sid, features = int(row[0]), np.array([float(v) for v in row[1:-1]])
+            ids.append(int(row[0]))
+            features.append([float(v) for v in row[1:-1]])
             label = None if row[-1] == "" else int(row[-1])
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from exc
-        samples.append(Sample(id=sid, features=features, label=label))
-    return Dataset(tuple(samples), task)
+        labels.append(-1 if label is None else validate_label(label))
+    return Table(task, ids, np.array(features).reshape(len(ids), dim), labels)
 
 
 def write_seg_dataset(directory: Path | str, d: Dataset) -> None:
@@ -641,8 +612,6 @@ def write_seg_dataset(directory: Path | str, d: Dataset) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     rows = []
     for s in d.samples:
-        if s.image is None:
-            raise DataError("segmentation dataset requires image samples")
         name = f"sample_{s.id:05d}"
         write_image(directory / f"{name}.pgm", s.image)
         if s.masks is not None:
@@ -674,4 +643,4 @@ def read_seg_dataset(directory: Path | str, masks: bool = True) -> Dataset:
         if has_masks and masks:
             mask_set = read_mask_set(directory / Path(image_name).stem)
         samples.append(Sample(id=sid, image=image, masks=mask_set))
-    return Dataset(tuple(samples), "segmentation")
+    return Dataset(tuple(samples))

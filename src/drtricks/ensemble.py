@@ -14,7 +14,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .data import Dataset, Image
+from .data import Dataset, Image, Table
 from .models import (MLP, CheckpointError, TrainConfig, TrainingDivergedError, fit,
                      load_checkpoint, save_checkpoint, seg_features, segment_soft)
 
@@ -185,7 +185,7 @@ def map_members(task: Callable[[int], T], n: int) -> list[T]:
             f.close()
 
 
-def train_deep_ensemble(data: Dataset, cfg: TrainConfig, k: int = 5,
+def train_deep_ensemble(data: Dataset | Table, cfg: TrainConfig, k: int = 5,
                         base_seed: int | None = None) -> Ensemble:
     """Train k independent members with seeds base, base+1, ..., base+k-1.
 

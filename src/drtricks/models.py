@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .augment import augment
-from .data import NUM_CLASSES, DataError, Dataset, Image, MaskSet, SoftMaskSet
+from .data import NUM_CLASSES, DataError, Dataset, Image, MaskSet, SoftMaskSet, Table
 
 EPS_CLAMP = 1e-7
 DICE_EPS = 1e-6
@@ -456,7 +456,7 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def train(model: MLP, data: Dataset, cfg: TrainConfig) -> MLP:
+def train(model: MLP, data: Dataset | Table, cfg: TrainConfig) -> MLP:
     """Mini-batch AdamW training; deterministic for a fixed cfg.seed.
 
     With ``cfg.augment`` the segmenter trains on one ``augment`` draw per
@@ -478,15 +478,13 @@ def train(model: MLP, data: Dataset, cfg: TrainConfig) -> MLP:
             _train_segmenter(model, data, cfg, opt, rng)
         return model
 
-    feats = data.feature_matrix
-    if any(l is None for l in data.labels()):
+    if (data.labels < 0).any():
         raise DataError("training requires labeled samples")
-    labels = np.array(data.labels(), dtype=np.float64)
     # A diverging fit overflows on its way to a non-finite loss, which ends
     # the run with TrainingDivergedError; NumPy's warnings on the way would
     # only print noise before that one-line failure.
     with np.errstate(over="ignore", invalid="ignore"):
-        _train_scalar(model, feats, labels, cfg, opt, rng)
+        _train_scalar(model, data.features, data.labels.astype(np.float64), cfg, opt, rng)
     return model
 
 
@@ -609,7 +607,7 @@ def _seg_logit_grad(out: np.ndarray, targets: tuple, aux: str, alpha: float,
 
 def _train_segmenter(model, data, cfg, opt, rng) -> None:
     for s in data.samples:
-        if s.image is None or s.masks is None:
+        if s.masks is None:
             raise DataError("segmentation training requires images with masks")
     if not cfg.augment:
         plain = []
@@ -646,11 +644,11 @@ def _train_segmenter(model, data, cfg, opt, rng) -> None:
             opt.step(acc * (1.0 / len(idx)))
 
 
-def fit(task: str, data: Dataset, cfg: TrainConfig) -> MLP:
+def fit(task: str, data: Dataset | Table, cfg: TrainConfig) -> MLP:
     """Create a fresh model for the task and train it."""
     if len(data) == 0:
         raise DataError("training data must be nonempty")
-    in_dim = SEG_FEATURE_DIM if task == "segmentation" else data.feature_dim
+    in_dim = SEG_FEATURE_DIM if task == "segmentation" else data.features.shape[1]
     return train(new_model(task, in_dim, cfg), data, cfg)
 
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DataError, Dataset, Sample, relabeled, write_csv
+from .data import DataError, Table, write_csv
 from .models import (MLP, NUM_CLASSES, TrainConfig, derive_seed, fit, regressor_class,
                      round_half_away)
 
@@ -33,7 +33,7 @@ class PseudoBuckets:
     """The pool ordered by predicted class, then descending confidence, then id:
     pool indices ``order`` with their ``confs``; class k's run ends at ``ends[k]``."""
 
-    pool: Dataset
+    pool: Table
     order: np.ndarray
     confs: np.ndarray
     ends: np.ndarray
@@ -45,9 +45,9 @@ def confidence_regressor(raw) -> np.ndarray:
     return -np.abs(round_half_away(raw) - raw)
 
 
-def pseudo_label(model: MLP, unlabeled: Dataset) -> PseudoBuckets:
+def pseudo_label(model: MLP, unlabeled: Table) -> PseudoBuckets:
     """Assign each unlabeled sample a predicted class and confidence."""
-    raw = model.predict_scalar(unlabeled.feature_matrix) if len(unlabeled) else np.zeros(0)
+    raw = model.predict_scalar(unlabeled.features) if len(unlabeled) else np.zeros(0)
     preds, confs = regressor_class(raw), confidence_regressor(raw)
     order = np.lexsort((unlabeled.ids, -confs, preds))
     return PseudoBuckets(unlabeled, order, confs[order],
@@ -63,14 +63,11 @@ def _runs(buckets: PseudoBuckets, t: int, rounds: int):
         yield k, start, end - start, (t * (end - start)) // rounds
 
 
-def select_reliable(buckets: PseudoBuckets, t: int, rounds: int) -> list[Sample]:
-    """Top floor(t/T * bucket size) entries per class, labeled with the class."""
-    samples = buckets.pool.samples
-    selected: list[Sample] = []
-    for k, start, _size, take in _runs(buckets, t, rounds):
-        picked = buckets.order[start:start + take].tolist()
-        selected.extend(relabeled((samples[i] for i in picked), k))
-    return selected
+def select_reliable(buckets: PseudoBuckets, t: int, rounds: int) -> Table:
+    """The pool's top floor(t/T * bucket size) rows per class, labeled with the class."""
+    runs = [(start, take) for _k, start, _size, take in _runs(buckets, t, rounds)]
+    rows = np.concatenate([buckets.order[start:start + take] for start, take in runs])
+    return buckets.pool.take(rows, np.repeat(np.arange(NUM_CLASSES), [take for _, take in runs]))
 
 
 def _audit_rows(buckets: PseudoBuckets, t: int, rounds: int) -> list[list]:
@@ -79,14 +76,19 @@ def _audit_rows(buckets: PseudoBuckets, t: int, rounds: int) -> list[list]:
 
 
 def rpl_train(
-    labeled: Dataset,
-    unlabeled: Dataset,
+    labeled: Table,
+    unlabeled: Table,
     cfg: RPLConfig,
     audit_path: Optional[Path | str] = None,
 ) -> MLP:
-    """Reliable pseudo labeling: T rounds of select-and-retrain from scratch."""
+    """Reliable pseudo labeling: T rounds of select-and-retrain from scratch, each on
+    the labeled rows then the selected pool rows; a DataError first if the two share an id."""
     if len(labeled) == 0:
         raise DataError("labeled set must be nonempty")
+    shared = set(labeled.ids.tolist()).intersection(unlabeled.ids.tolist())
+    if shared:
+        raise DataError(f"sample id {min(shared)} is in both the labeled data "
+                        "and the unlabeled pool")
     model = fit(labeled.task, labeled, replace(cfg.base, seed=derive_seed(cfg.base.seed, 0)))
     audit: list[list] = []
     if len(unlabeled) > 0:
@@ -94,7 +96,9 @@ def rpl_train(
             buckets = pseudo_label(model, unlabeled)
             selected = select_reliable(buckets, t, cfg.rounds)
             audit.extend(_audit_rows(buckets, t, cfg.rounds))
-            combined = Dataset(labeled.samples + tuple(selected), labeled.task)
+            combined = Table(labeled.task, np.concatenate((labeled.ids, selected.ids)),
+                             np.concatenate((labeled.features, selected.features)),
+                             np.concatenate((labeled.labels, selected.labels)))
             round_cfg = replace(cfg.base, seed=derive_seed(cfg.base.seed, t))
             model = fit(labeled.task, combined, round_cfg)
     if audit_path is not None:
@@ -103,6 +107,6 @@ def rpl_train(
     return model
 
 
-def naive_pl_train(labeled: Dataset, unlabeled: Dataset, cfg: TrainConfig) -> MLP:
+def naive_pl_train(labeled: Table, unlabeled: Table, cfg: TrainConfig) -> MLP:
     """Single-round pseudo labeling keeping every pseudo label."""
     return rpl_train(labeled, unlabeled, RPLConfig(base=cfg, rounds=1))

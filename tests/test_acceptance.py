@@ -228,8 +228,8 @@ def ordinal_arms():
                                         id_offset=10_000)
         train, dev = split_train_dev(labeled, 0.8, seed=derive_seed(seed, 3))
         cfg = TrainConfig(epochs=30, lr=2e-3, batch_size=16, seed=seed)
-        feats = np.stack([s.features for s in dev.samples])
-        truths = [s.label for s in dev.samples]
+        feats = dev.features
+        truths = dev.labels.tolist()
 
         def dev_qwk(raw):
             preds = regressor_class(np.atleast_1d(raw))

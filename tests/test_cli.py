@@ -339,6 +339,20 @@ class TestAblate:
                                             "+rpl", "+tta", "+post"]
         assert all(r["metric"] == "qwk" for r in rows)
 
+    def test_a_labeled_set_past_10000_samples_runs(self, tmp_path, cpus):
+        # the pool is numbered from n_labeled on, so no labeled id can fall in it
+        cpus(1)
+        cfg = tmp_path / "abl.ini"
+        cfg.write_text(ABLATE_CONFIG.format(task="grading", n_labeled=10001, lr="2e-3")
+                       .replace("n_unlabeled = 60", "n_unlabeled = 30")
+                       .replace("epochs = 5", "epochs = 1")
+                       .replace("ensemble_k = 2", "ensemble_k = 1")
+                       .replace("rpl_rounds = 2", "rpl_rounds = 1"))
+        assert main(["ablate", "--config", str(cfg), "--seeds", "0",
+                     "--out", str(tmp_path / "a")]) == 0
+        rows = list(csv.DictReader(open(tmp_path / "a" / "ablation.csv")))
+        assert len(rows) == 6 and all(np.isfinite(float(r["mean"])) for r in rows)
+
     def test_segmentation_four_rows(self, tmp_path):
         cfg = tmp_path / "abl.ini"
         cfg.write_text(ABLATE_CONFIG.format(task="segmentation", n_labeled=4,
@@ -688,7 +702,7 @@ def _pixel_checkpoint(ws: Path) -> dict:
     return {"model": ws / "pixel.ckpt"}
 
 
-# case -> (command, config overrides written by the case)
+# case -> (command, config overrides written by the case[, text the message must hold])
 BAD_INPUTS = {
     "checkpoint_10_bytes": ("predict", lambda ws: _checkpoint(ws, lambda b: b[:10])),
     "checkpoint_30_bytes": ("predict", lambda ws: _checkpoint(ws, lambda b: b[:30])),
@@ -736,6 +750,10 @@ BAD_INPUTS = {
     "training_csv_id_below_int64": (
         "train", lambda ws: _first_id(ws / "labeled" / "data.csv", -2**63 - 1)),
     "rpl_pool_id_past_uint64": ("rpl", lambda ws: _first_id(ws / "unlab" / "data.csv", 2**64 + 4)),
+    # rejected before any model is fitted
+    "rpl_pool_id_in_the_training_data": (
+        "rpl", lambda ws: _first_id(ws / "unlab" / "data.csv", 7),
+        "sample id 7 is in both the labeled data and the unlabeled pool"),
     "index_csv_id_past_int64": ("train", _index_id_past_int64),
     # byte 0xff is not UTF-8
     "config_not_utf8": ("train", lambda ws: {"extra": "# \udcff\n"}),
@@ -776,7 +794,7 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_config_error(workspace, capsys, case):
-    command, corrupt = BAD_INPUTS[case]
+    command, corrupt, *message = BAD_INPUTS[case]
     cfg = write_config(workspace, **corrupt(workspace))
     capsys.readouterr()
     seed = ["--seeds", "0"] if command == "ablate" else ["--seed", "0"]
@@ -784,6 +802,7 @@ def test_bad_input_is_config_error(workspace, capsys, case):
     assert main([command, "--config", str(cfg), *seed, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(text in err for text in message), err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -935,7 +954,7 @@ def test_masks_that_zero_every_class_weight_exit_2(tmp_path, capsys, k):
     rng = np.random.default_rng(0)
     write_seg_dataset(tmp_path / "seg", Dataset(tuple(
         Sample(id=i, image=Image(rng.uniform(0, 1, (8, 8))), masks=MaskSet(masks))
-        for i in range(4)), "segmentation"))
+        for i in range(4))))
     cfg = tmp_path / "seg.ini"
     cfg.write_text(SEG_CONFIG.format(train=tmp_path / "seg", lr=0.2)
                    + f"\n[pipeline]\nensemble_k = {k}\n")
@@ -952,7 +971,7 @@ def test_rotation_tta_on_a_non_square_dev_image_exits_2(tmp_path, capsys, comman
     write_seg_dataset(tmp_path / "dev", Dataset(tuple(
         Sample(id=50 + i, image=Image(rng.uniform(0, 1, shape)),
                masks=MaskSet(rng.integers(0, 2, (3, *shape))))
-        for i, shape in enumerate([(16, 16), (16, 20), (20, 16)])), "segmentation"))
+        for i, shape in enumerate([(16, 16), (16, 20), (20, 16)]))))
     assert main(["synth", "--task", "segmentation", "--n", "4", "--size", "32",
                  "--seed", "0", "--out", str(tmp_path / "seg")]) == 0
     save_checkpoint(tmp_path / "pixel.ckpt", MLP([4, 3], "pixel"))

@@ -17,6 +17,7 @@ from drtricks.data import (
     MaskSet,
     Sample,
     SoftMaskSet,
+    Table,
     _WRITER,
     _pgm_bytes,
     gen_ordinal_dataset,
@@ -28,7 +29,6 @@ from drtricks.data import (
     read_mask_set,
     read_pgm,
     read_seg_dataset,
-    relabeled,
     split_train_dev,
     validate_label,
     write_dataset_csv,
@@ -40,11 +40,8 @@ from drtricks.data import (
 
 def make_tabular(labels, dim=4, id_offset=0, task="grading"):
     rng = np.random.default_rng(0)
-    samples = tuple(
-        Sample(id=id_offset + i, features=rng.normal(size=dim), label=lab)
-        for i, lab in enumerate(labels)
-    )
-    return Dataset(samples, task)
+    return Table(task, np.arange(len(labels)) + id_offset, rng.normal(size=(len(labels), dim)),
+                 labels)
 
 
 # ---------------------------------------------------------------------------
@@ -107,63 +104,83 @@ class TestTypes:
             with pytest.raises(DataError):
                 validate_label(bad)
 
-    def test_sample_needs_exactly_one_input(self):
-        with pytest.raises(DataError):
-            Sample(id=0)
-        with pytest.raises(DataError):
-            Sample(id=0, features=np.ones(3), image=Image(np.zeros((8, 8))))
-
     def test_dataset_rejects_duplicate_ids(self):
-        s = Sample(id=1, features=np.ones(3), label=0)
-        with pytest.raises(DataError):
-            Dataset((s, s), "grading")
+        with pytest.raises(DataError, match="unique"):
+            Table("grading", [1, 1], np.ones((2, 3)), [0, 0])
+        s = Sample(id=1, image=Image(np.zeros((8, 8))))
+        with pytest.raises(DataError, match="unique"):
+            Dataset((s, s))
 
-    def test_dataset_rejects_mixed_dims(self):
-        a = Sample(id=0, features=np.ones(3), label=0)
-        b = Sample(id=1, features=np.ones(4), label=0)
-        with pytest.raises(DataError):
-            Dataset((a, b), "grading")
-
-    def test_feature_matrix_is_one_read_only_stack(self):
-        d = make_tabular([0, 1, 2, 1], dim=3)
-        m = d.feature_matrix
-        assert m.tobytes() == np.stack([s.features for s in d.samples]).tobytes()
-        assert m.shape == (4, 3) and not m.flags.writeable
-        assert d.feature_matrix is m
+    def test_table_arrays_are_read_only_copies(self):
+        feats, labels = np.ones((4, 3)), np.array([0, 1, 2, -1])
+        d = Table("grading", [5, 6, 7, 8], feats, labels)
+        feats[0, 0], labels[0] = 9.0, 2
+        assert d.features[0, 0] == 1.0 and d.labels[0] == 0
+        assert d.features.dtype == np.float64 and d.labels.dtype == np.int64
+        assert not (d.ids.flags.writeable or d.features.flags.writeable
+                    or d.labels.flags.writeable)
+        assert len(d) == 4
 
     def test_ids_are_one_read_only_array(self):
         d = make_tabular([0, 1, 2], id_offset=70)
         assert d.ids.tolist() == [70, 71, 72] and not d.ids.flags.writeable
         assert d.ids is d.ids
+        images = gen_seg_dataset(2, 32, seed=0, id_offset=70)
+        assert images.ids.tolist() == [70, 71] and not images.ids.flags.writeable
+        assert images.ids is images.ids
 
     @pytest.mark.parametrize("sid", [2**63, 2**63 + 5, 2**64 + 4, -2**63 - 1])
     def test_ids_outside_int64_rejected(self, sid):
+        with pytest.raises(DataError, match=f"sample id {sid} is outside the 64-bit"):
+            Table("grading", [0, sid], np.zeros((2, 2)), [-1, -1])
         with pytest.raises(DataError, match="outside the 64-bit integer range"):
-            Sample(id=sid, features=np.zeros(2))
+            Sample(id=sid, image=Image(np.zeros((8, 8))))
 
     def test_ids_are_int64_to_the_bounds(self):
-        d = Dataset(tuple(Sample(id=i, features=np.zeros(2)) for i in (2**63 - 1, -2**63, 3)),
-                    "grading")
+        d = Table("grading", [2**63 - 1, -2**63, 3], np.zeros((3, 2)), [-1, -1, -1])
         assert d.ids.dtype == np.int64 and d.ids.tolist() == [2**63 - 1, -2**63, 3]
-        assert Dataset((), "grading").ids.dtype == np.int64
+        assert Table("grading", [], np.zeros((0, 2)), []).ids.dtype == np.int64
+        assert Dataset(()).ids.dtype == np.int64
 
-    def test_feature_matrix_of_images_rejected(self):
-        with pytest.raises(DataError):
-            gen_seg_dataset(1, 16, seed=0).feature_matrix
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_table_rejects_a_non_finite_feature(self, value):
+        feats = np.zeros((3, 2))
+        feats[1, 1] = value
+        with pytest.raises(DataError, match="finite"):
+            Table("grading", [0, 1, 2], feats, [0, 1, 2])
 
-    def test_relabeled_copies_every_field_but_the_label(self):
-        samples = list(make_tabular([0, None, 2], dim=3).samples)
-        out = relabeled(samples, 1)
-        assert [s.label for s in out] == [1, 1, 1]
-        for before, after in zip(samples, out):
-            assert after is not before and after.id == before.id
-            assert after.features is before.features
-            assert (after.image, after.masks) == (None, None)
+    @pytest.mark.parametrize("label", [-2, 3, 2**40])
+    def test_table_rejects_a_label_outside_its_range(self, label):
+        with pytest.raises(DataError, match=f"got {label}"):
+            Table("grading", [0, 1], np.zeros((2, 2)), [0, label])
 
-    @pytest.mark.parametrize("bad", [-1, 3])
-    def test_relabeled_rejects_a_bad_label(self, bad):
-        with pytest.raises(DataError):
-            relabeled(make_tabular([0]).samples, bad)
+    @pytest.mark.parametrize("ids, feats, labels", [
+        ([0, 1], np.zeros((3, 2)), [0, 0]),  # one feature row too many
+        ([0, 1], np.zeros((2, 2)), [0]),  # a label short
+        ([0, 1], np.zeros(2), [0, 0]),  # features not a matrix
+        ([0, 1], np.zeros((2, 0)), [0, 0]),  # no feature column
+    ], ids=["extra_row", "short_labels", "flat_features", "no_feature_column"])
+    def test_table_rejects_columns_that_disagree(self, ids, feats, labels):
+        with pytest.raises(DataError, match="one feature row and one label per id"):
+            Table("grading", ids, feats, labels)
+
+    def test_table_is_ordinal_only(self):
+        with pytest.raises(DataError, match="unknown ordinal task"):
+            Table("segmentation", [0], np.zeros((1, 2)), [0])
+
+    def test_take_with_and_without_new_labels(self):
+        d = make_tabular([0, -1, 2, 1], dim=3, id_offset=10)
+        part = d.take(np.array([3, 0]))
+        assert part.task == "grading" and part.ids.tolist() == [13, 10]
+        assert part.labels.tolist() == [1, 0]
+        assert part.features.tobytes() == d.features[[3, 0]].tobytes()
+        relabel = d.take([1, 2], np.array([2, 2]))
+        assert relabel.ids.tolist() == [11, 12] and relabel.labels.tolist() == [2, 2]
+        assert d.labels.tolist() == [0, -1, 2, 1]  # the source keeps its labels
+        with pytest.raises(DataError, match="unique"):
+            d.take([1, 1])
+        with pytest.raises(DataError, match="got 3"):
+            d.take([0], [3])
 
 
 # ---------------------------------------------------------------------------
@@ -201,25 +218,35 @@ class TestSplit:
         d = make_tabular([i % 3 for i in range(90)])
         a = split_train_dev(d, 0.8, seed=7)
         b = split_train_dev(d, 0.8, seed=7)
-        assert [s.id for s in a[0].samples] == [s.id for s in b[0].samples]
-        assert [s.id for s in a[1].samples] == [s.id for s in b[1].samples]
+        assert a[0].ids.tolist() == b[0].ids.tolist()
+        assert a[1].ids.tolist() == b[1].ids.tolist()
 
     def test_stratified_counts_50_30_20(self):
         labels = [0] * 50 + [1] * 30 + [2] * 20
         train, _dev = split_train_dev(make_tabular(labels), 0.8, seed=3)
-        per_class = [sum(1 for s in train.samples if s.label == k) for k in range(3)]
+        per_class = [int((train.labels == k).sum()) for k in range(3)]
         assert per_class == [40, 24, 16]
 
     def test_exact_partition(self):
         d = make_tabular([i % 3 for i in range(61)])
         train, dev = split_train_dev(d, 0.8, seed=11)
-        ids = sorted([s.id for s in train.samples] + [s.id for s in dev.samples])
-        assert ids == sorted(s.id for s in d.samples)
+        ids = sorted(train.ids.tolist() + dev.ids.tolist())
+        assert ids == d.ids.tolist()
+        # each part keeps the source order, and each row its features and label
+        for part in (train, dev):
+            assert part.ids.tolist() == sorted(part.ids.tolist())
+            rows = part.ids - d.ids[0]
+            assert part.features.tobytes() == d.features[rows].tobytes()
+            assert part.labels.tolist() == d.labels[rows].tolist()
 
     def test_small_class_rejected(self):
         d = make_tabular([0] * 20 + [2])
         with pytest.raises(DataError):
             split_train_dev(d, 0.8, seed=0)
+
+    def test_unlabeled_sample_rejected(self):
+        with pytest.raises(DataError, match="every sample labeled"):
+            split_train_dev(make_tabular([0, 0, 1, 1, -1]), 0.5, seed=0)
 
     def test_bad_ratio_rejected(self):
         d = make_tabular([0, 0, 1, 1])
@@ -236,7 +263,7 @@ class TestOrdinalGenerator:
     def test_reference_cohort_counts(self):
         assert largest_remainder_counts(611, DEFAULT_GRADE_PROPORTIONS) == [329, 212, 70]
         d = gen_ordinal_dataset(611, seed=4)
-        counts = [d.labels().count(k) for k in range(3)]
+        counts = [d.labels.tolist().count(k) for k in range(3)]
         assert counts == [329, 212, 70]
 
     @given(st.integers(min_value=30, max_value=2000))
@@ -247,8 +274,7 @@ class TestOrdinalGenerator:
     def test_noise_zero_sits_on_centers(self):
         d = gen_ordinal_dataset(30, noise=0.0, dim=5, seed=1)
         centers = ordinal_class_centers(5)
-        for s in d.samples:
-            np.testing.assert_allclose(s.features, centers[s.label], atol=1e-12)
+        np.testing.assert_allclose(d.features, centers[d.labels], atol=1e-12)
 
     def test_centers_are_ordinal(self):
         c = ordinal_class_centers(8)
@@ -260,14 +286,13 @@ class TestOrdinalGenerator:
 
     def test_unlabeled_pool_has_no_labels(self):
         d = gen_ordinal_dataset(40, labeled=False, seed=2)
-        assert all(lab is None for lab in d.labels())
+        assert d.labels.tolist() == [-1] * 40
 
     def test_determinism(self):
         a = gen_ordinal_dataset(60, seed=9)
         b = gen_ordinal_dataset(60, seed=9)
-        for sa, sb in zip(a.samples, b.samples):
-            np.testing.assert_array_equal(sa.features, sb.features)
-            assert sa.label == sb.label
+        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a.labels, b.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +417,28 @@ class TestIO:
         d = gen_ordinal_dataset(40, seed=2)
         write_dataset_csv(tmp_path / "d.csv", d)
         back = read_dataset_csv(tmp_path / "d.csv", "grading")
-        for sa, sb in zip(d.samples, back.samples):
-            assert sa.id == sb.id and sa.label == sb.label
-            np.testing.assert_array_equal(sa.features, sb.features)
+        assert back.ids.tolist() == d.ids.tolist()
+        assert back.labels.tolist() == d.labels.tolist()
+        assert back.features.tobytes() == d.features.tobytes()
 
     def test_csv_roundtrip_unlabeled(self, tmp_path):
         d = gen_ordinal_dataset(40, seed=2, labeled=False)
         write_dataset_csv(tmp_path / "u.csv", d)
         back = read_dataset_csv(tmp_path / "u.csv", "grading")
-        assert all(lab is None for lab in back.labels())
+        assert back.labels.tolist() == [-1] * 40
+        assert (tmp_path / "u.csv").read_text().splitlines()[1].endswith(",")
+
+    def test_csv_header_only_is_an_empty_table(self, tmp_path):
+        (tmp_path / "e.csv").write_text("id,feat_0,feat_1,label\n")
+        back = read_dataset_csv(tmp_path / "e.csv", "grading")
+        assert len(back) == 0 and back.features.shape == (0, 2)
+
+    @pytest.mark.parametrize("label", ["-1", "3"])
+    def test_csv_rejects_a_label_outside_0_to_2(self, tmp_path, label):
+        # -1 is only the in-memory code for "no label"; a file says that with an empty field
+        (tmp_path / "l.csv").write_text(f"id,feat_0,label\n1,0.5,{label}\n")
+        with pytest.raises(DataError, match=f"ordinal label must be in {{0, 1, 2}}, got {label}"):
+            read_dataset_csv(tmp_path / "l.csv", "grading")
 
     def test_csv_rejects_malformed_header(self, tmp_path):
         (tmp_path / "bad.csv").write_text("sample,feat_0,label\n1,0.5,0\n")

@@ -340,7 +340,7 @@ class TestEnsemblePredict:
         assert ensemble_predict(e, np.zeros((1, 4))) == pytest.approx(1.5)
 
     def test_batch_mean_is_member_order_mean(self):
-        feats = np.stack([s.features for s in gen_ordinal_dataset(40, seed=0).samples])
+        feats = gen_ordinal_dataset(40, seed=0).features
         members = tuple(MLP([8, 6, 1], "scalar", seed=s) for s in range(3))
         expected = members[0].predict_scalar(feats)
         for m in members[1:]:

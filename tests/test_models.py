@@ -15,6 +15,7 @@ from drtricks.data import (
     Image,
     MaskSet,
     Sample,
+    Table,
     gen_ordinal_dataset,
     gen_seg_dataset,
 )
@@ -351,8 +352,7 @@ class TestTraining:
         feats = np.concatenate([rng.normal(-2.0, 0.3, (30, 2)),
                                 rng.normal(2.0, 0.3, (30, 2))])
         labels = [0] * 30 + [1] * 30
-        data = Dataset(tuple(Sample(id=i, features=feats[i], label=labels[i])
-                             for i in range(60)), "grading")
+        data = Table("grading", range(60), feats, labels)
         m = MLP([2, 16, 1], "scalar", seed=0)
         cfg = TrainConfig(lr=5e-3, epochs=200, batch_size=16, dropout=0.0, seed=0)
         train(m, data, cfg)
@@ -446,8 +446,7 @@ class TestTraining:
 
     def test_deeper_net_with_short_last_batch_bit_equal_to_reference(self):
         rng = np.random.default_rng(8)
-        data = Dataset(tuple(Sample(id=i, features=rng.normal(size=5), label=i % 3)
-                             for i in range(11)), "grading")
+        data = Table("grading", range(11), rng.normal(size=(11, 5)), np.arange(11) % 3)
         cfg = TrainConfig(lr=2e-3, epochs=3, batch_size=4, seed=1)
         model = MLP([5, 7, 3, 1], "scalar", dropout=0.3, seed=2)
         expected = reference_scalar_fit(data, cfg, model=model)
@@ -471,7 +470,7 @@ class TestTraining:
             return Dataset(tuple(
                 Sample(s.id, image=Image(make(s.image.values)),
                        masks=MaskSet(make(s.masks.channels)))
-                for s in data.samples), "segmentation")
+                for s in data.samples))
 
         def transposed_view(a):  # C-ordered values behind a transposed view
             return np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
@@ -520,7 +519,7 @@ class TestTraining:
         masks[:, 0, 0] = 0
         rng = np.random.default_rng(0)
         data = Dataset(tuple(Sample(id=40 + i, image=Image(rng.uniform(0, 1, (8, 8))),
-                                    masks=MaskSet(masks)) for i in range(2)), "segmentation")
+                                    masks=MaskSet(masks)) for i in range(2)))
         with pytest.raises(DataError, match="^sample 40: all-zero class weights"):
             fit("segmentation", data, TrainConfig(lr=0.2, epochs=1, seed=0))
 
@@ -577,14 +576,14 @@ def reference_scalar_fit(data, cfg, model=None, rng=None) -> np.ndarray:
     ``PerArrayAdamW`` steps the arrays one by one. Returns the trained
     parameters in the ``theta`` layout; ``fit`` must match them byte for byte.
     """
-    model = new_model(data.task, data.feature_dim, cfg) if model is None else model
+    model = new_model(data.task, data.features.shape[1], cfg) if model is None else model
     ws = [w.copy() for w in model.weights]
     bs = [b.copy() for b in model.biases]
     opt = PerArrayAdamW(ws + bs, cfg.lr, cfg.weight_decay)
     rng = np.random.default_rng(derive_seed(cfg.seed, 0x7EA1)) if rng is None else rng
     p = model.dropout
-    feats = np.stack([s.features for s in data.samples])
-    labels = np.array([s.label for s in data.samples], dtype=np.float64)
+    feats = data.features
+    labels = data.labels.astype(np.float64)
     for _ in range(cfg.epochs):
         for idx in _batches(len(data), cfg.batch_size, rng):
             acts, keeps = [feats[idx]], []

@@ -11,6 +11,8 @@ class bodies are left out.
 """
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -158,6 +160,25 @@ def test_every_function_is_reached_or_allowlisted(tmp_path, cpus, capsys):
     assert not unreached, f"wire into a command, pin by a criterion, or delete: {unreached}"
     reached = sorted(called & set(ALLOWED_UNREACHED))
     assert not reached, f"drop these reached names from the allowlist: {reached}"
+
+
+def test_the_commands_import_no_numpy_ma(tmp_path):
+    """``np.unique`` and ``np.isin`` import ``numpy.ma`` on their first call, which
+    raised a one-seed grading ``ablate``'s peak RSS by about 0.8 MB: no command
+    may import it. A fresh interpreter runs the matrix on one CPU."""
+    script = ("import os, sys\n"
+              "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])\n"
+              "from pathlib import Path\n"
+              "from drtricks.cli import main\n"
+              "from test_reachability import _matrix\n"
+              "wrong = [argv for argv, code in _matrix(Path(sys.argv[1])) if main(argv) != code]\n"
+              "print(wrong, 'numpy.ma' in sys.modules)\n")
+    path = os.pathsep.join((str(SRC.parent), str(Path(__file__).parent)))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] False"
 
 
 def test_allowlist_names_existing_functions():

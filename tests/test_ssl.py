@@ -1,13 +1,12 @@
 """Pseudo labeling buckets, the growing selection schedule, and RPL training."""
 import csv
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drtricks.data import Dataset, Sample, gen_ordinal_dataset, relabeled
+from drtricks.data import DataError, Table, gen_ordinal_dataset
 from drtricks.models import (NUM_CLASSES, MLP, TrainConfig, fit, regressor_class,
                              round_half_away)
 from drtricks.ssl import (
@@ -37,10 +36,19 @@ def feature_passthrough_regressor() -> MLP:
     return m
 
 
+def pool_of(pairs) -> Table:
+    """An unlabeled pool of (id, first feature) pairs, in that order; the second feature is 0."""
+    pairs = list(pairs)
+    ids = [i for i, _ in pairs]
+    feats = np.array([[v, 0.0] for _, v in pairs]).reshape(len(ids), 2)
+    return Table("grading", ids, feats, [-1] * len(ids))
+
+
 def unlabeled_from(values):
-    samples = tuple(Sample(id=i, features=np.array([v, 0.0]))
-                    for i, v in enumerate(values))
-    return Dataset(samples, "grading")
+    return pool_of(enumerate(values))
+
+
+EMPTY = Table("grading", [], np.zeros((0, 2)), [])
 
 
 class TestConfidence:
@@ -63,22 +71,26 @@ class TestConfidence:
             np.array(expected, dtype=np.float64).tobytes()
 
 
-def bucket(buckets: PseudoBuckets, k: int) -> list[tuple[Sample, float]]:
-    """Class k's run of the buckets as (sample, confidence) pairs."""
+def bucket(buckets: PseudoBuckets, k: int) -> list[tuple[int, float]]:
+    """Class k's run of the buckets as (pool row, confidence) pairs."""
     ends = [0, *buckets.ends.tolist()]
-    return [(buckets.pool.samples[buckets.order[j]], float(buckets.confs[j]))
+    return [(int(buckets.order[j]), float(buckets.confs[j]))
             for j in range(ends[k], ends[k + 1])]
+
+
+def bucket_ids(buckets: PseudoBuckets, k: int) -> list[int]:
+    return [int(buckets.pool.ids[row]) for row, _ in bucket(buckets, k)]
 
 
 class TestPseudoLabel:
     def test_regressor_bucketing_example(self):
         buckets = pseudo_label(feature_passthrough_regressor(),
                                unlabeled_from([0.1, 1.9, 2.2]))
-        assert [s.id for s, _ in bucket(buckets, 0)] == [0]
+        assert bucket_ids(buckets, 0) == [0]
         assert bucket(buckets, 1) == []
         two = bucket(buckets, 2)
         # both 1.9 and 2.2 round to class 2, ordered by distance 0.1 < 0.2
-        assert [s.id for s, _ in two] == [1, 2]
+        assert bucket_ids(buckets, 2) == [1, 2]
         assert two[0][1] == pytest.approx(-0.1)
         assert two[1][1] == pytest.approx(-0.2)
 
@@ -88,8 +100,8 @@ class TestPseudoLabel:
                     TrainConfig(epochs=15, lr=2e-3, seed=0))
         buckets = pseudo_label(model, data)
         assert buckets.pool is data and buckets.ends[-1] == 80
-        seen = [s.id for k in range(3) for s, _ in bucket(buckets, k)]
-        assert sorted(seen) == sorted(s.id for s in data.samples)
+        seen = [i for k in range(3) for i in bucket_ids(buckets, k)]
+        assert sorted(seen) == data.ids.tolist()
 
     def test_within_bucket_confidence_sorted(self):
         data = gen_ordinal_dataset(80, seed=2, labeled=False)
@@ -101,29 +113,27 @@ class TestPseudoLabel:
             assert confs == sorted(confs, reverse=True)
 
     def test_empty_pool_is_fine(self):
-        buckets = pseudo_label(constant_regressor(1.0),
-                               Dataset((), "grading"))
+        buckets = pseudo_label(constant_regressor(1.0), EMPTY)
         assert buckets.order.size == buckets.confs.size == 0
         assert buckets.ends.tolist() == [0, 0, 0]
 
     def test_ties_broken_by_ascending_id(self):
         buckets = pseudo_label(constant_regressor(0.9), unlabeled_from([0, 0, 0]))
-        assert [s.id for s, _ in bucket(buckets, 1)] == [0, 1, 2]
+        assert bucket_ids(buckets, 1) == [0, 1, 2]
 
     def test_ties_broken_by_ascending_id_in_any_pool_order(self):
         # 1.2 - 1 and 1 - 0.8 are the same float, so four samples tie
         pool = [(5, 1.2), (3, 0.8), (9, 1.2), (1, 0.8), (4, 1.0)]
-        samples = tuple(Sample(id=i, features=np.array([v, 0.0])) for i, v in pool)
-        buckets = pseudo_label(feature_passthrough_regressor(), Dataset(samples, "grading"))
-        assert [s.id for s, _ in bucket(buckets, 1)] == [4, 1, 3, 5, 9]
+        buckets = pseudo_label(feature_passthrough_regressor(), pool_of(pool))
+        assert bucket_ids(buckets, 1) == [4, 1, 3, 5, 9]
 
 
 class TestSelectReliable:
     def make_buckets(self, sizes):
         """Buckets of the given sizes over a pool in bucket order, confidences
         falling by 0.01 within each bucket."""
-        pool = Dataset(tuple(Sample(id=i, features=np.zeros(2)) for i in range(sum(sizes))),
-                       "grading")
+        n = sum(sizes)
+        pool = Table("grading", np.arange(n) + 100, np.arange(2.0 * n).reshape(n, 2), [-1] * n)
         confs = np.concatenate([1.0 - np.arange(size) * 0.01 for size in sizes])
         return PseudoBuckets(pool, np.arange(len(pool)), confs, np.cumsum(sizes))
 
@@ -137,7 +147,8 @@ class TestSelectReliable:
 
     def test_empty_bucket_selects_none(self):
         buckets = self.make_buckets([0, 0, 0])
-        assert select_reliable(buckets, 1, 5) == []
+        chosen = select_reliable(buckets, 1, 5)
+        assert len(chosen) == 0 and chosen.features.shape == (0, 2)
 
     def test_monotone_in_round(self):
         buckets = self.make_buckets([17, 9, 3])
@@ -148,26 +159,27 @@ class TestSelectReliable:
     def test_selection_respects_confidence_order(self):
         buckets = self.make_buckets([20, 10, 5])
         for t in range(1, 5):
-            chosen = {s.id for s in select_reliable(buckets, t, 5)}
+            chosen = set(select_reliable(buckets, t, 5).ids.tolist())
             for k in range(3):
-                confs = bucket(buckets, k)
-                sel = [c for s, c in confs if s.id in chosen]
-                rej = [c for s, c in confs if s.id not in chosen]
+                confs = [(buckets.pool.ids[row], c) for row, c in bucket(buckets, k)]
+                sel = [c for i, c in confs if i in chosen]
+                rej = [c for i, c in confs if i not in chosen]
                 if sel and rej:
                     assert min(sel) >= max(rej)
 
     def test_selected_labels_match_bucket_class(self):
         buckets = self.make_buckets([3, 3, 3])
-        for s in select_reliable(buckets, 5, 5):
-            assert s.label in (0, 1, 2)
+        assert select_reliable(buckets, 5, 5).labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
-    def test_relabeled_like_replace(self):
+    def test_selection_gathers_bucket_rows_with_their_class(self):
         buckets = self.make_buckets([4, 3, 2])
         chosen = select_reliable(buckets, 5, 5)
-        expected = [replace(s, label=k) for k in range(3) for s, _ in bucket(buckets, k)]
-        assert [(s.id, s.label) for s in chosen] == [(s.id, s.label) for s in expected]
-        assert all(a.features.tobytes() == b.features.tobytes() and not a.features.flags.writeable
-                   for a, b in zip(chosen, expected))
+        rows = [row for k in range(3) for row, _ in bucket(buckets, k)]
+        pool = buckets.pool
+        assert chosen.ids.tolist() == pool.ids[rows].tolist()
+        assert chosen.labels.tolist() == [k for k in range(3) for _ in bucket(buckets, k)]
+        assert chosen.features.tobytes() == pool.features[rows].tobytes()
+        assert not chosen.features.flags.writeable and pool.labels.tolist() == [-1] * 9
 
     def test_round_index_bounds(self):
         buckets = self.make_buckets([3, 3, 3])
@@ -182,28 +194,29 @@ class TestSelectReliable:
     def test_selected_count_formula(self, sizes, t):
         buckets = self.make_buckets(sizes)
         expected = sum((t * n) // 5 for n in sizes)
-        assert len(select_reliable(buckets, t, 5)) == expected
+        chosen = select_reliable(buckets, t, 5)
+        assert len(chosen) == len(chosen.ids) == expected
 
 
 # The per-sample loop that the array code replaced, kept as its oracle: per
-# class, (sample, confidence) pairs by descending confidence, then id.
+# class, (pool row, confidence) pairs by descending confidence, then id.
 
-def reference_pseudo_label(model: MLP, unlabeled: Dataset) -> dict:
+def reference_pseudo_label(model: MLP, unlabeled: Table) -> dict:
     entries = {k: [] for k in range(NUM_CLASSES)}
     if len(unlabeled) > 0:
-        raw = model.predict_scalar(unlabeled.feature_matrix)
+        raw = model.predict_scalar(unlabeled.features)
         preds, confs = regressor_class(raw), confidence_regressor(raw)
-        ids = np.array([s.id for s in unlabeled.samples])
-        for j in np.lexsort((ids, -confs)):
-            entries[int(preds[j])].append((unlabeled.samples[j], float(confs[j])))
+        for j in np.lexsort((unlabeled.ids, -confs)):
+            entries[int(preds[j])].append((int(j), float(confs[j])))
     return {k: tuple(v) for k, v in entries.items()}
 
 
-def reference_select_reliable(entries: dict, t: int, rounds: int) -> list[Sample]:
+def reference_select_reliable(entries: dict, t: int, rounds: int) -> list[tuple[int, int]]:
+    """(pool row, class) of each selected sample, in selection order."""
     selected = []
     for k in sorted(entries):
         take = (t * len(entries[k])) // rounds
-        selected.extend(relabeled((sample for sample, _conf in entries[k][:take]), k))
+        selected.extend((row, k) for row, _conf in entries[k][:take])
     return selected
 
 
@@ -230,26 +243,27 @@ class TestMatchesPerSampleLoop:
     @settings(max_examples=200, deadline=None)
     def test_same_selection_and_audit_as_the_loop(self, pool, rounds):
         # the pool keeps hypothesis's order: shuffled, non-contiguous ids
-        samples = tuple(Sample(id=i, features=np.array([v, 0.0])) for i, v in pool)
-        unlabeled = Dataset(samples, "grading")
+        unlabeled = pool_of(pool)
         model = feature_passthrough_regressor()
         buckets = pseudo_label(model, unlabeled)
         entries = reference_pseudo_label(model, unlabeled)
         for k in range(NUM_CLASSES):
-            assert [(s.id, repr(c)) for s, c in bucket(buckets, k)] == \
-                [(s.id, repr(c)) for s, c in entries[k]]
+            assert [(row, repr(c)) for row, c in bucket(buckets, k)] == \
+                [(row, repr(c)) for row, c in entries[k]]
         for t in range(1, rounds + 1):
             got = select_reliable(buckets, t, rounds)
             want = reference_select_reliable(entries, t, rounds)
-            assert [(s.id, s.label) for s in got] == [(s.id, s.label) for s in want]
-            assert all(a.features is b.features for a, b in zip(got, want))
+            rows = [row for row, _k in want]
+            assert got.ids.tolist() == unlabeled.ids[rows].tolist()
+            assert got.labels.tolist() == [k for _row, k in want]
+            assert got.features.tobytes() == unlabeled.features[rows].tobytes()
             assert _audit_rows(buckets, t, rounds) == reference_audit_rows(entries, t, rounds)
 
     def test_empty_pool_matches(self):
-        unlabeled = Dataset((), "grading")
-        buckets = pseudo_label(constant_regressor(1.0), unlabeled)
-        entries = reference_pseudo_label(constant_regressor(1.0), unlabeled)
-        assert select_reliable(buckets, 1, 1) == reference_select_reliable(entries, 1, 1) == []
+        buckets = pseudo_label(constant_regressor(1.0), EMPTY)
+        entries = reference_pseudo_label(constant_regressor(1.0), EMPTY)
+        assert len(select_reliable(buckets, 1, 1)) == 0
+        assert reference_select_reliable(entries, 1, 1) == []
         assert _audit_rows(buckets, 1, 1) == reference_audit_rows(entries, 1, 1)
 
 
@@ -267,8 +281,7 @@ class TestRplTrain:
         labeled = gen_ordinal_dataset(48, seed=0)
         from drtricks.models import derive_seed
         from dataclasses import replace
-        model = rpl_train(labeled, Dataset((), "grading"),
-                          RPLConfig(base=self.CFG, rounds=5))
+        model = rpl_train(labeled, EMPTY, RPLConfig(base=self.CFG, rounds=5))
         supervised = fit("grading", labeled,
                          replace(self.CFG, seed=derive_seed(self.CFG.seed, 0)))
         assert model.theta.tobytes() == supervised.theta.tobytes()
@@ -283,8 +296,7 @@ class TestRplTrain:
 
     def test_empty_labeled_rejected(self):
         with pytest.raises(ValueError):
-            rpl_train(Dataset((), "grading"), Dataset((), "grading"),
-                      RPLConfig(base=self.CFG))
+            rpl_train(EMPTY, EMPTY, RPLConfig(base=self.CFG))
 
     def test_audit_log_rounds(self, tmp_path):
         labeled = gen_ordinal_dataset(48, seed=4)
@@ -313,3 +325,32 @@ class TestRplTrain:
         pool = gen_ordinal_dataset(40, seed=7, id_offset=1000, labeled=False)
         model = rpl_train(labeled, pool, RPLConfig(base=self.CFG, rounds=2))
         assert model.head == "scalar"
+
+    def test_a_shared_id_is_rejected_before_any_fit(self, monkeypatch):
+        import drtricks.ssl as ssl
+
+        fits = []
+        monkeypatch.setattr(ssl, "fit", lambda *args: fits.append(args))
+        labeled = gen_ordinal_dataset(48, seed=0)
+        pool = gen_ordinal_dataset(40, seed=1, labeled=False, id_offset=45)
+        with pytest.raises(DataError, match="^sample id 45 is in both the labeled data and "
+                                            "the unlabeled pool$"):
+            rpl_train(labeled, pool, RPLConfig(base=self.CFG, rounds=2))
+        assert fits == []
+
+    def test_each_round_trains_on_the_labeled_rows_then_the_selected(self, monkeypatch):
+        import drtricks.ssl as ssl
+
+        real_fit, seen = ssl.fit, []
+        monkeypatch.setattr(ssl, "fit", lambda task, data, cfg: seen.append(data)
+                            or real_fit(task, data, cfg))
+        labeled = gen_ordinal_dataset(40, seed=2)
+        pool = gen_ordinal_dataset(50, seed=3, labeled=False, id_offset=1000)
+        rpl_train(labeled, pool, RPLConfig(base=self.CFG, rounds=2))
+        assert [len(d) for d in seen] == [40, 40 + 25, 40 + 50]
+        last = seen[-1]
+        assert last.ids[:40].tolist() == labeled.ids.tolist()
+        assert last.features[:40].tobytes() == labeled.features.tobytes()
+        assert last.labels[:40].tolist() == labeled.labels.tolist()
+        assert sorted(last.ids[40:].tolist()) == pool.ids.tolist()
+        assert min(last.labels.tolist()) >= 0
