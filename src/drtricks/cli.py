@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,9 +23,8 @@ from .config import ConfigError, RunConfig, load_config
 from .ensemble import (Ensemble, EnsembleMemberError, ensemble_predict,
                        load_ensemble, map_members, save_ensemble, train_deep_ensemble,
                        tta_flip_predict, tta_rotate_seg)
-from .metrics import (MetricError, MetricsReport, UndefinedKappaError, accuracy,
-                      confusion_matrix, mean_dsc, mean_iou, qwk,
-                      write_report_csv, write_report_json)
+from .metrics import (MetricError, UndefinedKappaError, accuracy, confusion_matrix,
+                      mean_dsc, mean_iou, qwk)
 from .models import (SEG_FEATURE_DIM, CheckpointError, TrainingDivergedError,
                      derive_seed, fit, load_checkpoint, regressor_class,
                      save_checkpoint, segment_soft)
@@ -148,13 +148,18 @@ def _score(task: str, truth: dd.Dataset | dd.Table, decisions) -> dict[str, floa
     """qwk and accuracy of grades, or mean_dsc and mean_iou of mask sets.
 
     ``decisions`` yields one decision per sample of ``truth``, in order; no
-    sample, or one without a label or mask set, is a DataError.
+    sample, one without a label or mask set, or a mask set of another size
+    than its truth's, is a DataError.
     """
     a, b = [], []  # truth and predicted grades, or per-image DSC and IoU
     for sid, t, decision in zip(truth.ids.tolist(), _truths(truth), decisions):
         if t is None:
             raise dd.DataError(f"sample {sid} has no ground truth to score against")
         if task == "segmentation":
+            (_, h, w), (_, th, tw) = decision.channels.shape, t.channels.shape
+            if (h, w) != (th, tw):
+                raise dd.DataError(f"sample {sid}: predicted masks are {h}x{w}, "
+                                   f"its ground truth {th}x{tw}")
             a.append(mean_dsc(decision.channels, t.channels))
             b.append(mean_iou(decision.channels, t.channels))
         else:
@@ -169,11 +174,19 @@ def _score(task: str, truth: dd.Dataset | dd.Table, decisions) -> dict[str, floa
 
 def _write_report(cfg: RunConfig, values: dict[str, float], seed: int, out: Path,
                   prefix: str) -> None:
-    report = MetricsReport(cfg.task, {(m, ""): v for m, v in values.items()},
-                           seed, cfg.digest())
-    write_report_csv(out / "report.csv", report)
-    write_report_json(out / "report.json", report)
-    for metric, v in sorted(values.items()):
+    """Write ``values`` to report.csv and report.json in ``out`` (a row per metric in
+    name order, class empty; a MetricError first if one is not finite), then print them."""
+    metrics = sorted(values.items())
+    for metric, v in metrics:
+        if not np.isfinite(v):
+            raise MetricError(f"non-finite value for {metric}")
+    digest = cfg.digest()
+    dd.write_csv(out / "report.csv", ["task", "metric", "class", "value", "seed", "config_digest"],
+                 ([cfg.task, m, "", repr(float(v)), seed, digest] for m, v in metrics))
+    payload = {"task": cfg.task, "seed": seed, "config_digest": digest,
+               "metrics": [{"metric": m, "class": "", "value": float(v)} for m, v in metrics]}
+    (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
+    for metric, v in metrics:
         print(f"{prefix}{metric}: {v:.4f}")
 
 
@@ -258,7 +271,6 @@ def _maybe_dev_report(cfg: RunConfig, ens: Ensemble, dev: dd.Dataset | dd.Table 
                       seed: int, out: Path) -> None:
     if dev is None:
         return
-    _check_model_fits(ens, cfg, dev)
     _write_report(cfg, _score(cfg.task, dev, _decisions(cfg, ens, dev)), seed, out, "dev ")
 
 
@@ -308,10 +320,15 @@ def _predicted(task: str, truth: dd.Dataset | dd.Table, pred_path: Path):
     if next(rows, None) != ["id", column]:
         raise dd.FormatError(f"unexpected prediction columns in {path}")
     try:  # a row of other than two fields fails to unpack; blank lines are skipped
-        by_id = {int(i): v if segmentation else dd.validate_label(int(v))
-                 for i, v in filter(None, rows)}
+        pairs = [(int(i), v if segmentation else dd.validate_label(int(v)))
+                 for i, v in filter(None, rows)]
     except (ValueError, TypeError) as exc:
         raise dd.FormatError(f"{path}: malformed prediction row ({exc})") from exc
+    by_id = {}
+    for sid, decision in pairs:
+        if sid in by_id:
+            raise dd.FormatError(f"{path}: sample {sid} is listed more than once")
+        by_id[sid] = decision
     if segmentation and any("\0" in stem for stem in by_id.values()):
         raise dd.FormatError(f"{path}: a mask set stem holds a NUL byte")
     for sid in truth.ids.tolist():

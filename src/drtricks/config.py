@@ -23,6 +23,11 @@ class ConfigError(ValueError):
 
 
 TTA_MODES = ("none", "flip", "rotate")
+# [train] settings that one kind of task alone reads: (names, read by
+# segmentation, the rule); another task with a non-default value is an error
+TASK_SETTINGS = ((("augment",), True, "augment applies to segmentation"),
+                 (("alpha", "aux"), True, "alpha and aux apply to segmentation"),
+                 (("hidden", "dropout"), False, "hidden and dropout apply to the ordinal tasks"))
 
 
 def _ini(section: str, default=MISSING, key: Optional[str] = None):
@@ -76,12 +81,10 @@ class RunConfig:
             raise ConfigError("rpl_rounds must be >= 1")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must be in (0, 1)")
-        if self.augment and self.task != "segmentation":
-            raise ConfigError(f"augment applies to segmentation only, not task {self.task!r}")
-        if self.task == "segmentation" and (self.hidden, self.dropout) != (
-                TrainConfig.hidden, TrainConfig.dropout):
-            raise ConfigError("[train] hidden and dropout apply to the ordinal tasks only, "
-                              "not task 'segmentation'")
+        for names, segmentation, rule in TASK_SETTINGS:
+            if (self.task == "segmentation") != segmentation and any(
+                    getattr(self, n) != getattr(TrainConfig, n) for n in names):
+                raise ConfigError(f"[train] {rule} only, not task {self.task!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.metadata["section"] == "data" and value is not None and "\0" in value:

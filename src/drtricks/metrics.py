@@ -1,19 +1,15 @@
-"""Evaluation metrics and report assembly.
+"""Evaluation metrics.
 
 Binary-overlap scores (DSC, IoU), quadratic weighted kappa for ordinal
-agreement, macro one-vs-rest AUC with rank-based tie handling, accuracy,
-and a serializable metrics report.
+agreement, macro one-vs-rest AUC with rank-based tie handling, and accuracy.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import NUM_CLASSES, write_csv
+from .data import NUM_CLASSES
 
 
 class UndefinedKappaError(ValueError):
@@ -142,52 +138,3 @@ def accuracy(preds: Sequence[int], truths: Sequence[int]) -> float:
     if p.size == 0:
         raise MetricError("cannot compute accuracy on empty input")
     return float((p == t).mean())
-
-
-# ---------------------------------------------------------------------------
-# report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Bundle of metric values for one evaluation run.
-
-    ``values`` maps (metric, class) to a float; class is "" for aggregate
-    metrics and a channel/class name for per-class breakdowns.
-    """
-
-    task: str
-    values: dict[tuple[str, str], float]
-    seed: int
-    config_digest: str
-
-    def __post_init__(self) -> None:
-        for (metric, cls), v in self.values.items():
-            if not np.isfinite(v):
-                raise MetricError(f"non-finite value for {metric}/{cls}")
-
-    def rows(self) -> list[list]:
-        return [
-            [self.task, metric, cls, repr(float(v)), self.seed, self.config_digest]
-            for (metric, cls), v in sorted(self.values.items())
-        ]
-
-
-REPORT_COLUMNS = ["task", "metric", "class", "value", "seed", "config_digest"]
-
-
-def write_report_csv(path: Path | str, report: MetricsReport) -> None:
-    write_csv(path, REPORT_COLUMNS, report.rows())
-
-
-def write_report_json(path: Path | str, report: MetricsReport) -> None:
-    payload = {
-        "task": report.task,
-        "seed": report.seed,
-        "config_digest": report.config_digest,
-        "metrics": [
-            {"metric": m, "class": c, "value": float(v)}
-            for (m, c), v in sorted(report.values.items())
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")

@@ -25,6 +25,8 @@ from drtricks.data import (
     Sample,
     gen_ordinal_dataset,
     gen_seg_dataset,
+    write_mask_set,
+    write_pgm,
     write_seg_dataset,
 )
 from drtricks.models import MLP, derive_seed, save_checkpoint
@@ -47,7 +49,7 @@ batch_size = 16
 {train_extra}
 [pipeline]
 ensemble_k = {k}
-rpl_rounds = 3
+rpl_rounds = {rpl_rounds}
 {extra}"""
 
 
@@ -58,6 +60,7 @@ def write_config(tmp_path, **kw):
     kw.setdefault("model", tmp_path / "model" / "model.ckpt")
     kw.setdefault("predictions", tmp_path / "preds" / "predictions.csv")
     kw.setdefault("k", 1)
+    kw.setdefault("rpl_rounds", 3)
     kw.setdefault("task", "grading")
     kw.setdefault("extra", "")
     kw.setdefault("lr", "2e-3")
@@ -130,27 +133,27 @@ class TestConfig:
 
     def test_every_field_set_from_ini_reads_back(self, tmp_path):
         """Two configs, one segmentation and one ordinal, set every field to a
-        non-default value: ``augment`` applies to segmentation only, and
-        ``hidden`` and ``dropout`` to the ordinal tasks only."""
+        non-default value: ``alpha``, ``aux`` and ``augment`` apply to
+        segmentation only, and ``hidden`` and ``dropout`` to the ordinal tasks only."""
         template = (
             "[run]\ntask = {task}\n"
             "[data]\ntrain = t.csv\ndev = d.csv\nunlabeled = u.csv\nmodel = m.ckpt\n"
             "predictions = p.csv\n"
             "[synth]\ndim = 5\nnoise = 0.25\nsize = 48\nn_labeled = 30\nn_unlabeled = 70\n"
             "n_dev = 4\nsplit_ratio = 0.6\n"
-            "[train]\nlr = 0.01\nweight_decay = 0.5\nbatch_size = 3\nepochs = 9\n"
-            "alpha = 0.75\naux = focal\n{task_keys}"
+            "[train]\nlr = 0.01\nweight_decay = 0.5\nbatch_size = 3\nepochs = 9\n{task_keys}"
             "[pipeline]\nensemble_k = 3\nrpl_rounds = 2\ntta = rotate\npostprocess = true\n")
         shared = dict(
             train_path="t.csv", dev_path="d.csv",
             unlabeled_path="u.csv", model_path="m.ckpt", predictions_path="p.csv",
             dim=5, noise=0.25, size=48, n_labeled=30, n_unlabeled=70, n_dev=4,
             split_ratio=0.6, lr=0.01, weight_decay=0.5, batch_size=3, epochs=9,
-            alpha=0.75, aux="focal", ensemble_k=3, rpl_rounds=2, tta="rotate", postprocess=True)
+            ensemble_k=3, rpl_rounds=2, tta="rotate", postprocess=True)
         defaults = {f.name: f.default for f in fields(RunConfig)}
         read_back = set()
         for task, task_keys, task_fields in (
-                ("segmentation", "augment = true\n", dict(augment=True)),
+                ("segmentation", "alpha = 0.75\naux = focal\naugment = true\n",
+                 dict(alpha=0.75, aux="focal", augment=True)),
                 ("grading", "hidden = 7\ndropout = 0.1\n", dict(hidden=7, dropout=0.1))):
             p = tmp_path / f"{task}.ini"
             p.write_text(template.format(task=task, task_keys=task_keys))
@@ -171,6 +174,17 @@ class TestConfig:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "augment applies to segmentation only" in err
+
+    @pytest.mark.parametrize("setting", ["alpha = 7", "aux = focal", "alpha = 7\naux = focal"],
+                             ids=["alpha", "aux", "both"])
+    @pytest.mark.parametrize("task", ["grading", "quality"])
+    def test_alpha_and_aux_rejected_for_ordinal_tasks(self, tmp_path, capsys, task, setting):
+        p = tmp_path / "ordinal.ini"
+        p.write_text(f"[run]\ntask = {task}\n[train]\n{setting}\n")
+        assert main(["train", "--config", str(p), "--seed", "0",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: [train] alpha and aux apply to segmentation "
+                                           f"only, not task {task!r}\n")
 
     @pytest.mark.parametrize("setting", ["hidden = 8", "dropout = 0.1"], ids=["hidden", "dropout"])
     def test_hidden_and_dropout_rejected_for_segmentation(self, tmp_path, capsys, setting):
@@ -606,19 +620,64 @@ def _unlabeled_dev(ws: Path) -> dict:
             **_predictions(ws, ("id,prediction\n" + "".join(f"{i},0\n" for i in ids)).encode())}
 
 
+def _dev_ids(ws: Path) -> list[str]:
+    lines = (ws / "dev" / "data.csv").read_text().splitlines()[1:]
+    return [line.split(",", 1)[0] for line in lines]
+
+
+def _dev_header(ws: Path) -> bytes:
+    """The dev CSV's header line: a training CSV with it is as wide as the dev set."""
+    return (ws / "dev" / "data.csv").read_bytes().split(b"\n", 1)[0] + b"\n"
+
+
+def _unlabeled_training_row(ws: Path) -> dict:
+    """A training CSV of the first dev row with its label left empty."""
+    header, row = (ws / "dev" / "data.csv").read_text().splitlines()[:2]
+    return _train_csv(ws, f"{header}\n{row.rsplit(',', 1)[0]},\n".encode())
+
+
 def _wide_predictions(ws: Path) -> dict:
     """A prediction for every dev sample, each row with a third field."""
-    ids = [line.split(",", 1)[0] for line in (ws / "dev" / "data.csv").read_text().splitlines()[1:]]
-    return _predictions(ws, ("id,prediction\n" + "".join(f"{i},1,7\n" for i in ids)).encode())
+    return _predictions(ws, ("id,prediction\n" + "".join(f"{i},1,7\n" for i in _dev_ids(ws)))
+                        .encode())
+
+
+def _predictions_listing_an_id_twice(ws: Path) -> dict:
+    """A prediction for every dev sample, then a contradicting one for the first."""
+    ids = _dev_ids(ws)
+    return _predictions(ws, ("id,prediction\n" + "".join(f"{i},0\n" for i in ids)
+                             + f"{ids[0]},2\n").encode())
+
+
+def _segmentation_predictions(ws: Path, rows) -> dict:
+    """A segmentation dev set whose predictions.csv has a row per item of
+    ``rows(truth)``, where ``truth`` lists (id, stem) of the truth mask sets."""
+    dev = _segmentation_dev(ws)["dev"]
+    truth = [(sid, image.removesuffix(".pgm")) for sid, image, _ in
+             (line.split(",") for line in (dev / "index.csv").read_text().splitlines()[1:])]
+    (dev / "predictions.csv").write_text(
+        "id,stem\n" + "".join(",".join(row) + "\n" for row in rows(truth)))
+    return {"task": "segmentation", "dev": dev, "predictions": dev}
 
 
 def _wide_segmentation_predictions(ws: Path) -> dict:
     """Predictions naming the truth mask sets, each row with a third field."""
+    return _segmentation_predictions(ws, lambda truth: [(*row, "7") for row in truth])
+
+
+def _segmentation_predictions_listing_an_id_twice(ws: Path) -> dict:
+    """Predictions naming the truth mask sets, then the first id with the second's."""
+    return _segmentation_predictions(ws, lambda truth: [*truth, (truth[0][0], truth[1][1])])
+
+
+def _segmentation_predictions_of_another_size(ws: Path) -> dict:
+    """Empty predicted mask sets for the 32x32 dev images, the first 33x32."""
     dev = _segmentation_dev(ws)["dev"]
-    rows = [line.split(",") for line in (dev / "index.csv").read_text().splitlines()[1:]]
-    (dev / "predictions.csv").write_text("id,stem\n" + "".join(
-        f"{sid},{image.removesuffix('.pgm')},7\n" for sid, image, _ in rows))
-    return {"task": "segmentation", "dev": dev, "predictions": dev}
+    (ws / "bigpreds").mkdir()
+    for sid, rows in ((0, 33), (1, 32)):
+        write_mask_set(ws / "bigpreds" / f"pred_{sid}", MaskSet(np.zeros((3, rows, 32), np.uint8)))
+    (ws / "bigpreds" / "predictions.csv").write_text("id,stem\n0,pred_0\n1,pred_1\n")
+    return {"task": "segmentation", "dev": dev, "predictions": ws / "bigpreds"}
 
 
 def _unlabeled_segmentation_dev(ws: Path) -> dict:
@@ -632,6 +691,12 @@ def _unlabeled_segmentation_dev(ws: Path) -> dict:
     (dev / "predictions.csv").write_text("id,stem\n" + "".join(
         f"{sid},{image.removesuffix('.pgm')}\n" for sid, image, _ in rows[1:]))
     return {"task": "segmentation", "train": train, "dev": dev, "predictions": dev}
+
+
+def _unmasked_segmentation_train(ws: Path) -> dict:
+    """Training images of which the first has no mask set; a labeled dev set."""
+    case = _unlabeled_segmentation_dev(ws)
+    return {**case, "train": case["dev"], "dev": case["train"]}
 
 
 def _empty_segmentation_dev(ws: Path) -> dict:
@@ -661,13 +726,9 @@ def _index_image_name_too_long(ws: Path) -> dict:
 
 def _nul_segmentation_predictions(ws: Path) -> dict:
     """Predictions naming the truth mask sets, the first stem with a NUL byte in it."""
-    dev = _segmentation_dev(ws)["dev"]
-    rows = [line.split(",") for line in (dev / "index.csv").read_text().splitlines()[1:]]
-    stems = [image.removesuffix(".pgm") for _sid, image, _ in rows]
-    stems[0] = stems[0][:3] + "\0" + stems[0][3:]
-    (dev / "predictions.csv").write_text("id,stem\n" + "".join(
-        f"{sid},{stem}\n" for (sid, _image, _), stem in zip(rows, stems)))
-    return {"task": "segmentation", "dev": dev, "predictions": dev}
+    return _segmentation_predictions(ws, lambda truth: [
+        (sid, stem[:3] + "\0" + stem[3:] if i == 0 else stem)
+        for i, (sid, stem) in enumerate(truth)])
 
 
 def _first_id(path: Path, sid: int) -> dict:
@@ -680,9 +741,15 @@ def _first_id(path: Path, sid: int) -> dict:
 
 
 def _index_id_past_int64(ws: Path) -> dict:
-    seg = _segmentation_dev(ws)["dev"]
-    _first_id(seg / "index.csv", 2**63)
-    return {"task": "segmentation", "train": seg, "dev": seg}
+    case = _segmentation_train(ws)
+    _first_id(case["train"] / "index.csv", 2**63)
+    return case
+
+
+def _mask_channels_of_different_sizes(ws: Path) -> dict:
+    case = _segmentation_train(ws)
+    write_pgm(case["train"] / "sample_00000_np.pgm", np.zeros((33, 32), np.uint8))
+    return case
 
 
 def _five_feature_dev(ws: Path) -> dict:
@@ -695,6 +762,12 @@ def _segmentation_dev(ws: Path) -> dict:
     assert main(["synth", "--task", "segmentation", "--n", "2", "--size", "32",
                  "--seed", "3", "--out", str(ws / "segdev")]) == 0
     return {"task": "segmentation", "dev": ws / "segdev"}
+
+
+def _segmentation_train(ws: Path) -> dict:
+    """Two labeled images, both the training data and the dev set."""
+    case = _segmentation_dev(ws)
+    return {**case, "train": case["dev"]}
 
 
 def _pixel_checkpoint(ws: Path) -> dict:
@@ -718,9 +791,38 @@ BAD_INPUTS = {
     "prediction_not_integer": ("evaluate", lambda ws: _predictions(ws, b"id,prediction\n0,x\n")),
     "prediction_row_with_third_field": ("evaluate", _wide_predictions),
     "segmentation_prediction_row_with_third_field": ("evaluate", _wide_segmentation_predictions),
-    "training_csv_header_only": ("train", lambda ws: _train_csv(ws, b"id,feat_0,label\n")),
+    "prediction_columns_misnamed": (
+        "evaluate", lambda ws: _predictions(ws, b"id,grade\n20000,1\n"),
+        "unexpected prediction columns"),
+    "prediction_missing_for_a_dev_sample": (
+        "evaluate", lambda ws: _predictions(ws, b"id,prediction\n20000,1\n"),
+        "no prediction for sample 20001"),
+    "prediction_listed_twice": ("evaluate", _predictions_listing_an_id_twice,
+                                "bad_preds.csv: sample 20000 is listed more than once"),
+    "segmentation_prediction_listed_twice": (
+        "evaluate", _segmentation_predictions_listing_an_id_twice,
+        "predictions.csv: sample 0 is listed more than once"),
+    "segmentation_predicted_masks_of_another_size": (
+        "evaluate", _segmentation_predictions_of_another_size,
+        "sample 0: predicted masks are 33x32, its ground truth 32x32"),
+    "evaluate_dev_csv_header_only": (
+        "evaluate", lambda ws: {**_dev_csv(ws, _dev_header(ws)),
+                                **_predictions(ws, b"id,prediction\n")},
+        "the dev set holds no samples to score"),
+    # as wide as the dev set, so that no width check comes first
+    "training_csv_header_only": ("train", lambda ws: _train_csv(ws, _dev_header(ws)),
+                                 "training data must be nonempty"),
     "training_csv_header_only_ensemble": (
-        "train", lambda ws: _train_csv(ws, b"id,feat_0,label\n", k=2)),
+        "train", lambda ws: _train_csv(ws, _dev_header(ws), k=2), "training data must be nonempty"),
+    "training_csv_empty_label": ("train", _unlabeled_training_row,
+                                 "training requires labeled samples"),
+    "training_csv_misnamed_feature_columns": (
+        "train", lambda ws: _train_csv(ws, b"id,feat_1,label\n0,0.5,1\n"),
+        "malformed feature columns"),
+    "segmentation_training_image_without_masks": (
+        "train", _unmasked_segmentation_train, "segmentation training requires images with masks"),
+    "mask_channels_of_different_sizes": ("train", _mask_channels_of_different_sizes,
+                                         "mask channel dimensions disagree"),
     # a checkpoint that does not fit the task's data
     "dev_report_narrower_than_model": ("train", _five_feature_dev),
     "rpl_dev_report_narrower_than_model": ("rpl", _five_feature_dev),
@@ -788,7 +890,16 @@ BAD_INPUTS = {
     "lr_inf": ("train", lambda ws: {"lr": "inf"}),
     "weight_decay_minus_1": ("train", lambda ws: {"train_extra": "weight_decay = -1\n"}),
     "weight_decay_inf": ("train", lambda ws: {"train_extra": "weight_decay = inf\n"}),
-    "alpha_nan": ("train", lambda ws: {"train_extra": "alpha = nan\n"}),
+    "alpha_nan": ("train", lambda ws: {**_segmentation_train(ws), "train_extra": "alpha = nan\n"},
+                  "alpha must be non-negative and finite"),
+    # config values outside their range
+    "config_task_bogus": ("train", lambda ws: {"task": "bogus"}, "unknown task 'bogus'"),
+    "ensemble_k_0": ("train", lambda ws: {"k": 0}, "ensemble_k must be >= 1"),
+    "rpl_rounds_0": ("rpl", lambda ws: {"rpl_rounds": 0}, "rpl_rounds must be >= 1"),
+    "split_ratio_1": ("ablate", lambda ws: {"extra": "[synth]\nsplit_ratio = 1\n"},
+                      "split_ratio must be in (0, 1)"),
+    "postprocess_maybe": ("predict", lambda ws: {"extra": "postprocess = maybe\n"},
+                          "postprocess: expected a boolean"),
 }
 
 

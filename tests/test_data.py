@@ -392,6 +392,12 @@ class TestIO:
         assert masks.channels[0, 0, 1] == 0
         assert masks.channels[0, 0, 2] == 1
 
+    def test_pgm_header_comment_lines_are_skipped(self, tmp_path):
+        arr = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        (tmp_path / "c.pgm").write_bytes(b"P5\n# made by hand\n4 3\n# maxval next\n255\n"
+                                         + arr.tobytes())
+        np.testing.assert_array_equal(read_pgm(tmp_path / "c.pgm"), arr)
+
     def test_pgm_rejects_bad_maxval(self, tmp_path):
         (tmp_path / "b.pgm").write_bytes(b"P5\n4 4\n65535\n" + bytes(16))
         with pytest.raises(FormatError):

@@ -1,0 +1,152 @@
+"""Metamorphic relations of the commands: how an output must move, or stay,
+when the input moves in a way that should not matter.
+
+Each relation is exact (byte equality, or equal decisions per id), so none
+needs an oracle for the right answer.
+"""
+import csv
+import json
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from drtricks.cli import main
+
+CONFIG = """\
+[run]
+task = {task}
+
+[data]
+{data}
+[train]
+epochs = {epochs}
+lr = {lr}
+batch_size = 16
+
+[pipeline]
+{pipeline}"""
+
+
+def _config(path: Path, task: str, data: dict, epochs: int = 10, lr: str = "2e-3",
+            pipeline: str = "") -> Path:
+    lines = "".join(f"{key} = {value}\n" for key, value in data.items())
+    path.write_text(CONFIG.format(task=task, data=lines, epochs=epochs, lr=lr, pipeline=pipeline))
+    return path
+
+
+def _run(*argv) -> None:
+    assert main([str(a) for a in argv]) == 0
+
+
+def _rewrite_rows(path: Path, edit) -> None:
+    """Rewrite a CSV file as its header followed by ``edit(rows)``."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *edit(rows)])
+
+
+def _rows(path: Path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+@pytest.fixture(scope="module")
+def grading(tmp_path_factory):
+    """60 labeled, 300 pooled and 400 dev grading samples, with disjoint ids."""
+    root = tmp_path_factory.mktemp("grading")
+    for part, n, seed, extra in (("lab", 60, 0, []), ("unl", 300, 1, ["--unlabeled"]),
+                                 ("dev", 400, 2, [])):
+        _run("synth", "--task", "grading", "--n", n, "--seed", seed, "--out", root / part,
+             "--id-offset", 10_000 * seed, *extra)
+    return root
+
+
+@pytest.mark.parametrize("move", ["shuffle", "offset"])
+def test_rpl_ignores_the_order_and_the_ids_of_its_pool(grading, tmp_path, move):
+    """Shuffling the pool's rows, or offsetting its ids by 40000, leaves the
+    checkpoint, the audit log and both dev reports byte-identical."""
+    pool = tmp_path / "pool.csv"
+    shutil.copy(grading / "unl" / "data.csv", pool)
+    if move == "shuffle":
+        _rewrite_rows(pool, lambda rows: [rows[i] for i in
+                                          np.random.default_rng(7).permutation(len(rows))])
+    else:
+        _rewrite_rows(pool, lambda rows: [[str(int(r[0]) + 40_000), *r[1:]] for r in rows])
+    outputs = []
+    for name, unlabeled in (("plain", grading / "unl" / "data.csv"), ("moved", pool)):
+        cfg = _config(tmp_path / f"{name}.ini", "grading",
+                      {"train": grading / "lab" / "data.csv", "dev": grading / "dev" / "data.csv",
+                       "unlabeled": unlabeled}, pipeline="rpl_rounds = 4\n")
+        _run("rpl", "--config", cfg, "--seed", 0, "--out", tmp_path / name)
+        outputs.append({f: (tmp_path / name / f).read_bytes()
+                        for f in ("model.ckpt", "audit.csv", "report.csv", "report.json")})
+    assert outputs[0] == outputs[1]
+
+
+def test_grading_predict_gives_each_id_its_grade_in_any_row_order(grading, tmp_path):
+    data = {"train": grading / "lab" / "data.csv", "model": tmp_path / "model" / "model.ckpt"}
+    _run("train", "--config", _config(tmp_path / "train.ini", "grading", data),
+         "--seed", 0, "--out", tmp_path / "model")
+    shuffled = tmp_path / "shuffled.csv"
+    shutil.copy(grading / "dev" / "data.csv", shuffled)
+    _rewrite_rows(shuffled, lambda rows: [rows[i] for i in
+                                          np.random.default_rng(3).permutation(len(rows))])
+    predictions = []
+    for name, dev in (("plain", grading / "dev" / "data.csv"), ("shuffled", shuffled)):
+        cfg = _config(tmp_path / f"{name}.ini", "grading", {**data, "dev": dev})
+        _run("predict", "--config", cfg, "--seed", 0, "--out", tmp_path / name)
+        rows = _rows(tmp_path / name / "predictions.csv")
+        assert [r[0] for r in rows] == [r[0] for r in _rows(dev)]  # in the input's order
+        predictions.append(dict(rows))
+    assert len(predictions[0]) == 400 and len(set(predictions[0].values())) == 3
+    assert predictions[0] == predictions[1]
+
+
+@pytest.fixture(scope="module")
+def segmentation(tmp_path_factory):
+    """A 2-member ensemble trained on four 32x32 images, and three dev images."""
+    root = tmp_path_factory.mktemp("segmentation")
+    for part, n, seed in (("seg", 4, 0), ("dev", 3, 1)):
+        _run("synth", "--task", "segmentation", "--n", n, "--size", 32, "--seed", seed,
+             "--out", root / part, "--id-offset", 100 * seed)
+    cfg = _config(root / "train.ini", "segmentation", {"train": root / "seg"}, epochs=3,
+                  lr="0.2", pipeline="ensemble_k = 2\n")
+    _run("train", "--config", cfg, "--seed", 0, "--out", root / "model")
+    return root
+
+
+def test_segmentation_predict_writes_each_id_the_same_masks_in_any_row_order(segmentation,
+                                                                             tmp_path):
+    reversed_dev = tmp_path / "reversed"
+    shutil.copytree(segmentation / "dev", reversed_dev)
+    _rewrite_rows(reversed_dev / "index.csv", lambda rows: rows[::-1])
+    trees = []
+    for name, dev in (("plain", segmentation / "dev"), ("reversed", reversed_dev)):
+        cfg = _config(tmp_path / f"{name}.ini", "segmentation",
+                      {"dev": dev, "model": segmentation / "model"},
+                      pipeline="tta = rotate\npostprocess = true\n")
+        _run("predict", "--config", cfg, "--seed", 0, "--out", tmp_path / name)
+        trees.append({p.name: p.read_bytes() for p in (tmp_path / name).glob("pred_*.pgm")})
+    assert len(trees[0]) == 3 * 3 and trees[0] == trees[1]
+    assert _rows(tmp_path / "reversed" / "predictions.csv") == \
+        _rows(tmp_path / "plain" / "predictions.csv")[::-1]
+
+
+def test_evaluate_of_the_ground_truth_scores_one(segmentation, tmp_path, capsys):
+    """The dev set's own mask sets, named as predictions, give DSC and IoU 1."""
+    rows = _rows(segmentation / "dev" / "index.csv")
+    with open(tmp_path / "predictions.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["id", "stem"],
+                                  *([sid, image.removesuffix(".pgm")] for sid, image, _ in rows)])
+    shutil.copytree(segmentation / "dev", tmp_path, dirs_exist_ok=True)
+    cfg = _config(tmp_path / "eval.ini", "segmentation",
+                  {"dev": segmentation / "dev", "predictions": tmp_path})
+    capsys.readouterr()
+    _run("evaluate", "--config", cfg, "--seed", 0, "--out", tmp_path / "eval")
+    assert capsys.readouterr().out == "mean_dsc: 1.0000\nmean_iou: 1.0000\n"
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    assert [(m["metric"], m["value"]) for m in report["metrics"]] == [("mean_dsc", 1.0),
+                                                                       ("mean_iou", 1.0)]

@@ -1,5 +1,6 @@
-"""Overlap scores, kappa, AUC, accuracy, and report serialization."""
+"""Overlap scores, kappa, AUC, accuracy, and the report files."""
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drtricks import cli
+from drtricks.config import RunConfig
 from drtricks.metrics import (
     MetricError,
-    MetricsReport,
     UndefinedKappaError,
     _average_ranks,
     accuracy,
@@ -23,8 +25,6 @@ from drtricks.metrics import (
     mean_dsc,
     mean_iou,
     qwk,
-    write_report_csv,
-    write_report_json,
 )
 
 
@@ -217,30 +217,37 @@ class TestAccuracy:
 
 
 class TestReport:
-    def make(self):
-        return MetricsReport("grading", {("qwk", ""): 0.75, ("dsc", "np"): 0.5},
-                             seed=3, config_digest="abc123")
+    """``cli._write_report`` writes one row per metric to report.csv and report.json."""
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(MetricError):
-            MetricsReport("grading", {("qwk", ""): float("nan")}, 0, "x")
+    CFG = RunConfig(task="grading")
 
-    def test_csv_roundtrip(self, tmp_path):
-        report = self.make()
-        write_report_csv(tmp_path / "r.csv", report)
-        with open(tmp_path / "r.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2
-        by_metric = {(r["metric"], r["class"]): r for r in rows}
-        assert float(by_metric[("qwk", "")]["value"]) == 0.75
-        assert by_metric[("dsc", "np")]["config_digest"] == "abc123"
-        assert by_metric[("qwk", "")]["seed"] == "3"
+    def write(self, tmp_path, values):
+        cli._write_report(self.CFG, values, 3, tmp_path, "dev ")
+
+    def test_non_finite_rejected(self, tmp_path):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(MetricError, match="qwk"):
+                self.write(tmp_path, {"accuracy": 0.5, "qwk": bad})
+            assert list(tmp_path.iterdir()) == []  # neither file is written
+
+    def test_csv_roundtrip(self, tmp_path, capsys):
+        self.write(tmp_path, {"qwk": 1 / 3, "accuracy": 0.5})
+        digest = self.CFG.digest()
+        assert (tmp_path / "report.csv").read_bytes() == (
+            "task,metric,class,value,seed,config_digest\r\n"
+            f"grading,accuracy,,0.5,3,{digest}\r\n"
+            f"grading,qwk,,0.3333333333333333,3,{digest}\r\n").encode()
+        assert capsys.readouterr().out == "dev accuracy: 0.5000\ndev qwk: 0.3333\n"
 
     def test_json_mirror(self, tmp_path):
-        import json
-        report = self.make()
-        write_report_json(tmp_path / "r.json", report)
-        payload = json.loads((tmp_path / "r.json").read_text())
-        assert payload["task"] == "grading"
-        values = {(m["metric"], m["class"]): m["value"] for m in payload["metrics"]}
-        assert values[("qwk", "")] == 0.75
+        self.write(tmp_path, {"qwk": 1 / 3, "accuracy": 0.5})
+        text = (tmp_path / "report.json").read_text()
+        payload = json.loads(text)
+        assert list(payload) == ["task", "seed", "config_digest", "metrics"]
+        assert text.endswith("}\n") and text.startswith('{\n  "task": "grading",\n')
+        assert (payload["task"], payload["seed"], payload["config_digest"]) == (
+            "grading", 3, self.CFG.digest())
+        with open(tmp_path / "report.csv", newline="") as fh:
+            rows = [(r["metric"], r["class"], float(r["value"])) for r in csv.DictReader(fh)]
+        assert [(m["metric"], m["class"], m["value"]) for m in payload["metrics"]] == rows
+        assert rows == [("accuracy", "", 0.5), ("qwk", "", 1 / 3)]
