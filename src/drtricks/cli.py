@@ -69,7 +69,7 @@ def _load_dev(cfg: RunConfig, scored: bool = True) -> dd.Dataset | dd.Table:
         raise dd.DataError(f"sample {unlabeled[0]} has no ground truth to score against")
     if cfg.task == "segmentation" and cfg.tta == "rotate":
         for s in dev.samples:
-            h, w = s.image.values.shape
+            h, w = s.image.shape
             if h != w:
                 raise dd.DataError(f"sample {s.id}: rotation TTA needs a square image, "
                                    f"got {h}x{w}")
@@ -140,7 +140,7 @@ def _decisions(cfg: RunConfig, ens: Ensemble, data: dd.Dataset | dd.Table):
     predict = lambda img: ensemble_predict(ens, img)
     tta = {"rotate": tta_rotate_seg, "flip": tta_flip_predict}.get(cfg.tta)
     for s in data.samples:
-        soft = tta(predict, s.image) if tta else np.asarray(predict(s.image.values))
+        soft = tta(predict, s.image) if tta else np.asarray(predict(s.image))
         yield _binarize(soft, cfg.postprocess)
 
 
@@ -433,9 +433,8 @@ def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
     # The +tta and +post arms decide from the same rotation-TTA soft masks.
     decisions = {arm: [] for arm in SEGMENTATION_ARMS}
     for s in dev.samples:
-        v = s.image.values
-        plain = np.asarray(ensemble_predict(ens, v))
-        tta = tta_rotate_seg(lambda img: ensemble_predict(ens, img), v)
+        plain = np.asarray(ensemble_predict(ens, s.image))
+        tta = tta_rotate_seg(lambda img: ensemble_predict(ens, img), s.image)
         for arm, soft, post in (("baseline", segment_soft(single, s.image), False),
                                 ("+ensemble", plain, False), ("+tta", tta, False),
                                 ("+post", tta, True)):

@@ -53,23 +53,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Image:
-    """Grayscale raster with values in [0, 1], at least 8x8."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise DataError(f"image must be 2-D, got shape {v.shape}")
-        if v.shape[0] < 8 or v.shape[1] < 8:
-            raise DataError(f"image must be at least 8x8, got {v.shape}")
-        if not np.isfinite(v).all() or v.min() < 0.0 or v.max() > 1.0:
-            raise DataError("image values must be finite and in [0, 1]")
-        object.__setattr__(self, "values", _frozen(v))
-
-
-@dataclass(frozen=True)
 class MaskSet:
     """Three binary lesion rasters stacked as (3, H, W): IRMA, NP, NV."""
 
@@ -155,17 +138,26 @@ class Table:
 
 @dataclass(frozen=True)
 class Sample:
-    """One segmentation image, with its lesion mask set if it is labeled."""
+    """One segmentation image, stored as a read-only C-ordered float64 raster
+    in [0, 1] of at least 8x8, with its lesion mask set if it is labeled."""
 
     id: int
-    image: Image
+    image: np.ndarray
     masks: Optional[MaskSet] = None
 
     def __post_init__(self) -> None:
+        v = np.asarray(self.image, dtype=np.float64)
+        if v.ndim != 2:
+            raise DataError(f"image must be 2-D, got shape {v.shape}")
+        if v.shape[0] < 8 or v.shape[1] < 8:
+            raise DataError(f"image must be at least 8x8, got {v.shape}")
+        if not np.isfinite(v).all() or v.min() < 0.0 or v.max() > 1.0:
+            raise DataError("image values must be finite and in [0, 1]")
         if not -2**63 <= self.id < 2**63:
             raise DataError(f"sample id {self.id} is outside the 64-bit integer range")
-        if self.masks is not None and self.masks.shape != self.image.values.shape:
+        if self.masks is not None and self.masks.shape != v.shape:
             raise DataError("mask shape does not match image shape")
+        object.__setattr__(self, "image", _frozen(v))
 
 
 @dataclass(frozen=True)
@@ -197,12 +189,12 @@ class Dataset:
 # normalization and splitting
 # ---------------------------------------------------------------------------
 
-def normalize_image(raw: np.ndarray) -> Image:
-    """Map an integer raster with values in [0, 255] to a [0, 1] image."""
+def normalize_image(raw: np.ndarray) -> np.ndarray:
+    """Map an integer raster with values in [0, 255] to a [0, 1] float64 raster."""
     arr = np.asarray(raw)
     if arr.size and (arr.min() < 0 or arr.max() > 255):
         raise DataError("raw pixel values must lie in [0, 255]")
-    return Image(arr.astype(np.float64) / 255.0)
+    return arr.astype(np.float64) / 255.0
 
 
 def largest_remainder_counts(n: int, proportions: Sequence[float]) -> list[int]:
@@ -390,7 +382,7 @@ def gen_seg_dataset(
         samples.append(
             Sample(
                 id=id_offset + i,
-                image=Image(np.clip(img, 0.0, 1.0)),
+                image=np.clip(img, 0.0, 1.0),
                 masks=MaskSet(masks),
             )
         )
@@ -450,11 +442,11 @@ def read_pgm(path: Path | str) -> np.ndarray:
     return np.frombuffer(body, dtype=np.uint8).reshape(height, width)
 
 
-def write_image(path: Path | str, image: Image) -> None:
-    write_pgm(path, np.rint(image.values * 255.0).astype(np.uint8))
+def write_image(path: Path | str, image: np.ndarray) -> None:
+    write_pgm(path, np.rint(image * 255.0).astype(np.uint8))
 
 
-def read_image(path: Path | str) -> Image:
+def read_image(path: Path | str) -> np.ndarray:
     return normalize_image(read_pgm(path))
 
 

@@ -14,7 +14,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .data import Dataset, Image, Table
+from .data import Dataset, Table
 from .models import (MLP, CheckpointError, TrainConfig, TrainingDivergedError, fit,
                      load_checkpoint, save_checkpoint, seg_features, segment_soft)
 
@@ -210,9 +210,8 @@ def ensemble_predict(e: Ensemble, x) -> np.ndarray:
     shared by every member, so each member costs one forward pass.
     """
     if e.members[0].head == "pixel":
-        v = _image_values(x)
-        feats = seg_features(v)
-        predict = lambda m: segment_soft(m, v, feats)
+        feats = seg_features(x)
+        predict = lambda m: segment_soft(m, x, feats)
     else:
         x = np.atleast_2d(x)
         predict = lambda m: m.predict_scalar(x)
@@ -223,17 +222,13 @@ def ensemble_predict(e: Ensemble, x) -> np.ndarray:
     return out
 
 
-def _image_values(x) -> np.ndarray:
-    return x.values if isinstance(x, Image) else np.asarray(x, dtype=np.float64)
-
-
 def tta_flip_predict(predict_fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """Flip TTA for dense predictions (..., H, W): flip, predict, flip back, average.
 
     Branches are {identity, horizontal flip, vertical flip}; each flipped
     branch's prediction is flipped back on the spatial axes before the mean.
     """
-    v = _image_values(x)
+    v = np.asarray(x, dtype=np.float64)
     predict = lambda b: np.asarray(predict_fn(np.ascontiguousarray(b)), dtype=np.float64)
     acc = np.array(predict(v), order="C")  # a copy: never write into predict_fn's array
     acc += predict(v[:, ::-1])[..., :, ::-1]
@@ -248,7 +243,7 @@ def tta_rotate_seg(predict_fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndar
     Angle set {90, 180, 270, 360}; inputs must be square so rotations are
     exact pixel permutations.
     """
-    v = _image_values(x)
+    v = np.asarray(x, dtype=np.float64)
     if v.shape[0] != v.shape[1]:
         raise ValueError("rotation TTA requires a square image")
     acc = None

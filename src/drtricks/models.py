@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .augment import augment
-from .data import NUM_CLASSES, DataError, Dataset, Image, MaskSet, SoftMaskSet, Table
+from .data import NUM_CLASSES, DataError, Dataset, Table
 
 EPS_CLAMP = 1e-7
 DICE_EPS = 1e-6
@@ -253,7 +253,7 @@ def _window_areas(h: int, w: int) -> np.ndarray:
     return areas
 
 
-def seg_features(image: Image | np.ndarray) -> np.ndarray:
+def seg_features(image: np.ndarray) -> np.ndarray:
     """Per-pixel feature stack (H*W, 4): raw value plus box means r=1,2,4.
 
     Each box mean is the exact edge-clipped mean over the (2r+1)^2 window.
@@ -266,7 +266,7 @@ def seg_features(image: Image | np.ndarray) -> np.ndarray:
     ``stride``-th run of W entries is one image row. Ensembles compute this
     once per image and share it across members (see ``ensemble_predict``).
     """
-    v = image.values if isinstance(image, Image) else np.asarray(image, dtype=np.float64)
+    v = np.asarray(image, dtype=np.float64)
     h, w = v.shape
     reach = max(SEG_FEATURE_RADII)
     stride = w + 1 + 2 * reach
@@ -295,15 +295,14 @@ def seg_features(image: Image | np.ndarray) -> np.ndarray:
     return out.reshape(-1, SEG_FEATURE_DIM)
 
 
-def segment_soft(m: MLP, image: Image | np.ndarray,
-                 feats: Optional[np.ndarray] = None) -> np.ndarray:
+def segment_soft(m: MLP, image: np.ndarray, feats: Optional[np.ndarray] = None) -> np.ndarray:
     """Soft lesion prediction for one image: a C-contiguous (3, H, W) array,
     the pixel head's (3, H*W) output reshaped.
 
     ``feats`` are the image's ``seg_features`` when the caller already has
     them: an ensemble computes them once and shares them across its members.
     """
-    v = image.values if isinstance(image, Image) else np.asarray(image, dtype=np.float64)
+    v = np.asarray(image, dtype=np.float64)
     out = m.forward(seg_features(v) if feats is None else feats)
     return out.reshape(NUM_CLASSES, v.shape[0], v.shape[1])
 
@@ -321,8 +320,6 @@ def new_model(task: str, in_dim: int, cfg: TrainConfig) -> MLP:
 # ---------------------------------------------------------------------------
 
 def _chan(x) -> np.ndarray:
-    if isinstance(x, (MaskSet, SoftMaskSet)):
-        return np.asarray(x.channels, dtype=np.float64)
     return np.asarray(x, dtype=np.float64)
 
 
@@ -618,7 +615,7 @@ def _train_segmenter(model, data, cfg, opt, rng) -> None:
                 raise DataError(f"sample {s.id}: {exc}") from None
     # Per image size, allocated once per fit: the step's temporaries and the
     # targets of an augmented draw (its y and wy; see _seg_targets).
-    sizes = {s.image.values.size for s in data.samples}
+    sizes = {s.image.size for s in data.samples}
     buffers = {n: _seg_step_buffers(n) for n in sizes}
     draws = {n: np.empty((2, NUM_CLASSES, n)) for n in sizes} if cfg.augment else None
 
@@ -628,7 +625,7 @@ def _train_segmenter(model, data, cfg, opt, rng) -> None:
             for i in idx:
                 if cfg.augment:
                     s = data.samples[i]
-                    values, channels = augment(s.image.values, s.masks.channels, rng)
+                    values, channels = augment(s.image, s.masks.channels, rng)
                     f = seg_features(values)
                     targets = _seg_targets(channels, draws[len(f)])
                 else:

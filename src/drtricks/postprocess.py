@@ -84,10 +84,10 @@ def grade_postedit(grade: int, masks: MaskSet | np.ndarray) -> int:
     return grade
 
 
-def postprocess_masks(soft: SoftMaskSet | np.ndarray) -> MaskSet:
+def postprocess_masks(soft: np.ndarray) -> MaskSet:
     """Full segmentation post-processing: binarize at 0.5, dilate NP over a
     5 x 5 square, reconcile IRMA/NV."""
-    s = soft.channels if isinstance(soft, SoftMaskSet) else np.asarray(soft, dtype=np.float64)
+    s = np.asarray(soft, dtype=np.float64)
     binary = (s >= 0.5).astype(np.uint8)
     binary[NP] = dilate(binary[NP], 5)
     return reconcile_irma_nv(s, binary)

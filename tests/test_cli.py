@@ -20,7 +20,6 @@ from drtricks.cli import main
 from drtricks.config import ConfigError, RunConfig, load_config
 from drtricks.data import (
     Dataset,
-    Image,
     MaskSet,
     Sample,
     gen_ordinal_dataset,
@@ -1064,7 +1063,7 @@ def test_masks_that_zero_every_class_weight_exit_2(tmp_path, capsys, k):
     masks[:, 0, 0] = 0
     rng = np.random.default_rng(0)
     write_seg_dataset(tmp_path / "seg", Dataset(tuple(
-        Sample(id=i, image=Image(rng.uniform(0, 1, (8, 8))), masks=MaskSet(masks))
+        Sample(id=i, image=rng.uniform(0, 1, (8, 8)), masks=MaskSet(masks))
         for i in range(4))))
     cfg = tmp_path / "seg.ini"
     cfg.write_text(SEG_CONFIG.format(train=tmp_path / "seg", lr=0.2)
@@ -1080,7 +1079,7 @@ def test_masks_that_zero_every_class_weight_exit_2(tmp_path, capsys, k):
 def test_rotation_tta_on_a_non_square_dev_image_exits_2(tmp_path, capsys, command):
     rng = np.random.default_rng(0)
     write_seg_dataset(tmp_path / "dev", Dataset(tuple(
-        Sample(id=50 + i, image=Image(rng.uniform(0, 1, shape)),
+        Sample(id=50 + i, image=rng.uniform(0, 1, shape),
                masks=MaskSet(rng.integers(0, 2, (3, *shape))))
         for i, shape in enumerate([(16, 16), (16, 20), (20, 16)]))))
     assert main(["synth", "--task", "segmentation", "--n", "4", "--size", "32",

@@ -13,7 +13,6 @@ from drtricks.data import (
     DataError,
     Dataset,
     FormatError,
-    Image,
     MaskSet,
     Sample,
     SoftMaskSet,
@@ -50,17 +49,22 @@ def make_tabular(labels, dim=4, id_offset=0, task="grading"):
 
 class TestTypes:
     def test_image_bounds_enforced(self):
-        with pytest.raises(DataError):
-            Image(np.full((8, 8), 1.5))
-        with pytest.raises(DataError):
-            Image(np.full((4, 8), 0.5))  # too small
-        with pytest.raises(DataError):
-            Image(np.full((8,), 0.5))  # not 2-D
+        with pytest.raises(DataError, match="finite and in"):
+            Sample(id=0, image=np.full((8, 8), 1.5))
+        with pytest.raises(DataError, match="finite and in"):
+            Sample(id=0, image=np.full((8, 8), np.nan))
+        with pytest.raises(DataError, match="at least 8x8"):
+            Sample(id=0, image=np.full((4, 8), 0.5))
+        with pytest.raises(DataError, match="must be 2-D"):
+            Sample(id=0, image=np.full((8,), 0.5))
 
     def test_image_values_frozen(self):
-        img = Image(np.zeros((8, 8)))
+        raw = np.zeros((8, 8), dtype=np.uint8)
+        img = Sample(id=0, image=raw).image
+        raw[0, 0] = 1
+        assert img.dtype == np.float64 and img[0, 0] == 0.0
         with pytest.raises(ValueError):
-            img.values[0, 0] = 1.0
+            img[0, 0] = 1.0
 
     def test_mask_set_binary_only(self):
         MaskSet(np.zeros((3, 8, 8), dtype=np.uint8))
@@ -88,9 +92,9 @@ class TestTypes:
         masks = (rng.random((10, 12, 3)) < 0.3).astype(np.uint8)
         for v, m in ((values.T, masks.transpose(2, 1, 0)),
                      (np.asfortranarray(values.T), np.asfortranarray(masks.transpose(2, 1, 0)))):
-            img, ms = Image(v), MaskSet(m)
-            assert img.values.flags.c_contiguous and ms.channels.flags.c_contiguous
-            np.testing.assert_array_equal(img.values, v)
+            img, ms = Sample(id=0, image=v).image, MaskSet(m)
+            assert img.flags.c_contiguous and ms.channels.flags.c_contiguous
+            np.testing.assert_array_equal(img, v)
             np.testing.assert_array_equal(ms.channels, m)
 
     def test_soft_mask_range(self):
@@ -107,7 +111,7 @@ class TestTypes:
     def test_dataset_rejects_duplicate_ids(self):
         with pytest.raises(DataError, match="unique"):
             Table("grading", [1, 1], np.ones((2, 3)), [0, 0])
-        s = Sample(id=1, image=Image(np.zeros((8, 8))))
+        s = Sample(id=1, image=np.zeros((8, 8)))
         with pytest.raises(DataError, match="unique"):
             Dataset((s, s))
 
@@ -134,7 +138,7 @@ class TestTypes:
         with pytest.raises(DataError, match=f"sample id {sid} is outside the 64-bit"):
             Table("grading", [0, sid], np.zeros((2, 2)), [-1, -1])
         with pytest.raises(DataError, match="outside the 64-bit integer range"):
-            Sample(id=sid, image=Image(np.zeros((8, 8))))
+            Sample(id=sid, image=np.zeros((8, 8)))
 
     def test_ids_are_int64_to_the_bounds(self):
         d = Table("grading", [2**63 - 1, -2**63, 3], np.zeros((3, 2)), [-1, -1, -1])
@@ -193,9 +197,9 @@ class TestNormalizeImage:
         raw[0, 0] = 255
         raw[0, 1] = 128
         img = normalize_image(raw)
-        assert img.values[0, 0] == 1.0
-        assert img.values[1, 1] == 0.0
-        assert img.values[0, 1] == pytest.approx(128 / 255)
+        assert img[0, 0] == 1.0
+        assert img[1, 1] == 0.0
+        assert img[0, 1] == pytest.approx(128 / 255)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError):
@@ -304,7 +308,7 @@ class TestSegGenerator:
         a = gen_seg_dataset(5, 32, seed=3)
         b = gen_seg_dataset(5, 32, seed=3)
         for sa, sb in zip(a.samples, b.samples):
-            np.testing.assert_array_equal(sa.image.values, sb.image.values)
+            np.testing.assert_array_equal(sa.image, sb.image)
             np.testing.assert_array_equal(sa.masks.channels, sb.masks.channels)
 
     def test_np_components_larger_than_nv(self):
@@ -333,7 +337,7 @@ class TestSegGenerator:
     def test_values_stay_in_unit_range(self):
         d = gen_seg_dataset(20, 32, seed=8)
         for s in d.samples:
-            assert 0.0 <= s.image.values.min() and s.image.values.max() <= 1.0
+            assert 0.0 <= s.image.min() and s.image.max() <= 1.0
 
     def test_minimum_size_enforced(self):
         with pytest.raises(DataError):
@@ -474,7 +478,7 @@ class TestIO:
         for sa, sb in zip(d.samples, back.samples):
             assert sa.id == sb.id
             # images pass through 8-bit quantization
-            assert np.abs(sa.image.values - sb.image.values).max() <= 0.5 / 255
+            assert np.abs(sa.image - sb.image).max() <= 0.5 / 255
             np.testing.assert_array_equal(sa.masks.channels, sb.masks.channels)
 
     def test_readers_reject_an_id_outside_int64(self, tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_CPUS
-from drtricks.data import DataError, Image, gen_ordinal_dataset, gen_seg_dataset
+from drtricks.data import DataError, gen_ordinal_dataset, gen_seg_dataset
 from drtricks.ensemble import (
     Ensemble,
     EnsembleMemberError,
@@ -357,10 +357,9 @@ class TestEnsemblePredict:
             expected = expected + segment_soft(m, img)
         expected = expected / len(members)
         e = Ensemble(members, tuple(range(5)))
-        for x in (img, Image(img)):
-            out = ensemble_predict(e, x)
-            assert out.shape == (3, 12, 17) and out.flags.c_contiguous
-            assert out.tobytes() == expected.tobytes()
+        out = ensemble_predict(e, img)
+        assert out.shape == (3, 12, 17) and out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_features_computed_once_per_call(self, k, monkeypatch):
@@ -432,11 +431,6 @@ class TestRotateTta:
         with pytest.raises(ValueError):
             tta_rotate_seg(threshold_oracle, np.zeros((8, 10)))
 
-    def test_accepts_image_type(self):
-        img = Image(np.random.default_rng(4).uniform(0, 1, (8, 8)))
-        out = tta_rotate_seg(threshold_oracle, img)
-        np.testing.assert_array_equal(out, threshold_oracle(img.values))
-
     def test_writes_into_no_branch_prediction(self):
         # the segmentation ablate hands back its plain prediction as the identity branch
         img = np.random.default_rng(6).uniform(0, 1, (8, 8))
@@ -473,8 +467,8 @@ class TestManifest:
         assert back.seeds == e.seeds
         img = data.samples[0].image
         np.testing.assert_array_equal(
-            np.asarray(ensemble_predict(e, img.values)),
-            np.asarray(ensemble_predict(back, img.values)),
+            np.asarray(ensemble_predict(e, img)),
+            np.asarray(ensemble_predict(back, img)),
         )
 
     @pytest.mark.parametrize("text", ["{", '{"x": 1}', '{"members": 3}', '{"members": []}',

@@ -12,7 +12,6 @@ from drtricks.augment import augment
 from drtricks.data import (
     DataError,
     Dataset,
-    Image,
     MaskSet,
     Sample,
     Table,
@@ -468,7 +467,7 @@ class TestTraining:
         def layouts(make):
             """The data set rebuilt from rasters in the given memory layout."""
             return Dataset(tuple(
-                Sample(s.id, image=Image(make(s.image.values)),
+                Sample(s.id, image=make(s.image),
                        masks=MaskSet(make(s.masks.channels)))
                 for s in data.samples))
 
@@ -485,9 +484,9 @@ class TestTraining:
 
     def test_nan_image_diverges_at_epoch_0(self):
         data = gen_seg_dataset(4, 32, seed=0)
-        values = data.samples[2].image.values.copy()
+        values = data.samples[2].image.copy()
         values[5, 7] = np.nan
-        object.__setattr__(data.samples[2].image, "values", values)  # past Image's check
+        object.__setattr__(data.samples[2], "image", values)  # past Sample's check
         with pytest.raises(TrainingDivergedError) as exc:
             fit("segmentation", data, TrainConfig(lr=0.2, epochs=3, batch_size=2, seed=0))
         assert exc.value.epoch == 0
@@ -518,7 +517,7 @@ class TestTraining:
         masks = np.ones((3, 8, 8), dtype=np.uint8)
         masks[:, 0, 0] = 0
         rng = np.random.default_rng(0)
-        data = Dataset(tuple(Sample(id=40 + i, image=Image(rng.uniform(0, 1, (8, 8))),
+        data = Dataset(tuple(Sample(id=40 + i, image=rng.uniform(0, 1, (8, 8)),
                                     masks=MaskSet(masks)) for i in range(2)))
         with pytest.raises(DataError, match="^sample 40: all-zero class weights"):
             fit("segmentation", data, TrainConfig(lr=0.2, epochs=1, seed=0))
@@ -621,7 +620,7 @@ def reference_segmenter_fit(data, cfg) -> np.ndarray:
         for idx in _batches(len(data), cfg.batch_size, rng):
             loss_sum, gw_sum, gb_sum = 0.0, np.zeros_like(w), np.zeros_like(b)
             for i in idx:
-                img, masks = data.samples[i].image.values, data.samples[i].masks.channels
+                img, masks = data.samples[i].image, data.samples[i].masks.channels
                 if cfg.augment:
                     img, masks = augment(img, masks, rng)
                 f, y = seg_features(img), masks.astype(np.float64)
