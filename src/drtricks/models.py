@@ -683,10 +683,14 @@ def load_checkpoint(path: Path | str) -> MLP:
     n_params = sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:]))
     if min(dims) < 1 or len(data) != offset + 8 * n_params:
         raise CheckpointError(f"{path}: trailing or missing parameter bytes")
+    head = _HEAD_BY_CODE[head_code]
+    outputs = NUM_CLASSES if head == "pixel" else 1
+    if dims[-1] != outputs:
+        raise CheckpointError(f"{path}: the {head} head has {dims[-1]} outputs; it needs {outputs}")
     theta = np.frombuffer(data, dtype="<f8", offset=offset)
     if not np.isfinite(theta).all():
         raise CheckpointError(f"{path}: non-finite parameters")
-    return _rebuilt(dims, _HEAD_BY_CODE[head_code], dropout, theta)
+    return _rebuilt(dims, head, dropout, theta)
 
 
 def _rebuilt(dims: list[int], head: str, dropout: float, theta: np.ndarray) -> MLP:

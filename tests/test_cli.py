@@ -774,6 +774,16 @@ def _pixel_checkpoint(ws: Path) -> dict:
     return {"model": ws / "pixel.ckpt"}
 
 
+def _head_of(ws: Path, model: MLP, member: bool = False) -> dict:
+    """``model`` saved as the checkpoint to predict with, or as the one member of a manifest."""
+    if not member:
+        save_checkpoint(ws / "head.ckpt", model)
+        return {"model": ws / "head.ckpt"}
+    case = _manifest(ws, '{"members": [{"path": "member_0.ckpt", "seed": 0}]}')
+    save_checkpoint(ws / "ens" / "member_0.ckpt", model)
+    return case
+
+
 # case -> (command, config overrides written by the case[, text the message must hold])
 BAD_INPUTS = {
     "checkpoint_10_bytes": ("predict", lambda ws: _checkpoint(ws, lambda b: b[:10])),
@@ -834,6 +844,16 @@ BAD_INPUTS = {
     "scalar_checkpoint_under_segmentation": (
         "predict", lambda ws: {**_checkpoint(ws, lambda b: b), **_segmentation_dev(ws)}),
     "pixel_checkpoint_under_grading": ("predict", _pixel_checkpoint),
+    # a checkpoint whose output width does not fit its head
+    "pixel_checkpoint_of_2_outputs": (
+        "predict", lambda ws: {**_segmentation_dev(ws), **_head_of(ws, MLP([4, 2], "pixel"))},
+        "the pixel head has 2 outputs; it needs 3"),
+    "scalar_checkpoint_of_2_outputs": (
+        "predict", lambda ws: _head_of(ws, MLP([8, 32, 2], "scalar")),
+        "the scalar head has 2 outputs; it needs 1"),
+    "ensemble_member_of_2_outputs": (
+        "predict", lambda ws: _head_of(ws, MLP([8, 32, 2], "scalar"), member=True),
+        "member_0.ckpt: the scalar head has 2 outputs; it needs 1"),
     "dev_csv_header_only": (
         "predict", lambda ws: {**_checkpoint(ws, lambda b: b), **_dev_csv(ws, b"id,feat_0,label\n")}),
     # a dev sample without ground truth cannot be scored
