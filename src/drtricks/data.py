@@ -410,7 +410,7 @@ def read_pgm(path: Path | str) -> np.ndarray:
     """Read a binary PGM (P5) raster into a uint8 array."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.startswith(b"P5"):
+    if not data.startswith(b"P5") or not (data[2:3].isspace() or data[2:3] == b"#"):
         raise FormatError(f"{path}: not a binary PGM (missing P5 magic)")
     fields: list[bytes] = []
     pos = 2

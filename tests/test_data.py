@@ -423,6 +423,13 @@ class TestIO:
         with pytest.raises(FormatError):
             read_pgm(tmp_path / "w.pgm")
 
+    def test_pgm_magic_must_end_at_whitespace_or_comment(self, tmp_path):
+        (tmp_path / "m.pgm").write_bytes(b"P58 8\n255\n" + bytes(64))
+        with pytest.raises(FormatError, match="missing P5 magic"):
+            read_pgm(tmp_path / "m.pgm")
+        (tmp_path / "c.pgm").write_bytes(b"P5# by hand\n8 8\n255\n" + bytes(64))
+        assert read_pgm(tmp_path / "c.pgm").shape == (8, 8)
+
     def test_csv_roundtrip_bit_exact(self, tmp_path):
         d = gen_ordinal_dataset(40, seed=2)
         write_dataset_csv(tmp_path / "d.csv", d)
