@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from drtricks.cli import main
+from drtricks.data import read_pgm, write_pgm
 
 CONFIG = """\
 [run]
@@ -24,15 +25,16 @@ task = {task}
 epochs = {epochs}
 lr = {lr}
 batch_size = 16
-
+{train}
 [pipeline]
 {pipeline}"""
 
 
 def _config(path: Path, task: str, data: dict, epochs: int = 10, lr: str = "2e-3",
-            pipeline: str = "") -> Path:
+            train: str = "", pipeline: str = "") -> Path:
     lines = "".join(f"{key} = {value}\n" for key, value in data.items())
-    path.write_text(CONFIG.format(task=task, data=lines, epochs=epochs, lr=lr, pipeline=pipeline))
+    path.write_text(CONFIG.format(task=task, data=lines, epochs=epochs, lr=lr, train=train,
+                                  pipeline=pipeline))
     return path
 
 
@@ -46,6 +48,11 @@ def _rewrite_rows(path: Path, edit) -> None:
         header, *rows = list(csv.reader(fh))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([header, *edit(rows)])
+
+
+def _offset_ids(path: Path, offset: int) -> None:
+    """Add ``offset`` to the id in the first column of a CSV file's every row."""
+    _rewrite_rows(path, lambda rows: [[str(int(r[0]) + offset), *r[1:]] for r in rows])
 
 
 def _rows(path: Path) -> list[list[str]]:
@@ -74,7 +81,7 @@ def test_rpl_ignores_the_order_and_the_ids_of_its_pool(grading, tmp_path, move):
         _rewrite_rows(pool, lambda rows: [rows[i] for i in
                                           np.random.default_rng(7).permutation(len(rows))])
     else:
-        _rewrite_rows(pool, lambda rows: [[str(int(r[0]) + 40_000), *r[1:]] for r in rows])
+        _offset_ids(pool, 40_000)
     outputs = []
     for name, unlabeled in (("plain", grading / "unl" / "data.csv"), ("moved", pool)):
         cfg = _config(tmp_path / f"{name}.ini", "grading",
@@ -150,3 +157,69 @@ def test_evaluate_of_the_ground_truth_scores_one(segmentation, tmp_path, capsys)
     report = json.loads((tmp_path / "eval" / "report.json").read_text())
     assert [(m["metric"], m["value"]) for m in report["metrics"]] == [("mean_dsc", 1.0),
                                                                        ("mean_iou", 1.0)]
+
+
+@pytest.mark.parametrize("task", ["grading", "segmentation"])
+def test_train_ignores_the_ids_of_its_data(grading, segmentation, tmp_path, task):
+    """Offsetting every training and dev id by 7000 leaves the manifest, the
+    member checkpoints and the dev report byte-identical. For segmentation
+    the fit augments and the dev report runs rotation TTA, so neither may
+    draw from an id."""
+    if task == "grading":
+        root, table, settings = grading, "data.csv", {}
+        parts = {"train": "lab", "dev": "dev"}
+    else:
+        root, table = segmentation, "index.csv"
+        parts = {"train": "seg", "dev": "dev"}
+        settings = {"epochs": 3, "lr": "0.2", "train": "augment = true\n"}
+    moved = tmp_path / "moved"
+    for part in parts.values():
+        shutil.copytree(root / part, moved / part)
+        _offset_ids(moved / part / table, 7000)
+    outputs = []
+    for name, base in (("plain", root), ("moved", moved)):
+        data = {key: base / part / table if task == "grading" else base / part
+                for key, part in parts.items()}
+        pipeline = "ensemble_k = 2\n" + ("tta = rotate\n" if task == "segmentation" else "")
+        cfg = _config(tmp_path / f"{name}.ini", task, data, pipeline=pipeline, **settings)
+        _run("train", "--config", cfg, "--seed", 0, "--out", tmp_path / name)
+        outputs.append({f: (tmp_path / name / f).read_bytes() for f in (
+            "ensemble.json", "member_0.ckpt", "member_1.ckpt", "report.csv", "report.json")})
+    assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def rotation(tmp_path_factory):
+    """A 2-member ensemble trained on ten 64x64 images, twenty dev images, and
+    the same dev images rotated by 90 degrees."""
+    root = tmp_path_factory.mktemp("rotation")
+    for part, n, seed in (("seg", 10, 0), ("dev", 20, 1)):
+        _run("synth", "--task", "segmentation", "--n", n, "--size", 64, "--seed", seed,
+             "--out", root / part)
+    cfg = _config(root / "train.ini", "segmentation", {"train": root / "seg"}, epochs=20,
+                  lr="0.2", pipeline="ensemble_k = 2\n")
+    _run("train", "--config", cfg, "--seed", 0, "--out", root / "model")
+    shutil.copytree(root / "dev", root / "rotated")
+    for _sid, image, _masks in _rows(root / "dev" / "index.csv"):
+        write_pgm(root / "rotated" / image, np.rot90(read_pgm(root / "dev" / image)))
+    return root
+
+
+@pytest.mark.parametrize("pipeline", ["", "postprocess = true\n",
+                                      "tta = rotate\npostprocess = true\n"],
+                         ids=["plain", "post", "rotate_post"])
+def test_segmentation_predict_rotates_each_mask_with_its_image(rotation, tmp_path, pipeline):
+    """Predicting on the dev images rotated by 90 degrees writes each mask
+    rotated by 90 degrees. The features are box means, so this holds only up to
+    float ties: a summed-area table adds a rotated raster in another order, and
+    the soft masks differ by about 1e-14. So the test pins the number of
+    pixels that differ on this fixed set (0), not a tolerance on soft values."""
+    masks = []
+    for name in ("dev", "rotated"):
+        cfg = _config(tmp_path / f"{name}.ini", "segmentation",
+                      {"dev": rotation / name, "model": rotation / "model"}, pipeline=pipeline)
+        _run("predict", "--config", cfg, "--seed", 0, "--out", tmp_path / name)
+        masks.append({p.name: read_pgm(p) for p in (tmp_path / name).glob("pred_*.pgm")})
+    assert len(masks[0]) == 20 * 3 and masks[0].keys() == masks[1].keys()
+    assert sum(int((np.rot90(m) != masks[1][f]).sum()) for f, m in masks[0].items()) == 0
+    assert sum(m.any() for m in masks[0].values()) == 16  # not vacuous: NP on 16 images
