@@ -13,6 +13,7 @@ record in ``CHANGES.md``.
 """
 import hashlib
 import json
+import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -53,8 +54,6 @@ def test_matrix_outputs_match_the_golden_manifest(tmp_path, cpus):
 
 
 if __name__ == "__main__":
-    import os
-
     os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
     with tempfile.TemporaryDirectory() as tmp:
         MANIFEST.write_text(json.dumps(_digests(Path(tmp)), indent=1, sort_keys=True) + "\n")

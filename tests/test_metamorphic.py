@@ -166,12 +166,12 @@ def test_train_ignores_the_ids_of_its_data(grading, segmentation, tmp_path, task
     the fit augments and the dev report runs rotation TTA, so neither may
     draw from an id."""
     if task == "grading":
-        root, table, settings = grading, "data.csv", {}
-        parts = {"train": "lab", "dev": "dev"}
+        root, parts, table = grading, {"train": "lab", "dev": "dev"}, "data.csv"
+        settings = {"pipeline": "ensemble_k = 2\n"}
     else:
-        root, table = segmentation, "index.csv"
-        parts = {"train": "seg", "dev": "dev"}
-        settings = {"epochs": 3, "lr": "0.2", "train": "augment = true\n"}
+        root, parts, table = segmentation, {"train": "seg", "dev": "dev"}, "index.csv"
+        settings = {"epochs": 3, "lr": "0.2", "train": "augment = true\n",
+                    "pipeline": "ensemble_k = 2\ntta = rotate\n"}
     moved = tmp_path / "moved"
     for part in parts.values():
         shutil.copytree(root / part, moved / part)
@@ -180,8 +180,7 @@ def test_train_ignores_the_ids_of_its_data(grading, segmentation, tmp_path, task
     for name, base in (("plain", root), ("moved", moved)):
         data = {key: base / part / table if task == "grading" else base / part
                 for key, part in parts.items()}
-        pipeline = "ensemble_k = 2\n" + ("tta = rotate\n" if task == "segmentation" else "")
-        cfg = _config(tmp_path / f"{name}.ini", task, data, pipeline=pipeline, **settings)
+        cfg = _config(tmp_path / f"{name}.ini", task, data, **settings)
         _run("train", "--config", cfg, "--seed", 0, "--out", tmp_path / name)
         outputs.append({f: (tmp_path / name / f).read_bytes() for f in (
             "ensemble.json", "member_0.ckpt", "member_1.ckpt", "report.csv", "report.json")})
