@@ -22,7 +22,7 @@ from . import data as dd
 from .config import ConfigError, RunConfig, load_config
 from .ensemble import (Ensemble, EnsembleMemberError, ensemble_predict,
                        load_ensemble, map_members, save_ensemble, train_deep_ensemble,
-                       tta_flip_predict, tta_rotate_seg)
+                       tta_rotate_seg)
 from .metrics import (MetricError, UndefinedKappaError, accuracy, confusion_matrix,
                       mean_dsc, mean_iou, qwk)
 from .models import (SEG_FEATURE_DIM, CheckpointError, TrainingDivergedError,
@@ -138,9 +138,9 @@ def _decisions(cfg: RunConfig, ens: Ensemble, data: dd.Dataset | dd.Table):
         yield from _grades(ensemble_predict(ens, data.features), cfg.task, cfg.postprocess)
         return
     predict = lambda img: ensemble_predict(ens, img)
-    tta = {"rotate": tta_rotate_seg, "flip": tta_flip_predict}.get(cfg.tta)
     for s in data.samples:
-        soft = tta(predict, s.image) if tta else np.asarray(predict(s.image))
+        soft = (tta_rotate_seg(predict, s.image) if cfg.tta == "rotate"
+                else np.asarray(predict(s.image)))
         yield _binarize(soft, cfg.postprocess)
 
 

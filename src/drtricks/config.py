@@ -22,7 +22,7 @@ class ConfigError(ValueError):
     pass
 
 
-TTA_MODES = ("none", "flip", "rotate")
+TTA_MODES = ("none", "rotate")
 # [train] settings that one kind of task alone reads: (names, read by
 # segmentation, the rule); another task with a non-default value is an error
 TASK_SETTINGS = ((("augment",), True, "augment applies to segmentation"),

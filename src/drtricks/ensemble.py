@@ -222,21 +222,6 @@ def ensemble_predict(e: Ensemble, x) -> np.ndarray:
     return out
 
 
-def tta_flip_predict(predict_fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
-    """Flip TTA for dense predictions (..., H, W): flip, predict, flip back, average.
-
-    Branches are {identity, horizontal flip, vertical flip}; each flipped
-    branch's prediction is flipped back on the spatial axes before the mean.
-    """
-    v = np.asarray(x, dtype=np.float64)
-    predict = lambda b: np.asarray(predict_fn(np.ascontiguousarray(b)), dtype=np.float64)
-    acc = np.array(predict(v), order="C")  # a copy: never write into predict_fn's array
-    acc += predict(v[:, ::-1])[..., :, ::-1]
-    acc += predict(v[::-1, :])[..., ::-1, :]
-    acc /= 3
-    return acc
-
-
 def tta_rotate_seg(predict_fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """Rotation TTA for soft masks: rotate, predict, inverse-rotate, average.
 

@@ -142,16 +142,16 @@ class MLP:
     # -- forward ------------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self._forward_cached(x)
+        out, _ = self._forward_cached(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         return out
 
-    def _forward_cached(self, x, keeps=None):
-        """Output and backward cache; ``keeps`` holds one dropout mask per
-        hidden layer (see ``_dropout_masks``), or is None for no dropout.
+    def _forward_cached(self, x: np.ndarray, keeps=None):
+        """Output and backward cache for ``x``, a 2-D float64 array (``forward``
+        converts other inputs); ``keeps`` holds one dropout mask per hidden
+        layer (see ``_dropout_masks``), or is None for no dropout.
 
         The masks are drawn by the trainer, never here.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         acts = [x]
         h = x
         for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
@@ -458,7 +458,8 @@ def train(model: MLP, data: Dataset | Table, cfg: TrainConfig) -> MLP:
 
     With ``cfg.augment`` the segmenter trains on one ``augment`` draw per
     image per epoch. Raises TrainingDivergedError at the first
-    mini-batch with a non-finite loss (the regressor) or a non-finite
+    mini-batch with a non-finite loss (the regressor, whose step computes
+    the loss only when it may not be finite) or a non-finite
     gradient (the segmenter, whose step computes no loss value; an image
     holding a NaN fails at epoch 0), and, for the segmenter,
     FloatingPointError on overflow.
@@ -486,6 +487,12 @@ def train(model: MLP, data: Dataset | Table, cfg: TrainConfig) -> MLP:
 
 
 def _train_scalar(model, feats, labels, cfg, opt, rng) -> None:
+    """A step takes the gradient of ``smooth_l1`` from the residuals
+    ``d = out - y``, with its bits, and no loss value. A finite ``d @ d``
+    bounds every |d| by 1.4e154, so the loss, a sum of terms of at most |d|,
+    is finite. Any other batch, one with a NaN too, computes the loss and
+    raises where a step computing every loss would.
+    """
     n, size = len(labels), cfg.batch_size
     starts = range(0, n, size)
     sizes = [min(size, n - start) for start in starts]
@@ -500,10 +507,16 @@ def _train_scalar(model, feats, labels, cfg, opt, rng) -> None:
         for b, start in enumerate(starts):
             out, cache = model._forward_cached(x[start : start + size],
                                                None if masks is None else masks[b])
-            loss, grad_out = smooth_l1(out, y[start : start + size])
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch)
-            opt.step(model.backward(cache, grad_out[:, None]))
+            d = out - y[start : start + size]
+            if math.isfinite(d @ d):
+                # smooth_l1's where(|d| < 1, d, sign d) / rows, bit for bit
+                d.clip(-1.0, 1.0, out=d)
+                d /= sizes[b]
+            else:
+                loss, d = smooth_l1(out, y[start : start + size])
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(epoch)
+            opt.step(model.backward(cache, d[:, None]))
     # The last step can overflow after the last finite loss.
     if not np.isfinite(model.theta).all():
         raise TrainingDivergedError(cfg.epochs - 1, "non-finite parameters")

@@ -1,4 +1,4 @@
-"""Deep ensembles, member training over worker processes, flip/rotation TTA,
+"""Deep ensembles, member training over worker processes, rotation TTA,
 and ensemble manifests."""
 import hashlib
 import os
@@ -18,7 +18,6 @@ from drtricks.ensemble import (
     load_ensemble,
     map_members,
     save_ensemble,
-    tta_flip_predict,
     tta_rotate_seg,
     train_deep_ensemble,
 )
@@ -378,41 +377,6 @@ class TestEnsemblePredict:
         assert len(calls) == 1
         tta_rotate_seg(lambda v: ensemble_predict(e, v), img)
         assert len(calls) == 1 + 4
-
-
-class TestFlipTta:
-    def test_constant_model_unchanged(self):
-        predict = lambda img: threshold_oracle(np.full_like(img, 0.5))
-        img = np.random.default_rng(0).uniform(0, 1, (12, 12))
-        out = tta_flip_predict(predict, img)
-        np.testing.assert_allclose(out, threshold_oracle(np.full((12, 12), 0.5)))
-
-    def test_mean_pixel_model_is_flip_invariant(self):
-        predict = lambda img: np.full((3, *img.shape), img.mean())
-        img = np.random.default_rng(1).uniform(0, 1, (10, 10))
-        np.testing.assert_allclose(tta_flip_predict(predict, img), predict(img),
-                                   atol=1e-12)
-
-    def test_flip_equivariant_oracle_reproduced_exactly(self):
-        # Dyadic pixel values keep the three-branch mean exact.
-        img = np.random.default_rng(2).integers(0, 65, (8, 12)) / 64.0
-        out = tta_flip_predict(threshold_oracle, img)
-        np.testing.assert_array_equal(out, threshold_oracle(img))
-
-    def test_delta_peak_stays_put(self):
-        img = np.zeros((9, 7))
-        img[2, 5] = 1.0
-        out = tta_flip_predict(threshold_oracle, img)
-        assert np.unravel_index(np.argmax(out[0]), img.shape) == (2, 5)
-
-    def test_writes_into_no_branch_prediction(self):
-        img = np.random.default_rng(5).uniform(0, 1, (8, 12))
-        returned = []
-        predict = lambda v: returned.append(threshold_oracle(v)) or returned[-1]
-        out = tta_flip_predict(predict, img)
-        assert out.flags.c_contiguous
-        assert [r.tobytes() for r in returned] == \
-            [threshold_oracle(v).tobytes() for v in (img, img[:, ::-1], img[::-1, :])]
 
 
 class TestRotateTta:

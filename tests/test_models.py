@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drtricks import models
 from drtricks.augment import augment
 from drtricks.data import (
     DataError,
@@ -156,6 +157,17 @@ class TestForward:
         out = m.forward(x)
         assert out.shape == (3, n) and out.flags.c_contiguous
         assert out.tobytes() == np.ascontiguousarray(expected.T).tobytes()
+
+    def test_forward_converts_its_input(self):
+        m = MLP([3, 5, 1], "scalar", seed=0)
+        rows = np.array([[1, -2, 3], [0, 4, -1]])
+        expected = m._forward_cached(rows.astype(np.float64))[0].tobytes()
+        for x in (rows.tolist(), rows, rows.astype(np.int32)):
+            assert m.forward(x).tobytes() == expected
+            assert m.predict_scalar(x).tobytes() == expected
+        row = m._forward_cached(rows[:1].astype(np.float64))[0].tobytes()
+        for x in (rows[0], rows[0].tolist()):
+            assert m.forward(x).tobytes() == m.predict_scalar(x).tobytes() == row
 
     def test_dropout_disabled_at_inference(self):
         m = MLP([4, 16, 1], "scalar", dropout=0.5, seed=1)
@@ -530,6 +542,43 @@ class TestTraining:
             with pytest.raises(TrainingDivergedError, match="non-finite training loss"):
                 fit("grading", data, TrainConfig(lr=lr, epochs=5, batch_size=16, seed=0))
 
+    @pytest.mark.parametrize("batch_size", [1, 16, 64])
+    @pytest.mark.parametrize("lr", [1e30, 1e200, 1e306])
+    def test_diverging_scalar_fit_raises_where_the_loss_reference_does(self, lr, batch_size):
+        # the step computes a loss only past its overflow bound; it must
+        # still fail at the reference's mini-batch, with its message
+        data = gen_ordinal_dataset(45, seed=3)
+        cfg = TrainConfig(lr=lr, epochs=12, batch_size=batch_size, seed=0)
+        outcomes = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in (lambda: fit("grading", data, cfg), lambda: reference_scalar_fit(data, cfg)):
+                with pytest.raises(TrainingDivergedError) as exc:
+                    run()
+                outcomes.append((exc.value.epoch, str(exc.value)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_batch_past_the_overflow_bound_computes_its_loss(self, monkeypatch):
+        # one row's features are 1e160: the residual of each batch holding it
+        # squares past the float64 range, but its loss is finite
+        rng = np.random.default_rng(8)
+        feats = rng.normal(size=(45, 8))
+        feats[17] *= 1e160
+        data = Table("grading", range(45), feats, np.arange(45) % 3)
+        cfg = TrainConfig(lr=2e-3, epochs=3, batch_size=16, seed=1)
+        losses = []
+
+        def spy(pred, target):
+            loss, grad = smooth_l1(pred, target)
+            losses.append(loss)
+            return loss, grad
+
+        monkeypatch.setattr(models, "smooth_l1", spy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_scalar_fit(data, cfg)
+            assert fit("grading", data, cfg).theta.tobytes() == expected.tobytes()
+        # the batch holding the row, once per epoch, and no other
+        assert len(losses) == cfg.epochs and all(1e150 < v < np.inf for v in losses)
+
     def test_scalar_fit_whose_last_step_overflows_raises(self):
         # one step: a finite loss, then AdamW's decay overflows every weight
         data = gen_ordinal_dataset(45, seed=3)
@@ -572,8 +621,11 @@ def reference_scalar_fit(data, cfg, model=None, rng=None) -> np.ndarray:
     ``cfg``) and draws from ``rng`` (default: the trainer's seed) one batch
     order per epoch and, with dropout, one mask per step and hidden layer.
     Each layer's gradient is ``acts.T @ g`` and ``g.sum(axis=0)``, and
-    ``PerArrayAdamW`` steps the arrays one by one. Returns the trained
-    parameters in the ``theta`` layout; ``fit`` must match them byte for byte.
+    ``PerArrayAdamW`` steps the arrays one by one. Every step computes
+    ``smooth_l1``'s loss and raises TrainingDivergedError at the first
+    non-finite one, and after the last step on non-finite parameters.
+    Returns the trained parameters in the ``theta`` layout; ``fit`` must
+    match them byte for byte, and raise where this raises.
     """
     model = new_model(data.task, data.features.shape[1], cfg) if model is None else model
     ws = [w.copy() for w in model.weights]
@@ -583,7 +635,7 @@ def reference_scalar_fit(data, cfg, model=None, rng=None) -> np.ndarray:
     p = model.dropout
     feats = data.features
     labels = data.labels.astype(np.float64)
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         for idx in _batches(len(data), cfg.batch_size, rng):
             acts, keeps = [feats[idx]], []
             for w, b in zip(ws[:-1], bs[:-1]):
@@ -592,7 +644,10 @@ def reference_scalar_fit(data, cfg, model=None, rng=None) -> np.ndarray:
                              (rng.random(h.shape) >= p) / (1.0 - p))
                 acts.append(h * keeps[-1])
             out = (acts[-1] @ ws[-1] + bs[-1])[:, 0]
-            g = smooth_l1(out, labels[idx])[1][:, None]
+            loss, g = smooth_l1(out, labels[idx])
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch)
+            g = g[:, None]
             grads_w, grads_b = [None] * len(ws), [None] * len(bs)
             for i in range(len(ws) - 1, -1, -1):
                 grads_w[i] = acts[i].T @ g
@@ -600,7 +655,10 @@ def reference_scalar_fit(data, cfg, model=None, rng=None) -> np.ndarray:
                 if i > 0:
                     g = g @ ws[i].T * keeps[i - 1] * (acts[i] > 0.0)
             opt.step(grads_w + grads_b)
-    return flat_parameters(ws, bs)
+    theta = flat_parameters(ws, bs)
+    if not np.isfinite(theta).all():
+        raise TrainingDivergedError(cfg.epochs - 1, "non-finite parameters")
+    return theta
 
 
 def reference_segmenter_fit(data, cfg) -> np.ndarray:

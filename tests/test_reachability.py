@@ -118,7 +118,7 @@ def _matrix(tmp: Path) -> list[tuple[list[str], int]]:
         cmd("train", "g2", "grading", tab, pipeline="ensemble_k = 2\n"),
         cmd("rpl", "grpl", "grading", tab, pipeline="rpl_rounds = 2\n"),
         cmd("predict", "gp1", "grading", {"dev": dev, "model": tmp / "g1" / "model.ckpt"},
-            pipeline="tta = flip\n"),
+            pipeline="tta = rotate\n"),
         cmd("predict", "gp2", "grading", {"dev": dev, "model": tmp / "g2"}),
         cmd("evaluate", "ge", "grading",
             {"dev": dev, "predictions": tmp / "gp1" / "predictions.csv"}),
@@ -129,7 +129,7 @@ def _matrix(tmp: Path) -> list[tuple[list[str], int]]:
         cmd("train", "s2", "segmentation", segs, "lr = 0.2\n",
             "ensemble_k = 2\ntta = rotate\npostprocess = true\n"),
         cmd("predict", "sp1", "segmentation", {"dev": segdev, "model": tmp / "s1" / "model.ckpt"},
-            pipeline="tta = flip\n"),
+            pipeline="tta = none\n"),
         cmd("predict", "sp2", "segmentation",
             {"dev": segdev, "model": tmp / "s2" / "ensemble.json"},
             pipeline="tta = rotate\npostprocess = true\n"),
