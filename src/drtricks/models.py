@@ -489,7 +489,7 @@ def train(model: MLP, data: Dataset | Table, cfg: TrainConfig) -> MLP:
 def _train_scalar(model, feats, labels, cfg, opt, rng) -> None:
     """A step takes the gradient of ``smooth_l1`` from the residuals
     ``d = out - y``, with its bits, and no loss value. A finite ``d @ d``
-    bounds every |d| by 1.4e154, so the loss, a sum of terms of at most |d|,
+    bounds every |d| by 1.34e154, so the loss, a sum of terms of at most |d|,
     is finite. Any other batch, one with a NaN too, computes the loss and
     raises where a step computing every loss would.
     """
@@ -508,14 +508,12 @@ def _train_scalar(model, feats, labels, cfg, opt, rng) -> None:
             out, cache = model._forward_cached(x[start : start + size],
                                                None if masks is None else masks[b])
             d = out - y[start : start + size]
-            if math.isfinite(d @ d):
-                # smooth_l1's where(|d| < 1, d, sign d) / rows, bit for bit
-                d.clip(-1.0, 1.0, out=d)
-                d /= sizes[b]
-            else:
-                loss, d = smooth_l1(out, y[start : start + size])
-                if not math.isfinite(loss):
-                    raise TrainingDivergedError(epoch)
+            if (not math.isfinite(d @ d)
+                    and not math.isfinite(smooth_l1(out, y[start : start + size])[0])):
+                raise TrainingDivergedError(epoch)
+            # smooth_l1's where(|d| < 1, d, sign d) / rows, bit for bit
+            d.clip(-1.0, 1.0, out=d)
+            d /= sizes[b]
             opt.step(model.backward(cache, d[:, None]))
     # The last step can overflow after the last finite loss.
     if not np.isfinite(model.theta).all():

@@ -534,28 +534,24 @@ class TestTraining:
         with pytest.raises(DataError, match="^sample 40: all-zero class weights"):
             fit("segmentation", data, TrainConfig(lr=0.2, epochs=1, seed=0))
 
-    @pytest.mark.parametrize("lr", [1e30, 1e200])
-    def test_diverging_scalar_fit_raises_without_warnings(self, lr):
-        data = gen_ordinal_dataset(45, seed=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(TrainingDivergedError, match="non-finite training loss"):
-                fit("grading", data, TrainConfig(lr=lr, epochs=5, batch_size=16, seed=0))
-
-    @pytest.mark.parametrize("batch_size", [1, 16, 64])
     @pytest.mark.parametrize("lr", [1e30, 1e200, 1e306])
-    def test_diverging_scalar_fit_raises_where_the_loss_reference_does(self, lr, batch_size):
+    def test_diverging_scalar_fit_raises_without_warnings(self, lr):
         # the step computes a loss only past its overflow bound; it must
-        # still fail at the reference's mini-batch, with its message
+        # still fail at the mini-batch of a reference computing every loss,
+        # with its message
         data = gen_ordinal_dataset(45, seed=3)
-        cfg = TrainConfig(lr=lr, epochs=12, batch_size=batch_size, seed=0)
-        outcomes = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for run in (lambda: fit("grading", data, cfg), lambda: reference_scalar_fit(data, cfg)):
+        for batch_size in (1, 16, 64):
+            cfg = TrainConfig(lr=lr, epochs=12, batch_size=batch_size, seed=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 with pytest.raises(TrainingDivergedError) as exc:
-                    run()
-                outcomes.append((exc.value.epoch, str(exc.value)))
-        assert outcomes[0] == outcomes[1]
+                    fit("grading", data, cfg)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(TrainingDivergedError) as ref:
+                    reference_scalar_fit(data, cfg)
+            assert (exc.value.epoch, str(exc.value)) == (ref.value.epoch, str(ref.value))
+            if batch_size == 16:
+                assert "non-finite training loss" in str(exc.value)
 
     def test_batch_past_the_overflow_bound_computes_its_loss(self, monkeypatch):
         # one row's features are 1e160: the residual of each batch holding it
