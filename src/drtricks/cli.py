@@ -26,8 +26,7 @@ from .ensemble import (Ensemble, EnsembleMemberError, ensemble_predict,
 from .metrics import (MetricError, UndefinedKappaError, accuracy, confusion_matrix,
                       mean_dsc, mean_iou, qwk)
 from .models import (SEG_FEATURE_DIM, CheckpointError, TrainingDivergedError,
-                     derive_seed, fit, load_checkpoint, regressor_class,
-                     save_checkpoint, segment_soft)
+                     derive_seed, fit, load_checkpoint, regressor_class, save_checkpoint)
 from .postprocess import postprocess_masks, quality_decision
 from .ssl import RPLConfig, naive_pl_train, rpl_train
 
@@ -118,30 +117,26 @@ def _pipeline_description(cfg: RunConfig, k: int) -> str:
 # decisions and scores: one path per task, shared by every command
 # ---------------------------------------------------------------------------
 
-def _grades(raw: np.ndarray, task: str, post: bool) -> list[int]:
-    """Grades from raw regressor outputs: quality thresholds under post, else rounding."""
-    if post and task == "quality":
-        return [quality_decision(r) for r in raw]
-    return [int(c) for c in regressor_class(raw)]
-
-
-def _binarize(soft: np.ndarray, post: bool) -> dd.MaskSet:
-    """Mask set from soft masks: full post-processing under post, else 0.5 threshold."""
-    if post:
-        return postprocess_masks(soft)
-    return dd.MaskSet((soft >= 0.5).astype(np.uint8))
-
-
-def _decisions(cfg: RunConfig, ens: Ensemble, data: dd.Dataset | dd.Table):
-    """Yield one decision per sample, in order: a grade, or a mask set per image."""
-    if cfg.task != "segmentation":
-        yield from _grades(ensemble_predict(ens, data.features), cfg.task, cfg.postprocess)
-        return
+def _outputs(task: str, tta: str, ens: Ensemble, data: dd.Dataset | dd.Table):
+    """The ensemble's raw outputs over the feature vectors, or one image at a
+    time its soft masks, under rotation TTA if ``tta`` is ``rotate``."""
+    if task != "segmentation":
+        return ensemble_predict(ens, data.features)
     predict = lambda img: ensemble_predict(ens, img)
-    for s in data.samples:
-        soft = (tta_rotate_seg(predict, s.image) if cfg.tta == "rotate"
-                else np.asarray(predict(s.image)))
-        yield _binarize(soft, cfg.postprocess)
+    return (tta_rotate_seg(predict, s.image) if tta == "rotate" else predict(s.image)
+            for s in data.samples)
+
+
+def _decisions(task: str, post: bool, outputs):
+    """One decision per output, in order. A grade: the quality thresholds
+    under post, else rounding. A mask set: full post-processing under post,
+    else the 0.5 threshold."""
+    if task == "segmentation":
+        return (postprocess_masks(soft) if post else dd.MaskSet((soft >= 0.5).astype(np.uint8))
+                for soft in outputs)
+    if post and task == "quality":
+        return [quality_decision(r) for r in outputs]
+    return [int(c) for c in regressor_class(outputs)]
 
 
 def _score(task: str, truth: dd.Dataset | dd.Table, decisions) -> dict[str, float]:
@@ -271,7 +266,8 @@ def _maybe_dev_report(cfg: RunConfig, ens: Ensemble, dev: dd.Dataset | dd.Table 
                       seed: int, out: Path) -> None:
     if dev is None:
         return
-    _write_report(cfg, _score(cfg.task, dev, _decisions(cfg, ens, dev)), seed, out, "dev ")
+    decisions = _decisions(cfg.task, cfg.postprocess, _outputs(cfg.task, cfg.tta, ens, dev))
+    _write_report(cfg, _score(cfg.task, dev, decisions), seed, out, "dev ")
 
 
 def cmd_predict(args) -> int:
@@ -285,12 +281,13 @@ def cmd_predict(args) -> int:
     if not segmentation and cfg.tta != "none":
         print("note: test-time augmentation has no effect on feature vectors")
     ids = inputs.ids.tolist()
+    decisions = _decisions(cfg.task, cfg.postprocess, _outputs(cfg.task, cfg.tta, ens, inputs))
     if segmentation:  # on two or more CPUs a set is written while the next is computed
         stems = [f"pred_{i:05d}" for i in ids]
-        dd.write_mask_sets(zip((out / stem for stem in stems), _decisions(cfg, ens, inputs)))
+        dd.write_mask_sets(zip((out / stem for stem in stems), decisions))
         rows = zip(ids, stems)
     else:
-        rows = list(zip(ids, _decisions(cfg, ens, inputs)))
+        rows = list(zip(ids, decisions))
     dd.write_csv(out / "predictions.csv", ["id", "stem" if segmentation else "prediction"], rows)
     print(f"wrote predictions for {len(inputs)} samples to {out}")
     return 0
@@ -341,33 +338,60 @@ def _predicted(task: str, truth: dd.Dataset | dd.Table, pred_path: Path):
 # ablation
 # ---------------------------------------------------------------------------
 
-def _map_arms(member, layout: tuple[str, ...], k: int) -> list:
-    """``member(j)`` for the k members of each arm in ``layout``, then for the
-    single ``baseline`` fit at index ``len(layout) * k``, over one ``map_members``.
+# Each arm in row order -> (the arm whose members it scores, tta, postprocess).
+# Feature vectors have no transform to average, and the DR grading rule needs
+# a segmentation model, so on grading +tta and +post decide as +rpl does; on
+# image quality +post applies the operating thresholds.
+TABULAR_TABLE = {"baseline": ("baseline", "none", False),
+                 "+ensemble": ("+ensemble", "none", False),
+                 "+pl": ("+pl", "none", False),
+                 "+rpl": ("+rpl", "none", False),
+                 "+tta": ("+rpl", "rotate", False),
+                 "+post": ("+rpl", "rotate", True)}
+SEGMENTATION_TABLE = {"baseline": ("baseline", "none", False),
+                      "+ensemble": ("+ensemble", "none", False),
+                      "+tta": ("+ensemble", "rotate", False),
+                      "+post": ("+ensemble", "rotate", True)}
 
-    The single fit comes last, so it runs on a core the members leave idle.
-    A member that fails is named by its arm and its index there.
+
+def _ablate(cfg: RunConfig, jobs: list, table: dict, dev) -> dict[str, dict[str, float]]:
+    """One seed's dev scores (``_score``'s) for each arm of ``table``, in its order.
+
+    ``jobs`` lists every fit as ``(arm, train config, trainer)``; one
+    ``map_members`` runs them in that order, and a member that fails is named
+    by its arm and its index there. A trainer looks its function up when it
+    is called, so a wrapper on this module's ``fit``, ``rpl_train`` or
+    ``naive_pl_train`` sees every fit. Each arm is then the ``predict``
+    pipeline under its own tta and postprocess settings, over its members'
+    ensemble; the outputs of each (members, tta) pair are computed once.
     """
     try:
-        return map_members(member, len(layout) * k + 1)
+        fits = map_members(lambda j: jobs[j][2](jobs[j][1]), len(jobs))
     except EnsembleMemberError as exc:
-        arm, i = divmod(exc.index, k)
-        raise EnsembleMemberError(i, exc.args[1],
-                                  layout[arm] if arm < len(layout) else "baseline") from exc
+        arm = jobs[exc.index][0]
+        index = [job[0] for job in jobs[:exc.index]].count(arm)
+        raise EnsembleMemberError(index, exc.args[1], arm) from exc
+
+    def ensemble(arm: str) -> Ensemble:
+        picked = [j for j, job in enumerate(jobs) if job[0] == arm]
+        return Ensemble(tuple(fits[j] for j in picked), tuple(jobs[j][1].seed for j in picked))
+
+    outputs, scores = {}, {}
+    for arm, (whose, tta, post) in table.items():
+        if (whose, tta) not in outputs:
+            outputs[whose, tta] = list(_outputs(cfg.task, tta, ensemble(whose), dev))
+        decisions = _decisions(cfg.task, post, outputs[whose, tta])
+        scores[arm] = _score(cfg.task, dev, decisions)
+    return scores
 
 
-def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
-    """One seed's dev QWK for each incremental arm of the ordinal tasks.
+def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, dict[str, float]]:
+    """One seed's dev QWK and accuracy for each arm of ``TABULAR_TABLE``.
 
-    TTA averages input transforms, none of which exist for plain feature
-    vectors, so the +tta arm passes the +rpl predictions through unchanged.
-    The +post arm applies the quality operating thresholds; for DR grading
-    the mask-guided edit needs a segmentation model, so it is also a
-    pass-through here. The RPL, naive-PL and supervised ensemble members and
-    the single baseline fit are trained by one ``map_members``, in that
-    order: costliest first, since an RPL member fits T + 1 models, a PL
-    member 2 and the others 1, so the workers that take them on demand
-    finish together.
+    The RPL, naive-PL and supervised ensemble members and the single
+    baseline fit are trained in that order: costliest first, since an RPL
+    member fits T + 1 models, a PL member 2 and the others 1, so the
+    workers that take them on demand finish together.
     """
     tcfg = cfg.train_config(seed)
     labeled = dd.gen_ordinal_dataset(cfg.n_labeled, noise=cfg.noise, dim=cfg.dim,
@@ -376,95 +400,53 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
                                        seed=derive_seed(seed, 2), task=cfg.task,
                                        labeled=False, id_offset=cfg.n_labeled)
     train, dev = dd.split_train_dev(labeled, cfg.split_ratio, seed=derive_seed(seed, 3))
-    feats = dev.features
     k = cfg.ensemble_k
-    seeds = {"+rpl": [derive_seed(seed, 30, i) for i in range(k)],
-             "+pl": [derive_seed(seed, 20, i) for i in range(k)],
-             "+ensemble": [derive_seed(seed, 10) + i for i in range(k)]}
-    layout = tuple(seeds)  # map index j < 3k is member j % k of arm layout[j // k]
-
-    def member(j: int):
-        if j == len(layout) * k:
-            return fit(cfg.task, train, tcfg)
-        arm = layout[j // k]
-        member_cfg = replace(tcfg, seed=seeds[arm][j % k])
-        if arm == "+ensemble":
-            return fit(cfg.task, train, member_cfg)
-        if arm == "+pl":
-            return naive_pl_train(train, unlabeled, member_cfg)
-        return rpl_train(train, unlabeled, RPLConfig(base=member_cfg, rounds=cfg.rpl_rounds))
-
-    members = _map_arms(member, layout, k)
-    single = members.pop()
-    rpl_ens, pl_ens, sup_ens = (
-        Ensemble(tuple(members[a * k:(a + 1) * k]), tuple(seeds[arm]))
-        for a, arm in enumerate(layout))
-    raw_rpl = ensemble_predict(rpl_ens, feats)
-    arms = {
-        "baseline": (single.predict_scalar(feats), False),
-        "+ensemble": (ensemble_predict(sup_ens, feats), False),
-        "+pl": (ensemble_predict(pl_ens, feats), False),
-        "+rpl": (raw_rpl, False),
-        "+tta": (raw_rpl, False),
-        "+post": (raw_rpl, True),
-    }
-    return {arm: _score(cfg.task, dev, _grades(raw, cfg.task, post))["qwk"]
-            for arm, (raw, post) in arms.items()}
+    supervised = lambda c: fit(cfg.task, train, c)
+    jobs = ([("+rpl", replace(tcfg, seed=derive_seed(seed, 30, i)),
+              lambda c: rpl_train(train, unlabeled, RPLConfig(base=c, rounds=cfg.rpl_rounds)))
+             for i in range(k)]
+            + [("+pl", replace(tcfg, seed=derive_seed(seed, 20, i)),
+                lambda c: naive_pl_train(train, unlabeled, c)) for i in range(k)]
+            + [("+ensemble", replace(tcfg, seed=derive_seed(seed, 10) + i), supervised)
+               for i in range(k)]
+            + [("baseline", tcfg, supervised)])
+    return _ablate(cfg, jobs, TABULAR_TABLE, dev)
 
 
-def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, float]:
-    """One seed's dev mean-DSC for each incremental segmentation arm.
+def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, dict[str, float]]:
+    """One seed's dev mean DSC and IoU for each arm of ``SEGMENTATION_TABLE``.
 
     Augmentation has no arm of its own, so every arm trains without it. The
     k ensemble members (seeds base, base + 1, ..., as ``train_deep_ensemble``
-    gives them) and then the single baseline fit are trained by one
-    ``map_members``.
+    gives them) are trained first, then the single baseline fit.
     """
     tcfg = replace(cfg.train_config(seed), augment=False)
     train = dd.gen_seg_dataset(cfg.n_labeled, size=cfg.size, seed=derive_seed(seed, 1))
     dev = dd.gen_seg_dataset(cfg.n_dev, size=cfg.size, seed=derive_seed(seed, 2))
-    k = cfg.ensemble_k
-    seeds = tuple(derive_seed(seed, 10) + i for i in range(k))
-    cfgs = [replace(tcfg, seed=s) for s in seeds] + [tcfg]
-    fits = _map_arms(lambda j: fit("segmentation", train, cfgs[j]), ("+ensemble",), k)
-    single = fits.pop()
-    ens = Ensemble(tuple(fits), seeds)
-
-    # The +tta and +post arms decide from the same rotation-TTA soft masks.
-    decisions = {arm: [] for arm in SEGMENTATION_ARMS}
-    for s in dev.samples:
-        plain = np.asarray(ensemble_predict(ens, s.image))
-        tta = tta_rotate_seg(lambda img: ensemble_predict(ens, img), s.image)
-        for arm, soft, post in (("baseline", segment_soft(single, s.image), False),
-                                ("+ensemble", plain, False), ("+tta", tta, False),
-                                ("+post", tta, True)):
-            decisions[arm].append(_binarize(soft, post))
-    return {arm: _score("segmentation", dev, d)["mean_dsc"] for arm, d in decisions.items()}
-
-
-TABULAR_ARMS = ("baseline", "+ensemble", "+pl", "+rpl", "+tta", "+post")
-SEGMENTATION_ARMS = ("baseline", "+ensemble", "+tta", "+post")
+    segmenter = lambda c: fit("segmentation", train, c)
+    jobs = [("+ensemble", replace(tcfg, seed=derive_seed(seed, 10) + i), segmenter)
+            for i in range(cfg.ensemble_k)] + [("baseline", tcfg, segmenter)]
+    return _ablate(cfg, jobs, SEGMENTATION_TABLE, dev)
 
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
-    seeds = args.seeds
     if cfg.task == "segmentation":
-        arm_names, run_arms, metric = SEGMENTATION_ARMS, _segmentation_arms, "mean_dsc"
+        run_arms, metric = _segmentation_arms, "mean_dsc"
         if cfg.augment:
             print("note: ablate trains every arm without augmentation; "
                   "[train] augment = true is ignored")
     else:
-        arm_names, run_arms, metric = TABULAR_ARMS, _tabular_arms, "qwk"
-    per_seed = [run_arms(cfg, seed) for seed in seeds]
+        run_arms, metric = _tabular_arms, "qwk"
+    per_seed = [run_arms(cfg, seed) for seed in args.seeds]
     rows = []
-    for arm in arm_names:
-        vals = np.array([r[arm] for r in per_seed])
+    for arm in per_seed[0]:
+        vals = np.array([r[arm][metric] for r in per_seed])
         rows.append([arm, metric, repr(float(vals.mean())), repr(float(vals.std()))])
         print(f"{arm:10s} {metric} mean {vals.mean():.4f} stddev {vals.std():.4f}")
     dd.write_csv(out / "ablation.csv", ["arm", "metric", "mean", "stddev"], rows)
-    print(f"wrote {out / 'ablation.csv'} ({len(rows)} arms over {len(seeds)} seeds)")
+    print(f"wrote {out / 'ablation.csv'} ({len(rows)} arms over {len(args.seeds)} seeds)")
     return 0
 
 

@@ -16,6 +16,7 @@ from typing import Optional
 
 from .data import SYNTH_DIM, SYNTH_NOISE, SYNTH_SIZE, TASKS
 from .models import TrainConfig
+from .ssl import RPLConfig
 
 
 class ConfigError(ValueError):
@@ -66,7 +67,7 @@ class RunConfig:
     dropout: float = _ini("train", TrainConfig.dropout)
     augment: bool = _ini("train", TrainConfig.augment)
     ensemble_k: int = _ini("pipeline", 1)
-    rpl_rounds: int = _ini("pipeline", 5)
+    rpl_rounds: int = _ini("pipeline", RPLConfig.rounds)
     tta: str = _ini("pipeline", "none")
     postprocess: bool = _ini("pipeline", False)
 

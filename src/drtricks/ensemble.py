@@ -185,7 +185,7 @@ def map_members(task: Callable[[int], T], n: int) -> list[T]:
             f.close()
 
 
-def train_deep_ensemble(data: Dataset | Table, cfg: TrainConfig, k: int = 5,
+def train_deep_ensemble(data: Dataset | Table, cfg: TrainConfig, k: int,
                         base_seed: int | None = None) -> Ensemble:
     """Train k independent members with seeds base, base+1, ..., base+k-1.
 
@@ -207,7 +207,8 @@ def ensemble_predict(e: Ensemble, x) -> np.ndarray:
     first member's fresh output; for pixel heads a contiguous (3, H, W).
 
     For pixel heads the image's ``seg_features`` are computed once and
-    shared by every member, so each member costs one forward pass.
+    shared by every member, so each member costs one forward pass. A
+    non-finite mean raises FloatingPointError without a NumPy warning.
     """
     if e.members[0].head == "pixel":
         feats = seg_features(x)
@@ -215,10 +216,13 @@ def ensemble_predict(e: Ensemble, x) -> np.ndarray:
     else:
         x = np.atleast_2d(x)
         predict = lambda m: m.predict_scalar(x)
-    out = predict(e.members[0])
-    for m in e.members[1:]:
-        out += predict(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = predict(e.members[0])
+        for m in e.members[1:]:
+            out += predict(m)
     out /= len(e.members)
+    if not np.isfinite(out).all():
+        raise FloatingPointError("non-finite model output")
     return out
 
 

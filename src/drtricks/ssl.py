@@ -46,8 +46,12 @@ def confidence_regressor(raw) -> np.ndarray:
 
 
 def pseudo_label(model: MLP, unlabeled: Table) -> PseudoBuckets:
-    """Assign each unlabeled sample a predicted class and confidence."""
-    raw = model.predict_scalar(unlabeled.features) if len(unlabeled) else np.zeros(0)
+    """Assign each unlabeled sample a predicted class and confidence; a
+    non-finite raw output raises FloatingPointError without a NumPy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = model.predict_scalar(unlabeled.features) if len(unlabeled) else np.zeros(0)
+    if not np.isfinite(raw).all():
+        raise FloatingPointError("non-finite model output")
     preds, confs = regressor_class(raw), confidence_regressor(raw)
     order = np.lexsort((unlabeled.ids, -confs, preds))
     return PseudoBuckets(unlabeled, order, confs[order],

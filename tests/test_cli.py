@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TWO_CPUS
-from drtricks import cli
+from conftest import TWO_CPUS, overflowing_model
+from drtricks import cli, ensemble, ssl
 from drtricks.cli import main
 from drtricks.config import ConfigError, RunConfig, load_config
 from drtricks.data import (
@@ -1311,22 +1311,72 @@ class TestMaskWriter:
         assert _masks_digest(tmp_path / "preds") == PREDICTED_MASK_DIGESTS[33]
 
 
+def _cli_env() -> dict:
+    """The environment of a ``drtricks.cli`` subprocess that imports this tree's source."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 @pytest.mark.parametrize("lr", ["1e30", "1e200"])
 def test_diverging_scalar_fit_prints_one_line(workspace, lr):
     # NumPy's warnings go to a real stderr only outside pytest's capture
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     result = subprocess.run(
         [sys.executable, "-m", "drtricks.cli", "train", "--config",
          str(write_config(workspace, lr=lr)), "--seed", "0", "--out", str(workspace / "out")],
-        env=env, capture_output=True, text=True)
+        env=_cli_env(), capture_output=True, text=True)
     assert result.returncode == 3
     assert result.stderr.startswith("numerical failure: non-finite training loss at epoch")
     assert result.stderr.count("\n") == 1
 
 
-def test_segmentation_ablate_predicts_five_times_per_dev_image(monkeypatch):
+@pytest.mark.parametrize("command, ncpu", [("train", 1), ("rpl", 1), ("ablate", 1),
+                                           pytest.param("ablate", 2, marks=TWO_CPUS)])
+def test_fits_to_an_overflowing_checkpoint_exit_3_with_one_line(workspace, capsys, recwarn,
+                                                                 cpus, monkeypatch,
+                                                                 command, ncpu):
+    """Every fit returns a model whose forward pass overflows: the dev report,
+    the pseudo labels and the ablation's RPL member each end in one line."""
+    huge = lambda task, data, cfg: overflowing_model(workspace / "huge.ckpt", 8)
+    for module in (cli, ensemble, ssl):
+        monkeypatch.setattr(module, "fit", huge)
+    cpus(ncpu)
+    cfg = write_config(workspace, k=2, extra="[synth]\nn_labeled = 40\nn_unlabeled = 60\n")
+    seeds = ["--seeds", "0"] if command == "ablate" else ["--seed", "0"]
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), *seeds, "--out", str(workspace / "out")]) == 3
+    member = "+rpl member 0 failed: " if command == "ablate" else ""
+    assert capsys.readouterr().err == f"numerical failure: {member}non-finite model output\n"
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("command", ["predict", "train", "rpl", "ablate"])
+def test_a_forward_pass_that_overflows_prints_one_line(tmp_path, command):
+    """``predict`` reads a checkpoint whose theta is scaled by 1e170. The
+    others fit to such weights: lr 1e30 over 5 epochs of one 45-sample batch
+    ends near 1e170 with only finite losses, so the fit itself does not fail."""
+    for part, n, seed, extra in (("labeled", 45, 3, []), ("dev", 30, 4, []),
+                                 ("unlab", 60, 5, ["--unlabeled"])):
+        assert main(["synth", "--task", "grading", "--n", str(n), "--seed", str(seed),
+                     "--out", str(tmp_path / part), "--id-offset", str(1000 * seed),
+                     *extra]) == 0
+    overflowing_model(tmp_path / "huge.ckpt", 8)
+    cfg = write_config(tmp_path, lr="1e30", k=2, rpl_rounds=2, model=tmp_path / "huge.ckpt",
+                       extra="[synth]\nn_labeled = 45\nn_unlabeled = 60\n")
+    cfg.write_text(cfg.read_text().replace("epochs = 10", "epochs = 5")
+                   .replace("batch_size = 16", "batch_size = 64"))
+    seeds = ["--seeds", "0"] if command == "ablate" else ["--seed", "0"]
+    # NumPy's warnings go to a real stderr only outside pytest's capture
+    result = subprocess.run(
+        [sys.executable, "-m", "drtricks.cli", command, "--config", str(cfg), *seeds,
+         "--out", str(tmp_path / "out")], env=_cli_env(), capture_output=True, text=True)
+    member = "+rpl member 0 failed: " if command == "ablate" else ""
+    assert (result.returncode, result.stderr) == (
+        3, f"numerical failure: {member}non-finite model output\n")
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
+def test_segmentation_ablate_predicts_six_times_per_dev_image(monkeypatch):
     calls = []
     original = cli.ensemble_predict
 
@@ -1338,5 +1388,6 @@ def test_segmentation_ablate_predicts_five_times_per_dev_image(monkeypatch):
     cfg = RunConfig(task="segmentation", n_labeled=4, n_dev=3, size=32, epochs=2,
                     lr=0.2, ensemble_k=2)
     arms = cli._segmentation_arms(cfg, 3)
-    assert set(arms) == set(cli.SEGMENTATION_ARMS)
-    assert len(calls) == 5 * cfg.n_dev  # +ensemble once, then the four TTA rotations
+    assert list(arms) == list(cli.SEGMENTATION_TABLE)
+    # the baseline and +ensemble once each, then the four TTA rotations
+    assert len(calls) == 6 * cfg.n_dev

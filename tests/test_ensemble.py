@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import TWO_CPUS
+from conftest import TWO_CPUS, overflowing_model
 from drtricks.data import DataError, gen_ordinal_dataset, gen_seg_dataset
 from drtricks.ensemble import (
     Ensemble,
@@ -347,6 +347,18 @@ class TestEnsemblePredict:
         out = ensemble_predict(Ensemble(members, (0, 1, 2)), feats)
         assert out.shape == (40,)
         assert out.tobytes() == (expected / 3).tobytes()
+
+    @pytest.mark.parametrize("case", ["overflowing_member", "overflowing_sum"])
+    def test_a_non_finite_output_raises_without_warnings(self, tmp_path, recwarn, case):
+        if case == "overflowing_member":
+            members = (overflowing_model(tmp_path / "huge.ckpt", 4),)
+        else:  # two finite outputs whose sum is not
+            members = (constant_scalar(1e308), constant_scalar(1e308))
+        e = Ensemble(members, tuple(range(len(members))))
+        x = np.random.default_rng(0).uniform(-1, 1, (20, 4))
+        with pytest.raises(FloatingPointError, match="^non-finite model output$"):
+            ensemble_predict(e, x)
+        assert not recwarn.list
 
     def test_pixel_ensemble_is_member_order_mean_of_segment_soft(self):
         members = tuple(MLP([4, 3], "pixel", seed=s) for s in range(5))

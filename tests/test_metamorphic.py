@@ -2,18 +2,28 @@
 when the input moves in a way that should not matter.
 
 Each relation is exact (byte equality, or equal decisions per id), so none
-needs an oracle for the right answer.
+needs an oracle for the right answer. The last section is a reference check
+instead: each ablation arm against its pipeline written out from the library.
 """
 import csv
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from drtricks import cli
 from drtricks.cli import main
-from drtricks.data import read_pgm, write_pgm
+from drtricks.config import RunConfig
+from drtricks.data import (gen_ordinal_dataset, gen_seg_dataset, read_pgm, split_train_dev,
+                           write_pgm)
+from drtricks.ensemble import Ensemble, ensemble_predict, train_deep_ensemble, tta_rotate_seg
+from drtricks.metrics import confusion_matrix, mean_dsc, qwk
+from drtricks.models import derive_seed, fit, regressor_class, segment_soft
+from drtricks.postprocess import postprocess_masks, quality_decision
+from drtricks.ssl import RPLConfig, naive_pl_train, rpl_train
 
 CONFIG = """\
 [run]
@@ -222,3 +232,72 @@ def test_segmentation_predict_rotates_each_mask_with_its_image(rotation, tmp_pat
     assert len(masks[0]) == 20 * 3 and masks[0].keys() == masks[1].keys()
     assert sum(int((np.rot90(m) != masks[1][f]).sum()) for f, m in masks[0].items()) == 0
     assert sum(m.any() for m in masks[0].values()) == 16  # not vacuous: NP on 16 images
+
+
+# ---------------------------------------------------------------------------
+# The ablation's arm table against each arm's pipeline written out by hand
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("task", ["grading", "quality"])
+def test_each_tabular_arm_scores_as_its_pipeline_written_out(task):
+    """Each arm of a one-seed ordinal ablation equals its pipeline built from
+    the library, with every member refitted from its derived seed: on grading
+    +tta and +post round as +rpl does, and on quality +post applies the
+    operating thresholds."""
+    seed = 5
+    cfg = RunConfig(task=task, n_labeled=40, n_unlabeled=60, epochs=5, lr=2e-3,
+                    batch_size=16, ensemble_k=2, rpl_rounds=2)
+    tcfg = cfg.train_config(seed)
+    labeled = gen_ordinal_dataset(40, seed=derive_seed(seed, 1), task=task)
+    pool = gen_ordinal_dataset(60, seed=derive_seed(seed, 2), task=task, labeled=False,
+                               id_offset=40)
+    train, dev = split_train_dev(labeled, 0.8, seed=derive_seed(seed, 3))
+
+    def ensemble(seeds, trainer):
+        return Ensemble(tuple(trainer(replace(tcfg, seed=s)) for s in seeds), tuple(seeds))
+
+    rpl = ensemble([derive_seed(seed, 30, i) for i in range(2)],
+                   lambda c: rpl_train(train, pool, RPLConfig(base=c, rounds=2)))
+    pl = ensemble([derive_seed(seed, 20, i) for i in range(2)],
+                  lambda c: naive_pl_train(train, pool, c))
+    supervised = ensemble([derive_seed(seed, 10) + i for i in range(2)],
+                          lambda c: fit(task, train, c))
+    score = lambda grades: qwk(confusion_matrix(dev.labels, grades))
+    raw_rpl = ensemble_predict(rpl, dev.features)
+    expected = {
+        "baseline": score(regressor_class(fit(task, train, tcfg).predict_scalar(dev.features))),
+        "+ensemble": score(regressor_class(ensemble_predict(supervised, dev.features))),
+        "+pl": score(regressor_class(ensemble_predict(pl, dev.features))),
+        "+rpl": score(regressor_class(raw_rpl)),
+        "+tta": score(regressor_class(raw_rpl)),
+        "+post": score([quality_decision(r) for r in raw_rpl] if task == "quality"
+                       else regressor_class(raw_rpl)),
+    }
+    assert {arm: v["qwk"] for arm, v in cli._tabular_arms(cfg, seed).items()} == expected
+    if task == "quality":  # not vacuous: the thresholds decide otherwise than rounding
+        assert expected["+post"] != expected["+rpl"]
+
+
+def test_each_segmentation_arm_scores_as_its_pipeline_written_out():
+    """Each arm of a one-seed segmentation ablation equals its pipeline built
+    from the library, as acceptance criterion 8 builds it."""
+    seed = 2
+    cfg = RunConfig(task="segmentation", n_labeled=6, n_dev=4, size=32, epochs=20, lr=0.2,
+                    batch_size=8, ensemble_k=2)
+    tcfg = cfg.train_config(seed)
+    train = gen_seg_dataset(6, 32, seed=derive_seed(seed, 1))
+    dev = gen_seg_dataset(4, 32, seed=derive_seed(seed, 2))
+    single = fit("segmentation", train, tcfg)
+    ens = train_deep_ensemble(train, tcfg, k=2, base_seed=derive_seed(seed, 10))
+    binary = lambda soft: (soft >= 0.5).astype(np.uint8)
+    dscs = {arm: [] for arm in ("baseline", "+ensemble", "+tta", "+post")}
+    for s in dev.samples:
+        tta = tta_rotate_seg(lambda img: ensemble_predict(ens, img), s.image)
+        for arm, masks in (("baseline", binary(segment_soft(single, s.image))),
+                           ("+ensemble", binary(ensemble_predict(ens, s.image))),
+                           ("+tta", binary(tta)), ("+post", postprocess_masks(tta).channels)):
+            dscs[arm].append(mean_dsc(masks, s.masks.channels))
+    expected = {arm: float(np.mean(v)) for arm, v in dscs.items()}
+    arms = cli._segmentation_arms(cfg, seed)
+    assert {arm: v["mean_dsc"] for arm, v in arms.items()} == expected
+    assert expected["+post"] != expected["+tta"]  # not vacuous: post-processing moves DSC

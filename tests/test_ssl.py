@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import overflowing_model
 from drtricks.data import DataError, Table, gen_ordinal_dataset
 from drtricks.models import (NUM_CLASSES, MLP, TrainConfig, fit, regressor_class,
                              round_half_away)
@@ -116,6 +117,12 @@ class TestPseudoLabel:
         buckets = pseudo_label(constant_regressor(1.0), EMPTY)
         assert buckets.order.size == buckets.confs.size == 0
         assert buckets.ends.tolist() == [0, 0, 0]
+
+    def test_a_non_finite_output_raises_without_warnings(self, tmp_path, recwarn):
+        model = overflowing_model(tmp_path / "huge.ckpt", 2)
+        with pytest.raises(FloatingPointError, match="^non-finite model output$"):
+            pseudo_label(model, unlabeled_from([0.1, 1.9, 2.2, -0.7]))
+        assert not recwarn.list
 
     def test_ties_broken_by_ascending_id(self):
         buckets = pseudo_label(constant_regressor(0.9), unlabeled_from([0, 0, 0]))
