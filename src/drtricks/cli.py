@@ -339,15 +339,15 @@ def _predicted(task: str, truth: dd.Dataset | dd.Table, pred_path: Path):
 # ---------------------------------------------------------------------------
 
 # Each arm in row order -> (the arm whose members it scores, tta, postprocess).
-# Feature vectors have no transform to average, and the DR grading rule needs
-# a segmentation model, so on grading +tta and +post decide as +rpl does; on
-# image quality +post applies the operating thresholds.
+# Feature vectors have no transform to average, so +tta and +post score the
+# +rpl outputs; the DR grading rule needs a segmentation model, so on grading
+# +post decides as +rpl does, and on image quality applies the thresholds.
 TABULAR_TABLE = {"baseline": ("baseline", "none", False),
                  "+ensemble": ("+ensemble", "none", False),
                  "+pl": ("+pl", "none", False),
                  "+rpl": ("+rpl", "none", False),
-                 "+tta": ("+rpl", "rotate", False),
-                 "+post": ("+rpl", "rotate", True)}
+                 "+tta": ("+rpl", "none", False),
+                 "+post": ("+rpl", "none", True)}
 SEGMENTATION_TABLE = {"baseline": ("baseline", "none", False),
                       "+ensemble": ("+ensemble", "none", False),
                       "+tta": ("+ensemble", "rotate", False),

@@ -206,12 +206,14 @@ def ensemble_predict(e: Ensemble, x) -> np.ndarray:
     """Arithmetic mean of member predictions, summed in member order into the
     first member's fresh output; for pixel heads a contiguous (3, H, W).
 
-    For pixel heads the image's ``seg_features`` are computed once and
-    shared by every member, so each member costs one forward pass. A
-    non-finite mean raises FloatingPointError without a NumPy warning.
+    For pixel heads the image's ``seg_features`` are computed once, as
+    planes, and shared by every member, so each member costs one forward
+    pass, whose head matmul reads contiguous planes; its 4-term sums give
+    the bits of the C-order rows. A non-finite mean raises
+    FloatingPointError without a NumPy warning.
     """
     if e.members[0].head == "pixel":
-        feats = seg_features(x)
+        feats = seg_features(x, planar=True)
         predict = lambda m: segment_soft(m, x, feats)
     else:
         x = np.atleast_2d(x)
@@ -226,19 +228,25 @@ def ensemble_predict(e: Ensemble, x) -> np.ndarray:
     return out
 
 
+# The views of ``np.rot90(a, k, axes=(-2, -1))``, k = 0..3, without its axis handling.
+_TURNS = (lambda a: a, lambda a: a[..., ::-1].swapaxes(-1, -2),
+          lambda a: a[..., ::-1, ::-1], lambda a: a.swapaxes(-1, -2)[..., ::-1])
+
+
 def tta_rotate_seg(predict_fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """Rotation TTA for soft masks: rotate, predict, inverse-rotate, average.
 
-    Angle set {90, 180, 270, 360}; inputs must be square so rotations are
-    exact pixel permutations.
+    Angle set {90, 180, 270, 360}, summed in that order, each turn the view
+    ``np.rot90`` gives (``_TURNS``), so its bits; inputs must be square so
+    rotations are exact pixel permutations.
     """
     v = np.asarray(x, dtype=np.float64)
     if v.shape[0] != v.shape[1]:
         raise ValueError("rotation TTA requires a square image")
     acc = None
     for k in (1, 2, 3, 4):
-        rotated = np.ascontiguousarray(np.rot90(v, k))
-        aligned = np.rot90(np.asarray(predict_fn(rotated), dtype=np.float64), -k, axes=(1, 2))
+        rotated = np.ascontiguousarray(_TURNS[k % 4](v))
+        aligned = _TURNS[-k % 4](np.asarray(predict_fn(rotated), dtype=np.float64))
         if acc is None:  # a C-order copy: never write into predict_fn's array
             acc = np.array(aligned, order="C")
         else:

@@ -166,12 +166,12 @@ class MLP:
             h += self.biases[-1]
             return h[:, 0], (acts, keeps)
         # pixel: W^T h^T is the (3, N) soft-mask layout, with the bits of
-        # h @ W transposed. The bias goes in one contiguous row per channel,
-        # then the sigmoid 1 / (1 + exp(-z)) in place.
-        z = self.weights[-1].T @ h.T
+        # h @ W transposed. The sigmoid 1 / (1 + exp(-z)) runs in place on
+        # -z = (-W)^T h^T - b, one contiguous row per channel: rounding is
+        # sign-symmetric, so these are the bits of -(h @ W + b) but a zero's sign.
+        z = np.negative(self.weights[-1]).T @ h.T
         for zj, bj in zip(z, self.biases[-1]):
-            zj += bj
-        np.negative(z, out=z)
+            zj -= bj
         np.exp(z, out=z)
         z += 1.0
         np.divide(1.0, z, out=z)
@@ -253,46 +253,51 @@ def _window_areas(h: int, w: int) -> np.ndarray:
     return areas
 
 
-def seg_features(image: np.ndarray) -> np.ndarray:
-    """Per-pixel feature stack (H*W, 4): raw value plus box means r=1,2,4.
+def seg_features(image: np.ndarray, planar: bool = False) -> np.ndarray:
+    """Per-pixel feature stack (H*W, 4): raw value plus box means r=1,2,4, as
+    C-order rows, or with ``planar`` as the transposed view of (4, H*W) planes.
 
     Each box mean is the exact edge-clipped mean over the (2r+1)^2 window.
-    One summed-area table serves every radius. It is allocated with a
-    margin of ``max(SEG_FEATURE_RADII)`` on every side: zeros above and to
-    the left, copies of the last row and column below and to the right,
-    which clips every window corner to the image. A window's four corners
-    are then four offsets into the flat table: each term runs over one
-    contiguous range of ``(H - 1) * stride + W`` entries, whose every
-    ``stride``-th run of W entries is one image row. Ensembles compute this
-    once per image and share it across members (see ``ensemble_predict``).
+    One summed-area table serves every radius: NumPy's sequential running
+    sums down the columns, then along the rows, each down a C-order array
+    over pairs of lanes viewed as one complex number, whose addition is the
+    two float additions (the same bits in half the steps). So the table is
+    stored transposed, (W, H), with a margin of ``max(SEG_FEATURE_RADII)``
+    on every side: zeros before, copies of the last row and column after,
+    which clips every window corner. A window's four corners are four
+    offsets into the flat table, each term one contiguous range of
+    ``(W - 1) * stride + H`` entries. Training takes the rows (their layout
+    sets ``MLP.backward``'s bits); ensembles the planes, shared by members.
     """
     v = np.asarray(image, dtype=np.float64)
     h, w = v.shape
     reach = max(SEG_FEATURE_RADII)
-    stride = w + 1 + 2 * reach
-    table = np.empty((h + 1 + 2 * reach, stride))
-    table[: reach + 1] = 0.0
-    table[reach + 1 :, : reach + 1] = 0.0
-    inner = table[reach + 1 : reach + 1 + h, reach + 1 : reach + 1 + w]
-    np.cumsum(v, axis=0, out=inner)
-    np.cumsum(inner, axis=1, out=inner)
-    table[reach + 1 + h :, reach + 1 : reach + 1 + w] = table[reach + h, reach + 1 : reach + 1 + w]
-    table[reach + 1 :, reach + 1 + w :] = table[reach + 1 :, reach + w : reach + 1 + w]
+    cols = np.zeros((h, w + w % 2))
+    cols[:, :w] = v
+    np.add.accumulate(cols.view(np.complex128), axis=0, out=cols.view(np.complex128))
+    stride = h + 1 + 2 * reach + h % 2
+    table = np.zeros((w + 1 + 2 * reach, stride))
+    inner = table[reach + 1 : reach + 1 + w, reach + 1 : reach + 1 + h + h % 2]
+    inner[:, :h] = cols[:, :w].T
+    np.add.accumulate(inner.view(np.complex128), axis=0, out=inner.view(np.complex128))
+    table[reach + 1 + w :, reach + 1 : reach + 1 + h] = table[reach + w, reach + 1 : reach + 1 + h]
+    table[reach + 1 :, reach + 1 + h :] = table[reach + 1 :, reach + h : reach + 1 + h]
     flat = table.ravel()
-    n = (h - 1) * stride + w
-    sums = np.empty(h * stride)
-    total, box = sums[:n], sums.reshape(h, stride)[:, :w]
+    n = (w - 1) * stride + h
+    sums = np.empty(w * stride)
+    total, box = sums[:n], sums.reshape(w, stride)[:, :h]
     areas = _window_areas(h, w)
-    out = np.empty((h, w, SEG_FEATURE_DIM))
-    out[..., 0] = v
+    out = np.empty((SEG_FEATURE_DIM, h, w) if planar else (h, w, SEG_FEATURE_DIM))
+    planes = out if planar else out.transpose(2, 0, 1)
+    planes[0] = v
     for i, r in enumerate(SEG_FEATURE_RADII, start=1):
         lo, hi = reach - r, reach + r + 1
-        # bottom-right - top-right - bottom-left + top-left, left to right
-        np.subtract(flat[hi * stride + hi :][:n], flat[lo * stride + hi :][:n], out=total)
-        total -= flat[hi * stride + lo :][:n]
+        # the image's bottom-right - top-right - bottom-left + top-left, in order
+        np.subtract(flat[hi * stride + hi :][:n], flat[hi * stride + lo :][:n], out=total)
+        total -= flat[lo * stride + hi :][:n]
         total += flat[lo * stride + lo :][:n]
-        np.divide(box, areas[i - 1], out=out[..., i])
-    return out.reshape(-1, SEG_FEATURE_DIM)
+        np.divide(box.T, areas[i - 1], out=planes[i])
+    return out.reshape(SEG_FEATURE_DIM, -1).T if planar else out.reshape(-1, SEG_FEATURE_DIM)
 
 
 def segment_soft(m: MLP, image: np.ndarray, feats: Optional[np.ndarray] = None) -> np.ndarray:

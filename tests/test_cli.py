@@ -1391,3 +1391,20 @@ def test_segmentation_ablate_predicts_six_times_per_dev_image(monkeypatch):
     assert list(arms) == list(cli.SEGMENTATION_TABLE)
     # the baseline and +ensemble once each, then the four TTA rotations
     assert len(calls) == 6 * cfg.n_dev
+
+
+def test_grading_ablate_predicts_once_per_ensemble(monkeypatch):
+    sizes = []
+    original = cli.ensemble_predict
+
+    def counting(e, x):
+        sizes.append(len(e.members))
+        return original(e, x)
+
+    monkeypatch.setattr(cli, "ensemble_predict", counting)
+    cfg = RunConfig(task="grading", n_labeled=40, n_unlabeled=60, epochs=5, lr=2e-3,
+                    batch_size=16, ensemble_k=2, rpl_rounds=2)
+    arms = cli._tabular_arms(cfg, 3)
+    assert list(arms) == list(cli.TABULAR_TABLE)
+    # baseline, +ensemble, +pl and +rpl once each: +tta and +post reuse +rpl's
+    assert sizes == [1, 2, 2, 2]

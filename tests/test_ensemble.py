@@ -377,9 +377,9 @@ class TestEnsemblePredict:
         calls = []
         original = models.seg_features
 
-        def counting(image):
+        def counting(image, **layout):
             calls.append(1)
-            return original(image)
+            return original(image, **layout)
 
         monkeypatch.setattr(models, "seg_features", counting)
         monkeypatch.setattr(ensemble, "seg_features", counting)
@@ -415,6 +415,22 @@ class TestRotateTta:
         out = tta_rotate_seg(predict, img)
         assert out.flags.c_contiguous
         assert plain.tobytes() == threshold_oracle(img).tobytes()
+
+    @pytest.mark.parametrize("side", [5, 8])
+    def test_position_dependent_predictor_is_averaged_as_rot90_gives_it(self, side):
+        # not equivariant: each pixel's prediction depends on where it lies
+        ramp = np.arange(side * side, dtype=np.float64).reshape(side, side) / 7.0
+
+        def positional(v):
+            return np.stack([v * ramp, v + ramp.T, np.sin(v * ramp)])
+
+        img = np.random.default_rng(side).uniform(0, 1, (side, side))
+        turns = [np.rot90(positional(np.rot90(img, k)), -k, axes=(1, 2)) for k in (1, 2, 3, 4)]
+        expected = (((turns[0] + turns[1]) + turns[2]) + turns[3]) / 4.0
+        out = tta_rotate_seg(positional, img)
+        assert out.shape == (3, side, side) and out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
+        assert not np.array_equal(out, positional(img))  # the turns matter
 
     # SHA-256 of rotation TTA over a 2-member ensemble of trained segmenters.
     # The forward pass, the ensemble mean and the TTA mean are written for

@@ -153,10 +153,13 @@ class TestForward:
         h = x
         for w, b in zip(m.weights[:-1], m.biases[:-1]):
             h = np.maximum(h @ w + b, 0.0)
-        expected = 1 / (1 + np.exp(-(h @ m.weights[-1] + m.biases[-1])))
-        out = m.forward(x)
-        assert out.shape == (3, n) and out.flags.c_contiguous
-        assert out.tobytes() == np.ascontiguousarray(expected.T).tobytes()
+        logits = h @ m.weights[-1] + m.biases[-1]
+        expected = np.ascontiguousarray((1 / (1 + np.exp(-logits))).T).tobytes()
+        # C-order rows, and the planar view that ``ensemble_predict`` hands over
+        for rows in (x, np.ascontiguousarray(x.T).T):
+            out = m.forward(rows)
+            assert out.shape == (3, n) and out.flags.c_contiguous
+            assert out.tobytes() == expected
 
     def test_forward_converts_its_input(self):
         m = MLP([3, 5, 1], "scalar", seed=0)
@@ -221,6 +224,14 @@ class TestSegFeatures:
         out = segment_soft(m, np.random.default_rng(1).uniform(0, 1, (16, 16)))
         assert out.shape == (3, 16, 16) and out.flags.c_contiguous
         assert (out > 0).all() and (out < 1).all()
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (11, 13), (1, 1)])
+def test_planar_features_are_the_rows_transposed(shape):
+    img = np.random.default_rng(shape[1]).uniform(0, 1, shape)
+    rows, planar = seg_features(img), seg_features(img, planar=True)
+    assert rows.flags.c_contiguous and planar.T.flags.c_contiguous
+    assert planar.shape == rows.shape and planar.tobytes() == rows.tobytes()
 
 
 # ---------------------------------------------------------------------------
