@@ -525,17 +525,20 @@ def _train_scalar(model, feats, labels, cfg, opt, rng) -> None:
         raise TrainingDivergedError(cfg.epochs - 1, "non-finite parameters")
 
 
-def _seg_targets(channels: np.ndarray, out: Optional[np.ndarray] = None) -> tuple:
+def _seg_targets(channels: np.ndarray, name: str, out: Optional[np.ndarray] = None) -> tuple:
     """Per-image constants of the segmenter step, built once per training image
     (once per draw when augmenting) from its (3, H, W) masks, each in the
     (3, H*W) layout of the pixel head's output.
 
     ``y`` is the mask stack, ``w`` the class weights, ``wy`` is ``w * y``,
-    channel by channel, and ``neg2w`` is ``-2 * w``. ``y`` and ``wy`` are
-    the two halves of ``out``, a (2, 3, H*W) array (a fresh one if None),
-    which an augmented fit reuses for every draw. Masks whose every channel
-    covers all pixels but one weigh every class 0, which leaves the dice
-    loss undefined: a DataError.
+    channel by channel, ``pos`` the flat indices of each channel's positive
+    pixels, 8 bytes per positive (about 3 KB for a 64x64 image whose masks
+    cover 3 % of it), and ``neg2w`` is ``-2 * w``; ``w`` and ``neg2w`` are
+    lists of floats. ``y`` and ``wy`` are the two halves of ``out``, a
+    (2, 3, H*W) array (a fresh one if None), which an augmented fit reuses
+    for every draw. Masks whose every channel covers all pixels but one
+    weigh every class 0, which leaves the dice loss undefined: a DataError
+    that starts with ``name``.
     """
     if out is None:
         out = np.empty((2, NUM_CLASSES, channels[0].size))
@@ -544,11 +547,12 @@ def _seg_targets(channels: np.ndarray, out: Optional[np.ndarray] = None) -> tupl
     np.copyto(masks, channels)
     w = class_weights(masks)
     if not w.any():
-        raise DataError("all-zero class weights make the dice denominator degenerate"
-                        " (every mask channel covers all pixels but one)")
+        raise DataError(f"{name}: all-zero class weights make the dice denominator"
+                        " degenerate (every mask channel covers all pixels but one)")
+    pos = [c.nonzero()[0] for c in np.not_equal(channels, 0).reshape(NUM_CLASSES, -1)]
     for wy_c, y_c, c in zip(wy, y, w):
         np.multiply(c, y_c, out=wy_c)
-    return y, w, wy, -2.0 * w
+    return y, w.tolist(), wy, pos, (-2.0 * w).tolist()
 
 
 def _seg_step_buffers(pixels: int) -> tuple:
@@ -575,18 +579,25 @@ def _seg_logit_grad(out: np.ndarray, targets: tuple, aux: str, alpha: float,
     skips the loss values. Every term runs over contiguous (3, H*W) planes;
     the dice sums run over them as over the (3, H, W) masks in
     ``weighted_dice_loss``, because the order of a sum sets its bits. The
-    last product writes the result once, transposed, into the (H*W, 3)
-    gradient that ``MLP.backward`` takes. Every temporary, the result
-    included, lives in ``buffers`` (see ``_seg_step_buffers``).
+    dice term ``-2 w (y den - num) / den^2`` takes two values per channel,
+    since every y is 0.0 or 1.0: ``((0.0 den - num) c) / den^2`` and
+    ``((den - num) c) / den^2``, c = -2 w. Python floats round as NumPy's
+    float64 ops do, signed zeros included, and a NaN ``den`` gives NaN in
+    both forms, so a fill and an assignment to the positives give the bits
+    of the four full-plane passes. The last product writes the result once,
+    transposed, into the (H*W, 3) gradient that ``MLP.backward`` takes.
+    Every temporary, the result included, lives in ``buffers`` (see
+    ``_seg_step_buffers``).
     """
-    y, w, wy, neg2w = targets
+    y, w, wy, pos, neg2w = targets
     buf, p, q, g, t, grad = buffers
     # ``np.add.reduce`` and ``ndarray.clip`` are ``np.sum`` and ``np.clip``
     # without their Python wrappers
     np.multiply(wy, out, out=buf)
     num = float(np.add.reduce(buf, axis=None))
     np.add(y, out, out=buf)
-    buf *= w[:, None]
+    for row, c in zip(buf, w):  # per-row scalars beat a (3, 1) broadcast
+        row *= c
     den = float(np.add.reduce(buf, axis=None)) + DICE_EPS
 
     out.clip(EPS_CLAMP, 1.0 - EPS_CLAMP, out=p)
@@ -607,10 +618,9 @@ def _seg_logit_grad(out: np.ndarray, targets: tuple, aux: str, alpha: float,
     g /= out.size
     g *= alpha
 
-    np.multiply(y, den, out=buf)  # dice: -2 w (y den - num) / den^2
-    buf -= num
-    buf *= neg2w[:, None]
-    buf /= den * den
+    for row, pos_c, c in zip(buf, pos, neg2w):  # dice: -2 w (y den - num) / den^2
+        row.fill((0.0 * den - num) * c / (den * den))
+        row[pos_c] = (den - num) * c / (den * den)
     buf += g
     buf *= out  # chain rule through the sigmoid: out (1 - out)
     np.subtract(1.0, out, out=q)
@@ -619,21 +629,20 @@ def _seg_logit_grad(out: np.ndarray, targets: tuple, aux: str, alpha: float,
 
 
 def _train_segmenter(model, data, cfg, opt, rng) -> None:
-    for s in data.samples:
-        if s.masks is None:
-            raise DataError("segmentation training requires images with masks")
-    if not cfg.augment:
-        plain = []
-        for s in data.samples:
-            try:
-                plain.append((seg_features(s.image), _seg_targets(s.masks.channels)))
-            except DataError as exc:
-                raise DataError(f"sample {s.id}: {exc}") from None
+    if any(s.masks is None for s in data.samples):
+        raise DataError("segmentation training requires images with masks")
     # Per image size, allocated once per fit: the step's temporaries and the
     # targets of an augmented draw (its y and wy; see _seg_targets).
     sizes = {s.image.size for s in data.samples}
     buffers = {n: _seg_step_buffers(n) for n in sizes}
-    draws = {n: np.empty((2, NUM_CLASSES, n)) for n in sizes} if cfg.augment else None
+    draws = {n: np.empty((2, NUM_CLASSES, n)) for n in sizes} if cfg.augment else {}
+    # Every sample's class weights are checked before the first epoch; an
+    # augmented fit keeps no targets, only the check.
+    plain = []
+    for s in data.samples:
+        targets = _seg_targets(s.masks.channels, f"sample {s.id}", draws.get(s.image.size))
+        if not cfg.augment:
+            plain.append((seg_features(s.image), targets))
 
     for epoch in range(cfg.epochs):
         for idx in _batches(len(data), cfg.batch_size, rng):
@@ -643,7 +652,8 @@ def _train_segmenter(model, data, cfg, opt, rng) -> None:
                     s = data.samples[i]
                     values, channels = augment(s.image, s.masks.channels, rng)
                     f = seg_features(values)
-                    targets = _seg_targets(channels, draws[len(f)])
+                    targets = _seg_targets(channels, f"sample {s.id}, augmented at epoch"
+                                           f" {epoch}", draws[len(f)])
                 else:
                     f, targets = plain[i]
                 keeps = model._dropout_masks((len(f),), rng)

@@ -442,6 +442,43 @@ class TestTraining:
         expected = reference_segmenter_fit(data, cfg)
         assert trained.theta.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("augmented", [False, True])
+    @pytest.mark.parametrize("aux", ["bce", "focal"])
+    def test_segmenter_bit_equal_to_loss_reference_at_edge_weights(self, aux, augmented):
+        # a full channel (w < 0), one covering all pixels but one (w = 0, so
+        # -2w = -0.0) and an empty one, rotated over three of the images
+        data = gen_seg_dataset(5, 32, seed=4)
+        samples = list(data.samples)
+        for i, masks in enumerate(edge_mask_sets(32)):
+            samples[i] = Sample(samples[i].id, image=samples[i].image, masks=MaskSet(masks))
+        data = Dataset(tuple(samples))
+        cfg = TrainConfig(lr=0.2, epochs=3, batch_size=2, aux=aux, alpha=0.5, seed=6,
+                          augment=augmented)
+        assert fit("segmentation", data, cfg).theta.tobytes() == \
+            reference_segmenter_fit(data, cfg).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("aux", ["bce", "focal"])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_logit_grad_bytes_match_the_loss_gradient(self, aux, alpha, seed):
+        # signed zeros included: with alpha 0 the w = 0 channel's gradient is
+        # all zeros, whose signs a fit's parameters cannot show
+        rng = np.random.default_rng(seed)
+        masks = edge_mask_sets(8)[rng.integers(3)]
+        if rng.random() < 0.5:  # perturb the edge channels now and then
+            masks[:, rng.random((8, 8)) < 0.2] ^= 1
+        if not class_weights(masks).any():
+            masks[:, 4, 4] ^= 1
+        out = rng.uniform(0.0, 1.0, (3, 64)) ** rng.choice([1.0, 40.0])  # near 0 too
+        targets = models._seg_targets(masks, "sample 0")
+        grad = models._seg_logit_grad(out, targets, aux, alpha, models._seg_step_buffers(64))
+        _, grad_yhat = seg_total_loss(masks.astype(np.float64), out.reshape(3, 8, 8),
+                                      aux=aux, alpha=alpha)
+        rows = out.T
+        expected = grad_yhat.reshape(3, 64).T * rows * (1.0 - rows)
+        assert grad.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("batch_size", [16, 7])
     def test_scalar_head_bit_equal_to_per_array_reference(self, batch_size):
         data = gen_ordinal_dataset(45, seed=3)
@@ -536,14 +573,29 @@ class TestTraining:
         assert hashlib.sha256(theta.tobytes()).hexdigest() == self.AUGMENTED_FIT_DIGESTS[size]
 
     def test_all_zero_class_weights_name_the_sample(self):
-        # every channel covers 63 of 64 pixels: each weight is log(64 / 64) = 0
-        masks = np.ones((3, 8, 8), dtype=np.uint8)
-        masks[:, 0, 0] = 0
-        rng = np.random.default_rng(0)
-        data = Dataset(tuple(Sample(id=40 + i, image=rng.uniform(0, 1, (8, 8)),
-                                    masks=MaskSet(masks)) for i in range(2)))
         with pytest.raises(DataError, match="^sample 40: all-zero class weights"):
-            fit("segmentation", data, TrainConfig(lr=0.2, epochs=1, seed=0))
+            fit("segmentation", all_zero_weight_data(), TrainConfig(lr=0.2, epochs=1, seed=0))
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_augmented_fit_checks_class_weights_before_epoch_0(self, epochs):
+        cfg = TrainConfig(lr=0.2, epochs=epochs, seed=0, augment=True)
+        with pytest.raises(DataError, match="^sample 40: all-zero class weights"):
+            fit("segmentation", all_zero_weight_data(), cfg)
+
+    def test_degenerate_augmented_draw_names_the_sample(self, monkeypatch):
+        data = gen_seg_dataset(4, 32, seed=0)
+        victim = data.samples[2]
+        degenerate = np.ones((3, 32, 32), dtype=np.uint8)
+        degenerate[:, 0, 0] = 0
+
+        def draw(values, channels, rng):
+            return values.copy(), degenerate if values is victim.image else channels
+
+        monkeypatch.setattr(models, "augment", draw)
+        cfg = TrainConfig(lr=0.2, epochs=2, batch_size=2, seed=0, augment=True)
+        with pytest.raises(DataError, match=f"^sample {victim.id}, augmented at epoch 0: "
+                                            "all-zero class weights"):
+            fit("segmentation", data, cfg)
 
     @pytest.mark.parametrize("lr", [1e30, 1e200, 1e306])
     def test_diverging_scalar_fit_raises_without_warnings(self, lr):
@@ -591,6 +643,30 @@ class TestTraining:
         data = gen_ordinal_dataset(45, seed=3)
         with pytest.raises(TrainingDivergedError, match="non-finite parameters at epoch 0"):
             fit("grading", data, TrainConfig(lr=1e200, epochs=1, batch_size=64, seed=0))
+
+
+def all_zero_weight_data() -> Dataset:
+    """Two 8x8 samples, ids 40 and 41, whose every mask channel covers 63 of
+    64 pixels: each class weight is log(64 / 64) = 0."""
+    masks = np.ones((3, 8, 8), dtype=np.uint8)
+    masks[:, 0, 0] = 0
+    rng = np.random.default_rng(0)
+    return Dataset(tuple(Sample(id=40 + i, image=rng.uniform(0, 1, (8, 8)),
+                                masks=MaskSet(masks)) for i in range(2)))
+
+
+def edge_mask_sets(size: int) -> list[np.ndarray]:
+    """Three (3, size, size) mask sets whose channels are, in turn, full
+    (w < 0), all pixels but one (w = 0) and empty (w = log N)."""
+    full = np.ones((size, size), dtype=np.uint8)
+    but_one = full.copy()
+    but_one[size // 2, 1] = 0
+    empty = np.zeros_like(full)
+    sets = [np.stack([full, but_one, empty]), np.stack([empty, full, but_one]),
+            np.stack([but_one, empty, full])]
+    w = class_weights(sets[0])
+    assert w[0] < 0.0 and w[1] == 0.0 and w[2] > 0.0
+    return sets
 
 
 class PerArrayAdamW:
