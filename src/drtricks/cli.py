@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as dd
-from .config import ConfigError, RunConfig, load_config
+from .config import ORDINAL, ConfigError, RunConfig, check_task, load_config
 from .ensemble import (Ensemble, EnsembleMemberError, ensemble_predict,
                        load_ensemble, map_members, save_ensemble, train_deep_ensemble,
                        tta_rotate_seg)
@@ -66,7 +66,7 @@ def _load_dev(cfg: RunConfig, scored: bool = True) -> dd.Dataset | dd.Table:
     unlabeled = [i for i, t in zip(dev.ids.tolist(), _truths(dev)) if t is None]
     if scored and unlabeled:
         raise dd.DataError(f"sample {unlabeled[0]} has no ground truth to score against")
-    if cfg.task == "segmentation" and cfg.tta == "rotate":
+    if cfg.tta == "rotate":
         for s in dev.samples:
             h, w = s.image.shape
             if h != w:
@@ -196,6 +196,11 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    for f in fields(RunConfig):  # --dim, --noise and --size set [synth] keys of those names
+        if f.metadata["section"] == "synth" and getattr(args, f.name, f.default) != f.default:
+            check_task(args.task, f"--{f.name}", f.metadata["tasks"])
+    if args.unlabeled:
+        check_task(args.task, "--unlabeled", ORDINAL)
     out = _out_dir(args)
     if args.task == "segmentation":
         d = dd.gen_seg_dataset(args.n, size=args.size, seed=args.seed,
@@ -240,8 +245,7 @@ def cmd_train(args) -> int:
 
 def cmd_rpl(args) -> int:
     cfg = load_config(args.config)
-    if cfg.task == "segmentation":
-        raise ConfigError("rpl pseudo-labels the ordinal tasks only, not segmentation")
+    check_task(cfg.task, "rpl", ORDINAL)
     out = _out_dir(args)
     labeled = _load_data(cfg, _require(cfg.train_path, "[data] train"))
     unlabeled = _load_data(cfg, _require(cfg.unlabeled_path, "[data] unlabeled"))
@@ -278,8 +282,6 @@ def cmd_predict(args) -> int:
     _check_model_fits(ens, cfg, inputs)
     print(f"pipeline: {_pipeline_description(cfg, len(ens.members))}")
     segmentation = cfg.task == "segmentation"
-    if not segmentation and cfg.tta != "none":
-        print("note: test-time augmentation has no effect on feature vectors")
     ids = inputs.ids.tolist()
     decisions = _decisions(cfg.task, cfg.postprocess, _outputs(cfg.task, cfg.tta, ens, inputs))
     if segmentation:  # on two or more CPUs a set is written while the next is computed

@@ -2,8 +2,8 @@
 
 Config files are flat key=value pairs under section headers. Parsing is
 strict: an unknown section or key is an error, so typos cannot silently
-fall back to defaults. The accepted sections and keys, their types and
-their defaults all come from the ``RunConfig`` fields.
+fall back to defaults. The accepted sections and keys, their types, their
+defaults and the tasks that read them all come from the ``RunConfig`` fields.
 """
 from __future__ import annotations
 
@@ -24,20 +24,23 @@ class ConfigError(ValueError):
 
 
 TTA_MODES = ("none", "rotate")
-# [train] settings that one kind of task alone reads: (names, read by
-# segmentation, the rule); another task with a non-default value is an error
-TASK_SETTINGS = ((("augment",), True, "augment applies to segmentation"),
-                 (("alpha", "aux"), True, "alpha and aux apply to segmentation"),
-                 (("hidden", "dropout"), False, "hidden and dropout apply to the ordinal tasks"))
+SEG, ORDINAL = ("segmentation",), ("quality", "grading")
 
 
-def _ini(section: str, default=MISSING, key: Optional[str] = None):
+def _ini(section: str, default=MISSING, key: Optional[str] = None, tasks=TASKS):
     """A field set under ``[section]`` by ``key`` (the field name if None).
 
     The value's type, used to parse the INI text, is the default's type;
-    fields without a default or defaulting to None take strings.
+    fields without a default or defaulting to None take strings. Only the
+    ``tasks`` read the field: under another, a value but the default is an error.
     """
-    return field(default=default, metadata={"section": section, "key": key})
+    return field(default=default, metadata={"section": section, "key": key, "tasks": tasks})
+
+
+def check_task(task: str, setting: str, tasks: tuple[str, ...]) -> None:
+    """A ConfigError naming ``setting`` unless ``task`` is one of the ``tasks`` that read it."""
+    if task not in tasks:
+        raise ConfigError(f"{setting} applies to {' and '.join(tasks)} only, not task {task!r}")
 
 
 @dataclass(frozen=True)
@@ -50,46 +53,43 @@ class RunConfig:
     unlabeled_path: Optional[str] = _ini("data", None, key="unlabeled")
     model_path: Optional[str] = _ini("data", None, key="model")
     predictions_path: Optional[str] = _ini("data", None, key="predictions")
-    dim: int = _ini("synth", SYNTH_DIM)
-    noise: float = _ini("synth", SYNTH_NOISE)
-    size: int = _ini("synth", SYNTH_SIZE)
+    dim: int = _ini("synth", SYNTH_DIM, tasks=ORDINAL)
+    noise: float = _ini("synth", SYNTH_NOISE, tasks=ORDINAL)
+    size: int = _ini("synth", SYNTH_SIZE, tasks=SEG)
     n_labeled: int = _ini("synth", 60)
-    n_unlabeled: int = _ini("synth", 600)
-    n_dev: int = _ini("synth", 10)
-    split_ratio: float = _ini("synth", 0.8)
+    n_unlabeled: int = _ini("synth", 600, tasks=ORDINAL)
+    n_dev: int = _ini("synth", 10, tasks=SEG)
+    split_ratio: float = _ini("synth", 0.8, tasks=ORDINAL)
     lr: float = _ini("train", TrainConfig.lr)
     weight_decay: float = _ini("train", TrainConfig.weight_decay)
     batch_size: int = _ini("train", TrainConfig.batch_size)
     epochs: int = _ini("train", TrainConfig.epochs)
-    alpha: float = _ini("train", TrainConfig.alpha)
-    aux: str = _ini("train", TrainConfig.aux)
-    hidden: int = _ini("train", TrainConfig.hidden)
-    dropout: float = _ini("train", TrainConfig.dropout)
-    augment: bool = _ini("train", TrainConfig.augment)
+    alpha: float = _ini("train", TrainConfig.alpha, tasks=SEG)
+    aux: str = _ini("train", TrainConfig.aux, tasks=SEG)
+    hidden: int = _ini("train", TrainConfig.hidden, tasks=ORDINAL)
+    dropout: float = _ini("train", TrainConfig.dropout, tasks=ORDINAL)
+    augment: bool = _ini("train", TrainConfig.augment, tasks=SEG)
     ensemble_k: int = _ini("pipeline", 1)
-    rpl_rounds: int = _ini("pipeline", RPLConfig.rounds)
-    tta: str = _ini("pipeline", "none")
-    postprocess: bool = _ini("pipeline", False)
+    rpl_rounds: int = _ini("pipeline", RPLConfig.rounds, tasks=ORDINAL)
+    tta: str = _ini("pipeline", "none", tasks=SEG)
+    postprocess: bool = _ini("pipeline", False, tasks=("segmentation", "quality"))
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.tta not in TTA_MODES:
             raise ConfigError(f"unknown tta mode {self.tta!r}; expected one of {TTA_MODES}")
-        if self.ensemble_k < 1:
-            raise ConfigError("ensemble_k must be >= 1")
-        if self.rpl_rounds < 1:
-            raise ConfigError("rpl_rounds must be >= 1")
+        for name in ("ensemble_k", "rpl_rounds"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must be in (0, 1)")
-        for names, segmentation, rule in TASK_SETTINGS:
-            if (self.task == "segmentation") != segmentation and any(
-                    getattr(self, n) != getattr(TrainConfig, n) for n in names):
-                raise ConfigError(f"[train] {rule} only, not task {self.task!r}")
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.metadata["section"] == "data" and value is not None and "\0" in value:
-                raise ConfigError(f"[data] {f.metadata['key']}: a path cannot hold a NUL byte")
+            value, section, key = getattr(self, f.name), f.metadata["section"], f.metadata["key"]
+            if value != f.default:
+                check_task(self.task, f"[{section}] {key or f.name}", f.metadata["tasks"])
+            if section == "data" and value is not None and "\0" in value:
+                raise ConfigError(f"[data] {key}: a path cannot hold a NUL byte")
 
     def train_config(self, seed: int) -> TrainConfig:
         """The [train] settings, each under its own name, and the run's seed."""

@@ -669,8 +669,6 @@ def _train_segmenter(model, data, cfg, opt, rng) -> None:
 
 def fit(task: str, data: Dataset | Table, cfg: TrainConfig) -> MLP:
     """Create a fresh model for the task and train it."""
-    if len(data) == 0:
-        raise DataError("training data must be nonempty")
     in_dim = SEG_FEATURE_DIM if task == "segmentation" else data.features.shape[1]
     return train(new_model(task, in_dim, cfg), data, cfg)
 

@@ -19,6 +19,7 @@ from drtricks import cli, ensemble, ssl
 from drtricks.cli import main
 from drtricks.config import ConfigError, RunConfig, load_config
 from drtricks.data import (
+    TASKS,
     Dataset,
     MaskSet,
     Sample,
@@ -48,19 +49,20 @@ batch_size = 16
 {train_extra}
 [pipeline]
 ensemble_k = {k}
-rpl_rounds = {rpl_rounds}
-{extra}"""
+{rpl_rounds}{extra}"""
 
 
 def write_config(tmp_path, **kw):
+    """``BASE_CONFIG`` under ``kw``; ``rpl_rounds`` (3 unless given) only for the ordinal tasks."""
+    kw.setdefault("task", "grading")
+    kw.setdefault("rpl_rounds", None if kw["task"] == "segmentation" else 3)
+    kw["rpl_rounds"] = "" if kw["rpl_rounds"] is None else f"rpl_rounds = {kw['rpl_rounds']}\n"
     kw.setdefault("train", tmp_path / "labeled" / "data.csv")
     kw.setdefault("dev", tmp_path / "dev" / "data.csv")
     kw.setdefault("unlabeled", tmp_path / "unlab" / "data.csv")
     kw.setdefault("model", tmp_path / "model" / "model.ckpt")
     kw.setdefault("predictions", tmp_path / "preds" / "predictions.csv")
     kw.setdefault("k", 1)
-    kw.setdefault("rpl_rounds", 3)
-    kw.setdefault("task", "grading")
     kw.setdefault("extra", "")
     kw.setdefault("lr", "2e-3")
     kw.setdefault("train_extra", "")
@@ -80,6 +82,40 @@ def workspace(tmp_path):
     assert main(["synth", "--task", "grading", "--n", "60", "--seed", "2",
                  "--out", str(tmp_path / "dev"), "--id-offset", "20000"]) == 0
     return tmp_path
+
+
+# every RunConfig field but task -> an INI line that sets it to a value other
+# than its default, and that value
+NON_DEFAULT = {
+    "train_path": ("train = t.csv", "t.csv"), "dev_path": ("dev = d.csv", "d.csv"),
+    "unlabeled_path": ("unlabeled = u.csv", "u.csv"), "model_path": ("model = m.ckpt", "m.ckpt"),
+    "predictions_path": ("predictions = p.csv", "p.csv"),
+    "dim": ("dim = 5", 5), "noise": ("noise = 0.25", 0.25), "size": ("size = 48", 48),
+    "n_labeled": ("n_labeled = 30", 30), "n_unlabeled": ("n_unlabeled = 70", 70),
+    "n_dev": ("n_dev = 4", 4), "split_ratio": ("split_ratio = 0.6", 0.6),
+    "lr": ("lr = 0.01", 0.01), "weight_decay": ("weight_decay = 0.5", 0.5),
+    "batch_size": ("batch_size = 3", 3), "epochs": ("epochs = 9", 9),
+    "alpha": ("alpha = 0.75", 0.75), "aux": ("aux = focal", "focal"),
+    "hidden": ("hidden = 7", 7), "dropout": ("dropout = 0.1", 0.1),
+    "augment": ("augment = true", True), "ensemble_k": ("ensemble_k = 3", 3),
+    "rpl_rounds": ("rpl_rounds = 2", 2), "tta": ("tta = rotate", "rotate"),
+    "postprocess": ("postprocess = true", True),
+}
+# task -> the fields it reads, besides task itself: the [data] paths and the
+# shared settings; the image side, the dev set size, the dice/aux loss,
+# augmentation and TTA for segmentation; the feature vectors, the unlabeled
+# pool, the split, the MLP and RPL for the ordinal tasks; the quality
+# thresholds of post-processing for quality
+_SHARED = {"train_path", "dev_path", "unlabeled_path", "model_path", "predictions_path",
+           "n_labeled", "lr", "weight_decay", "batch_size", "epochs", "ensemble_k"}
+_ORDINAL = {"dim", "noise", "n_unlabeled", "split_ratio", "hidden", "dropout", "rpl_rounds"}
+READ_BY = {"segmentation": _SHARED | {"size", "n_dev", "alpha", "aux", "augment", "tta",
+                                      "postprocess"},
+           "quality": _SHARED | _ORDINAL | {"postprocess"},
+           "grading": _SHARED | _ORDINAL}
+# (task, field) of every field that the task does not read, from the schema
+UNREAD = [(task, f.name) for f in fields(RunConfig) for task in TASKS
+          if task not in f.metadata["tasks"]]
 
 
 class TestConfig:
@@ -131,39 +167,42 @@ class TestConfig:
         assert (cfg.task, cfg.tta, cfg.ensemble_k, cfg.postprocess) == ("grading", "none", 5, False)
 
     def test_every_field_set_from_ini_reads_back(self, tmp_path):
-        """Two configs, one segmentation and one ordinal, set every field to a
-        non-default value: ``alpha``, ``aux`` and ``augment`` apply to
-        segmentation only, and ``hidden`` and ``dropout`` to the ordinal tasks only."""
-        template = (
-            "[run]\ntask = {task}\n"
-            "[data]\ntrain = t.csv\ndev = d.csv\nunlabeled = u.csv\nmodel = m.ckpt\n"
-            "predictions = p.csv\n"
-            "[synth]\ndim = 5\nnoise = 0.25\nsize = 48\nn_labeled = 30\nn_unlabeled = 70\n"
-            "n_dev = 4\nsplit_ratio = 0.6\n"
-            "[train]\nlr = 0.01\nweight_decay = 0.5\nbatch_size = 3\nepochs = 9\n{task_keys}"
-            "[pipeline]\nensemble_k = 3\nrpl_rounds = 2\ntta = rotate\npostprocess = true\n")
-        shared = dict(
-            train_path="t.csv", dev_path="d.csv",
-            unlabeled_path="u.csv", model_path="m.ckpt", predictions_path="p.csv",
-            dim=5, noise=0.25, size=48, n_labeled=30, n_unlabeled=70, n_dev=4,
-            split_ratio=0.6, lr=0.01, weight_decay=0.5, batch_size=3, epochs=9,
-            ensemble_k=3, rpl_rounds=2, tta="rotate", postprocess=True)
+        """One config per task sets every key that task reads, and no other,
+        to a value other than its default; each reads back as written, with
+        its type. Every field is read by some task."""
         defaults = {f.name: f.default for f in fields(RunConfig)}
-        read_back = set()
-        for task, task_keys, task_fields in (
-                ("segmentation", "alpha = 0.75\naux = focal\naugment = true\n",
-                 dict(alpha=0.75, aux="focal", augment=True)),
-                ("grading", "hidden = 7\ndropout = 0.1\n", dict(hidden=7, dropout=0.1))):
+        assert set(NON_DEFAULT) | {"task"} == defaults.keys()
+        assert set().union(*READ_BY.values()) == set(NON_DEFAULT)
+        for task in TASKS:
+            sections: dict[str, str] = {}
+            for f in fields(RunConfig):
+                if f.name in READ_BY[task]:
+                    sections[f.metadata["section"]] = (sections.get(f.metadata["section"], "")
+                                                       + NON_DEFAULT[f.name][0] + "\n")
             p = tmp_path / f"{task}.ini"
-            p.write_text(template.format(task=task, task_keys=task_keys))
-            expected = {**shared, "task": task, **task_fields}
+            p.write_text(f"[run]\ntask = {task}\n" + "".join(
+                f"[{section}]\n{lines}" for section, lines in sections.items()))
+            expected = {name: NON_DEFAULT[name][1] for name in READ_BY[task]}
             cfg = load_config(p)
             got = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-            assert got == defaults | expected
+            assert got == defaults | expected | {"task": task}
             assert all(type(got[k]) is type(v) for k, v in expected.items())
             assert all(defaults[k] != v for k, v in expected.items())
-            read_back |= expected.keys()
-        assert read_back == defaults.keys()
+            assert {f.name for f in fields(RunConfig)
+                    if task in f.metadata["tasks"]} == READ_BY[task] | {"task"}
+
+    @pytest.mark.parametrize("task, name", UNREAD, ids=[f"{t}-{n}" for t, n in UNREAD])
+    def test_a_key_its_task_does_not_read_is_config_error(self, tmp_path, capsys, task, name):
+        f = next(f for f in fields(RunConfig) if f.name == name)
+        section, key = f.metadata["section"], f.metadata["key"] or f.name
+        p = tmp_path / "unread.ini"
+        p.write_text(f"[run]\ntask = {task}\n[{section}]\n{NON_DEFAULT[name][0]}\n")
+        assert main(["train", "--config", str(p), "--seed", "0",
+                     "--out", str(tmp_path / "out")]) == 2
+        readers = " and ".join(f.metadata["tasks"])
+        assert capsys.readouterr().err == (f"error: [{section}] {key} applies to {readers} "
+                                           f"only, not task {task!r}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("task", ["grading", "quality"])
     def test_augment_rejected_on_tabular_tasks(self, tmp_path, capsys, task):
@@ -171,8 +210,8 @@ class TestConfig:
         p.write_text(f"[run]\ntask = {task}\n[train]\naugment = true\n")
         assert main(["train", "--config", str(p), "--seed", "0",
                      "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "augment applies to segmentation only" in err
+        assert capsys.readouterr().err == ("error: [train] augment applies to segmentation "
+                                           f"only, not task {task!r}\n")
 
     @pytest.mark.parametrize("setting", ["alpha = 7", "aux = focal", "alpha = 7\naux = focal"],
                              ids=["alpha", "aux", "both"])
@@ -182,7 +221,8 @@ class TestConfig:
         p.write_text(f"[run]\ntask = {task}\n[train]\n{setting}\n")
         assert main(["train", "--config", str(p), "--seed", "0",
                      "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == ("error: [train] alpha and aux apply to segmentation "
+        key = setting.split()[0]  # with both set, the first field is named
+        assert capsys.readouterr().err == (f"error: [train] {key} applies to segmentation "
                                            f"only, not task {task!r}\n")
 
     @pytest.mark.parametrize("setting", ["hidden = 8", "dropout = 0.1"], ids=["hidden", "dropout"])
@@ -191,8 +231,8 @@ class TestConfig:
         p.write_text(f"[run]\ntask = segmentation\n[train]\n{setting}\n")
         assert main(["train", "--config", str(p), "--seed", "0",
                      "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "apply to the ordinal tasks only" in err
+        assert capsys.readouterr().err == (f"error: [train] {setting.split()[0]} applies to "
+                                           "quality and grading only, not task 'segmentation'\n")
 
     def test_digest_changes_iff_semantic_field_changes(self):
         a = RunConfig(task="grading")
@@ -229,6 +269,28 @@ class TestSynth:
         assert main(["synth", "--task", "segmentation", "--n", "3", "--seed", "0",
                      "--size", "32", "--out", str(tmp_path / "seg")]) == 0
         assert (tmp_path / "seg" / "index.csv").exists()
+
+    @pytest.mark.parametrize("task, flag, readers", [
+        ("segmentation", ["--unlabeled"], "quality and grading"),
+        ("segmentation", ["--dim", "5"], "quality and grading"),
+        ("segmentation", ["--noise", "0.25"], "quality and grading"),
+        ("quality", ["--size", "48"], "segmentation"),
+        ("grading", ["--size", "48"], "segmentation"),
+    ], ids=["segmentation-unlabeled", "segmentation-dim", "segmentation-noise", "quality-size",
+            "grading-size"])
+    def test_a_flag_its_task_ignores_is_usage_error(self, tmp_path, capsys, task, flag, readers):
+        assert main(["synth", "--task", task, "--n", "30", "--seed", "0", *flag,
+                     "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == (f"error: {flag[0]} applies to {readers} only, "
+                                           f"not task {task!r}\n")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("task, flags", [
+        ("segmentation", ["--dim", "8", "--noise", "0.5"]), ("grading", ["--size", "64"])],
+        ids=["segmentation", "grading"])
+    def test_a_flag_its_task_ignores_may_hold_its_default(self, tmp_path, task, flags):
+        assert main(["synth", "--task", task, "--n", "30", "--seed", "0", *flags,
+                     "--out", str(tmp_path / "d")]) == 0
 
     def test_defaults_equal_run_config_and_generators(self):
         args = cli.build_parser().parse_args(
@@ -321,11 +383,7 @@ task = {task}
 
 [synth]
 n_labeled = {n_labeled}
-n_unlabeled = 60
-n_dev = 2
-size = 32
-noise = 0.5
-
+{synth}
 [train]
 epochs = 5
 lr = {lr}
@@ -333,14 +391,21 @@ batch_size = 8
 
 [pipeline]
 ensemble_k = 2
-rpl_rounds = 2
-"""
+{pipeline}"""
+# task -> the [synth] and [pipeline] lines of the keys that only its kind of task reads
+ABLATE_TASK_KEYS = {"grading": {"synth": "n_unlabeled = 60\nnoise = 0.5\n",
+                                "pipeline": "rpl_rounds = 2\n"},
+                    "segmentation": {"synth": "n_dev = 2\nsize = 32\n", "pipeline": ""}}
+
+
+def ablate_config(task: str, n_labeled: int, lr: str) -> str:
+    return ABLATE_CONFIG.format(task=task, n_labeled=n_labeled, lr=lr, **ABLATE_TASK_KEYS[task])
 
 
 class TestAblate:
     def test_grading_six_rows_and_determinism(self, tmp_path):
         cfg = tmp_path / "abl.ini"
-        cfg.write_text(ABLATE_CONFIG.format(task="grading", n_labeled=40, lr="2e-3"))
+        cfg.write_text(ablate_config(task="grading", n_labeled=40, lr="2e-3"))
         for d in ("a", "b"):
             assert main(["ablate", "--config", str(cfg), "--seeds", "0,1",
                          "--out", str(tmp_path / d)]) == 0
@@ -356,7 +421,7 @@ class TestAblate:
         # the pool is numbered from n_labeled on, so no labeled id can fall in it
         cpus(1)
         cfg = tmp_path / "abl.ini"
-        cfg.write_text(ABLATE_CONFIG.format(task="grading", n_labeled=10001, lr="2e-3")
+        cfg.write_text(ablate_config(task="grading", n_labeled=10001, lr="2e-3")
                        .replace("n_unlabeled = 60", "n_unlabeled = 30")
                        .replace("epochs = 5", "epochs = 1")
                        .replace("ensemble_k = 2", "ensemble_k = 1")
@@ -368,7 +433,7 @@ class TestAblate:
 
     def test_segmentation_four_rows(self, tmp_path):
         cfg = tmp_path / "abl.ini"
-        cfg.write_text(ABLATE_CONFIG.format(task="segmentation", n_labeled=4,
+        cfg.write_text(ablate_config(task="segmentation", n_labeled=4,
                                             lr="0.2"))
         assert main(["ablate", "--config", str(cfg), "--seeds", "3",
                      "--out", str(tmp_path / "seg")]) == 0
@@ -379,7 +444,7 @@ class TestAblate:
 
     def test_segmentation_without_dev_images_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "abl.ini"
-        cfg.write_text(ABLATE_CONFIG.format(task="segmentation", n_labeled=4, lr="0.2")
+        cfg.write_text(ablate_config(task="segmentation", n_labeled=4, lr="0.2")
                        .replace("n_dev = 2", "n_dev = 0"))
         assert main(["ablate", "--config", str(cfg), "--seeds", "3",
                      "--out", str(tmp_path / "seg")]) == 2
@@ -390,7 +455,7 @@ class TestAblate:
     @pytest.mark.parametrize("seeds", [",", " , ,", ""])
     def test_empty_seed_list_is_usage_error(self, tmp_path, capsys, seeds):
         cfg = tmp_path / "abl.ini"
-        cfg.write_text(ABLATE_CONFIG.format(task="grading", n_labeled=40, lr="2e-3"))
+        cfg.write_text(ablate_config(task="grading", n_labeled=40, lr="2e-3"))
         with pytest.raises(SystemExit) as exc:
             main(["ablate", "--config", str(cfg), "--seeds", seeds,
                   "--out", str(tmp_path / "x")])
@@ -400,7 +465,7 @@ class TestAblate:
 
     def test_bad_seed_list_is_usage_error(self, tmp_path):
         cfg = tmp_path / "abl.ini"
-        cfg.write_text(ABLATE_CONFIG.format(task="grading", n_labeled=40, lr="2e-3"))
+        cfg.write_text(ablate_config(task="grading", n_labeled=40, lr="2e-3"))
         for seeds in ("zero", "-1", "0,-1", "1,-2,3", "1.5"):
             with pytest.raises(SystemExit) as exc:
                 main(["ablate", "--config", str(cfg), "--seeds", seeds,
@@ -419,7 +484,7 @@ class TestAblate:
 
 
     def test_segmentation_notes_that_augment_is_ignored(self, tmp_path, capsys):
-        plain = ABLATE_CONFIG.format(task="segmentation", n_labeled=4, lr="0.2")
+        plain = ablate_config(task="segmentation", n_labeled=4, lr="0.2")
         aug = plain.replace("batch_size = 8", "batch_size = 8\naugment = true")
         for name, text in (("plain", plain), ("aug", aug)):
             (tmp_path / f"{name}.ini").write_text(text)
@@ -970,7 +1035,8 @@ def test_bad_train_setting_is_config_error(workspace, capsys, setting):
 @pytest.mark.parametrize("task", ["grading", "quality", "segmentation"])
 def test_dev_report_and_evaluate_agree(workspace, task):
     """train's dev report and evaluate over predict's output give the same metric rows."""
-    kw = {"task": task, "extra": "postprocess = true\n"}
+    # grading has no post-processing of its own to run
+    kw = {"task": task, "extra": "" if task == "grading" else "postprocess = true\n"}
     if task == "quality":
         for part, seed, offset in (("qlab", "0", "0"), ("qdev", "2", "20000")):
             assert main(["synth", "--task", "quality", "--n", "60", "--seed", seed,
@@ -1047,7 +1113,8 @@ def test_ordinal_dev_report_over_no_sample_fails_before_training(workspace, caps
                                     "-9223372036854775809"])
 @pytest.mark.parametrize("task", ["grading", "segmentation"])
 def test_synth_of_an_id_outside_int64_is_config_error(tmp_path, capsys, task, offset):
-    assert main(["synth", "--task", task, "--n", "30", "--size", "32", "--seed", "0",
+    size = ["--size", "32"] if task == "segmentation" else []
+    assert main(["synth", "--task", task, "--n", "30", *size, "--seed", "0",
                  "--out", str(tmp_path / "out"), "--id-offset", offset]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sample id ") and err.count("\n") == 1
@@ -1059,7 +1126,8 @@ def test_segmentation_rpl_is_config_error(tmp_path, capsys):
     cfg.write_text(SEG_CONFIG.format(train=tmp_path / "seg", lr=0.2))
     assert main(["rpl", "--config", str(cfg), "--seed", "0",
                  "--out", str(tmp_path / "out")]) == 2
-    assert "ordinal tasks only" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: rpl applies to quality and grading only, "
+                                       "not task 'segmentation'\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -1163,7 +1231,7 @@ def test_pseudo_labeling_outputs_keep_their_bytes(workspace):
     assert main(["rpl", "--config", str(write_config(workspace)), "--seed", "0",
                  "--out", str(workspace / "rpl")]) == 0
     cfg = workspace / "abl.ini"
-    cfg.write_text(ABLATE_CONFIG.format(task="grading", n_labeled=40, lr="2e-3"))
+    cfg.write_text(ablate_config(task="grading", n_labeled=40, lr="2e-3"))
     assert main(["ablate", "--config", str(cfg), "--seeds", "0",
                  "--out", str(workspace / "ablate")]) == 0
     assert {name: hashlib.sha256((workspace / name).read_bytes()).hexdigest()

@@ -117,8 +117,7 @@ def _matrix(tmp: Path) -> list[tuple[list[str], int]]:
         cmd("train", "g1", "grading", tab),
         cmd("train", "g2", "grading", tab, pipeline="ensemble_k = 2\n"),
         cmd("rpl", "grpl", "grading", tab, pipeline="rpl_rounds = 2\n"),
-        cmd("predict", "gp1", "grading", {"dev": dev, "model": tmp / "g1" / "model.ckpt"},
-            pipeline="tta = rotate\n"),
+        cmd("predict", "gp1", "grading", {"dev": dev, "model": tmp / "g1" / "model.ckpt"}),
         cmd("predict", "gp2", "grading", {"dev": dev, "model": tmp / "g2"}),
         cmd("evaluate", "ge", "grading",
             {"dev": dev, "predictions": tmp / "gp1" / "predictions.csv"}),
