@@ -214,55 +214,45 @@ def cmd_synth(args) -> int:
                                    id_offset=args.id_offset)
         path = out / "data.csv"
         dd.write_dataset_csv(path, d)
-        counts = dd.largest_remainder_counts(args.n, dd.DEFAULT_GRADE_PROPORTIONS)
         print(f"wrote {len(d)} samples to {path}")
-        for c, k in enumerate(counts):
-            print(f"class {c}: {k}")
+        if not args.unlabeled:  # a pool's label column is empty
+            counts = dd.largest_remainder_counts(args.n, dd.DEFAULT_GRADE_PROPORTIONS)
+            for c, k in enumerate(counts):
+                print(f"class {c}: {k}")
     return 0
 
 
 def cmd_train(args) -> int:
+    """``train`` fits supervised members; ``rpl`` fits each by reliable pseudo
+    labeling over the ``[data] unlabeled`` pool and writes its audit log.
+    Member i trains with seed + i; k = 1 saves ``model.ckpt``, k > 1 an ensemble."""
     cfg = load_config(args.config)
+    rpl = args.command == "rpl"
+    if rpl:
+        check_task(cfg.task, "rpl", ORDINAL)
     out = _out_dir(args)
     train = _load_data(cfg, _require(cfg.train_path, "[data] train"))
+    pool = _load_data(cfg, _require(cfg.unlabeled_path, "[data] unlabeled")) if rpl else None
     # read before training, so that a dev set the report cannot use fails first
     dev = None if cfg.dev_path is None else _load_dev(cfg)
+    _check_width(train, pool, "unlabeled pool")
     _check_width(train, dev, "dev set")
-    tcfg = cfg.train_config(args.seed)
-    if cfg.ensemble_k > 1:
-        ens = train_deep_ensemble(train, tcfg, k=cfg.ensemble_k, base_seed=args.seed)
-        manifest = save_ensemble(out, ens)
-        print(f"trained ensemble of {cfg.ensemble_k}; manifest {manifest}")
+    tcfg, k = cfg.train_config(args.seed), cfg.ensemble_k
+    audits = [out / ("audit.csv" if k == 1 else f"member_{i}_audit.csv") for i in range(k)]
+    member = lambda i: rpl_train(train, pool, RPLConfig(replace(tcfg, seed=args.seed + i),
+                                                        cfg.rpl_rounds), audits[i])
+    done = f"reliable pseudo labeling over {cfg.rpl_rounds} rounds; " if rpl else "trained "
+    if k > 1:
+        ens = (Ensemble(tuple(map_members(member, k)), tuple(args.seed + i for i in range(k)))
+               if rpl else train_deep_ensemble(train, tcfg, k=k, base_seed=args.seed))
+        print(f"{done}ensemble of {k}; manifest {save_ensemble(out, ens)}")
     else:
-        model = fit(cfg.task, train, tcfg)
-        path = out / "model.ckpt"
-        save_checkpoint(path, model)
-        ens = Ensemble((model,), (args.seed,))
-        print(f"trained single model; checkpoint {path}")
+        ens = Ensemble((member(0) if rpl else fit(cfg.task, train, tcfg),), (args.seed,))
+        save_checkpoint(out / "model.ckpt", ens.members[0])
+        print(f"{done}{'' if rpl else 'single model; '}checkpoint {out / 'model.ckpt'}")
+    for path in audits if rpl else ():
+        print(f"audit log {path}")
     _maybe_dev_report(cfg, ens, dev, args.seed, out)
-    return 0
-
-
-def cmd_rpl(args) -> int:
-    cfg = load_config(args.config)
-    check_task(cfg.task, "rpl", ORDINAL)
-    out = _out_dir(args)
-    labeled = _load_data(cfg, _require(cfg.train_path, "[data] train"))
-    unlabeled = _load_data(cfg, _require(cfg.unlabeled_path, "[data] unlabeled"))
-    dev = None if cfg.dev_path is None else _load_dev(cfg)
-    _check_width(labeled, unlabeled, "unlabeled pool")
-    _check_width(labeled, dev, "dev set")
-    if cfg.ensemble_k > 1:
-        print("note: rpl trains one model; "
-              f"[pipeline] ensemble_k = {cfg.ensemble_k} is ignored")
-    tcfg = cfg.train_config(args.seed)
-    rcfg = RPLConfig(base=tcfg, rounds=cfg.rpl_rounds)
-    model = rpl_train(labeled, unlabeled, rcfg, audit_path=out / "audit.csv")
-    path = out / "model.ckpt"
-    save_checkpoint(path, model)
-    print(f"reliable pseudo labeling over {cfg.rpl_rounds} rounds; checkpoint {path}")
-    print(f"audit log {out / 'audit.csv'}")
-    _maybe_dev_report(cfg, Ensemble((model,), (args.seed,)), dev, args.seed, out)
     return 0
 
 
@@ -418,11 +408,12 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, dict[str, float]]:
 def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, dict[str, float]]:
     """One seed's dev mean DSC and IoU for each arm of ``SEGMENTATION_TABLE``.
 
-    Augmentation has no arm of its own, so every arm trains without it. The
-    k ensemble members (seeds base, base + 1, ..., as ``train_deep_ensemble``
-    gives them) are trained first, then the single baseline fit.
+    Augmentation has no arm of its own, and ``ablate`` rejects it, so every
+    arm trains without it. The k ensemble members (seeds base, base + 1, ...,
+    as ``train_deep_ensemble`` gives them) are trained first, then the single
+    baseline fit.
     """
-    tcfg = replace(cfg.train_config(seed), augment=False)
+    tcfg = cfg.train_config(seed)
     train = dd.gen_seg_dataset(cfg.n_labeled, size=cfg.size, seed=derive_seed(seed, 1))
     dev = dd.gen_seg_dataset(cfg.n_dev, size=cfg.size, seed=derive_seed(seed, 2))
     segmenter = lambda c: fit("segmentation", train, c)
@@ -433,12 +424,13 @@ def _segmentation_arms(cfg: RunConfig, seed: int) -> dict[str, dict[str, float]]
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
+    for f in fields(RunConfig):  # the arms set these themselves
+        if f.name in ("augment", "tta", "postprocess") and getattr(cfg, f.name) != f.default:
+            raise ConfigError(f"ablate sets [{f.metadata['section']}] {f.name} per arm; "
+                              "leave it at its default")
     out = _out_dir(args)
     if cfg.task == "segmentation":
         run_arms, metric = _segmentation_arms, "mean_dsc"
-        if cfg.augment:
-            print("note: ablate trains every arm without augmentation; "
-                  "[train] augment = true is ignored")
     else:
         run_arms, metric = _tabular_arms, "qwk"
     per_seed = [run_arms(cfg, seed) for seed in args.seeds]
@@ -497,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func, help_text in (
         ("train", cmd_train, "train a supervised model or deep ensemble"),
-        ("rpl", cmd_rpl, "train with reliable pseudo labeling"),
+        ("rpl", cmd_train, "train with reliable pseudo labeling"),
         ("predict", cmd_predict, "run the prediction pipeline"),
         ("evaluate", cmd_evaluate, "score predictions against ground truth"),
     ):

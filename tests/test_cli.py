@@ -252,6 +252,11 @@ class TestSynth:
         assert "class 1: 212" in out
         assert "class 2: 70" in out
 
+    def test_an_unlabeled_pool_echoes_no_class_counts(self, tmp_path, capsys):
+        assert main(["synth", "--task", "grading", "--n", "40", "--seed", "0",
+                     "--out", str(tmp_path / "d"), "--unlabeled"]) == 0
+        assert capsys.readouterr().out == f"wrote 40 samples to {tmp_path / 'd' / 'data.csv'}\n"
+
     def test_same_seed_identical_files(self, tmp_path):
         for d in ("a", "b"):
             main(["synth", "--task", "grading", "--n", "60", "--seed", "5",
@@ -344,17 +349,22 @@ class TestWorkflows:
         rows = list(csv.DictReader(open(workspace / "rpl" / "audit.csv")))
         assert sorted({int(r["round"]) for r in rows}) == [1, 2, 3]
 
-    def test_rpl_notes_that_ensemble_k_is_ignored(self, workspace, capsys):
-        note = "note: rpl trains one model; [pipeline] ensemble_k = 3 is ignored\n"
+    def test_rpl_with_k_3_trains_three_members(self, workspace, capsys):
         for k in (1, 3):
             cfg = write_config(workspace, k=k)
             capsys.readouterr()
             assert main(["rpl", "--config", str(cfg), "--seed", "0",
                          "--out", str(workspace / f"rpl{k}")]) == 0
-            assert capsys.readouterr().out.count(note) == (k == 3)
-        assert (workspace / "rpl3" / "model.ckpt").read_bytes() == \
-            (workspace / "rpl1" / "model.ckpt").read_bytes()
-        assert not (workspace / "rpl3" / "member_0.ckpt").exists()
+        out, rpl1, rpl3 = capsys.readouterr().out, workspace / "rpl1", workspace / "rpl3"
+        assert set(_files(rpl3)) == {"ensemble.json", "report.csv", "report.json",
+                                     *(f"member_{i}{suffix}" for i in range(3)
+                                       for suffix in (".ckpt", "_audit.csv"))}
+        assert out.startswith("reliable pseudo labeling over 3 rounds; ensemble of 3; "
+                              f"manifest {rpl3 / 'ensemble.json'}\n")
+        assert all(f"audit log {rpl3 / f'member_{i}_audit.csv'}\n" in out for i in range(3))
+        assert (rpl3 / "member_0.ckpt").read_bytes() == (rpl1 / "model.ckpt").read_bytes()
+        assert (rpl3 / "member_0_audit.csv").read_bytes() == (rpl1 / "audit.csv").read_bytes()
+        assert (rpl3 / "member_1.ckpt").read_bytes() != (rpl1 / "model.ckpt").read_bytes()
 
     def test_ensemble_training_writes_manifest(self, workspace):
         cfg = write_config(workspace, k=2, model=workspace / "ens")
@@ -483,18 +493,24 @@ class TestAblate:
         assert not (tmp_path / "x").exists()
 
 
-    def test_segmentation_notes_that_augment_is_ignored(self, tmp_path, capsys):
-        plain = ablate_config(task="segmentation", n_labeled=4, lr="0.2")
-        aug = plain.replace("batch_size = 8", "batch_size = 8\naugment = true")
-        for name, text in (("plain", plain), ("aug", aug)):
-            (tmp_path / f"{name}.ini").write_text(text)
-            assert main(["ablate", "--config", str(tmp_path / f"{name}.ini"), "--seeds", "3",
-                         "--out", str(tmp_path / name)]) == 0
-        out = capsys.readouterr().out
-        assert out.count("note: ablate trains every arm without augmentation; "
-                         "[train] augment = true is ignored\n") == 1
-        assert ((tmp_path / "plain" / "ablation.csv").read_bytes()
-                == (tmp_path / "aug" / "ablation.csv").read_bytes())
+    @pytest.mark.parametrize("task, section, line", [
+        ("segmentation", "train", "augment = true"), ("segmentation", "pipeline", "tta = rotate"),
+        ("segmentation", "pipeline", "postprocess = true"),
+        ("quality", "pipeline", "postprocess = true")],
+        ids=["segmentation-augment", "segmentation-tta", "segmentation-postprocess",
+             "quality-postprocess"])
+    def test_a_setting_its_arms_override_is_config_error(self, tmp_path, capsys, task,
+                                                         section, line):
+        text = ablate_config(task="grading" if task == "quality" else task, n_labeled=4,
+                             lr="0.2").replace("task = grading", f"task = {task}")
+        cfg = tmp_path / "abl.ini"
+        cfg.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        assert main(["ablate", "--config", str(cfg), "--seeds", "3",
+                     "--out", str(tmp_path / "out")]) == 2
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == (f"error: ablate sets [{section}] {key} per arm; "
+                                           "leave it at its default\n")
+        assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +522,16 @@ def _files(directory: Path) -> dict[str, bytes]:
             for p in sorted(directory.rglob("*")) if p.is_file()}
 
 
+TTA_POST = "tta = rotate\npostprocess = true\n"  # ablate rejects them: its arms set both
+
+
 def _seg_config(tmp_path: Path, dev: Path, k: int, lr: float = 0.2, model: str = "") -> Path:
     """A segmentation config over ``tmp_path / "seg"`` and ``dev`` with k members,
     rotation TTA and post-processing; ``model`` is an optional ``[data]`` line."""
     cfg = tmp_path / "seg.ini"
     cfg.write_text(SEG_CONFIG.format(train=tmp_path / "seg", lr=lr)
                    .replace("[train]", f"dev = {dev}\n{model}\n[train]")
-                   + f"\n[pipeline]\nensemble_k = {k}\ntta = rotate\npostprocess = true\n")
+                   + f"\n[pipeline]\nensemble_k = {k}\n{TTA_POST}")
     return cfg
 
 
@@ -527,8 +546,9 @@ def _seg_workspace(tmp_path: Path, lr: float, k: int = 3, n: int = 4, size: int 
 
 class TestWorkers:
     @pytest.mark.parametrize("task, command", [
-        ("grading", "ablate"), ("grading", "train"), ("segmentation", "ablate"),
-        ("segmentation", "train"), ("augmented_segmentation", "train")])
+        ("grading", "ablate"), ("grading", "train"), ("grading", "rpl"),
+        ("segmentation", "ablate"), ("segmentation", "train"),
+        ("augmented_segmentation", "train")])
     def test_one_and_two_cpus_write_the_same_bytes(self, workspace, capsys, cpus,
                                                    command, task):
         k = 2 if task == "augmented_segmentation" else 3
@@ -540,7 +560,9 @@ class TestWorkers:
             if task == "augmented_segmentation":  # each member augments in its own worker
                 cfg.write_text(cfg.read_text().replace("batch_size = 4",
                                                        "batch_size = 4\naugment = true"))
-        seeds = ["--seed", "0"] if command == "train" else ["--seeds", "0,1"]
+            if command == "ablate":
+                cfg.write_text(cfg.read_text().replace(TTA_POST, ""))
+        seeds = ["--seeds", "0,1"] if command == "ablate" else ["--seed", "0"]
         outputs = []
         for ncpu in (1, 2):
             cpus(ncpu)
@@ -551,8 +573,26 @@ class TestWorkers:
         assert outputs[0] == outputs[1]
         expected = {"ablation.csv"} if command == "ablate" else {
             "ensemble.json", *(f"member_{i}.ckpt" for i in range(k)), "report.csv",
-            "report.json"}
+            "report.json", *(f"member_{i}_audit.csv" for i in range(k) if command == "rpl")}
         assert set(outputs[0][0]) == expected
+
+    def test_a_failing_rpl_member_exits_3_and_saves_no_model(self, workspace, capsys, cpus,
+                                                              monkeypatch):
+        original = cli.rpl_train
+
+        def failing_second_member(labeled, pool, cfg, audit_path):
+            if cfg.base.seed == 1:  # member 1 of seed 0
+                raise FloatingPointError("overflow")
+            return original(labeled, pool, cfg, audit_path)
+
+        monkeypatch.setattr(cli, "rpl_train", failing_second_member)
+        cfg = write_config(workspace, k=3)
+        for ncpu in (1, 2):
+            cpus(ncpu)
+            out = workspace / f"out{ncpu}"
+            assert main(["rpl", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 3
+            assert capsys.readouterr().err == "numerical failure: member 1 failed: overflow\n"
+            assert not list(out.glob("*.ckpt")) and not (out / "ensemble.json").exists()
 
     def test_saturating_ensemble_exits_3_with_one_line_on_any_cpus(self, tmp_path, capsys,
                                                                    cpus):
@@ -633,7 +673,8 @@ class TestWorkers:
                                extra="[synth]\nn_labeled = 40\nn_unlabeled = 60\n")
         else:
             cfg = _seg_workspace(workspace, lr=0.2, k=2)
-            cfg.write_text(cfg.read_text() + "\n[synth]\nn_labeled = 4\nn_dev = 2\nsize = 32\n")
+            cfg.write_text(cfg.read_text().replace(TTA_POST, "")
+                           + "\n[synth]\nn_labeled = 4\nn_dev = 2\nsize = 32\n")
         errors = []
         for ncpu in (1, 2):
             cpus(ncpu)
@@ -1413,7 +1454,7 @@ def test_fits_to_an_overflowing_checkpoint_exit_3_with_one_line(workspace, capsy
     seeds = ["--seeds", "0"] if command == "ablate" else ["--seed", "0"]
     capsys.readouterr()
     assert main([command, "--config", str(cfg), *seeds, "--out", str(workspace / "out")]) == 3
-    member = "+rpl member 0 failed: " if command == "ablate" else ""
+    member = {"ablate": "+rpl member 0 failed: ", "rpl": "member 0 failed: "}.get(command, "")
     assert capsys.readouterr().err == f"numerical failure: {member}non-finite model output\n"
     assert not recwarn.list
 
@@ -1438,7 +1479,7 @@ def test_a_forward_pass_that_overflows_prints_one_line(tmp_path, command):
     result = subprocess.run(
         [sys.executable, "-m", "drtricks.cli", command, "--config", str(cfg), *seeds,
          "--out", str(tmp_path / "out")], env=_cli_env(), capture_output=True, text=True)
-    member = "+rpl member 0 failed: " if command == "ablate" else ""
+    member = {"ablate": "+rpl member 0 failed: ", "rpl": "member 0 failed: "}.get(command, "")
     assert (result.returncode, result.stderr) == (
         3, f"numerical failure: {member}non-finite model output\n")
     assert not (tmp_path / "out" / "predictions.csv").exists()

@@ -134,11 +134,12 @@ def _matrix(tmp: Path) -> list[tuple[list[str], int]]:
             pipeline="tta = rotate\npostprocess = true\n"),
         cmd("evaluate", "se", "segmentation", {"dev": segdev, "predictions": tmp / "sp2"}),
         cmd("ablate", "sa", "segmentation", {},
-            "augment = true\n[synth]\nn_labeled = 3\nn_dev = 1\nsize = 32\n",
+            "[synth]\nn_labeled = 3\nn_dev = 1\nsize = 32\n",
             "ensemble_k = 2\n"),
         # a diverging fit, alone and as an ensemble member
         cmd("train", "d1", "grading", {"train": lab}, "lr = 1e30\n", code=3),
         cmd("train", "d2", "grading", {"train": lab}, "lr = 1e30\n", "ensemble_k = 2\n", code=3),
+        cmd("rpl", "grpl2", "grading", tab, pipeline="ensemble_k = 2\nrpl_rounds = 2\n"),
     ]
 
 
