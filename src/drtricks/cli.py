@@ -132,7 +132,7 @@ def _decisions(task: str, post: bool, outputs):
     under post, else rounding. A mask set: full post-processing under post,
     else the 0.5 threshold."""
     if task == "segmentation":
-        return (postprocess_masks(soft) if post else dd.MaskSet((soft >= 0.5).astype(np.uint8))
+        return (postprocess_masks(soft) if post else (soft >= 0.5).astype(np.uint8)
                 for soft in outputs)
     if post and task == "quality":
         return [quality_decision(r) for r in outputs]
@@ -151,12 +151,12 @@ def _score(task: str, truth: dd.Dataset | dd.Table, decisions) -> dict[str, floa
         if t is None:
             raise dd.DataError(f"sample {sid} has no ground truth to score against")
         if task == "segmentation":
-            (_, h, w), (_, th, tw) = decision.channels.shape, t.channels.shape
+            (_, h, w), (_, th, tw) = decision.shape, t.shape
             if (h, w) != (th, tw):
                 raise dd.DataError(f"sample {sid}: predicted masks are {h}x{w}, "
                                    f"its ground truth {th}x{tw}")
-            a.append(mean_dsc(decision.channels, t.channels))
-            b.append(mean_iou(decision.channels, t.channels))
+            a.append(mean_dsc(decision, t))
+            b.append(mean_iou(decision, t))
         else:
             a.append(t)
             b.append(decision)

@@ -44,46 +44,12 @@ class FormatError(DataError):
     """Malformed file content (bad header, dimensions, or pixel values)."""
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def _frozen(arr: np.ndarray, dtype=None) -> np.ndarray:
     # C order whatever the input's layout: sums over a raster follow memory
     # order, so a transposed view would otherwise train different weights.
-    out = np.array(arr, copy=True, order="C")
+    out = np.array(arr, dtype=dtype, copy=True, order="C")
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class MaskSet:
-    """Three binary lesion rasters stacked as (3, H, W): IRMA, NP, NV."""
-
-    channels: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.channels)
-        if c.ndim != 3 or c.shape[0] != NUM_CLASSES:
-            raise DataError(f"mask set must have shape (3, H, W), got {c.shape}")
-        if not ((c == 0) | (c == 1)).all():  # np.isin's verdicts, about 10x faster
-            raise DataError("mask pixels must be 0 or 1")
-        object.__setattr__(self, "channels", _frozen(c.astype(np.uint8)))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.channels.shape[1], self.channels.shape[2]
-
-
-@dataclass(frozen=True)
-class SoftMaskSet:
-    """Three real-valued rasters in [0, 1] stacked as (3, H, W)."""
-
-    channels: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.channels, dtype=np.float64)
-        if c.ndim != 3 or c.shape[0] != NUM_CLASSES:
-            raise DataError(f"soft mask set must have shape (3, H, W), got {c.shape}")
-        if not np.isfinite(c).all() or c.min() < 0.0 or c.max() > 1.0:
-            raise DataError("soft mask values must be finite and in [0, 1]")
-        object.__setattr__(self, "channels", _frozen(c))
 
 
 def validate_label(value: int) -> int:
@@ -139,11 +105,13 @@ class Table:
 @dataclass(frozen=True)
 class Sample:
     """One segmentation image, stored as a read-only C-ordered float64 raster
-    in [0, 1] of at least 8x8, with its lesion mask set if it is labeled."""
+    in [0, 1] of at least 8x8. If it is labeled, ``masks`` is its lesion mask
+    set: a read-only C-ordered (3, H, W) uint8 array of 0s and 1s, stacked
+    IRMA, NP, NV."""
 
     id: int
     image: np.ndarray
-    masks: Optional[MaskSet] = None
+    masks: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.image, dtype=np.float64)
@@ -155,9 +123,17 @@ class Sample:
             raise DataError("image values must be finite and in [0, 1]")
         if not -2**63 <= self.id < 2**63:
             raise DataError(f"sample id {self.id} is outside the 64-bit integer range")
-        if self.masks is not None and self.masks.shape != v.shape:
-            raise DataError("mask shape does not match image shape")
         object.__setattr__(self, "image", _frozen(v))
+        if self.masks is None:
+            return
+        m = np.asarray(self.masks)
+        if m.ndim != 3 or m.shape[0] != NUM_CLASSES:
+            raise DataError(f"mask set must have shape (3, H, W), got {m.shape}")
+        if m.shape[1:] != v.shape:
+            raise DataError("mask shape does not match image shape")
+        if not ((m == 0) | (m == 1)).all():  # np.isin's verdicts, about 10x faster
+            raise DataError("mask pixels must be 0 or 1")
+        object.__setattr__(self, "masks", _frozen(m, np.uint8))
 
 
 @dataclass(frozen=True)
@@ -383,7 +359,7 @@ def gen_seg_dataset(
             Sample(
                 id=id_offset + i,
                 image=np.clip(img, 0.0, 1.0),
-                masks=MaskSet(masks),
+                masks=masks,
             )
         )
     return Dataset(tuple(samples))
@@ -455,14 +431,15 @@ def _mask_paths(stem: Path | str) -> list[Path]:
     return [stem.with_name(stem.name + f"_{ch}.pgm") for ch in LESION_CHANNELS]
 
 
-def _mask_rasters(stem: Path | str, masks: MaskSet):
+def _mask_rasters(stem: Path | str, masks: np.ndarray):
     """Yield each channel's file path and its raster of 0 and 255."""
-    for path, channel in zip(_mask_paths(stem), masks.channels):
+    for path, channel in zip(_mask_paths(stem), masks):
         yield path, channel * np.uint8(255)
 
 
-def write_mask_set(stem: Path | str, masks: MaskSet) -> list[Path]:
-    """Write one binary PGM per channel, suffixed _irma/_np/_nv."""
+def write_mask_set(stem: Path | str, masks: np.ndarray) -> list[Path]:
+    """Write a (3, H, W) uint8 mask set of 0s and 1s as one binary PGM per
+    channel, suffixed _irma/_np/_nv."""
     for path, raster in _mask_rasters(stem, masks):
         write_pgm(path, raster)
     return _mask_paths(stem)
@@ -532,8 +509,9 @@ def write_mask_sets(pairs) -> None:
             helper.wait()
 
 
-def read_mask_set(stem: Path | str) -> MaskSet:
-    """Read the three channel PGMs back; pixels >= 128 are positive."""
+def read_mask_set(stem: Path | str) -> np.ndarray:
+    """Read the three channel PGMs back as a (3, H, W) uint8 array; pixels
+    >= 128 are 1, the rest 0."""
     rasters = []
     shapes = set()
     for path in _mask_paths(stem):
@@ -543,7 +521,7 @@ def read_mask_set(stem: Path | str) -> MaskSet:
         shapes.add(raw.shape)
     if len(shapes) != 1:
         raise FormatError(f"{stem}: mask channel dimensions disagree")
-    return MaskSet(np.stack(rasters))
+    return np.stack(rasters)
 
 
 def read_csv(path: Path | str) -> list[list[str]]:
@@ -624,9 +602,10 @@ def read_seg_dataset(directory: Path | str, masks: bool = True) -> Dataset:
         raise FormatError(f"{directory}: malformed index.csv header")
     samples = []
     for row in rows[1:]:
-        try:
-            sid, image_name, has_masks = int(row[0]), row[1], bool(int(row[2]))
-        except (ValueError, IndexError) as exc:
+        try:  # exactly three fields: an integer id, the image name, and 0 or 1
+            sid, image_name, has_masks = row
+            sid, has_masks = int(sid), ("0", "1").index(has_masks)
+        except ValueError as exc:
             raise FormatError(f"{index}: malformed row {row!r}") from exc
         if "\0" in image_name:
             raise FormatError(f"{index}: image name {image_name!r} holds a NUL byte")
@@ -634,5 +613,8 @@ def read_seg_dataset(directory: Path | str, masks: bool = True) -> Dataset:
         mask_set = None
         if has_masks and masks:
             mask_set = read_mask_set(directory / Path(image_name).stem)
-        samples.append(Sample(id=sid, image=image, masks=mask_set))
+        try:
+            samples.append(Sample(id=sid, image=image, masks=mask_set))
+        except DataError as exc:
+            raise DataError(f"{index}: sample {sid}: {exc}") from exc
     return Dataset(tuple(samples))

@@ -640,7 +640,7 @@ def _train_segmenter(model, data, cfg, opt, rng) -> None:
     # augmented fit keeps no targets, only the check.
     plain = []
     for s in data.samples:
-        targets = _seg_targets(s.masks.channels, f"sample {s.id}", draws.get(s.image.size))
+        targets = _seg_targets(s.masks, f"sample {s.id}", draws.get(s.image.size))
         if not cfg.augment:
             plain.append((seg_features(s.image), targets))
 
@@ -650,7 +650,7 @@ def _train_segmenter(model, data, cfg, opt, rng) -> None:
             for i in idx:
                 if cfg.augment:
                     s = data.samples[i]
-                    values, channels = augment(s.image, s.masks.channels, rng)
+                    values, channels = augment(s.image, s.masks, rng)
                     f = seg_features(values)
                     targets = _seg_targets(channels, f"sample {s.id}, augmented at epoch"
                                            f" {epoch}", draws[len(f)])

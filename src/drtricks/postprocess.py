@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import IRMA, NP, NV, MaskSet, SoftMaskSet, validate_label
+from .data import IRMA, NP, NV, validate_label
 
 #: Operating thresholds of the quality grades: raw < low is 0, raw < high is 1, else 2.
 QUALITY_LOW, QUALITY_HIGH = 0.54, 1.5
@@ -41,22 +41,22 @@ def dilate(mask: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def reconcile_irma_nv(soft: SoftMaskSet | np.ndarray, masks: MaskSet | np.ndarray) -> MaskSet:
+def reconcile_irma_nv(soft: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Resolve IRMA/NV conflicts: keep only the more confident channel.
 
-    At pixels positive in both channels, the one with strictly greater soft
-    confidence wins; ties keep IRMA. The NP channel passes through.
+    ``soft`` and ``masks`` are (3, H, W) soft and binary mask sets; the result
+    is ``masks`` as a new uint8 array, where at pixels positive in both IRMA
+    and NV the channel of strictly greater soft confidence wins and ties keep
+    IRMA. The NP channel passes through.
     """
-    s = soft.channels if isinstance(soft, SoftMaskSet) else np.asarray(soft, dtype=np.float64)
-    b = masks.channels if isinstance(masks, MaskSet) else np.asarray(masks, dtype=np.uint8)
-    if s.shape != b.shape:
+    if soft.shape != masks.shape:
         raise ValueError("soft and binary mask shapes must match")
-    out = b.copy()
-    conflict = (b[IRMA] == 1) & (b[NV] == 1)
-    nv_wins = conflict & (s[NV] > s[IRMA])
+    out = masks.astype(np.uint8)
+    conflict = (masks[IRMA] == 1) & (masks[NV] == 1)
+    nv_wins = conflict & (soft[NV] > soft[IRMA])
     out[IRMA][nv_wins] = 0
     out[NV][conflict & ~nv_wins] = 0
-    return MaskSet(out)
+    return out
 
 
 def quality_decision(raw: float) -> int:
@@ -69,24 +69,23 @@ def quality_decision(raw: float) -> int:
     return 2
 
 
-def grade_postedit(grade: int, masks: MaskSet | np.ndarray) -> int:
+def grade_postedit(grade: int, masks: np.ndarray) -> int:
     """Edit a DR grade with the segmentation output.
 
     Any NV detection (at least one positive pixel) forces PDR; otherwise a
     fully lesion-free mask forces normal; else unchanged.
     """
     grade = validate_label(grade)
-    b = masks.channels if isinstance(masks, MaskSet) else np.asarray(masks)
-    if int(b[NV].sum()) >= 1:
+    if int(masks[NV].sum()) >= 1:
         return 2
-    if int(b.sum()) == 0:
+    if int(masks.sum()) == 0:
         return 0
     return grade
 
 
-def postprocess_masks(soft: np.ndarray) -> MaskSet:
-    """Full segmentation post-processing: binarize at 0.5, dilate NP over a
-    5 x 5 square, reconcile IRMA/NV."""
+def postprocess_masks(soft: np.ndarray) -> np.ndarray:
+    """Full segmentation post-processing of a (3, H, W) soft mask set into a
+    uint8 one: binarize at 0.5, dilate NP over a 5 x 5 square, reconcile IRMA/NV."""
     s = np.asarray(soft, dtype=np.float64)
     binary = (s >= 0.5).astype(np.uint8)
     binary[NP] = dilate(binary[NP], 5)

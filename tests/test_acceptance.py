@@ -12,8 +12,6 @@ from drtricks.cli import main
 from drtricks.data import (
     IRMA,
     NV,
-    MaskSet,
-    SoftMaskSet,
     gen_ordinal_dataset,
     gen_seg_dataset,
     split_train_dev,
@@ -298,7 +296,7 @@ def test_criterion_6_postprocess_rules():
         m = np.zeros((3, 8, 8), dtype=np.uint8)
         m[1].flat[:np_count] = 1
         m[2].flat[:nv] = 1
-        return MaskSet(m)
+        return m
 
     postedit_ok = (grade_postedit(1, masks_with(nv=1)) == 2
                    and grade_postedit(1, masks_with()) == 0
@@ -311,8 +309,8 @@ def test_criterion_6_postprocess_rules():
     for _ in range(100):
         soft = rng.uniform(0, 1, (3, 6, 6))
         binary = rng.integers(0, 2, (3, 6, 6)).astype(np.uint8)
-        out = reconcile_irma_nv(SoftMaskSet(soft), MaskSet(binary))
-        reconcile_ok &= not (out.channels[IRMA] & out.channels[NV]).any()
+        out = reconcile_irma_nv(soft, binary)
+        reconcile_ok &= not (out[IRMA] & out[NV]).any()
 
     def brute_dilate(mask, k):
         h, w = mask.shape
@@ -387,10 +385,9 @@ def test_criterion_8_segmentation_pipeline():
         raw, full = [], []
         for s in dev.samples:
             soft = segment_soft(single, s.image)
-            raw.append(mean_dsc((soft >= 0.5).astype(np.uint8), s.masks.channels))
+            raw.append(mean_dsc((soft >= 0.5).astype(np.uint8), s.masks))
             esoft = tta_rotate_seg(predict, s.image)
-            full.append(mean_dsc(postprocess_masks(esoft).channels,
-                                 s.masks.channels))
+            full.append(mean_dsc(postprocess_masks(esoft), s.masks))
         raw_scores.append(np.mean(raw))
         full_scores.append(np.mean(full))
     raw_mean = float(np.mean(raw_scores))

@@ -62,12 +62,12 @@ def raster_samples(n, shape, seed):
     """(image, masks) pairs: whole synthetic images for a square ``shape`` given
     as one int, else centred (h, w) crops of 64x64 ones."""
     if isinstance(shape, int):
-        return [(s.image, s.masks.channels)
+        return [(s.image, s.masks)
                 for s in gen_seg_dataset(n, shape, seed=seed).samples]
     h, w = shape
     y0, x0 = (64 - h) // 2, (64 - w) // 2
     return [(np.ascontiguousarray(s.image[y0 : y0 + h, x0 : x0 + w]),
-             np.ascontiguousarray(s.masks.channels[:, y0 : y0 + h, x0 : x0 + w]))
+             np.ascontiguousarray(s.masks[:, y0 : y0 + h, x0 : x0 + w]))
             for s in gen_seg_dataset(n, 64, seed=seed).samples]
 
 
@@ -109,15 +109,15 @@ class TestAugment:
 
     def test_fixed_seed_reproducible(self):
         sample = gen_seg_dataset(1, 32, seed=0).samples[0]
-        a = augment(sample.image, sample.masks.channels, np.random.default_rng(42))
-        b = augment(sample.image, sample.masks.channels, np.random.default_rng(42))
+        a = augment(sample.image, sample.masks, np.random.default_rng(42))
+        b = augment(sample.image, sample.masks, np.random.default_rng(42))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_masks_stay_binary_and_images_in_range(self, seed):
         sample = gen_seg_dataset(1, 32, seed=seed).samples[0]
-        out, masks = augment(sample.image, sample.masks.channels,
+        out, masks = augment(sample.image, sample.masks,
                              np.random.default_rng(seed))
         assert out.dtype == np.float64 and masks.dtype == np.uint8
         assert out.min() >= 0.0 and out.max() <= 1.0

@@ -21,7 +21,6 @@ from drtricks.config import ConfigError, RunConfig, load_config
 from drtricks.data import (
     TASKS,
     Dataset,
-    MaskSet,
     Sample,
     gen_ordinal_dataset,
     gen_seg_dataset,
@@ -780,7 +779,7 @@ def _segmentation_predictions_of_another_size(ws: Path) -> dict:
     dev = _segmentation_dev(ws)["dev"]
     (ws / "bigpreds").mkdir()
     for sid, rows in ((0, 33), (1, 32)):
-        write_mask_set(ws / "bigpreds" / f"pred_{sid}", MaskSet(np.zeros((3, rows, 32), np.uint8)))
+        write_mask_set(ws / "bigpreds" / f"pred_{sid}", np.zeros((3, rows, 32), np.uint8))
     (ws / "bigpreds" / "predictions.csv").write_text("id,stem\n0,pred_0\n1,pred_1\n")
     return {"task": "segmentation", "dev": dev, "predictions": ws / "bigpreds"}
 
@@ -1042,6 +1041,18 @@ def test_bad_input_is_config_error(workspace, capsys, case):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_masks_of_another_size_than_their_image_name_the_sample(workspace, capsys):
+    case = _segmentation_train(workspace)
+    for channel in ("irma", "np", "nv"):
+        write_pgm(case["dev"] / f"sample_00001_{channel}.pgm", np.zeros((10, 10), np.uint8))
+    cfg = write_config(workspace, **case)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--seed", "0",
+                 "--out", str(workspace / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: {case['dev'] / 'index.csv'}: sample 1: "
+                                       "mask shape does not match image shape\n")
+
+
 @pytest.mark.parametrize("dim", ["0", "-1"])
 def test_synth_dim_below_one_is_usage_error(tmp_path, capsys, dim):
     assert main(["synth", "--task", "grading", "--n", "40", "--seed", "0", "--dim", dim,
@@ -1192,7 +1203,7 @@ def test_masks_that_zero_every_class_weight_exit_2(tmp_path, capsys, k):
     masks[:, 0, 0] = 0
     rng = np.random.default_rng(0)
     write_seg_dataset(tmp_path / "seg", Dataset(tuple(
-        Sample(id=i, image=rng.uniform(0, 1, (8, 8)), masks=MaskSet(masks))
+        Sample(id=i, image=rng.uniform(0, 1, (8, 8)), masks=masks)
         for i in range(4))))
     cfg = tmp_path / "seg.ini"
     cfg.write_text(SEG_CONFIG.format(train=tmp_path / "seg", lr=0.2)
@@ -1209,7 +1220,7 @@ def test_rotation_tta_on_a_non_square_dev_image_exits_2(tmp_path, capsys, comman
     rng = np.random.default_rng(0)
     write_seg_dataset(tmp_path / "dev", Dataset(tuple(
         Sample(id=50 + i, image=rng.uniform(0, 1, shape),
-               masks=MaskSet(rng.integers(0, 2, (3, *shape))))
+               masks=rng.integers(0, 2, (3, *shape)))
         for i, shape in enumerate([(16, 16), (16, 20), (20, 16)]))))
     assert main(["synth", "--task", "segmentation", "--n", "4", "--size", "32",
                  "--seed", "0", "--out", str(tmp_path / "seg")]) == 0

@@ -13,9 +13,7 @@ from drtricks.data import (
     DataError,
     Dataset,
     FormatError,
-    MaskSet,
     Sample,
-    SoftMaskSet,
     Table,
     _WRITER,
     _pgm_bytes,
@@ -67,11 +65,16 @@ class TestTypes:
             img[0, 0] = 1.0
 
     def test_mask_set_binary_only(self):
-        MaskSet(np.zeros((3, 8, 8), dtype=np.uint8))
-        with pytest.raises(DataError):
-            MaskSet(np.full((3, 8, 8), 2))
-        with pytest.raises(DataError):
-            MaskSet(np.zeros((2, 8, 8)))
+        image = np.zeros((8, 8))
+        Sample(id=0, image=image, masks=np.zeros((3, 8, 8), dtype=np.uint8))
+        with pytest.raises(DataError, match="mask pixels must be 0 or 1"):
+            Sample(id=0, image=image, masks=np.full((3, 8, 8), 2))
+        with pytest.raises(DataError, match=r"mask set must have shape \(3, H, W\)"):
+            Sample(id=0, image=image, masks=np.zeros((2, 8, 8)))
+        with pytest.raises(DataError, match=r"mask set must have shape \(3, H, W\)"):
+            Sample(id=0, image=image, masks=np.zeros((4, 8, 8), dtype=np.uint8))
+        with pytest.raises(DataError, match="mask shape does not match image shape"):
+            Sample(id=0, image=image, masks=np.zeros((3, 8, 9), dtype=np.uint8))
 
     @pytest.mark.parametrize("value, ok", [
         (2, False), (-1, False), (0.5, False), (np.nan, False), (True, True), (1.0, True),
@@ -81,26 +84,23 @@ class TestTypes:
         c[1, 2, 3] = value
         assert ok == bool(np.isin(c, (0, 1)).all())  # the check it replaced
         if ok:
-            assert MaskSet(c).channels[1, 2, 3] == 1
+            masks = Sample(id=0, image=np.zeros((8, 8)), masks=c).masks
+            assert masks.dtype == np.uint8 and masks[1, 2, 3] == 1
         else:
-            with pytest.raises(DataError):
-                MaskSet(c)
+            with pytest.raises(DataError, match="mask pixels must be 0 or 1"):
+                Sample(id=0, image=np.zeros((8, 8)), masks=c)
 
     def test_rasters_stored_c_contiguous(self):
         rng = np.random.default_rng(0)
         values = rng.uniform(0, 1, (12, 10))
-        masks = (rng.random((10, 12, 3)) < 0.3).astype(np.uint8)
+        masks = (rng.random((12, 10, 3)) < 0.3).astype(np.uint8)
         for v, m in ((values.T, masks.transpose(2, 1, 0)),
                      (np.asfortranarray(values.T), np.asfortranarray(masks.transpose(2, 1, 0)))):
-            img, ms = Sample(id=0, image=v).image, MaskSet(m)
-            assert img.flags.c_contiguous and ms.channels.flags.c_contiguous
-            np.testing.assert_array_equal(img, v)
-            np.testing.assert_array_equal(ms.channels, m)
-
-    def test_soft_mask_range(self):
-        SoftMaskSet(np.full((3, 8, 8), 0.5))
-        with pytest.raises(DataError):
-            SoftMaskSet(np.full((3, 8, 8), 1.1))
+            s = Sample(id=0, image=v, masks=m)
+            assert s.image.flags.c_contiguous and s.masks.flags.c_contiguous
+            assert not s.masks.flags.writeable
+            np.testing.assert_array_equal(s.image, v)
+            np.testing.assert_array_equal(s.masks, m)
 
     def test_label_domain(self):
         assert [validate_label(v) for v in (0, 1, 2)] == [0, 1, 2]
@@ -309,14 +309,14 @@ class TestSegGenerator:
         b = gen_seg_dataset(5, 32, seed=3)
         for sa, sb in zip(a.samples, b.samples):
             np.testing.assert_array_equal(sa.image, sb.image)
-            np.testing.assert_array_equal(sa.masks.channels, sb.masks.channels)
+            np.testing.assert_array_equal(sa.masks, sb.masks)
 
     def test_np_components_larger_than_nv(self):
         from scipy import ndimage
         d = gen_seg_dataset(30, 48, seed=5)
         for s in d.samples:
-            np_lbl, np_n = ndimage.label(s.masks.channels[1])
-            nv_lbl, nv_n = ndimage.label(s.masks.channels[2])
+            np_lbl, np_n = ndimage.label(s.masks[1])
+            nv_lbl, nv_n = ndimage.label(s.masks[2])
             if np_n == 0 or nv_n == 0:
                 continue
             np_areas = ndimage.sum_labels(np.ones_like(np_lbl), np_lbl,
@@ -327,12 +327,12 @@ class TestSegGenerator:
 
     def test_mean_np_fraction_in_band(self):
         d = gen_seg_dataset(100, 64, seed=6)
-        fracs = [s.masks.channels[1].mean() for s in d.samples]
+        fracs = [s.masks[1].mean() for s in d.samples]
         assert 0.02 < np.mean(fracs) < 0.30
 
     def test_artifact_images_have_empty_masks(self):
         d = gen_seg_dataset(50, 32, seed=7, artifact_fraction=1.0)
-        assert all(s.masks.channels.sum() == 0 for s in d.samples)
+        assert all(s.masks.sum() == 0 for s in d.samples)
 
     def test_values_stay_in_unit_range(self):
         d = gen_seg_dataset(20, 32, seed=8)
@@ -378,11 +378,11 @@ class TestIO:
 
     def test_mask_roundtrip_and_suffixes(self, tmp_path):
         rng = np.random.default_rng(1)
-        masks = MaskSet(rng.integers(0, 2, (3, 10, 10), dtype=np.uint8))
+        masks = rng.integers(0, 2, (3, 10, 10), dtype=np.uint8)
         paths = write_mask_set(tmp_path / "m", masks)
         assert [p.name for p in paths] == ["m_irma.pgm", "m_np.pgm", "m_nv.pgm"]
         back = read_mask_set(tmp_path / "m")
-        np.testing.assert_array_equal(back.channels, masks.channels)
+        np.testing.assert_array_equal(back, masks)
 
     def test_mask_read_threshold_128(self, tmp_path):
         raw = np.zeros((8, 8), dtype=np.uint8)
@@ -392,9 +392,9 @@ class TestIO:
         for ch in ("irma", "np", "nv"):
             write_pgm(tmp_path / f"m_{ch}.pgm", raw)
         masks = read_mask_set(tmp_path / "m")
-        assert masks.channels[0, 0, 0] == 1
-        assert masks.channels[0, 0, 1] == 0
-        assert masks.channels[0, 0, 2] == 1
+        assert masks[0, 0, 0] == 1
+        assert masks[0, 0, 1] == 0
+        assert masks[0, 0, 2] == 1
 
     def test_pgm_header_comment_lines_are_skipped(self, tmp_path):
         arr = np.arange(12, dtype=np.uint8).reshape(3, 4)
@@ -471,11 +471,13 @@ class TestIO:
             read_dataset_csv(tmp_path / "bad.csv", "grading")
 
     @pytest.mark.parametrize("row", ["1,sample_00001.pgm", "1", "x,sample_00001.pgm,0",
-                                     "1,sample_00001.pgm,maybe"])
+                                     "1,sample_00001.pgm,maybe", "100,sample_00100.pgm,7,junk",
+                                     "100,sample_00100.pgm,-1", "100,sample_00100.pgm,1,",
+                                     "100,sample_00100.pgm,2"])
     def test_seg_dataset_rejects_malformed_index_row(self, tmp_path, row):
         (tmp_path / "seg").mkdir()
         (tmp_path / "seg" / "index.csv").write_text(f"id,image,has_masks\n{row}\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="index.csv: malformed row"):
             read_seg_dataset(tmp_path / "seg")
 
     def test_seg_dataset_roundtrip(self, tmp_path):
@@ -486,7 +488,7 @@ class TestIO:
             assert sa.id == sb.id
             # images pass through 8-bit quantization
             assert np.abs(sa.image - sb.image).max() <= 0.5 / 255
-            np.testing.assert_array_equal(sa.masks.channels, sb.masks.channels)
+            np.testing.assert_array_equal(sa.masks, sb.masks)
 
     def test_readers_reject_an_id_outside_int64(self, tmp_path):
         (tmp_path / "d.csv").write_text("id,feat_0,label\n18446744073709551620,0.5,1\n")

@@ -295,8 +295,8 @@ def test_each_segmentation_arm_scores_as_its_pipeline_written_out():
         tta = tta_rotate_seg(lambda img: ensemble_predict(ens, img), s.image)
         for arm, masks in (("baseline", binary(segment_soft(single, s.image))),
                            ("+ensemble", binary(ensemble_predict(ens, s.image))),
-                           ("+tta", binary(tta)), ("+post", postprocess_masks(tta).channels)):
-            dscs[arm].append(mean_dsc(masks, s.masks.channels))
+                           ("+tta", binary(tta)), ("+post", postprocess_masks(tta))):
+            dscs[arm].append(mean_dsc(masks, s.masks))
     expected = {arm: float(np.mean(v)) for arm, v in dscs.items()}
     arms = cli._segmentation_arms(cfg, seed)
     assert {arm: v["mean_dsc"] for arm, v in arms.items()} == expected

@@ -13,7 +13,6 @@ from drtricks.augment import augment
 from drtricks.data import (
     DataError,
     Dataset,
-    MaskSet,
     Sample,
     Table,
     gen_ordinal_dataset,
@@ -423,7 +422,7 @@ class TestTraining:
             vals = []
             for s in data.samples:
                 soft = segment_soft(m, s.image)
-                vals.append(seg_total_loss(s.masks.channels.astype(float), soft)[0])
+                vals.append(seg_total_loss(s.masks.astype(float), soft)[0])
             return float(np.mean(vals))
 
         before = total_loss(fit("segmentation", data, cfg0))
@@ -450,7 +449,7 @@ class TestTraining:
         data = gen_seg_dataset(5, 32, seed=4)
         samples = list(data.samples)
         for i, masks in enumerate(edge_mask_sets(32)):
-            samples[i] = Sample(samples[i].id, image=samples[i].image, masks=MaskSet(masks))
+            samples[i] = Sample(samples[i].id, image=samples[i].image, masks=masks)
         data = Dataset(tuple(samples))
         cfg = TrainConfig(lr=0.2, epochs=3, batch_size=2, aux=aux, alpha=0.5, seed=6,
                           augment=augmented)
@@ -528,7 +527,7 @@ class TestTraining:
             """The data set rebuilt from rasters in the given memory layout."""
             return Dataset(tuple(
                 Sample(s.id, image=make(s.image),
-                       masks=MaskSet(make(s.masks.channels)))
+                       masks=make(s.masks))
                 for s in data.samples))
 
         def transposed_view(a):  # C-ordered values behind a transposed view
@@ -652,7 +651,7 @@ def all_zero_weight_data() -> Dataset:
     masks[:, 0, 0] = 0
     rng = np.random.default_rng(0)
     return Dataset(tuple(Sample(id=40 + i, image=rng.uniform(0, 1, (8, 8)),
-                                masks=MaskSet(masks)) for i in range(2)))
+                                masks=masks) for i in range(2)))
 
 
 def edge_mask_sets(size: int) -> list[np.ndarray]:
@@ -761,7 +760,7 @@ def reference_segmenter_fit(data, cfg) -> np.ndarray:
         for idx in _batches(len(data), cfg.batch_size, rng):
             loss_sum, gw_sum, gb_sum = 0.0, np.zeros_like(w), np.zeros_like(b)
             for i in idx:
-                img, masks = data.samples[i].image, data.samples[i].masks.channels
+                img, masks = data.samples[i].image, data.samples[i].masks
                 if cfg.augment:
                     img, masks = augment(img, masks, rng)
                 f, y = seg_features(img), masks.astype(np.float64)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drtricks.data import IRMA, NP, NV, MaskSet, SoftMaskSet
+from drtricks.data import IRMA, NP, NV
 from drtricks.postprocess import (
     dilate,
     grade_postedit,
@@ -101,31 +101,31 @@ class TestReconcile:
         soft, masks = self.base()
         masks[IRMA, 1, 1] = masks[NV, 1, 1] = 1
         soft[IRMA, 1, 1], soft[NV, 1, 1] = 0.6, 0.9
-        out = reconcile_irma_nv(SoftMaskSet(soft), MaskSet(masks))
-        assert out.channels[IRMA, 1, 1] == 0
-        assert out.channels[NV, 1, 1] == 1
+        out = reconcile_irma_nv(soft, masks)
+        assert out[IRMA, 1, 1] == 0
+        assert out[NV, 1, 1] == 1
 
     def test_irma_only_untouched(self):
         soft, masks = self.base()
         masks[IRMA, 2, 2] = 1
         soft[IRMA, 2, 2] = 0.2
-        out = reconcile_irma_nv(SoftMaskSet(soft), MaskSet(masks))
-        assert out.channels[IRMA, 2, 2] == 1
+        out = reconcile_irma_nv(soft, masks)
+        assert out[IRMA, 2, 2] == 1
 
     def test_tie_keeps_irma(self):
         soft, masks = self.base()
         masks[IRMA, 0, 0] = masks[NV, 0, 0] = 1
         soft[IRMA, 0, 0] = soft[NV, 0, 0] = 0.7
-        out = reconcile_irma_nv(SoftMaskSet(soft), MaskSet(masks))
-        assert out.channels[IRMA, 0, 0] == 1
-        assert out.channels[NV, 0, 0] == 0
+        out = reconcile_irma_nv(soft, masks)
+        assert out[IRMA, 0, 0] == 1
+        assert out[NV, 0, 0] == 0
 
     def test_np_channel_passes_through(self):
         soft, masks = self.base()
         masks[NP] = 1
         masks[IRMA, 1, 1] = masks[NV, 1, 1] = 1
-        out = reconcile_irma_nv(SoftMaskSet(soft), MaskSet(masks))
-        np.testing.assert_array_equal(out.channels[NP], masks[NP])
+        out = reconcile_irma_nv(soft, masks)
+        np.testing.assert_array_equal(out[NP], masks[NP])
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50, deadline=None)
@@ -134,7 +134,7 @@ class TestReconcile:
         soft = rng.uniform(0, 1, (3, 6, 6))
         masks = rng.integers(0, 2, (3, 6, 6)).astype(np.uint8)
         out = reconcile_irma_nv(soft, masks)
-        assert not (out.channels[IRMA] & out.channels[NV]).any()
+        assert not (out[IRMA] & out[NV]).any()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -162,7 +162,7 @@ class TestGradePostedit:
         m[IRMA].flat[:irma] = 1
         m[NP].flat[:np_count] = 1
         m[NV].flat[:nv] = 1
-        return MaskSet(m)
+        return m
 
     def test_nv_forces_pdr(self):
         assert grade_postedit(1, self.masks(nv=1)) == 2
@@ -190,13 +190,13 @@ class TestPostprocessMasks:
         soft[IRMA, 0, 0] = 0.8
         soft[NV, 0, 0] = 0.6          # conflict resolved toward IRMA
         out = postprocess_masks(soft)
-        assert out.channels[NP].sum() == 25
-        assert out.channels[IRMA, 0, 0] == 1
-        assert out.channels[NV, 0, 0] == 0
+        assert out[NP].sum() == 25
+        assert out[IRMA, 0, 0] == 1
+        assert out[NV, 0, 0] == 0
 
     def test_threshold_applied(self):
         soft = np.full((3, 8, 8), 0.49)
-        assert postprocess_masks(soft).channels.sum() == 0
+        assert postprocess_masks(soft).sum() == 0
         soft = np.full((3, 8, 8), 0.51)
         out = postprocess_masks(soft)
-        assert out.channels[NP].all()
+        assert out[NP].all()

@@ -32,7 +32,6 @@ ALLOWED_UNREACHED = {
     "metrics.py:_binary_auc": "criterion 2, through auc_macro_ovr",
     "metrics.py:_average_ranks": "criterion 2, through auc_macro_ovr",
     "postprocess.py:grade_postedit": "criterion 6 pins the mask-guided grade edit",
-    "data.py:SoftMaskSet.__post_init__": "criterion 6 builds soft mask sets",
     "ensemble.py:_serve": "runs only in a forked worker; TestMapMembers covers it on two CPUs",
     "models.py:MLP.__reduce__": "pickles a model back from a forked worker; "
                                 "TestMapMembers covers it",
