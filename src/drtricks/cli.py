@@ -274,9 +274,10 @@ def cmd_predict(args) -> int:
     segmentation = cfg.task == "segmentation"
     ids = inputs.ids.tolist()
     decisions = _decisions(cfg.task, cfg.postprocess, _outputs(cfg.task, cfg.tta, ens, inputs))
-    if segmentation:  # on two or more CPUs a set is written while the next is computed
+    if segmentation:  # each set is written as soon as it is computed
         stems = [f"pred_{i:05d}" for i in ids]
-        dd.write_mask_sets(zip((out / stem for stem in stems), decisions))
+        for stem, masks in zip(stems, decisions):
+            dd.write_mask_set(out / stem, masks)
         rows = zip(ids, stems)
     else:
         rows = list(zip(ids, decisions))
@@ -463,6 +464,9 @@ def _seed_list(text: str) -> list[int]:
     seeds = [_seed(part) for part in text.split(",") if part.strip() != ""]
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed list {text!r}")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise argparse.ArgumentTypeError(f"duplicate seed {seed} in {text!r}")
     return seeds
 
 
@@ -508,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-CONFIG_ERRORS = (ConfigError, dd.DataError, CheckpointError, OSError)
+CONFIG_ERRORS = (ConfigError, dd.DataError, CheckpointError, OSError, MemoryError)
 NUMERICAL_ERRORS = (TrainingDivergedError, EnsembleMemberError,
                     MetricError, UndefinedKappaError, FloatingPointError)
 

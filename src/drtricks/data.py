@@ -10,11 +10,7 @@ and own their RNG; every type is immutable after construction.
 from __future__ import annotations
 
 import csv
-import marshal
 import math
-import os
-import struct
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -369,17 +365,12 @@ def gen_seg_dataset(
 # file I/O: PGM rasters, mask sets, tabular CSV, segmentation directories
 # ---------------------------------------------------------------------------
 
-def _pgm_bytes(arr: np.ndarray) -> bytes:
-    """A uint8 raster as the bytes of a binary PGM file (P5, maxval 255)."""
+def write_pgm(path: Path | str, arr: np.ndarray) -> None:
+    """Write a uint8 raster as binary PGM (P5, maxval 255)."""
     a = np.asarray(arr, dtype=np.uint8)
     if a.ndim != 2:
         raise DataError("PGM raster must be 2-D")
-    return f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode("ascii") + a.tobytes()
-
-
-def write_pgm(path: Path | str, arr: np.ndarray) -> None:
-    """Write a uint8 raster as binary PGM (P5, maxval 255)."""
-    Path(path).write_bytes(_pgm_bytes(arr))
+    Path(path).write_bytes(f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode() + a.tobytes())
 
 
 def read_pgm(path: Path | str) -> np.ndarray:
@@ -431,82 +422,13 @@ def _mask_paths(stem: Path | str) -> list[Path]:
     return [stem.with_name(stem.name + f"_{ch}.pgm") for ch in LESION_CHANNELS]
 
 
-def _mask_rasters(stem: Path | str, masks: np.ndarray):
-    """Yield each channel's file path and its raster of 0 and 255."""
-    for path, channel in zip(_mask_paths(stem), masks):
-        yield path, channel * np.uint8(255)
-
-
 def write_mask_set(stem: Path | str, masks: np.ndarray) -> list[Path]:
     """Write a (3, H, W) uint8 mask set of 0s and 1s as one binary PGM per
     channel, suffixed _irma/_np/_nv."""
-    for path, raster in _mask_rasters(stem, masks):
-        write_pgm(path, raster)
-    return _mask_paths(stem)
-
-
-# write_mask_sets' helper, run as ``python -I -S -c _WRITER``: it creates a
-# file for each record on stdin (two little-endian 8-byte lengths, then the
-# path and the bytes) and stops at its first OSError, which it sends back, or
-# at a record cut short by the end of its input.
-_WRITER = """
-import marshal, os, struct, sys
-src = sys.stdin.buffer
-while len(head := src.read(16)) == 16:
-    n, m = struct.unpack("<QQ", head)
-    name, data = src.read(n), memoryview(src.read(m))
-    if len(name) != n or len(data) != m:
-        break
-    try:
-        fd = os.open(os.fsdecode(name), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        while data:
-            data = data[os.write(fd, data):]
-        os.close(fd)
-    except OSError as exc:
-        sys.stdout.buffer.write(marshal.dumps((exc.errno, exc.strerror, exc.filename)))
-        break
-"""
-
-
-def write_mask_sets(pairs) -> None:
-    """Write each ``(stem, mask set)`` of ``pairs`` as ``write_mask_set`` does.
-
-    On more than one CPU a helper process creates the files while the caller
-    computes the next pair; on one CPU, where a helper only adds work, they
-    are written here. The bytes are the same either way, and so is the
-    OSError of the first write that fails. If ``pairs`` raises, the files
-    sent before are written first. The helper runs in a session of its own,
-    so a Ctrl-C meant for the caller does not stop it; it is reaped before
-    this returns or raises.
-    """
-    if len(os.sched_getaffinity(0)) < 2:
-        for stem, masks in pairs:
-            write_mask_set(stem, masks)
-        return
-    import subprocess
-
-    helper = subprocess.Popen([sys.executable, "-I", "-S", "-c", _WRITER],
-                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                              stderr=subprocess.DEVNULL, start_new_session=True)
-    try:
-        try:
-            for stem, masks in pairs:
-                for path, raster in _mask_rasters(stem, masks):
-                    name, data = os.fsencode(path), _pgm_bytes(raster)
-                    helper.stdin.write(struct.pack("<QQ", len(name), len(data)) + name + data)
-                helper.stdin.flush()
-        except BrokenPipeError:
-            pass  # the helper has stopped; what it sent back is raised below
-        finally:  # a write error goes first, as a loop that writes as it goes stops there
-            report = helper.communicate()[0]  # closes the pipe, waits for the helper
-            if report:
-                raise OSError(*marshal.loads(report))
-            if helper.returncode:
-                raise OSError(f"the mask file writer ended with exit code {helper.returncode}")
-    finally:
-        if helper.returncode is None:  # interrupted while waiting for it
-            helper.kill()
-            helper.wait()
+    paths = _mask_paths(stem)
+    for path, channel in zip(paths, masks):
+        write_pgm(path, channel * np.uint8(255))
+    return paths
 
 
 def read_mask_set(stem: Path | str) -> np.ndarray:

@@ -4,7 +4,6 @@ import hashlib
 import inspect
 import os
 import shutil
-import signal
 import struct
 import subprocess
 import sys
@@ -269,6 +268,13 @@ class TestSynth:
                   "--out", str(tmp_path / "d")])
         assert exc.value.code == 2
 
+    def test_an_allocation_that_cannot_be_made_exits_2_with_one_line(self, tmp_path, capsys):
+        # 728 TiB: more than any address space holds, so NumPy refuses it untouched
+        assert main(["synth", "--task", "segmentation", "--n", "1", "--seed", "0",
+                     "--size", "10000000", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 728. TiB") and err.count("\n") == 1
+
     def test_segmentation_synth(self, tmp_path):
         assert main(["synth", "--task", "segmentation", "--n", "3", "--seed", "0",
                      "--size", "32", "--out", str(tmp_path / "seg")]) == 0
@@ -475,12 +481,19 @@ class TestAblate:
     def test_bad_seed_list_is_usage_error(self, tmp_path):
         cfg = tmp_path / "abl.ini"
         cfg.write_text(ablate_config(task="grading", n_labeled=40, lr="2e-3"))
-        for seeds in ("zero", "-1", "0,-1", "1,-2,3", "1.5"):
+        for seeds in ("zero", "-1", "0,-1", "1,-2,3", "1.5", "0,0", "1,2,1"):
             with pytest.raises(SystemExit) as exc:
                 main(["ablate", "--config", str(cfg), "--seeds", seeds,
                       "--out", str(tmp_path / "x")])
             assert exc.value.code == 2, seeds
         assert not (tmp_path / "x").exists()
+
+    def test_a_repeated_seed_is_named(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--config", str(tmp_path / "abl.ini"), "--seeds", "0,0",
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "argument --seeds: duplicate seed 0 in '0,0'\n" in capsys.readouterr().err
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         for argv in (["train", "--config", str(write_config(tmp_path))],
@@ -1303,7 +1316,7 @@ def test_predict_reads_no_dev_mask(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# predict writes its mask files through a helper process on two CPUs
+# predict writes each mask set in the caller, as soon as it is computed
 # ---------------------------------------------------------------------------
 
 def _tree_sha256(directory: Path) -> str:
@@ -1378,55 +1391,16 @@ class TestMaskWriter:
         assert sorted(trees[0]) == [f"pred_0010{i}_{ch}.pgm" for i in (0, 1)
                                     for ch in ("irma", "np", "nv")]
 
-    @TWO_CPUS
-    def test_ctrl_c_interrupts_the_caller_and_the_helper_finishes(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("ncpu", [1, pytest.param(2, marks=TWO_CPUS)])
+    def test_predict_starts_no_process(self, tmp_path, cpus, monkeypatch, ncpu):
         cfg = _trained_seg_workspace(tmp_path, 33)
-        original, calls, helpers = cli.tta_rotate_seg, [], []
-
-        class Recorded(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                helpers.append(self)
-
-        def ctrl_c_at_third_image(predict, image):
-            calls.append(1)
-            if len(calls) == 3:
-                # a terminal's Ctrl-C signals every process of the caller's group
-                (helper,) = helpers
-                if os.getpgid(helper.pid) == os.getpgrp():
-                    os.kill(helper.pid, signal.SIGINT)
-                raise KeyboardInterrupt
-            return original(predict, image)
-
-        monkeypatch.setattr(subprocess, "Popen", Recorded)
-        monkeypatch.setattr(cli, "tta_rotate_seg", ctrl_c_at_third_image)
-        with pytest.raises(KeyboardInterrupt):
-            _predict_on(cfg, tmp_path / "out")
-        assert helpers[0].returncode == 0
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert sorted(_files(tmp_path / "out")) == [f"pred_0010{i}_{ch}.pgm" for i in (0, 1)
-                                                    for ch in ("irma", "np", "nv")]
-
-    @TWO_CPUS
-    def test_a_helper_that_dies_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
-        cfg = _trained_seg_workspace(tmp_path, 33)
-        monkeypatch.setattr(cli.dd, "_WRITER", "import sys; sys.exit(5)")
-        capsys.readouterr()
-        assert _predict_on(cfg, tmp_path / "out") == 2
-        assert capsys.readouterr().err == "error: the mask file writer ended with exit code 5\n"
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert not (tmp_path / "out" / "predictions.csv").exists()
-
-    def test_one_cpu_starts_no_process(self, tmp_path, cpus, monkeypatch):
-        cfg = _trained_seg_workspace(tmp_path, 33)
-        cpus(1)
+        cpus(ncpu)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("predict started a process on one CPU")
+            raise AssertionError(f"predict started a process on {ncpu} CPUs")
 
         monkeypatch.setattr(subprocess, "Popen", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
         assert _predict_on(cfg, tmp_path / "preds") == 0
         assert _masks_digest(tmp_path / "preds") == PREDICTED_MASK_DIGESTS[33]
 

@@ -1,7 +1,4 @@
 """Data types, splitting, synthetic generators, and file round-trips."""
-import struct
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -15,8 +12,6 @@ from drtricks.data import (
     FormatError,
     Sample,
     Table,
-    _WRITER,
-    _pgm_bytes,
     gen_ordinal_dataset,
     gen_seg_dataset,
     largest_remainder_counts,
@@ -358,23 +353,6 @@ class TestIO:
         arr = np.random.default_rng(0).integers(0, 256, (12, 9), dtype=np.uint8)
         write_pgm(tmp_path / "a.pgm", arr)
         np.testing.assert_array_equal(read_pgm(tmp_path / "a.pgm"), arr)
-        # the bytes that write_mask_sets sends to its helper process
-        (tmp_path / "b.pgm").write_bytes(_pgm_bytes(arr))
-        np.testing.assert_array_equal(read_pgm(tmp_path / "b.pgm"), arr)
-        assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
-
-    def test_mask_file_writer_skips_a_record_cut_short(self, tmp_path):
-        def record(name, data):
-            path = bytes(tmp_path / name)
-            return struct.pack("<QQ", len(path), len(data)) + path + data
-
-        body = _pgm_bytes(np.full((4, 5), 255, dtype=np.uint8))
-        stdin = record("a.pgm", body) + record("b.pgm", body)[:-1]
-        proc = subprocess.run([sys.executable, "-I", "-S", "-c", _WRITER], input=stdin,
-                              capture_output=True, timeout=60)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm"]
-        assert (tmp_path / "a.pgm").read_bytes() == body
 
     def test_mask_roundtrip_and_suffixes(self, tmp_path):
         rng = np.random.default_rng(1)

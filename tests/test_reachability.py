@@ -9,6 +9,7 @@ every command, so each module body runs again under the profiler too: that
 reaches the helpers that only run at import. Lambdas, comprehensions and
 class bodies are left out.
 """
+import ast
 import importlib.util
 import inspect
 import os
@@ -178,6 +179,18 @@ def test_the_commands_import_no_numpy_ma(tmp_path):
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[] False"
+
+
+def test_no_module_imports_subprocess():
+    """``ensemble.map_members`` is the one way drtricks starts a process."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(m.partition(".")[0] == "subprocess" for m in modules):
+                importers.append(path.name)
+    assert not importers
 
 
 def test_allowlist_names_existing_functions():
