@@ -11,7 +11,9 @@ Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -28,7 +30,7 @@ from .metrics import (MetricError, UndefinedKappaError, accuracy, confusion_matr
 from .models import (SEG_FEATURE_DIM, CheckpointError, TrainingDivergedError,
                      derive_seed, fit, load_checkpoint, regressor_class, save_checkpoint)
 from .postprocess import postprocess_masks, quality_decision
-from .ssl import RPLConfig, naive_pl_train, rpl_train
+from .ssl import naive_pl_train, rpl_train
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +240,13 @@ def cmd_train(args) -> int:
     _check_width(train, pool, "unlabeled pool")
     _check_width(train, dev, "dev set")
     tcfg, k = cfg.train_config(args.seed), cfg.ensemble_k
+    shared = rpl and set(train.ids.tolist()).intersection(pool.ids.tolist())
+    if shared:  # checked once, before any member starts
+        raise dd.DataError(f"sample id {min(shared)} is in both the labeled data "
+                           "and the unlabeled pool")
     audits = [out / ("audit.csv" if k == 1 else f"member_{i}_audit.csv") for i in range(k)]
-    member = lambda i: rpl_train(train, pool, RPLConfig(replace(tcfg, seed=args.seed + i),
-                                                        cfg.rpl_rounds), audits[i])
+    member = lambda i: rpl_train(train, pool, replace(tcfg, seed=args.seed + i),
+                                 cfg.rpl_rounds, audits[i])
     done = f"reliable pseudo labeling over {cfg.rpl_rounds} rounds; " if rpl else "trained "
     if k > 1:
         ens = (Ensemble(tuple(map_members(member, k)), tuple(args.seed + i for i in range(k)))
@@ -396,7 +402,7 @@ def _tabular_arms(cfg: RunConfig, seed: int) -> dict[str, dict[str, float]]:
     k = cfg.ensemble_k
     supervised = lambda c: fit(cfg.task, train, c)
     jobs = ([("+rpl", replace(tcfg, seed=derive_seed(seed, 30, i)),
-              lambda c: rpl_train(train, unlabeled, RPLConfig(base=c, rounds=cfg.rpl_rounds)))
+              lambda c: rpl_train(train, unlabeled, c, cfg.rpl_rounds))
              for i in range(k)]
             + [("+pl", replace(tcfg, seed=derive_seed(seed, 20, i)),
                 lambda c: naive_pl_train(train, unlabeled, c)) for i in range(k)]
@@ -519,14 +525,19 @@ NUMERICAL_ERRORS = (TrainingDivergedError, EnsembleMemberError,
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = Path(args.out)
+    new_dirs = [d for d in (out, *out.parents) if not os.path.lexists(d)]  # innermost first
     try:
         return args.func(args)
     except CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"error: {exc}"
     except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        code, line = 3, f"numerical failure: {exc}"
+    print(line, file=sys.stderr)
+    for d in new_dirs:  # a failed command takes back the directories it made, if empty
+        with contextlib.suppress(OSError, ValueError):  # rmdir removes only an empty one
+            d.rmdir()
+    return code
 
 
 if __name__ == "__main__":

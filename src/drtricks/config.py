@@ -16,7 +16,6 @@ from typing import Optional
 
 from .data import SYNTH_DIM, SYNTH_NOISE, SYNTH_SIZE, TASKS
 from .models import TrainConfig
-from .ssl import RPLConfig
 
 
 class ConfigError(ValueError):
@@ -70,7 +69,7 @@ class RunConfig:
     dropout: float = _ini("train", TrainConfig.dropout, tasks=ORDINAL)
     augment: bool = _ini("train", TrainConfig.augment, tasks=SEG)
     ensemble_k: int = _ini("pipeline", 1)
-    rpl_rounds: int = _ini("pipeline", RPLConfig.rounds, tasks=ORDINAL)
+    rpl_rounds: int = _ini("pipeline", 5, tasks=ORDINAL)
     tta: str = _ini("pipeline", "none", tasks=SEG)
     postprocess: bool = _ini("pipeline", False, tasks=("segmentation", "quality"))
 

@@ -13,19 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DataError, Table, write_csv
+from .data import Table, write_csv
 from .models import (MLP, NUM_CLASSES, TrainConfig, derive_seed, fit, regressor_class,
                      round_half_away)
-
-
-@dataclass
-class RPLConfig:
-    base: TrainConfig
-    rounds: int = 5
-
-    def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError("need at least one round")
 
 
 @dataclass(frozen=True)
@@ -79,32 +69,24 @@ def _audit_rows(buckets: PseudoBuckets, t: int, rounds: int) -> list[list]:
             for k, start, size, take in _runs(buckets, t, rounds)]
 
 
-def rpl_train(
-    labeled: Table,
-    unlabeled: Table,
-    cfg: RPLConfig,
-    audit_path: Optional[Path | str] = None,
-) -> MLP:
-    """Reliable pseudo labeling: T rounds of select-and-retrain from scratch, each on
-    the labeled rows then the selected pool rows; a DataError first if the two share an id."""
-    if len(labeled) == 0:
-        raise DataError("labeled set must be nonempty")
-    shared = set(labeled.ids.tolist()).intersection(unlabeled.ids.tolist())
-    if shared:
-        raise DataError(f"sample id {min(shared)} is in both the labeled data "
-                        "and the unlabeled pool")
-    model = fit(labeled.task, labeled, replace(cfg.base, seed=derive_seed(cfg.base.seed, 0)))
+def rpl_train(labeled: Table, unlabeled: Table, cfg: TrainConfig, rounds: int,
+              audit_path: Optional[Path | str] = None) -> MLP:
+    """Reliable pseudo labeling: ``rounds`` (T) rounds of select-and-retrain from
+    scratch, each on the labeled rows then the selected pool rows (a DataError
+    there if the two share an id)."""
+    if rounds < 1:
+        raise ValueError("need at least one round")
+    model = fit(labeled.task, labeled, replace(cfg, seed=derive_seed(cfg.seed, 0)))
     audit: list[list] = []
     if len(unlabeled) > 0:
-        for t in range(1, cfg.rounds + 1):
+        for t in range(1, rounds + 1):
             buckets = pseudo_label(model, unlabeled)
-            selected = select_reliable(buckets, t, cfg.rounds)
-            audit.extend(_audit_rows(buckets, t, cfg.rounds))
+            selected = select_reliable(buckets, t, rounds)
+            audit.extend(_audit_rows(buckets, t, rounds))
             combined = Table(labeled.task, np.concatenate((labeled.ids, selected.ids)),
                              np.concatenate((labeled.features, selected.features)),
                              np.concatenate((labeled.labels, selected.labels)))
-            round_cfg = replace(cfg.base, seed=derive_seed(cfg.base.seed, t))
-            model = fit(labeled.task, combined, round_cfg)
+            model = fit(labeled.task, combined, replace(cfg, seed=derive_seed(cfg.seed, t)))
     if audit_path is not None:
         write_csv(audit_path, ["round", "class", "bucket_size", "selected", "min_conf_selected"],
                   audit)
@@ -113,4 +95,4 @@ def rpl_train(
 
 def naive_pl_train(labeled: Table, unlabeled: Table, cfg: TrainConfig) -> MLP:
     """Single-round pseudo labeling keeping every pseudo label."""
-    return rpl_train(labeled, unlabeled, RPLConfig(base=cfg, rounds=1))
+    return rpl_train(labeled, unlabeled, cfg, 1)

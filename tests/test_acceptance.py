@@ -44,7 +44,7 @@ from drtricks.postprocess import (
     quality_decision,
     reconcile_irma_nv,
 )
-from drtricks.ssl import RPLConfig, naive_pl_train, rpl_train
+from drtricks.ssl import naive_pl_train, rpl_train
 
 
 def report(number: int, label: str, ok: bool) -> None:
@@ -237,7 +237,7 @@ def ordinal_arms():
         results["supervised"].append(dev_qwk(supervised.predict_scalar(feats)))
         pl = naive_pl_train(train, unlabeled, cfg)
         results["pl"].append(dev_qwk(pl.predict_scalar(feats)))
-        rpl = rpl_train(train, unlabeled, RPLConfig(base=cfg, rounds=5))
+        rpl = rpl_train(train, unlabeled, cfg, 5)
         results["rpl"].append(dev_qwk(rpl.predict_scalar(feats)))
         ens = train_deep_ensemble(train, cfg, k=5, base_seed=derive_seed(seed, 10))
         results["ensemble"].append(dev_qwk(ensemble_predict(ens, feats)))

@@ -275,6 +275,18 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate 728. TiB") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, out, there", [
+        (["--task", "segmentation", "--n", "1", "--size", "10000000"], "x", False),  # 728 TiB
+        (["--task", "grading", "--n", "5"], "y/z", False),  # need n >= 30
+        (["--task", "grading", "--n", "5"], "x", True)])
+    def test_a_failure_leaves_no_out_directory_it_made(self, tmp_path, capsys, argv, out,
+                                                       there):
+        if there:
+            (tmp_path / out).mkdir()
+        assert main(["synth", *argv, "--seed", "0", "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert list(tmp_path.rglob("*")) == ([tmp_path / out] if there else [])
+
     def test_segmentation_synth(self, tmp_path):
         assert main(["synth", "--task", "segmentation", "--n", "3", "--seed", "0",
                      "--size", "32", "--out", str(tmp_path / "seg")]) == 0
@@ -592,10 +604,10 @@ class TestWorkers:
                                                               monkeypatch):
         original = cli.rpl_train
 
-        def failing_second_member(labeled, pool, cfg, audit_path):
-            if cfg.base.seed == 1:  # member 1 of seed 0
+        def failing_second_member(labeled, pool, cfg, rounds, audit_path):
+            if cfg.seed == 1:  # member 1 of seed 0
                 raise FloatingPointError("overflow")
-            return original(labeled, pool, cfg, audit_path)
+            return original(labeled, pool, cfg, rounds, audit_path)
 
         monkeypatch.setattr(cli, "rpl_train", failing_second_member)
         cfg = write_config(workspace, k=3)
@@ -605,6 +617,25 @@ class TestWorkers:
             assert main(["rpl", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 3
             assert capsys.readouterr().err == "numerical failure: member 1 failed: overflow\n"
             assert not list(out.glob("*.ckpt")) and not (out / "ensemble.json").exists()
+
+    @pytest.mark.parametrize("ncpu", [1, pytest.param(2, marks=TWO_CPUS)])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_pool_id_in_the_labeled_data_starts_no_member(self, workspace, capsys, cpus,
+                                                           monkeypatch, k, ncpu):
+        def never(*args):
+            raise AssertionError("a member was started")
+
+        monkeypatch.setattr(cli, "rpl_train", never)
+        monkeypatch.setattr(cli, "map_members", never)
+        _first_id(workspace / "unlab" / "data.csv", 7)
+        cpus(ncpu)
+        capsys.readouterr()
+        out = workspace / "out"
+        assert main(["rpl", "--config", str(write_config(workspace, k=k)), "--seed", "0",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: sample id 7 is in both the labeled data "
+                                           "and the unlabeled pool\n")
+        assert not out.exists()
 
     def test_saturating_ensemble_exits_3_with_one_line_on_any_cpus(self, tmp_path, capsys,
                                                                    cpus):
@@ -630,8 +661,7 @@ class TestWorkers:
         original = getattr(cli, trainer)
 
         def failing_second_member(*args):
-            cfg = args[-1] if trainer == "naive_pl_train" else args[-1].base
-            if cfg.seed == derive_seed(0, key, 1):
+            if args[2].seed == derive_seed(0, key, 1):  # the train config
                 raise FloatingPointError("overflow")
             return original(*args)
 
@@ -651,8 +681,7 @@ class TestWorkers:
 
         def failing_members(original):
             def trainer(*args):
-                cfg = getattr(args[-1], "base", args[-1])  # an RPLConfig or a TrainConfig
-                if cfg.seed in failing:
+                if args[2].seed in failing:  # the train config
                     raise FloatingPointError("overflow")
                 return original(*args)
             return trainer
@@ -941,6 +970,10 @@ BAD_INPUTS = {
                                  "training data must be nonempty"),
     "training_csv_header_only_ensemble": (
         "train", lambda ws: _train_csv(ws, _dev_header(ws), k=2), "training data must be nonempty"),
+    "rpl_training_csv_header_only": ("rpl", lambda ws: _train_csv(ws, _dev_header(ws)),
+                                     "training data must be nonempty"),
+    "rpl_training_csv_header_only_ensemble": (
+        "rpl", lambda ws: _train_csv(ws, _dev_header(ws), k=2), "training data must be nonempty"),
     "training_csv_empty_label": ("train", _unlabeled_training_row,
                                  "training requires labeled samples"),
     "training_csv_misnamed_feature_columns": (
@@ -1051,7 +1084,7 @@ def test_bad_input_is_config_error(workspace, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(text in err for text in message), err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_masks_of_another_size_than_their_image_name_the_sample(workspace, capsys):
@@ -1160,7 +1193,7 @@ def test_segmentation_dev_report_over_no_image_is_config_error(tmp_path, capsys)
     assert main(["train", "--config", str(cfg), "--seed", "0",
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: the dev set holds no samples\n"
-    assert not any((tmp_path / "out").iterdir())  # nothing was fitted or saved
+    assert not (tmp_path / "out").exists()  # nothing was fitted or saved
 
 
 @pytest.mark.parametrize("command", ["train", "rpl"])
@@ -1171,7 +1204,7 @@ def test_ordinal_dev_report_over_no_sample_fails_before_training(workspace, caps
     assert main([command, "--config", str(write_config(workspace)), "--seed", "0",
                  "--out", str(workspace / "out")]) == 2
     assert capsys.readouterr().err == "error: the dev set holds no samples\n"
-    assert not any((workspace / "out").iterdir())
+    assert not (workspace / "out").exists()
 
 
 @pytest.mark.parametrize("offset", ["9223372036854775808", "18446744073709551620",
@@ -1183,7 +1216,7 @@ def test_synth_of_an_id_outside_int64_is_config_error(tmp_path, capsys, task, of
                  "--out", str(tmp_path / "out"), "--id-offset", offset]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sample id ") and err.count("\n") == 1
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_segmentation_rpl_is_config_error(tmp_path, capsys):
@@ -1244,7 +1277,7 @@ def test_rotation_tta_on_a_non_square_dev_image_exits_2(tmp_path, capsys, comman
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == \
         "error: sample 51: rotation TTA needs a square image, got 16x20\n"
-    assert not any((tmp_path / "out").iterdir())  # train fitted and saved nothing
+    assert not (tmp_path / "out").exists()  # train fitted and saved nothing
 
 
 def _trained_seg_workspace(tmp_path: Path, size: int) -> Path:

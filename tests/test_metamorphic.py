@@ -23,7 +23,7 @@ from drtricks.ensemble import Ensemble, ensemble_predict, train_deep_ensemble, t
 from drtricks.metrics import confusion_matrix, mean_dsc, qwk
 from drtricks.models import derive_seed, fit, regressor_class, segment_soft
 from drtricks.postprocess import postprocess_masks, quality_decision
-from drtricks.ssl import RPLConfig, naive_pl_train, rpl_train
+from drtricks.ssl import naive_pl_train, rpl_train
 
 CONFIG = """\
 [run]
@@ -257,7 +257,7 @@ def test_each_tabular_arm_scores_as_its_pipeline_written_out(task):
         return Ensemble(tuple(trainer(replace(tcfg, seed=s)) for s in seeds), tuple(seeds))
 
     rpl = ensemble([derive_seed(seed, 30, i) for i in range(2)],
-                   lambda c: rpl_train(train, pool, RPLConfig(base=c, rounds=2)))
+                   lambda c: rpl_train(train, pool, c, 2))
     pl = ensemble([derive_seed(seed, 20, i) for i in range(2)],
                   lambda c: naive_pl_train(train, pool, c))
     supervised = ensemble([derive_seed(seed, 10) + i for i in range(2)],

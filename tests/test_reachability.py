@@ -193,5 +193,32 @@ def test_no_module_imports_subprocess():
     assert not importers
 
 
+# module -> the drtricks modules it may import; cli may import any
+LAYERS = {"__init__": set(), "augment": set(), "data": set(),
+          "metrics": {"data"}, "postprocess": {"data"}, "models": {"augment", "data"},
+          "ssl": {"data", "models"}, "ensemble": {"data", "models"}, "config": {"data", "models"}}
+
+
+def _drtricks_imports(path: Path) -> set[str]:
+    """The drtricks modules that ``path`` imports, relatively or by absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ("drtricks" + (f".{node.module}" if node.module else "") if node.level
+                      else node.module)
+            names |= ({f"drtricks.{alias.name}" for alias in node.names}
+                      if module == "drtricks" else {module})
+    return {name.split(".")[1] for name in names if name.startswith("drtricks.")}
+
+
+def test_each_module_imports_only_its_layers():
+    modules = {path.stem: path for path in SRC.glob("*.py")}
+    assert set(modules) == set(LAYERS) | {"cli"}
+    wrong = {m: sorted(_drtricks_imports(modules[m]) - allowed) for m, allowed in LAYERS.items()}
+    assert not {m: w for m, w in wrong.items() if w}
+
+
 def test_allowlist_names_existing_functions():
     assert set(ALLOWED_UNREACHED) <= _functions()

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import overflowing_model
-from drtricks.data import DataError, Table, gen_ordinal_dataset
+from drtricks.data import Table, gen_ordinal_dataset
 from drtricks.models import (NUM_CLASSES, MLP, TrainConfig, fit, regressor_class,
                              round_half_away)
 from drtricks.ssl import (
     PseudoBuckets,
-    RPLConfig,
     _audit_rows,
     confidence_regressor,
     naive_pl_train,
@@ -280,7 +279,7 @@ class TestRplTrain:
     def test_t1_equals_naive_pl(self):
         labeled = gen_ordinal_dataset(48, seed=0)
         unlabeled = gen_ordinal_dataset(100, seed=1, labeled=False, id_offset=1000)
-        a = rpl_train(labeled, unlabeled, RPLConfig(base=self.CFG, rounds=1))
+        a = rpl_train(labeled, unlabeled, self.CFG, 1)
         b = naive_pl_train(labeled, unlabeled, self.CFG)
         assert a.theta.tobytes() == b.theta.tobytes()
 
@@ -288,7 +287,7 @@ class TestRplTrain:
         labeled = gen_ordinal_dataset(48, seed=0)
         from drtricks.models import derive_seed
         from dataclasses import replace
-        model = rpl_train(labeled, EMPTY, RPLConfig(base=self.CFG, rounds=5))
+        model = rpl_train(labeled, EMPTY, self.CFG, 5)
         supervised = fit("grading", labeled,
                          replace(self.CFG, seed=derive_seed(self.CFG.seed, 0)))
         assert model.theta.tobytes() == supervised.theta.tobytes()
@@ -296,20 +295,18 @@ class TestRplTrain:
     def test_deterministic(self):
         labeled = gen_ordinal_dataset(48, seed=2)
         unlabeled = gen_ordinal_dataset(80, seed=3, labeled=False, id_offset=1000)
-        cfg = RPLConfig(base=self.CFG, rounds=3)
-        a = rpl_train(labeled, unlabeled, cfg)
-        b = rpl_train(labeled, unlabeled, cfg)
+        a = rpl_train(labeled, unlabeled, self.CFG, 3)
+        b = rpl_train(labeled, unlabeled, self.CFG, 3)
         assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_empty_labeled_rejected(self):
         with pytest.raises(ValueError):
-            rpl_train(EMPTY, EMPTY, RPLConfig(base=self.CFG))
+            rpl_train(EMPTY, EMPTY, self.CFG, 5)
 
     def test_audit_log_rounds(self, tmp_path):
         labeled = gen_ordinal_dataset(48, seed=4)
         unlabeled = gen_ordinal_dataset(60, seed=5, labeled=False, id_offset=1000)
-        rpl_train(labeled, unlabeled, RPLConfig(base=self.CFG, rounds=5),
-                  audit_path=tmp_path / "audit.csv")
+        rpl_train(labeled, unlabeled, self.CFG, 5, audit_path=tmp_path / "audit.csv")
         with open(tmp_path / "audit.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert sorted({int(r["round"]) for r in rows}) == [1, 2, 3, 4, 5]
@@ -324,26 +321,14 @@ class TestRplTrain:
         assert sum(int(r["selected"]) for r in last) == 60
 
     def test_rpl_config_validation(self):
-        with pytest.raises(ValueError):
-            RPLConfig(base=self.CFG, rounds=0)
+        with pytest.raises(ValueError, match="^need at least one round$"):
+            rpl_train(gen_ordinal_dataset(48, seed=0), EMPTY, self.CFG, 0)
 
     def test_strip_labels_feeds_pool(self):
         labeled = gen_ordinal_dataset(48, seed=6)
         pool = gen_ordinal_dataset(40, seed=7, id_offset=1000, labeled=False)
-        model = rpl_train(labeled, pool, RPLConfig(base=self.CFG, rounds=2))
+        model = rpl_train(labeled, pool, self.CFG, 2)
         assert model.head == "scalar"
-
-    def test_a_shared_id_is_rejected_before_any_fit(self, monkeypatch):
-        import drtricks.ssl as ssl
-
-        fits = []
-        monkeypatch.setattr(ssl, "fit", lambda *args: fits.append(args))
-        labeled = gen_ordinal_dataset(48, seed=0)
-        pool = gen_ordinal_dataset(40, seed=1, labeled=False, id_offset=45)
-        with pytest.raises(DataError, match="^sample id 45 is in both the labeled data and "
-                                            "the unlabeled pool$"):
-            rpl_train(labeled, pool, RPLConfig(base=self.CFG, rounds=2))
-        assert fits == []
 
     def test_each_round_trains_on_the_labeled_rows_then_the_selected(self, monkeypatch):
         import drtricks.ssl as ssl
@@ -353,7 +338,7 @@ class TestRplTrain:
                             or real_fit(task, data, cfg))
         labeled = gen_ordinal_dataset(40, seed=2)
         pool = gen_ordinal_dataset(50, seed=3, labeled=False, id_offset=1000)
-        rpl_train(labeled, pool, RPLConfig(base=self.CFG, rounds=2))
+        rpl_train(labeled, pool, self.CFG, 2)
         assert [len(d) for d in seen] == [40, 40 + 25, 40 + 50]
         last = seen[-1]
         assert last.ids[:40].tolist() == labeled.ids.tolist()
