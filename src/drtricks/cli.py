@@ -22,12 +22,11 @@ import numpy as np
 
 from . import data as dd
 from .config import ORDINAL, ConfigError, RunConfig, check_task, load_config
-from .ensemble import (Ensemble, EnsembleMemberError, ensemble_predict,
-                       load_ensemble, map_members, save_ensemble, train_deep_ensemble,
-                       tta_rotate_seg)
+from .ensemble import (EnsembleMemberError, ensemble_predict, load_ensemble, map_members,
+                       save_ensemble, train_deep_ensemble, tta_rotate_seg)
 from .metrics import (MetricError, UndefinedKappaError, accuracy, confusion_matrix,
                       mean_dsc, mean_iou, qwk)
-from .models import (SEG_FEATURE_DIM, CheckpointError, TrainingDivergedError,
+from .models import (MLP, SEG_FEATURE_DIM, CheckpointError, TrainingDivergedError,
                      derive_seed, fit, load_checkpoint, regressor_class, save_checkpoint)
 from .postprocess import postprocess_masks, quality_decision
 from .ssl import naive_pl_train, rpl_train
@@ -84,23 +83,24 @@ def _check_width(train: dd.Dataset | dd.Table, other, what: str) -> None:
                           f"the training data has {train.features.shape[1]}")
 
 
-def _load_model_or_ensemble(path: str) -> Ensemble:
-    """Load a single checkpoint or an ensemble manifest as an Ensemble."""
+def _load_model_or_ensemble(path: str) -> tuple[MLP, ...]:
+    """The members of an ensemble manifest, or a single checkpoint as one member."""
     p = Path(path)
     if p.is_dir():
         p = p / "ensemble.json"
     if p.suffix == ".json":
         return load_ensemble(p)
-    return Ensemble((load_checkpoint(p),), (0,))
+    return (load_checkpoint(p),)
 
 
-def _check_model_fits(ens: Ensemble, cfg: RunConfig, data: dd.Dataset | dd.Table) -> None:
+def _check_model_fits(ens: tuple[MLP, ...], cfg: RunConfig,
+                      data: dd.Dataset | dd.Table) -> None:
     """ConfigError unless every member's head and input width fit the task's data."""
     if cfg.task == "segmentation":
         head, width = "pixel", SEG_FEATURE_DIM
     else:
         head, width = "scalar", data.features.shape[1]
-    for m in ens.members:
+    for m in ens:
         if m.head != head or m.dims[0] != width:
             raise ConfigError(
                 f"the model has a {m.head} head over {m.dims[0]} inputs; "
@@ -119,7 +119,7 @@ def _pipeline_description(cfg: RunConfig, k: int) -> str:
 # decisions and scores: one path per task, shared by every command
 # ---------------------------------------------------------------------------
 
-def _outputs(task: str, tta: str, ens: Ensemble, data: dd.Dataset | dd.Table):
+def _outputs(task: str, tta: str, ens: tuple[MLP, ...], data: dd.Dataset | dd.Table):
     """The ensemble's raw outputs over the feature vectors, or one image at a
     time its soft masks, under rotation TTA if ``tta`` is ``rotate``."""
     if task != "segmentation":
@@ -188,6 +188,8 @@ def _write_report(cfg: RunConfig, values: dict[str, float], seed: int, out: Path
 
 
 def _out_dir(args) -> Path:
+    if "\0" in args.out:
+        raise ConfigError("--out: a path cannot hold a NUL byte")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -218,8 +220,7 @@ def cmd_synth(args) -> int:
         dd.write_dataset_csv(path, d)
         print(f"wrote {len(d)} samples to {path}")
         if not args.unlabeled:  # a pool's label column is empty
-            counts = dd.largest_remainder_counts(args.n, dd.DEFAULT_GRADE_PROPORTIONS)
-            for c, k in enumerate(counts):
+            for c, k in enumerate(np.bincount(d.labels, minlength=dd.NUM_CLASSES)):
                 print(f"class {c}: {k}")
     return 0
 
@@ -240,21 +241,22 @@ def cmd_train(args) -> int:
     _check_width(train, pool, "unlabeled pool")
     _check_width(train, dev, "dev set")
     tcfg, k = cfg.train_config(args.seed), cfg.ensemble_k
+    seeds = tuple(args.seed + i for i in range(k))
     shared = rpl and set(train.ids.tolist()).intersection(pool.ids.tolist())
     if shared:  # checked once, before any member starts
         raise dd.DataError(f"sample id {min(shared)} is in both the labeled data "
                            "and the unlabeled pool")
     audits = [out / ("audit.csv" if k == 1 else f"member_{i}_audit.csv") for i in range(k)]
-    member = lambda i: rpl_train(train, pool, replace(tcfg, seed=args.seed + i),
+    member = lambda i: rpl_train(train, pool, replace(tcfg, seed=seeds[i]),
                                  cfg.rpl_rounds, audits[i])
     done = f"reliable pseudo labeling over {cfg.rpl_rounds} rounds; " if rpl else "trained "
     if k > 1:
-        ens = (Ensemble(tuple(map_members(member, k)), tuple(args.seed + i for i in range(k)))
-               if rpl else train_deep_ensemble(train, tcfg, k=k, base_seed=args.seed))
-        print(f"{done}ensemble of {k}; manifest {save_ensemble(out, ens)}")
+        ens = (tuple(map_members(member, k)) if rpl
+               else train_deep_ensemble(train, tcfg, k=k, base_seed=args.seed))
+        print(f"{done}ensemble of {k}; manifest {save_ensemble(out, ens, seeds)}")
     else:
-        ens = Ensemble((member(0) if rpl else fit(cfg.task, train, tcfg),), (args.seed,))
-        save_checkpoint(out / "model.ckpt", ens.members[0])
+        ens = (member(0) if rpl else fit(cfg.task, train, tcfg),)
+        save_checkpoint(out / "model.ckpt", ens[0])
         print(f"{done}{'' if rpl else 'single model; '}checkpoint {out / 'model.ckpt'}")
     for path in audits if rpl else ():
         print(f"audit log {path}")
@@ -262,7 +264,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _maybe_dev_report(cfg: RunConfig, ens: Ensemble, dev: dd.Dataset | dd.Table | None,
+def _maybe_dev_report(cfg: RunConfig, ens: tuple[MLP, ...], dev: dd.Dataset | dd.Table | None,
                       seed: int, out: Path) -> None:
     if dev is None:
         return
@@ -276,7 +278,7 @@ def cmd_predict(args) -> int:
     ens = _load_model_or_ensemble(_require(cfg.model_path, "[data] model"))
     inputs = _load_dev(cfg, scored=False)
     _check_model_fits(ens, cfg, inputs)
-    print(f"pipeline: {_pipeline_description(cfg, len(ens.members))}")
+    print(f"pipeline: {_pipeline_description(cfg, len(ens))}")
     segmentation = cfg.task == "segmentation"
     ids = inputs.ids.tolist()
     decisions = _decisions(cfg.task, cfg.postprocess, _outputs(cfg.task, cfg.tta, ens, inputs))
@@ -371,10 +373,7 @@ def _ablate(cfg: RunConfig, jobs: list, table: dict, dev) -> dict[str, dict[str,
         index = [job[0] for job in jobs[:exc.index]].count(arm)
         raise EnsembleMemberError(index, exc.args[1], arm) from exc
 
-    def ensemble(arm: str) -> Ensemble:
-        picked = [j for j, job in enumerate(jobs) if job[0] == arm]
-        return Ensemble(tuple(fits[j] for j in picked), tuple(jobs[j][1].seed for j in picked))
-
+    ensemble = lambda arm: tuple(f for f, job in zip(fits, jobs) if job[0] == arm)
     outputs, scores = {}, {}
     for arm, (whose, tta, post) in table.items():
         if (whose, tta) not in outputs:

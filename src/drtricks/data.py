@@ -158,16 +158,8 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# normalization and splitting
+# splitting
 # ---------------------------------------------------------------------------
-
-def normalize_image(raw: np.ndarray) -> np.ndarray:
-    """Map an integer raster with values in [0, 255] to a [0, 1] float64 raster."""
-    arr = np.asarray(raw)
-    if arr.size and (arr.min() < 0 or arr.max() > 255):
-        raise DataError("raw pixel values must lie in [0, 255]")
-    return arr.astype(np.float64) / 255.0
-
 
 def largest_remainder_counts(n: int, proportions: Sequence[float]) -> list[int]:
     """Apportion n into integer counts summing exactly to n."""
@@ -414,7 +406,8 @@ def write_image(path: Path | str, image: np.ndarray) -> None:
 
 
 def read_image(path: Path | str) -> np.ndarray:
-    return normalize_image(read_pgm(path))
+    """A PGM file's pixels as a float64 raster in [0, 1]."""
+    return read_pgm(path) / 255.0
 
 
 def _mask_paths(stem: Path | str) -> list[Path]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -19,20 +19,6 @@ from .models import (MLP, CheckpointError, TrainConfig, TrainingDivergedError, f
                      load_checkpoint, save_checkpoint, seg_features, segment_soft)
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    members: tuple[MLP, ...]
-    seeds: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.members) < 1:
-            raise ValueError("ensemble needs at least one member")
-        if len({m.head for m in self.members}) != 1:
-            raise ValueError("ensemble members must share a head type")
-        if len(self.seeds) != len(self.members):
-            raise ValueError("need one seed per member")
 
 
 class EnsembleMemberError(RuntimeError):
@@ -186,8 +172,8 @@ def map_members(task: Callable[[int], T], n: int) -> list[T]:
 
 
 def train_deep_ensemble(data: Dataset | Table, cfg: TrainConfig, k: int,
-                        base_seed: int | None = None) -> Ensemble:
-    """Train k independent members with seeds base, base+1, ..., base+k-1.
+                        base_seed: int | None = None) -> tuple[MLP, ...]:
+    """The k independent members, trained with seeds base, base+1, ..., base+k-1.
 
     The members are trained by ``map_members``; the result does not depend
     on how many CPUs it spreads them over.
@@ -195,14 +181,12 @@ def train_deep_ensemble(data: Dataset | Table, cfg: TrainConfig, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     base = cfg.seed if base_seed is None else base_seed
-    seeds = tuple(base + i for i in range(k))
     # ``fit`` is looked up when each member starts, so a wrapper installed
     # on this module's binding sees every fit the caller runs.
-    members = map_members(lambda i: fit(data.task, data, replace(cfg, seed=seeds[i])), k)
-    return Ensemble(tuple(members), seeds)
+    return tuple(map_members(lambda i: fit(data.task, data, replace(cfg, seed=base + i)), k))
 
 
-def ensemble_predict(e: Ensemble, x) -> np.ndarray:
+def ensemble_predict(members: tuple[MLP, ...], x) -> np.ndarray:
     """Arithmetic mean of member predictions, summed in member order into the
     first member's fresh output; for pixel heads a contiguous (3, H, W).
 
@@ -212,17 +196,17 @@ def ensemble_predict(e: Ensemble, x) -> np.ndarray:
     the bits of the C-order rows. A non-finite mean raises
     FloatingPointError without a NumPy warning.
     """
-    if e.members[0].head == "pixel":
+    if members[0].head == "pixel":
         feats = seg_features(x, planar=True)
         predict = lambda m: segment_soft(m, x, feats)
     else:
         x = np.atleast_2d(x)
         predict = lambda m: m.predict_scalar(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = predict(e.members[0])
-        for m in e.members[1:]:
+        out = predict(members[0])
+        for m in members[1:]:
             out += predict(m)
-    out /= len(e.members)
+    out /= len(members)
     if not np.isfinite(out).all():
         raise FloatingPointError("non-finite model output")
     return out
@@ -259,13 +243,14 @@ def tta_rotate_seg(predict_fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndar
 # manifest I/O
 # ---------------------------------------------------------------------------
 
-def save_ensemble(directory: Path | str, e: Ensemble) -> Path:
+def save_ensemble(directory: Path | str, members: tuple[MLP, ...],
+                  seeds: tuple[int, ...]) -> Path:
     """Write member checkpoints ``member_<i>.ckpt`` plus a manifest listing
-    paths and seeds."""
+    paths and seeds, one seed per member."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, (m, seed) in enumerate(zip(e.members, e.seeds)):
+    for i, (m, seed) in enumerate(zip(members, seeds, strict=True)):
         name = f"member_{i}.ckpt"
         save_checkpoint(directory / name, m)
         entries.append({"path": name, "seed": seed})
@@ -274,15 +259,18 @@ def save_ensemble(directory: Path | str, e: Ensemble) -> Path:
     return manifest
 
 
-def load_ensemble(manifest: Path | str) -> Ensemble:
-    """Read a manifest and its member checkpoints; CheckpointError if malformed."""
+def load_ensemble(manifest: Path | str) -> tuple[MLP, ...]:
+    """The members a manifest lists; CheckpointError if it is malformed, lists
+    no member, mixes head types, or a seed is not an integer."""
     manifest = Path(manifest)
     try:
         entries = json.loads(manifest.read_text())["members"]
         paths = [manifest.parent / entry["path"] for entry in entries]
-        seeds = tuple(entry["seed"] for entry in entries)
+        seeds = [entry["seed"] for entry in entries]
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"{manifest}: malformed ensemble manifest ({exc!r})") from exc
+    if not paths:
+        raise CheckpointError(f"{manifest}: ensemble needs at least one member")
     for seed in seeds:
         if type(seed) is not int:  # a JSON float or boolean is no seed
             raise CheckpointError(f"{manifest}: member seed {seed!r} is not an integer")
@@ -290,7 +278,6 @@ def load_ensemble(manifest: Path | str) -> Ensemble:
         if "\0" in str(path):
             raise CheckpointError(f"{manifest}: member path {str(path)!r} holds a NUL byte")
     members = tuple(load_checkpoint(p) for p in paths)
-    try:
-        return Ensemble(members, seeds)
-    except ValueError as exc:
-        raise CheckpointError(f"{manifest}: {exc}") from exc
+    if len({m.head for m in members}) != 1:
+        raise CheckpointError(f"{manifest}: ensemble members must share a head type")
+    return members

@@ -23,6 +23,7 @@ from drtricks.data import (
     Sample,
     gen_ordinal_dataset,
     gen_seg_dataset,
+    read_dataset_csv,
     write_mask_set,
     write_pgm,
     write_seg_dataset,
@@ -249,6 +250,14 @@ class TestSynth:
         assert "class 0: 329" in out
         assert "class 1: 212" in out
         assert "class 2: 70" in out
+
+    def test_class_counts_echoed_are_those_of_the_written_table(self, tmp_path, capsys):
+        assert main(["synth", "--task", "grading", "--n", "37", "--seed", "3",
+                     "--out", str(tmp_path / "d")]) == 0
+        path = tmp_path / "d" / "data.csv"
+        assert capsys.readouterr().out == (f"wrote 37 samples to {path}\n"
+                                           "class 0: 20\nclass 1: 13\nclass 2: 4\n")
+        assert np.bincount(read_dataset_csv(path, "grading").labels).tolist() == [20, 13, 4]
 
     def test_an_unlabeled_pool_echoes_no_class_counts(self, tmp_path, capsys):
         assert main(["synth", "--task", "grading", "--n", "40", "--seed", "0",
@@ -1108,6 +1117,17 @@ def test_synth_dim_below_one_is_usage_error(tmp_path, capsys, dim):
     assert not (tmp_path / "out" / "data.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_out_path_with_a_nul_byte_is_config_error(workspace, capsys, command):
+    args = (["--task", "grading", "--n", "30"] if command == "synth"
+            else ["--config", str(write_config(workspace))])
+    before = sorted(workspace.rglob("*"))
+    capsys.readouterr()
+    assert main([command, *args, "--seed", "0", "--out", str(workspace / "new" / "q\0r")]) == 2
+    assert capsys.readouterr().err == "error: --out: a path cannot hold a NUL byte\n"
+    assert sorted(workspace.rglob("*")) == before
+
+
 @pytest.mark.parametrize("n", ["0", "-5"])
 def test_segmentation_synth_of_no_image_is_config_error(tmp_path, capsys, n):
     assert main(["synth", "--task", "segmentation", "--n", n, "--seed", "0",
@@ -1525,7 +1545,7 @@ def test_grading_ablate_predicts_once_per_ensemble(monkeypatch):
     original = cli.ensemble_predict
 
     def counting(e, x):
-        sizes.append(len(e.members))
+        sizes.append(len(e))
         return original(e, x)
 
     monkeypatch.setattr(cli, "ensemble_predict", counting)

@@ -15,9 +15,9 @@ from drtricks.data import (
     gen_ordinal_dataset,
     gen_seg_dataset,
     largest_remainder_counts,
-    normalize_image,
     ordinal_class_centers,
     read_dataset_csv,
+    read_image,
     read_mask_set,
     read_pgm,
     read_seg_dataset,
@@ -187,20 +187,15 @@ class TestTypes:
 # ---------------------------------------------------------------------------
 
 class TestNormalizeImage:
-    def test_boundaries(self):
-        raw = np.zeros((8, 8), dtype=np.uint8)
-        raw[0, 0] = 255
-        raw[0, 1] = 128
-        img = normalize_image(raw)
-        assert img[0, 0] == 1.0
-        assert img[1, 1] == 0.0
-        assert img[0, 1] == pytest.approx(128 / 255)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DataError):
-            normalize_image(np.full((8, 8), 256))
-        with pytest.raises(DataError):
-            normalize_image(np.full((8, 8), -1))
+    def test_boundaries(self, tmp_path):
+        raw = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        write_pgm(tmp_path / "a.pgm", raw)
+        img = read_image(tmp_path / "a.pgm")
+        assert img.dtype == np.float64
+        assert img[0, 0] == 0.0
+        assert img[15, 15] == 1.0
+        assert img[8, 0] == pytest.approx(128 / 255)
+        assert img.tobytes() == (raw.astype(np.float64) / 255.0).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Deep ensembles, member training over worker processes, rotation TTA,
 and ensemble manifests."""
 import hashlib
+import json
 import os
 import pickle
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ import pytest
 from conftest import TWO_CPUS, overflowing_model
 from drtricks.data import DataError, gen_ordinal_dataset, gen_seg_dataset
 from drtricks.ensemble import (
-    Ensemble,
     EnsembleMemberError,
     ensemble_predict,
     load_ensemble,
@@ -39,41 +40,27 @@ def threshold_oracle(img: np.ndarray) -> np.ndarray:
                      np.clip(1.0 - v, 0, 1)])
 
 
-class TestEnsembleType:
-    def test_needs_members(self):
-        with pytest.raises(ValueError):
-            Ensemble((), ())
-
-    def test_mixed_heads_rejected(self):
-        with pytest.raises(ValueError):
-            Ensemble((MLP([4, 1], "scalar"), MLP([4, 3], "pixel")), (0, 1))
-
-    def test_seed_count_must_match(self):
-        with pytest.raises(ValueError):
-            Ensemble((MLP([2, 1], "scalar"),), (0, 1))
-
-
 class TestTrainDeepEnsemble:
     def test_members_distinct_and_deterministic(self):
         data = gen_ordinal_dataset(48, seed=0)
         cfg = TrainConfig(epochs=5, lr=2e-3, seed=0)
         a = train_deep_ensemble(data, cfg, k=3, base_seed=10)
         b = train_deep_ensemble(data, cfg, k=3, base_seed=10)
-        assert a.seeds == (10, 11, 12)
-        for ma, mb in zip(a.members, b.members):
-            assert ma.theta.tobytes() == mb.theta.tobytes()
-        flat = [m.theta for m in a.members]
+        assert len(a) == 3
+        for seed, ma, mb in zip((10, 11, 12), a, b):
+            single = fit("grading", data, replace(cfg, seed=seed))
+            assert ma.theta.tobytes() == mb.theta.tobytes() == single.theta.tobytes()
+        flat = [m.theta for m in a]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert not np.array_equal(flat[i], flat[j])
 
     def test_k1_matches_single_fit(self):
-        from dataclasses import replace
         data = gen_ordinal_dataset(48, seed=1)
         cfg = TrainConfig(epochs=5, lr=2e-3, seed=7)
         ens = train_deep_ensemble(data, cfg, k=1)
         single = fit("grading", data, replace(cfg, seed=7))
-        assert ens.members[0].theta.tobytes() == single.theta.tobytes()
+        assert len(ens) == 1 and ens[0].theta.tobytes() == single.theta.tobytes()
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -88,8 +75,8 @@ class TestTrainDeepEnsemble:
         one = train_deep_ensemble(data, cfg, k=3, base_seed=5)
         cpus(2)
         two = train_deep_ensemble(data, cfg, k=3, base_seed=5)
-        assert one.seeds == two.seeds == (5, 6, 7)
-        for a, b in zip(one.members, two.members):
+        assert len(one) == len(two) == 3
+        for a, b in zip(one, two):
             assert a.theta.tobytes() == b.theta.tobytes()
             assert all(np.shares_memory(w, b.theta) for w in b.weights + b.biases)
 
@@ -331,11 +318,11 @@ class TestMapMembers:
 class TestEnsemblePredict:
     def test_identical_members_equal_single(self):
         m = constant_scalar(1.3)
-        e = Ensemble((m, m, m), (0, 0, 0))
+        e = (m, m, m)
         assert ensemble_predict(e, np.zeros((1, 4))) == pytest.approx(1.3)
 
     def test_scalar_mean(self):
-        e = Ensemble((constant_scalar(1.0), constant_scalar(2.0)), (0, 1))
+        e = (constant_scalar(1.0), constant_scalar(2.0))
         assert ensemble_predict(e, np.zeros((1, 4))) == pytest.approx(1.5)
 
     def test_batch_mean_is_member_order_mean(self):
@@ -344,7 +331,7 @@ class TestEnsemblePredict:
         expected = members[0].predict_scalar(feats)
         for m in members[1:]:
             expected = expected + m.predict_scalar(feats)
-        out = ensemble_predict(Ensemble(members, (0, 1, 2)), feats)
+        out = ensemble_predict(members, feats)
         assert out.shape == (40,)
         assert out.tobytes() == (expected / 3).tobytes()
 
@@ -354,10 +341,9 @@ class TestEnsemblePredict:
             members = (overflowing_model(tmp_path / "huge.ckpt", 4),)
         else:  # two finite outputs whose sum is not
             members = (constant_scalar(1e308), constant_scalar(1e308))
-        e = Ensemble(members, tuple(range(len(members))))
         x = np.random.default_rng(0).uniform(-1, 1, (20, 4))
         with pytest.raises(FloatingPointError, match="^non-finite model output$"):
-            ensemble_predict(e, x)
+            ensemble_predict(members, x)
         assert not recwarn.list
 
     def test_pixel_ensemble_is_member_order_mean_of_segment_soft(self):
@@ -367,8 +353,7 @@ class TestEnsemblePredict:
         for m in members[1:]:
             expected = expected + segment_soft(m, img)
         expected = expected / len(members)
-        e = Ensemble(members, tuple(range(5)))
-        out = ensemble_predict(e, img)
+        out = ensemble_predict(members, img)
         assert out.shape == (3, 12, 17) and out.flags.c_contiguous
         assert out.tobytes() == expected.tobytes()
 
@@ -383,7 +368,7 @@ class TestEnsemblePredict:
 
         monkeypatch.setattr(models, "seg_features", counting)
         monkeypatch.setattr(ensemble, "seg_features", counting)
-        e = Ensemble(tuple(MLP([4, 3], "pixel", seed=s) for s in range(k)), tuple(range(k)))
+        e = tuple(MLP([4, 3], "pixel", seed=s) for s in range(k))
         img = np.random.default_rng(5).uniform(0, 1, (16, 16))
         ensemble_predict(e, img)
         assert len(calls) == 1
@@ -454,9 +439,10 @@ class TestManifest:
         data = gen_seg_dataset(4, 32, seed=0)
         cfg = TrainConfig(lr=0.2, epochs=5, batch_size=4, seed=0)
         e = train_deep_ensemble(data, cfg, k=2, base_seed=3)
-        manifest = save_ensemble(tmp_path, e)
+        manifest = save_ensemble(tmp_path, e, (3, 4))
         back = load_ensemble(manifest)
-        assert back.seeds == e.seeds
+        assert [m["seed"] for m in json.loads(manifest.read_text())["members"]] == [3, 4]
+        assert len(back) == 2
         img = data.samples[0].image
         np.testing.assert_array_equal(
             np.asarray(ensemble_predict(e, img)),
@@ -479,8 +465,28 @@ class TestManifest:
             load_ensemble(tmp_path / "ensemble.json")
 
     def test_any_json_integer_seed_loads(self, tmp_path):
-        save_ensemble(tmp_path, Ensemble((constant_scalar(1.0),), (0,)))
+        save_ensemble(tmp_path, (constant_scalar(1.0),), (0,))
         seed = 2 ** 70
-        (tmp_path / "ensemble.json").write_text(
-            '{"members": [{"path": "member_0.ckpt", "seed": %d}]}' % seed)
-        assert load_ensemble(tmp_path / "ensemble.json").seeds == (seed,)
+        manifest = tmp_path / "ensemble.json"
+        manifest.write_text('{"members": [{"path": "member_0.ckpt", "seed": %d}]}' % seed)
+        (member,) = load_ensemble(manifest)
+        again = save_ensemble(tmp_path / "again", (member,), (seed,))
+        assert json.loads(again.read_text())["members"][0]["seed"] == seed
+        assert member.theta.tobytes() == constant_scalar(1.0).theta.tobytes()
+
+    def test_empty_member_list_rejected(self, tmp_path):
+        manifest = tmp_path / "ensemble.json"
+        manifest.write_text('{"members": []}')
+        with pytest.raises(CheckpointError) as info:
+            load_ensemble(manifest)
+        assert str(info.value) == f"{manifest}: ensemble needs at least one member"
+
+    def test_mixed_heads_rejected(self, tmp_path):
+        manifest = save_ensemble(tmp_path, (MLP([4, 1], "scalar"), MLP([4, 3], "pixel")), (0, 1))
+        with pytest.raises(CheckpointError) as info:
+            load_ensemble(manifest)
+        assert str(info.value) == f"{manifest}: ensemble members must share a head type"
+
+    def test_seed_count_must_match(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_ensemble(tmp_path, (MLP([2, 1], "scalar"),), (0, 1))

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from drtricks.data import (DataError, gen_ordinal_dataset, gen_seg_dataset, read_dataset_csv,
                            read_image, read_pgm, read_seg_dataset, write_dataset_csv,
                            write_pgm, write_seg_dataset)
-from drtricks.ensemble import Ensemble, load_ensemble, save_ensemble
+from drtricks.ensemble import load_ensemble, save_ensemble
 from drtricks.models import MLP, CheckpointError, load_checkpoint, save_checkpoint
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=100,
@@ -58,9 +58,9 @@ def valid(tmp_path_factory):
     write_pgm(root / "image.pgm", np.arange(64, dtype=np.uint8).reshape(8, 8))
     write_dataset_csv(root / "data.csv", gen_ordinal_dataset(30, dim=2, seed=0))
     write_seg_dataset(root / "seg", gen_seg_dataset(1, 32, seed=0))
-    ens = Ensemble((MLP([2, 1], "scalar"),), (0,))
-    save_ensemble(root / "ens", ens)
-    save_checkpoint(root / "model.ckpt", ens.members[0])
+    model = MLP([2, 1], "scalar")
+    save_ensemble(root / "ens", (model,), (0,))
+    save_checkpoint(root / "model.ckpt", model)
     return {name: (root / path).read_bytes() for name, path in (
         ("pgm", "image.pgm"), ("csv", "data.csv"), ("index", "seg/index.csv"),
         ("manifest", "ens/ensemble.json"), ("checkpoint", "model.ckpt"))}, root

@@ -19,7 +19,7 @@ from drtricks.cli import main
 from drtricks.config import RunConfig
 from drtricks.data import (gen_ordinal_dataset, gen_seg_dataset, read_pgm, split_train_dev,
                            write_pgm)
-from drtricks.ensemble import Ensemble, ensemble_predict, train_deep_ensemble, tta_rotate_seg
+from drtricks.ensemble import ensemble_predict, train_deep_ensemble, tta_rotate_seg
 from drtricks.metrics import confusion_matrix, mean_dsc, qwk
 from drtricks.models import derive_seed, fit, regressor_class, segment_soft
 from drtricks.postprocess import postprocess_masks, quality_decision
@@ -254,7 +254,7 @@ def test_each_tabular_arm_scores_as_its_pipeline_written_out(task):
     train, dev = split_train_dev(labeled, 0.8, seed=derive_seed(seed, 3))
 
     def ensemble(seeds, trainer):
-        return Ensemble(tuple(trainer(replace(tcfg, seed=s)) for s in seeds), tuple(seeds))
+        return tuple(trainer(replace(tcfg, seed=s)) for s in seeds)
 
     rpl = ensemble([derive_seed(seed, 30, i) for i in range(2)],
                    lambda c: rpl_train(train, pool, c, 2))
