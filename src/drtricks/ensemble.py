@@ -247,10 +247,12 @@ def save_ensemble(directory: Path | str, members: tuple[MLP, ...],
                   seeds: tuple[int, ...]) -> Path:
     """Write member checkpoints ``member_<i>.ckpt`` plus a manifest listing
     paths and seeds, one seed per member."""
+    if len(members) != len(seeds):
+        raise ValueError(f"{len(members)} members but {len(seeds)} seeds")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, (m, seed) in enumerate(zip(members, seeds, strict=True)):
+    for i, (m, seed) in enumerate(zip(members, seeds)):
         name = f"member_{i}.ckpt"
         save_checkpoint(directory / name, m)
         entries.append({"path": name, "seed": seed})

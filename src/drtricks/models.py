@@ -166,12 +166,12 @@ class MLP:
             h += self.biases[-1]
             return h[:, 0], (acts, keeps)
         # pixel: W^T h^T is the (3, N) soft-mask layout, with the bits of
-        # h @ W transposed. The sigmoid 1 / (1 + exp(-z)) runs in place on
-        # -z = (-W)^T h^T - b, one contiguous row per channel: rounding is
-        # sign-symmetric, so these are the bits of -(h @ W + b) but a zero's sign.
-        z = np.negative(self.weights[-1]).T @ h.T
+        # h @ W transposed. The bias goes in one contiguous row per channel,
+        # then the sigmoid 1 / (1 + exp(-z)) in place.
+        z = self.weights[-1].T @ h.T
         for zj, bj in zip(z, self.biases[-1]):
-            zj -= bj
+            zj += bj
+        np.negative(z, out=z)
         np.exp(z, out=z)
         z += 1.0
         np.divide(1.0, z, out=z)
@@ -258,45 +258,39 @@ def seg_features(image: np.ndarray, planar: bool = False) -> np.ndarray:
     C-order rows, or with ``planar`` as the transposed view of (4, H*W) planes.
 
     Each box mean is the exact edge-clipped mean over the (2r+1)^2 window.
-    One summed-area table serves every radius: NumPy's sequential running
-    sums down the columns, then along the rows, each down a C-order array
-    over pairs of lanes viewed as one complex number, whose addition is the
-    two float additions (the same bits in half the steps). So the table is
-    stored transposed, (W, H), with a margin of ``max(SEG_FEATURE_RADII)``
-    on every side: zeros before, copies of the last row and column after,
-    which clips every window corner. A window's four corners are four
+    One summed-area table serves every radius. It has a margin of
+    ``max(SEG_FEATURE_RADII)`` on every side: zeros above and to the left,
+    copies of the last row and column below and to the right, which clips
+    every window corner to the image. A window's four corners are four
     offsets into the flat table, each term one contiguous range of
-    ``(W - 1) * stride + H`` entries. Training takes the rows (their layout
+    ``(H - 1) * stride + W`` entries. Training takes the rows (their layout
     sets ``MLP.backward``'s bits); ensembles the planes, shared by members.
     """
     v = np.asarray(image, dtype=np.float64)
     h, w = v.shape
     reach = max(SEG_FEATURE_RADII)
-    cols = np.zeros((h, w + w % 2))
-    cols[:, :w] = v
-    np.add.accumulate(cols.view(np.complex128), axis=0, out=cols.view(np.complex128))
-    stride = h + 1 + 2 * reach + h % 2
-    table = np.zeros((w + 1 + 2 * reach, stride))
-    inner = table[reach + 1 : reach + 1 + w, reach + 1 : reach + 1 + h + h % 2]
-    inner[:, :h] = cols[:, :w].T
-    np.add.accumulate(inner.view(np.complex128), axis=0, out=inner.view(np.complex128))
-    table[reach + 1 + w :, reach + 1 : reach + 1 + h] = table[reach + w, reach + 1 : reach + 1 + h]
-    table[reach + 1 :, reach + 1 + h :] = table[reach + 1 :, reach + h : reach + 1 + h]
+    stride = w + 1 + 2 * reach
+    table = np.zeros((h + 1 + 2 * reach, stride))
+    inner = table[reach + 1 : reach + 1 + h, reach + 1 : reach + 1 + w]
+    np.cumsum(v, axis=0, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
+    table[reach + 1 + h :, reach + 1 : reach + 1 + w] = table[reach + h, reach + 1 : reach + 1 + w]
+    table[reach + 1 :, reach + 1 + w :] = table[reach + 1 :, reach + w : reach + 1 + w]
     flat = table.ravel()
-    n = (w - 1) * stride + h
-    sums = np.empty(w * stride)
-    total, box = sums[:n], sums.reshape(w, stride)[:, :h]
+    n = (h - 1) * stride + w
+    sums = np.empty(h * stride)
+    total, box = sums[:n], sums.reshape(h, stride)[:, :w]
     areas = _window_areas(h, w)
     out = np.empty((SEG_FEATURE_DIM, h, w) if planar else (h, w, SEG_FEATURE_DIM))
     planes = out if planar else out.transpose(2, 0, 1)
     planes[0] = v
     for i, r in enumerate(SEG_FEATURE_RADII, start=1):
         lo, hi = reach - r, reach + r + 1
-        # the image's bottom-right - top-right - bottom-left + top-left, in order
-        np.subtract(flat[hi * stride + hi :][:n], flat[hi * stride + lo :][:n], out=total)
-        total -= flat[lo * stride + hi :][:n]
+        # bottom-right - top-right - bottom-left + top-left, left to right
+        np.subtract(flat[hi * stride + hi :][:n], flat[lo * stride + hi :][:n], out=total)
+        total -= flat[hi * stride + lo :][:n]
         total += flat[lo * stride + lo :][:n]
-        np.divide(box.T, areas[i - 1], out=planes[i])
+        np.divide(box, areas[i - 1], out=planes[i])
     return out.reshape(SEG_FEATURE_DIM, -1).T if planar else out.reshape(-1, SEG_FEATURE_DIM)
 
 

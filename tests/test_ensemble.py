@@ -488,5 +488,6 @@ class TestManifest:
         assert str(info.value) == f"{manifest}: ensemble members must share a head type"
 
     def test_seed_count_must_match(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_ensemble(tmp_path, (MLP([2, 1], "scalar"),), (0, 1))
+        with pytest.raises(ValueError, match="1 members but 2 seeds"):
+            save_ensemble(tmp_path / "ens", (MLP([2, 1], "scalar"),), (0, 1))
+        assert not (tmp_path / "ens").exists()

@@ -203,9 +203,11 @@ class TestSegFeatures:
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_bit_equal_to_gather_reference(self, shape, scale):
         img = np.random.default_rng(shape[0] * 100 + shape[1]).uniform(0, 1, shape) * scale
-        feats = seg_features(img)
-        assert feats.shape == (shape[0] * shape[1], 4)
-        assert feats.tobytes() == ix_reference_features(img).tobytes()
+        expected = ix_reference_features(img).tobytes()
+        for planar in (False, True):
+            feats = seg_features(img, planar=planar)
+            assert feats.shape == (shape[0] * shape[1], 4)
+            assert feats.tobytes() == expected
 
     def test_box_mean_matches_brute_force(self):
         rng = np.random.default_rng(0)
